@@ -21,11 +21,14 @@ if ! cargo run -p xtask -q -- check --json > target/xtask-report.json; then
     exit 1
 fi
 
-echo "==> cargo test -q (DEPMINER_THREADS=1, sequential fallback)"
-DEPMINER_THREADS=1 cargo test -q
+# --workspace: at the repo root a plain `cargo test` covers only the root
+# package, leaving the member crates' unit tests and xtask's golden
+# fixtures out of the gate.
+echo "==> cargo test -q --workspace (DEPMINER_THREADS=1, sequential fallback)"
+DEPMINER_THREADS=1 cargo test -q --workspace
 
-echo "==> cargo test -q (DEPMINER_THREADS=4, parallel runtime)"
-DEPMINER_THREADS=4 cargo test -q
+echo "==> cargo test -q --workspace (DEPMINER_THREADS=4, parallel runtime)"
+DEPMINER_THREADS=4 cargo test -q --workspace
 
 echo "==> chaos pass: fault injection (DEPMINER_THREADS=1)"
 DEPMINER_THREADS=1 cargo test -q --features faults

@@ -11,7 +11,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::json::{self, Value};
-use crate::{Counter, Observer, SpanId, ThreadTag};
+use crate::{current_thread_key, Counter, Observer, SpanId, ThreadTag};
 
 /// An [`Observer`] that serialises every event as one JSON line.
 ///
@@ -57,16 +57,18 @@ impl<W: Write + Send> JsonlSink<W> {
 impl<W: Write + Send> Observer for JsonlSink<W> {
     fn span_enter(&self, id: SpanId, name: &'static str, thread: ThreadTag) {
         self.emit(&format!(
-            "{{\"ev\":\"enter\",\"id\":{id},\"name\":\"{}\",\"thread\":\"{}\"",
+            "{{\"ev\":\"enter\",\"id\":{id},\"name\":\"{}\",\"thread\":\"{}\",\"tid\":{}",
             json::escape(name),
-            thread.label()
+            thread.label(),
+            current_thread_key()
         ));
     }
 
     fn span_exit(&self, id: SpanId, thread: ThreadTag) {
         self.emit(&format!(
-            "{{\"ev\":\"exit\",\"id\":{id},\"thread\":\"{}\"",
-            thread.label()
+            "{{\"ev\":\"exit\",\"id\":{id},\"thread\":\"{}\",\"tid\":{}",
+            thread.label(),
+            current_thread_key()
         ));
     }
 
@@ -94,6 +96,8 @@ pub enum Event {
         name: String,
         /// Emitting thread label (`driver` / `wN`).
         thread: String,
+        /// Emitting thread's process-unique key, when recorded.
+        tid: Option<u64>,
         /// Nanoseconds since the sink's epoch.
         t_ns: u64,
     },
@@ -103,6 +107,8 @@ pub enum Event {
         id: SpanId,
         /// Emitting thread label.
         thread: String,
+        /// Emitting thread's process-unique key, when recorded.
+        tid: Option<u64>,
         /// Nanoseconds since the sink's epoch.
         t_ns: u64,
     },
@@ -165,11 +171,13 @@ pub fn parse_events(text: &str) -> Result<Vec<Event>, String> {
                 id: field_u64(&v, "id", line_no)?,
                 name: field_str(&v, "name", line_no)?,
                 thread: field_str(&v, "thread", line_no)?,
+                tid: v.get("tid").and_then(Value::as_u64),
                 t_ns,
             },
             "exit" => Event::Exit {
                 id: field_u64(&v, "id", line_no)?,
                 thread: field_str(&v, "thread", line_no)?,
+                tid: v.get("tid").and_then(Value::as_u64),
                 t_ns,
             },
             "count" => Event::Count {
@@ -191,15 +199,19 @@ pub fn parse_events(text: &str) -> Result<Vec<Event>, String> {
 ///
 /// 1. every line parses and has a monotone non-decreasing `t_ns`;
 /// 2. per thread, enter/exit form a balanced stack (an exit always
-///    matches that thread's innermost open span);
+///    matches that thread's innermost open span). A thread is its label
+///    plus its `tid`: two driver-tagged threads — a run's driver and
+///    another run's driver helping to drain the shared pool — keep
+///    separate stacks;
 /// 3. every span that is opened is also closed, on the same thread.
 ///
 /// Returns the parsed events on success so callers can assert further.
 pub fn validate_events(text: &str) -> Result<Vec<Event>, String> {
     let events = parse_events(text)?;
     let mut last_t = 0u64;
-    // Per-thread stacks of open span ids, keyed by thread label.
-    let mut stacks: Vec<(String, Vec<SpanId>)> = Vec::new();
+    // Per-thread stacks of open span ids, keyed by label and tid.
+    type Thread<'a> = (&'a str, Option<u64>);
+    let mut stacks: Vec<(Thread<'_>, Vec<SpanId>)> = Vec::new();
     for (idx, ev) in events.iter().enumerate() {
         let line_no = idx + 1;
         if ev.t_ns() < last_t {
@@ -210,14 +222,22 @@ pub fn validate_events(text: &str) -> Result<Vec<Event>, String> {
         }
         last_t = ev.t_ns();
         match ev {
-            Event::Enter { id, thread, .. } => match stacks.iter_mut().find(|(t, _)| t == thread) {
-                Some((_, stack)) => stack.push(*id),
-                None => stacks.push((thread.clone(), vec![*id])),
-            },
-            Event::Exit { id, thread, .. } => {
+            Event::Enter {
+                id, thread, tid, ..
+            } => {
+                let key = (thread.as_str(), *tid);
+                match stacks.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, stack)) => stack.push(*id),
+                    None => stacks.push((key, vec![*id])),
+                }
+            }
+            Event::Exit {
+                id, thread, tid, ..
+            } => {
+                let key = (thread.as_str(), *tid);
                 let stack = stacks
                     .iter_mut()
-                    .find(|(t, _)| t == thread)
+                    .find(|(k, _)| *k == key)
                     .map(|(_, s)| s)
                     .ok_or_else(|| {
                         format!("line {line_no}: exit on thread `{thread}` with no open span")
@@ -239,7 +259,7 @@ pub fn validate_events(text: &str) -> Result<Vec<Event>, String> {
             Event::Count { .. } | Event::Mem { .. } => {}
         }
     }
-    for (thread, stack) in &stacks {
+    for ((thread, _), stack) in &stacks {
         if let Some(id) = stack.last() {
             return Err(format!("span {id} on thread `{thread}` never closed"));
         }
@@ -306,6 +326,44 @@ mod tests {
         assert!(validate_events(regressed)
             .unwrap_err()
             .contains("regressed"));
+    }
+
+    #[test]
+    fn two_driver_threads_keep_separate_stacks() {
+        // Two driver-tagged threads with interleaved spans: `a` opens on
+        // this thread, `b` on another, then `a` closes while `b` is still
+        // open. Keyed by label alone, both would share one "driver" stack
+        // and `a`'s exit would cross `b`.
+        use std::sync::mpsc::channel;
+        let text = trace_of(|obs| {
+            let a = obs.span("a");
+            let (opened_tx, opened_rx) = channel();
+            let (closed_tx, closed_rx) = channel::<()>();
+            let other = obs.clone();
+            let b = std::thread::spawn(move || {
+                let _b = other.span("b");
+                opened_tx.send(()).unwrap();
+                closed_rx.recv().unwrap();
+            });
+            opened_rx.recv().unwrap();
+            drop(a);
+            closed_tx.send(()).unwrap();
+            b.join().unwrap();
+        });
+        let events = validate_events(&text).expect("separate stacks per thread");
+        let tids: Vec<Option<u64>> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Enter { tid, .. } | Event::Exit { tid, .. } => Some(*tid),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(tids.len(), 4);
+        assert!(tids.iter().all(Option::is_some));
+        assert_ne!(
+            tids[0], tids[1],
+            "the two enters come from different threads"
+        );
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //!   and offline analysis.
 //!
 //! Spans are **thread-aware**: the `crates/parallel` pool tags its
-//! workers via [`set_worker_tag`], and a worker span whose own stack is
-//! empty attaches under the driver's innermost open span, so fan-out
-//! stages aggregate under the stage that spawned them.
+//! workers via [`set_worker_tag`] and marks the tasks a joining thread
+//! runs via [`enter_pool_task`]. A task span whose own stack is empty
+//! attaches under the innermost span the driver opened outside a task,
+//! so fan-out stages aggregate under the stage that spawned them.
 //!
 //! Span naming scheme (see DESIGN.md §10): top-level spans carry the
 //! algorithm name (`depminer`, `tane`, `fdep`), stage spans reuse the
@@ -69,6 +70,7 @@ impl ThreadTag {
 thread_local! {
     static THREAD_TAG: Cell<ThreadTag> = const { Cell::new(ThreadTag::Driver) };
     static THREAD_KEY: Cell<u32> = const { Cell::new(u32::MAX) };
+    static IN_POOL_TASK: Cell<bool> = const { Cell::new(false) };
 }
 
 static NEXT_THREAD_KEY: AtomicU32 = AtomicU32::new(0);
@@ -79,6 +81,35 @@ static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 /// span or counter recorded from that thread then carries the tag.
 pub fn set_worker_tag(index: u32) {
     THREAD_TAG.with(|t| t.set(ThreadTag::Worker(index)));
+}
+
+/// Marks the current thread as running a pool task until the returned
+/// guard drops. `crates/parallel` holds one around each queued job that a
+/// thread joining a scope runs while it helps drain the shared pool —
+/// a job of its own run or of another run sharing the pool. Pool workers
+/// run nothing but tasks and need no guard.
+pub fn enter_pool_task() -> PoolTask {
+    PoolTask {
+        was: IN_POOL_TASK.with(|c| c.replace(true)),
+    }
+}
+
+/// Guard returned by [`enter_pool_task`]; restores the previous state.
+#[must_use = "the thread counts as running a pool task only while the guard lives"]
+pub struct PoolTask {
+    was: bool,
+}
+
+impl Drop for PoolTask {
+    fn drop(&mut self) {
+        IN_POOL_TASK.with(|c| c.set(self.was));
+    }
+}
+
+/// `true` while the current thread runs a pool task: always on a pool
+/// worker, and inside [`enter_pool_task`] on any other thread.
+pub(crate) fn in_pool_task() -> bool {
+    matches!(current_thread_tag(), ThreadTag::Worker(_)) || IN_POOL_TASK.with(Cell::get)
 }
 
 /// The current thread's tag ([`ThreadTag::Driver`] unless
@@ -479,6 +510,22 @@ mod tests {
         let (tag, k2) = handle.join().unwrap();
         assert_eq!(tag, ThreadTag::Worker(3));
         assert_ne!(k1, k2);
+        assert!(!in_pool_task());
+        {
+            let _outer = enter_pool_task();
+            {
+                let _inner = enter_pool_task();
+                assert!(in_pool_task());
+            }
+            assert!(in_pool_task(), "nested guard restores, not clears");
+        }
+        assert!(!in_pool_task());
+        assert!(std::thread::spawn(|| {
+            set_worker_tag(0);
+            in_pool_task()
+        })
+        .join()
+        .unwrap());
         assert_eq!(ThreadTag::Worker(3).label(), "w3");
         assert_eq!(ThreadTag::Driver.label(), "driver");
     }

@@ -3,11 +3,14 @@
 //! snapshots to JSON for `depminer --profile` and the bench bins.
 //!
 //! Aggregation model: two spans with the same name under the same
-//! parent are *one* profile node with `calls == 2`. A span entered on a
-//! pool worker whose own stack is empty attaches under the driver's
-//! innermost open span — that is what makes `par_map_governed` fan-out
-//! show up *inside* the stage that spawned it rather than as a forest
-//! of orphan roots.
+//! parent are *one* profile node with `calls == 2`. A span entered in a
+//! pool task (on a worker, or inside [`crate::enter_pool_task`]) on a
+//! thread whose own stack is empty attaches under the innermost span the
+//! driver opened outside a task — that is what makes `par_map_governed`
+//! fan-out show up *inside* the stage that spawned it rather than as a
+//! forest of orphan roots, whichever thread runs the task: a worker, the
+//! driver helping while it joins, or another run's driver helping to
+//! drain the shared pool.
 //!
 //! [`validate_profile_json`] checks an exported document against the
 //! span-tree invariants (balanced, well-formed nodes, child time
@@ -19,7 +22,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::json::{self, Value};
-use crate::{current_thread_key, Counter, Observer, SpanId, ThreadTag};
+use crate::{current_thread_key, in_pool_task, Counter, Observer, SpanId, ThreadTag};
 
 /// Version tag written into every exported profile document.
 pub const PROFILE_SCHEMA: &str = "depminer-profile/1";
@@ -41,20 +44,22 @@ struct OpenSpan {
 struct TreeState {
     /// Node 0 is the synthetic root; real spans hang below it.
     nodes: Vec<NodeData>,
-    /// Per-thread stacks of open node indices, keyed by the dense
-    /// thread key (a `Vec` map — a handful of threads at most).
-    stacks: Vec<(u32, Vec<usize>)>,
+    /// Per-thread stacks of open spans — node index, and whether the span
+    /// was opened in a pool task — keyed by the dense thread key (a `Vec`
+    /// map — a handful of threads at most).
+    stacks: Vec<(u32, Vec<(usize, bool)>)>,
     /// Open span instances, by process-unique span id.
     open: Vec<(SpanId, OpenSpan)>,
-    /// Thread key of the most recent driver-tagged enter; workers with
-    /// an empty stack parent under this thread's innermost open span.
+    /// Thread key of the driver: the last thread to open a root span
+    /// outside a pool task. Task spans with an empty stack parent under
+    /// its innermost non-task open span.
     driver_key: Option<u32>,
     /// Set when an exit did not match its thread's innermost open span.
     unbalanced: bool,
 }
 
 impl TreeState {
-    fn stack_mut(&mut self, key: u32) -> &mut Vec<usize> {
+    fn stack_mut(&mut self, key: u32) -> &mut Vec<(usize, bool)> {
         if let Some(pos) = self.stacks.iter().position(|(k, _)| *k == key) {
             return &mut self.stacks[pos].1;
         }
@@ -67,7 +72,16 @@ impl TreeState {
         self.stacks
             .iter()
             .find(|(k, _)| *k == key)
-            .and_then(|(_, s)| s.last().copied())
+            .and_then(|(_, s)| s.last().map(|&(node, _)| node))
+    }
+
+    /// The innermost span `key` opened outside a pool task.
+    fn non_task_top(&self, key: u32) -> Option<usize> {
+        self.stacks
+            .iter()
+            .find(|(k, _)| *k == key)
+            .and_then(|(_, s)| s.iter().rev().find(|&&(_, task)| !task))
+            .map(|&(node, _)| node)
     }
 
     fn child_named(&mut self, parent: usize, name: &'static str) -> usize {
@@ -141,8 +155,8 @@ impl ProfileSink {
     /// Immutable snapshot of everything recorded so far. Call after the
     /// run completes; `balanced` is `false` while spans are still open.
     pub fn snapshot(&self) -> Profile {
-        let total_ns = self.epoch.elapsed().as_nanos() as u64;
         let tree = self.lock_tree();
+        let total_ns = self.epoch.elapsed().as_nanos() as u64;
         let balanced = !tree.unbalanced && tree.open.is_empty();
         fn build(tree: &TreeState, idx: usize) -> ProfileNode {
             let n = &tree.nodes[idx];
@@ -174,31 +188,36 @@ impl ProfileSink {
 }
 
 impl Observer for ProfileSink {
-    fn span_enter(&self, id: SpanId, name: &'static str, thread: ThreadTag) {
-        let t_ns = self.epoch.elapsed().as_nanos() as u64;
+    fn span_enter(&self, id: SpanId, name: &'static str, _thread: ThreadTag) {
         let key = current_thread_key();
+        let task = in_pool_task();
         let mut tree = self.lock_tree();
+        // Read under the lock, so start times follow the tree's order.
+        let t_ns = self.epoch.elapsed().as_nanos() as u64;
         let parent = match tree.stack_top(key) {
             Some(top) => top,
-            None => match thread {
-                // First span on a worker: hang under the driver's
-                // innermost open span so fan-out nests in its stage.
-                ThreadTag::Worker(_) => tree
-                    .driver_key
-                    .and_then(|dk| tree.stack_top(dk))
-                    .unwrap_or(0),
-                ThreadTag::Driver => 0,
-            },
+            // A task's first span on this thread hangs under the stage
+            // that spawned the fan-out: the driver's innermost span opened
+            // outside a task, never a sibling task the driver runs while
+            // it helps. The thread may be a worker, the driver itself, or
+            // another run's driver helping to drain the shared pool.
+            None if task => tree
+                .driver_key
+                .and_then(|dk| tree.non_task_top(dk))
+                .unwrap_or(0),
+            // Outside a task, a thread with nothing open starts a root
+            // and becomes the driver.
+            None => {
+                tree.driver_key = Some(key);
+                0
+            }
         };
-        if matches!(thread, ThreadTag::Driver) {
-            tree.driver_key = Some(key);
-        }
         let node = tree.child_named(parent, name);
         tree.nodes[node].calls += 1;
         if !tree.nodes[node].threads.contains(&key) {
             tree.nodes[node].threads.push(key);
         }
-        tree.stack_mut(key).push(node);
+        tree.stack_mut(key).push((node, task));
         tree.open.push((
             id,
             OpenSpan {
@@ -210,8 +229,8 @@ impl Observer for ProfileSink {
     }
 
     fn span_exit(&self, id: SpanId, _thread: ThreadTag) {
-        let t_ns = self.epoch.elapsed().as_nanos() as u64;
         let mut tree = self.lock_tree();
+        let t_ns = self.epoch.elapsed().as_nanos() as u64;
         let Some(pos) = tree.open.iter().position(|(open_id, _)| *open_id == id) else {
             tree.unbalanced = true;
             return;
@@ -221,14 +240,14 @@ impl Observer for ProfileSink {
         let node = span.node;
         let stack = tree.stack_mut(span.thread_key);
         match stack.pop() {
-            Some(top) if top == node => {}
+            Some((top, _)) if top == node => {}
             other => {
                 // Out-of-order exit: restore and scrub so later exits
                 // on this thread still pair up, but flag the tree.
                 if let Some(top) = other {
                     stack.push(top);
                 }
-                stack.retain(|&n| n != node);
+                stack.retain(|&(n, _)| n != node);
                 tree.unbalanced = true;
             }
         }
@@ -499,7 +518,7 @@ pub fn validate_profile_json(text: &str, required_spans: &[&str]) -> Result<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{set_worker_tag, Obs};
+    use crate::{enter_pool_task, set_worker_tag, Obs};
     use std::sync::Arc;
 
     #[test]
@@ -542,6 +561,50 @@ mod tests {
         assert_eq!(p.roots.len(), 1, "worker span must not become a root");
         assert_eq!(p.roots[0].children[0].name, "agree-sets/scan");
         assert_eq!(p.roots[0].children[0].threads, 1);
+    }
+
+    #[test]
+    fn pool_task_spans_nest_under_the_stage_whichever_thread_runs_them() {
+        // The driver opens a stage and, joining its fan-out, runs one task
+        // itself. Meanwhile another run's driver, joining a scope of its
+        // own, helps drain the shared pool and runs a task of this run,
+        // and a pool worker starts one too. All three task spans belong
+        // under the stage: neither a root, nor a child of the driver's
+        // task.
+        let sink = Arc::new(ProfileSink::new());
+        let obs = Obs::new(sink.clone());
+        {
+            let _stage = obs.span("stage");
+            let _helping = enter_pool_task();
+            let _own = obs.span("stage/task");
+            let helper = obs.clone();
+            std::thread::spawn(move || {
+                let _helping = enter_pool_task();
+                let _task = helper.span("stage/task");
+            })
+            .join()
+            .unwrap();
+            let worker = obs.clone();
+            std::thread::spawn(move || {
+                set_worker_tag(0);
+                let _chunk = worker.span("stage/chunk");
+            })
+            .join()
+            .unwrap();
+        }
+        {
+            let _next = obs.span("next");
+        }
+        let p = sink.snapshot();
+        assert!(p.balanced);
+        let roots: Vec<&str> = p.roots.iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(roots, ["stage", "next"]);
+        let stage: Vec<(&str, u32, usize)> = p.roots[0]
+            .children
+            .iter()
+            .map(|n| (n.name.as_str(), n.threads, n.children.len()))
+            .collect();
+        assert_eq!(stage, [("stage/task", 2, 0), ("stage/chunk", 1, 0)]);
     }
 
     #[test]

@@ -115,6 +115,9 @@ impl ThreadPool {
         // safe on any worker count, including zero.
         while scope.state.pending.load(Ordering::Acquire) > 0 {
             if let Some(job) = self.shared().try_pop() {
+                // The job may belong to another run sharing the pool; the
+                // marker lets profile sinks attribute it as a task.
+                let _task = depminer_observe::enter_pool_task();
                 job();
                 continue;
             }

@@ -5,8 +5,13 @@
 //!
 //! ```text
 //! g₃(X → A) = 1 − max{ |s| : s ⊆ r, s ⊨ X → A } / |r|
-//!           = Σ_{c ∈ π_X} (|c| − max overlap of c with a class of π_{X∪A}) / |r|
+//!           = Σ_{c ∈ π_X} (|c| − max_v |{t ∈ c : t[A] = v}|) / |r|
 //! ```
+//!
+//! That is the size of a minimum repair of the single FD `X → A`: in each
+//! class of `π_X`, keep the tuples carrying the most frequent `A` value and
+//! delete the rest. [`g3_error`] counts it from `π̂_X` and `A`'s column
+//! codes alone, so the walk never materialises `π̂_{X∪A}`.
 //!
 //! `g₃` is anti-monotone in the lhs (`X ⊆ Y ⇒ g₃(Y → A) ≤ g₃(X → A)`), so
 //! minimal approximate FDs are discoverable levelwise with subset pruning —
@@ -27,49 +32,55 @@ use depminer_relation::state::{
 use depminer_relation::{
     AttrSet, FlatPartition, FxHashMap, FxHashSet, PartitionArena, Relation, StrippedPartitionDb,
 };
-use std::borrow::Cow;
 use std::time::Instant;
 
-/// Computes `g₃(X → A)` from the stripped partitions of `X` and `X ∪ {A}`.
+use crate::exact::LevelCache;
+
+/// Computes `g₃(X → A)` from the stripped partition `π̂_X` and the rhs
+/// column's codes (`r.column(a).codes()`, one per tuple).
 ///
-/// `labels` is reusable scratch of length ≥ `n_rows`, reset internally.
+/// Each class of `π̂_X` is tallied in `tally`, a dense counter array
+/// indexed by code: the class keeps its most frequent `A` value and
+/// deletes the rest. A second pass over the class resets its counters, so
+/// `tally` stays all-zero between calls and is reused across them; it
+/// grows on demand to cover the largest code seen. Singleton classes,
+/// stripped from `π̂_X`, never delete anything.
+///
+/// With `limit = Some(ε)` the count stops as soon as the running fraction
+/// of deleted tuples exceeds `ε`. The value returned is then a lower bound
+/// on `g₃` that is itself `> ε`, so `g3_error(..) <= ε` still decides
+/// validity exactly, and every value `<= ε` is the exact `g₃`.
 pub fn g3_error(
     px: &FlatPartition,
-    pxa: &FlatPartition,
-    n_rows: usize,
-    labels: &mut Vec<u32>,
+    codes: &[u32],
+    tally: &mut Vec<u32>,
+    limit: Option<f64>,
 ) -> f64 {
+    let n_rows = codes.len();
+    debug_assert_eq!(px.n_rows(), n_rows, "partition and column disagree");
     if n_rows == 0 {
         return 0.0;
     }
-    if labels.len() < n_rows {
-        labels.resize(n_rows, u32::MAX);
-    }
-    // Label tuples with their class id in π̂_{X∪A}; singletons keep MAX.
-    for (cid, class) in pxa.classes().enumerate() {
-        for &t in class {
-            labels[t as usize] = cid as u32;
-        }
-    }
     let mut removed = 0usize;
-    let mut counts: FxHashMap<u32, usize> = FxHashMap::default();
     for class in px.classes() {
-        counts.clear();
-        let mut best = 1usize; // a singleton-in-XA tuple keeps itself
+        let mut best = 0u32;
         for &t in class {
-            let l = labels[t as usize];
-            if l != u32::MAX {
-                let c = counts.entry(l).or_insert(0);
-                *c += 1;
-                best = best.max(*c);
+            let c = codes[t as usize] as usize;
+            if c >= tally.len() {
+                tally.resize(c + 1, 0);
             }
+            tally[c] += 1;
+            best = best.max(tally[c]);
         }
-        removed += class.len() - best;
-    }
-    // Reset scratch for the next call.
-    for class in pxa.classes() {
         for &t in class {
-            labels[t as usize] = u32::MAX;
+            tally[codes[t as usize] as usize] = 0;
+        }
+        let deleted = class.len() - best as usize;
+        if deleted > 0 {
+            removed += deleted;
+            if limit.is_some_and(|eps| removed as f64 / n_rows as f64 > eps) {
+                break;
+            }
         }
     }
     removed as f64 / n_rows as f64
@@ -78,9 +89,9 @@ pub fn g3_error(
 /// Convenience: `g₃(X → A)` straight from a relation.
 pub fn g3_error_of(r: &Relation, lhs: AttrSet, rhs: usize) -> f64 {
     let px = FlatPartition::for_set(r, lhs);
-    let pxa = FlatPartition::for_set(r, lhs.with(rhs));
-    let mut labels = vec![u32::MAX; r.len()];
-    g3_error(&px, &pxa, r.len(), &mut labels)
+    let column = r.column(rhs);
+    let mut tally = vec![0; column.distinct_count()];
+    g3_error(&px, column.codes(), &mut tally, None)
 }
 
 /// The `g₁` error of Kivinen & Mannila: the fraction of *ordered* tuple
@@ -376,7 +387,9 @@ fn approximate_fds_resumable_with_token(
     let n = db.arity();
     let n_rows = db.n_rows();
     let mut out: Vec<ApproxFd> = Vec::new();
-    let mut labels = vec![u32::MAX; n_rows];
+    // g₃ counter scratch, sized for the widest rhs domain.
+    let widest = (0..n).map(|a| r.column(a).distinct_count()).max();
+    let mut tally = vec![0u32; widest.unwrap_or(0)];
     let mut arena = PartitionArena::new(n_rows);
 
     // Frame identity, computed once when snapshots can happen.
@@ -390,10 +403,9 @@ fn approximate_fds_resumable_with_token(
     // Levelwise over lhs sets.
     let mut level: Vec<AttrSet> = (0..n).map(AttrSet::singleton).collect();
     // Level 1 borrows the singleton partitions straight from the
-    // database; only later levels' products are owned.
-    let mut parts: FxHashMap<AttrSet, Cow<'_, FlatPartition>> = (0..n)
-        .map(|a| (AttrSet::singleton(a), Cow::Borrowed(db.partition(a))))
-        .collect();
+    // database; later levels' products are owned, charged to the token's
+    // memory account when inserted and released at the level swap.
+    let mut parts = LevelCache::seed(&db);
     let mut l = 1usize;
     let mut completed = 0usize;
     let mut stopped: Option<BudgetExceeded> = None;
@@ -412,7 +424,7 @@ fn approximate_fds_resumable_with_token(
             .observer()
             .add(Counter::ResumeLevelsSkipped, completed as u64);
         if l > 1 {
-            parts = FxHashMap::default();
+            parts = LevelCache::empty();
             for &x in &level {
                 if let Err(why) = token.check(stage) {
                     stopped = Some(why);
@@ -433,7 +445,12 @@ fn approximate_fds_resumable_with_token(
                     owned = Some(p);
                 }
                 let p = owned.expect("frontier sets past level 1 have ≥ 2 attributes");
-                parts.insert(x, Cow::Owned(p));
+                if let Err(why) = reserve(token, &p, stage) {
+                    arena.recycle(p);
+                    stopped = Some(why);
+                    break;
+                }
+                parts.insert_owned(x, p);
             }
             if stopped.is_some() {
                 // The rebuild itself went over budget: surface the
@@ -445,7 +462,7 @@ fn approximate_fds_resumable_with_token(
         // ∅ → A first. (A resumed run restored these with `out`.)
         let p_empty = FlatPartition::for_set(r, AttrSet::empty());
         for (a, found_a) in found.iter_mut().enumerate() {
-            let e = g3_error(&p_empty, db.partition(a), n_rows, &mut labels);
+            let e = g3_error(&p_empty, r.column(a).codes(), &mut tally, Some(epsilon));
             if e <= epsilon {
                 out.push(ApproxFd {
                     fd: Fd::new(AttrSet::empty(), a),
@@ -481,15 +498,15 @@ fn approximate_fds_resumable_with_token(
         }
         // Test each candidate lhs against every rhs not yet covered.
         for &x in &level {
-            // One poll per lhs candidate: each does up to n partition
-            // products. FDs already pushed stay valid on a trip — their
+            // One poll per lhs candidate: each counts g₃ for up to n rhs
+            // columns. FDs already pushed stay valid on a trip — their
             // errors are fully computed and minimality reads only
             // completed earlier levels.
             if let Err(why) = token.check(stage) {
                 stopped = Some(why);
                 break 'levels;
             }
-            let px = &parts[&x];
+            let px = parts.get(x);
             for (a, found_a) in found.iter_mut().enumerate() {
                 if x.contains(a) {
                     continue;
@@ -497,11 +514,7 @@ fn approximate_fds_resumable_with_token(
                 if found_a.iter().any(|f| f.is_subset_of(x)) {
                     continue; // a subset already valid ⇒ x not minimal
                 }
-                token
-                    .observer()
-                    .add(depminer_govern::Counter::PartitionProducts, 1);
-                let pxa = px.product_with(db.partition(a), &mut arena);
-                let e = g3_error(px, &pxa, n_rows, &mut labels);
+                let e = g3_error(px, r.column(a).codes(), &mut tally, Some(epsilon));
                 if e <= epsilon {
                     out.push(ApproxFd {
                         fd: Fd::new(x, a),
@@ -521,7 +534,7 @@ fn approximate_fds_resumable_with_token(
                 (0..n).any(|a| !x.contains(a) && !found[a].iter().any(|f| f.is_subset_of(x)))
             })
             .collect();
-        let mut next_parts: FxHashMap<AttrSet, Cow<'_, FlatPartition>> = FxHashMap::default();
+        let mut next_parts = LevelCache::empty();
         let mut next: Vec<AttrSet> = Vec::new();
         let present: FxHashSet<AttrSet> = level.iter().copied().collect();
         let mut by_prefix: FxHashMap<AttrSet, Vec<AttrSet>> = FxHashMap::default();
@@ -533,33 +546,39 @@ fn approximate_fds_resumable_with_token(
             for (i, &x) in group.iter().enumerate() {
                 for &y in &group[i + 1..] {
                     let z = x.union(y);
-                    if z.drop_one().all(|w| present.contains(&w)) && !next_parts.contains_key(&z) {
-                        // Poll before each next-level product too.
+                    if z.drop_one().all(|w| present.contains(&w)) && !next_parts.contains(z) {
+                        // Poll before each next-level product too. A trip
+                        // releases the half-built next level, so the
+                        // memory account returns to its baseline.
                         if let Err(why) = token.check(stage) {
                             stopped = Some(why);
+                            next_parts.reclaim_all(&mut arena, token);
                             break 'levels;
                         }
-                        token
-                            .observer()
-                            .add(depminer_govern::Counter::PartitionProducts, 1);
-                        let p = parts[&x].product_with(&parts[&y], &mut arena);
-                        next_parts.insert(z, Cow::Owned(p));
+                        token.observer().add(Counter::PartitionProducts, 1);
+                        let p = parts.get(x).product_with(parts.get(y), &mut arena);
+                        if let Err(why) = reserve(token, &p, stage) {
+                            arena.recycle(p);
+                            stopped = Some(why);
+                            next_parts.reclaim_all(&mut arena, token);
+                            break 'levels;
+                        }
+                        next_parts.insert_owned(z, p);
                         next.push(z);
                     }
                 }
             }
         }
         next.sort_unstable();
-        // Outgoing level's owned partitions feed the arena's buffer pool.
-        for (_, p) in parts.drain() {
-            if let Cow::Owned(p) = p {
-                arena.recycle(p);
-            }
-        }
+        // Level swap: the outgoing level's owned partitions release their
+        // tracked bytes and feed the arena's buffer pool.
+        parts.reclaim_all(&mut arena, token);
         parts = next_parts;
         level = next;
         l += 1;
     }
+    // Release whatever the final (or interrupted) level still holds.
+    parts.reclaim_all(&mut arena, token);
 
     if stopped.is_some() {
         token.flush_snapshot();
@@ -585,6 +604,16 @@ fn approximate_fds_resumable_with_token(
         Some(why) => MiningOutcome::partial(out, why, vec![report]),
         None => MiningOutcome::complete(out, vec![report]),
     }
+}
+
+/// Charges an owned partition's `heap_bytes` to the token. A failed
+/// reservation is handed back at once, so a trip leaves the account at
+/// what the live levels hold.
+fn reserve(token: &CancelToken, p: &FlatPartition, stage: Stage) -> Result<(), BudgetExceeded> {
+    let bytes = p.heap_bytes() as u64;
+    token.reserve_memory(bytes, stage).inspect_err(|_| {
+        token.release_memory(bytes);
+    })
 }
 
 /// Brute-force oracle for [`approximate_fds`]; exponential, test-only sizes.
@@ -715,23 +744,93 @@ mod tests {
         v as f64 / r.len() as f64
     }
 
+    /// Brute-force g3 from its definition: group the rows by their X
+    /// values, keep the most frequent A value in each group and delete
+    /// the rest.
+    fn g3_brute(r: &depminer_relation::Relation, x: AttrSet, a: usize) -> f64 {
+        use std::collections::BTreeMap;
+        if r.is_empty() {
+            return 0.0;
+        }
+        let mut groups: BTreeMap<Vec<u32>, BTreeMap<u32, usize>> = BTreeMap::new();
+        for t in 0..r.len() {
+            let key = x.iter().map(|b| r.column(b).code(t)).collect();
+            *groups
+                .entry(key)
+                .or_default()
+                .entry(r.column(a).code(t))
+                .or_default() += 1;
+        }
+        let removed: usize = groups
+            .values()
+            .map(|freq| freq.values().sum::<usize>() - freq.values().max().unwrap())
+            .sum();
+        removed as f64 / r.len() as f64
+    }
+
+    /// A random relation over `2..=max_attrs` attributes and
+    /// `1..=max_rows` rows with small domains, so FDs hold approximately.
+    fn random_relation(
+        rng: &mut depminer_relation::Prng,
+        max_attrs: usize,
+        max_rows: usize,
+    ) -> depminer_relation::Relation {
+        let n_attrs = rng.gen_range(2..=max_attrs);
+        let n_rows = rng.gen_range(1..=max_rows);
+        let domain = rng.gen_range(2..=4u32);
+        let cols: Vec<Vec<u32>> = (0..n_attrs)
+            .map(|_| (0..n_rows).map(|_| rng.gen_range(0..domain)).collect())
+            .collect();
+        depminer_relation::Relation::from_columns(
+            depminer_relation::Schema::synthetic(n_attrs).unwrap(),
+            cols,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn g3_matches_definition_with_and_without_limit() {
+        use depminer_relation::Prng;
+        let mut rng = Prng::seed_from_u64(33);
+        let mut tally = Vec::new();
+        for _ in 0..30 {
+            let r = random_relation(&mut rng, 6, 40);
+            let n = r.len();
+            for a in 0..r.arity() {
+                for bits in 0u32..(1 << r.arity()) {
+                    let x = AttrSet::from_bits(bits as u128);
+                    if x.contains(a) {
+                        continue;
+                    }
+                    let px = FlatPartition::for_set(&r, x);
+                    let codes = r.column(a).codes();
+                    let exact = g3_brute(&r, x, a);
+                    assert_eq!(g3_error(&px, codes, &mut tally, None), exact, "{x} -> {a}");
+                    // Limits on k/|r| boundaries: the early exit must
+                    // accept exactly when the definition does, and report
+                    // the exact value whenever it accepts.
+                    for k in 0..=3 {
+                        let eps = k as f64 / n as f64;
+                        let e = g3_error(&px, codes, &mut tally, Some(eps));
+                        assert_eq!(e <= eps, exact <= eps, "{x} -> {a} at ε = {k}/{n}");
+                        if e <= eps {
+                            assert_eq!(e, exact, "{x} -> {a} at ε = {k}/{n}");
+                        }
+                    }
+                    assert!(tally.iter().all(|&c| c == 0), "tally left dirty");
+                }
+            }
+        }
+    }
+
     #[test]
     fn g1_g2_match_brute_force() {
         use depminer_relation::Prng;
         let mut rng = Prng::seed_from_u64(88);
         for _ in 0..20 {
-            let n_attrs = rng.gen_range(2..=4usize);
-            let n_rows = rng.gen_range(1..=10usize);
-            let cols: Vec<Vec<u32>> = (0..n_attrs)
-                .map(|_| (0..n_rows).map(|_| rng.gen_range(0..3u32)).collect())
-                .collect();
-            let r = depminer_relation::Relation::from_columns(
-                depminer_relation::Schema::synthetic(n_attrs).unwrap(),
-                cols,
-            )
-            .unwrap();
-            for a in 0..n_attrs {
-                for bits in 0u32..(1 << n_attrs) {
+            let r = random_relation(&mut rng, 4, 10);
+            for a in 0..r.arity() {
+                for bits in 0u32..(1 << r.arity()) {
                     let x = AttrSet::from_bits(bits as u128);
                     if x.contains(a) {
                         continue;
@@ -810,26 +909,43 @@ mod tests {
     #[test]
     fn matches_brute_force_on_random_relations() {
         use depminer_relation::Prng;
+        let check = |r: &depminer_relation::Relation, eps: f64, ctx: &str| {
+            let fast = approximate_fds(r, eps);
+            let brute = approximate_fds_brute(r, eps);
+            assert_eq!(fast.len(), brute.len(), "{ctx} eps {eps}");
+            for (f, b) in fast.iter().zip(&brute) {
+                assert_eq!(f.fd, b.fd, "{ctx} eps {eps}");
+                assert_eq!(f.error, b.error, "{ctx} eps {eps}");
+                assert_eq!(f.error, g3_brute(r, f.fd.lhs, f.fd.rhs), "{ctx} eps {eps}");
+            }
+            fast
+        };
+        // |r| = 10 at ε = 0.1: x → a needs one deletion (accepted, error
+        // exactly 1/10), x → b needs two (rejected by the early exit).
+        let r = depminer_relation::Relation::from_columns(
+            depminer_relation::Schema::synthetic(3).unwrap(),
+            vec![
+                vec![0, 0, 0, 0, 0, 1, 1, 1, 1, 1],
+                vec![0, 0, 0, 0, 1, 2, 2, 2, 2, 2],
+                vec![0, 0, 0, 1, 1, 2, 2, 2, 2, 2],
+            ],
+        )
+        .unwrap();
+        let fast = check(&r, 0.1, "boundary");
+        let x_to = |a: usize| fast.iter().find(|f| f.fd == Fd::new(s(&[0]), a));
+        assert_eq!(x_to(1).map(|f| f.error), Some(0.1));
+        assert_eq!(x_to(2), None);
+
         let mut rng = Prng::seed_from_u64(7);
-        for trial in 0..25 {
-            let n_attrs = rng.gen_range(2..=4usize);
-            let n_rows = rng.gen_range(2..=10usize);
-            let cols: Vec<Vec<u32>> = (0..n_attrs)
-                .map(|_| (0..n_rows).map(|_| rng.gen_range(0..3u32)).collect())
-                .collect();
-            let r = depminer_relation::Relation::from_columns(
-                depminer_relation::Schema::synthetic(n_attrs).unwrap(),
-                cols,
-            )
-            .unwrap();
-            for eps in [0.0, 0.1, 0.25, 0.5] {
-                let fast = approximate_fds(&r, eps);
-                let brute = approximate_fds_brute(&r, eps);
-                assert_eq!(fast.len(), brute.len(), "trial {trial} eps {eps}");
-                for (f, b) in fast.iter().zip(&brute) {
-                    assert_eq!(f.fd, b.fd, "trial {trial} eps {eps}");
-                    assert!((f.error - b.error).abs() < 1e-12);
-                }
+        for trial in 0..40 {
+            // Up to 6 attributes and 40 rows; ε also on the k/|r|
+            // boundaries, where an early exit one tuple off would flip
+            // the decision.
+            let r = random_relation(&mut rng, 6, 40);
+            let n = r.len();
+            let boundaries = (1..=3).map(|k| k as f64 / n as f64);
+            for eps in [0.0, 0.1, 0.25, 0.5].into_iter().chain(boundaries) {
+                check(&r, eps, &format!("trial {trial}"));
             }
         }
     }
@@ -876,6 +992,43 @@ mod tests {
         let complete = approximate_fds_governed(&r, 0.1, &CancelToken::unlimited());
         assert!(complete.is_complete());
         assert_eq!(complete.result, full);
+    }
+
+    #[test]
+    fn memory_is_charged_and_released_on_every_exit() {
+        use depminer_govern::{Budget, Resource};
+        let r = depminer_relation::SyntheticConfig {
+            n_attrs: 6,
+            n_rows: 60,
+            correlation: 0.5,
+            seed: 5,
+        }
+        .generate()
+        .unwrap();
+        let full = approximate_fds(&r, 0.0);
+        // Growing caps trip at every point of the walk — on the first
+        // owned partition, part-way through a next level, with a whole
+        // level held — until one fits. Each partial is a subset of the
+        // full answer and nothing stays charged.
+        let mut partial_sizes = Vec::new();
+        let mut fits = false;
+        for cap in (1..=1000).map(|k| 32 * k) {
+            let token = Budget::unlimited().with_max_memory_bytes(cap).start();
+            let outcome = approximate_fds_governed(&r, 0.0, &token);
+            assert_eq!(token.memory_bytes(), 0, "cap {cap}");
+            assert!(outcome.result.iter().all(|afd| full.contains(afd)));
+            if let Some(why) = &outcome.interrupted {
+                assert_eq!(why.resource, Resource::Memory);
+                partial_sizes.push(outcome.result.len());
+            } else {
+                assert_eq!(outcome.result, full);
+                fits = true;
+                break;
+            }
+        }
+        partial_sizes.dedup();
+        assert!(fits, "no cap fits the walk");
+        assert!(partial_sizes.len() >= 2, "caps trip at one point only");
     }
 
     #[test]

@@ -701,33 +701,38 @@ impl PartRef<'_> {
 /// inserted and released by [`LevelCache::evict`] /
 /// [`LevelCache::reclaim_all`]; reclaimed buffers return to the
 /// [`PartitionArena`] pool so the next level's products reuse them
-/// instead of allocating fresh.
-struct LevelCache<'db> {
+/// instead of allocating fresh. Shared with the approximate walk in
+/// [`crate::approx`].
+pub(crate) struct LevelCache<'db> {
     parts: FxHashMap<AttrSet, PartRef<'db>>,
 }
 
 impl<'db> LevelCache<'db> {
     /// Level-1 cache: one borrowed singleton partition per attribute.
-    fn seed(db: &'db StrippedPartitionDb) -> Self {
+    pub(crate) fn seed(db: &'db StrippedPartitionDb) -> Self {
         let parts = (0..db.arity())
             .map(|a| (AttrSet::singleton(a), PartRef::Db(db.partition(a))))
             .collect();
         LevelCache { parts }
     }
 
-    fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         LevelCache {
             parts: FxHashMap::default(),
         }
     }
 
-    fn get(&self, x: AttrSet) -> &FlatPartition {
+    pub(crate) fn get(&self, x: AttrSet) -> &FlatPartition {
         self.parts[&x].get()
+    }
+
+    pub(crate) fn contains(&self, x: AttrSet) -> bool {
+        self.parts.contains_key(&x)
     }
 
     /// Inserts a produced partition. The caller has already reserved its
     /// `heap_bytes` on the token.
-    fn insert_owned(&mut self, x: AttrSet, p: FlatPartition) {
+    pub(crate) fn insert_owned(&mut self, x: AttrSet, p: FlatPartition) {
         self.parts.insert(x, PartRef::Owned(p));
     }
 
@@ -745,7 +750,7 @@ impl<'db> LevelCache<'db> {
 
     /// Releases and recycles every remaining owned partition (the level
     /// swap, and the end-of-run cleanup).
-    fn reclaim_all(&mut self, arena: &mut PartitionArena, token: &CancelToken) {
+    pub(crate) fn reclaim_all(&mut self, arena: &mut PartitionArena, token: &CancelToken) {
         for (_, pr) in self.parts.drain() {
             if let PartRef::Owned(p) = pr {
                 token.release_memory(p.heap_bytes() as u64);

@@ -1494,6 +1494,33 @@ zip -> city
     }
 
     #[test]
+    fn approx_max_memory_trips_with_valid_partial() {
+        // The relation above: approximate TANE charges its level-2
+        // partitions too, so a 1-byte cap trips after level 1.
+        let csv = "a,b,c\n1,1,1\n1,1,2\n2,2,1\n2,2,2\n3,3,1\n3,3,2\n";
+        let path = tmp_csv("approx_mem_trip.csv", csv);
+        let full = run_cli(&["approx", "--epsilon", "0.01", &path]).unwrap();
+        assert!(!full.contains("PARTIAL"), "{full}");
+        let (out, res) =
+            run_cli_capture(&["approx", "--epsilon", "0.01", "--max-memory", "1", &path]);
+        assert_eq!(res.unwrap_err().code, 3);
+        let header = out.lines().next().unwrap_or_default();
+        assert!(
+            header.starts_with("# ") && header.contains("[PARTIAL]"),
+            "{out}"
+        );
+        // Every reported FD, error included, is in the unlimited run.
+        let fds: Vec<&str> = out
+            .lines()
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .collect();
+        assert!(!fds.is_empty(), "{out}");
+        for line in fds {
+            assert!(full.lines().any(|l| l == line), "{line:?} not in:\n{full}");
+        }
+    }
+
+    #[test]
     fn fds_algo_all_agrees_with_single_miners() {
         let path = tmp_csv("all_algo.csv", ZIP_CSV);
         let out = run_cli(&["fds", "--algo", "all", &path]).unwrap();
