@@ -54,6 +54,18 @@ fi
 cargo run -p xtask -q -- validate-profile target/PROFILE_smoke.json \
     --require depminer,agree-sets,max-sets,transversals,tane,tane-levels,fdep,negative-cover,fdep-inversion
 
+echo "==> Algorithm 3 smoke: fds --algo depminer2 matches fds --algo tane"
+# depminer2 is not `in_all`, so the run above never exercises Algorithm 3.
+cargo run --release -q -p depminer -- fds --algo depminer2 target/smoke.csv \
+    | grep -- '->' > target/fds_depminer2_only.txt
+cargo run --release -q -p depminer -- fds --algo tane target/smoke.csv \
+    | grep -- '->' > target/fds_tane_only.txt
+if ! cmp -s target/fds_depminer2_only.txt target/fds_tane_only.txt; then
+    echo "ci.sh: fds --algo depminer2 and fds --algo tane disagree" >&2
+    diff target/fds_tane_only.txt target/fds_depminer2_only.txt >&2 || true
+    exit 1
+fi
+
 echo "==> checkpoint/resume smoke: trip at first boundary, resume, compare"
 # Interrupt a governed TANE mine at its first checkpoint (--timeout 0
 # trips immediately), confirm the trip leaves a durable snapshot, resume

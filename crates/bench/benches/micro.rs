@@ -58,7 +58,7 @@ fn partitions(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("equivalence_class_ids", n_rows),
             &db,
-            |b, db| b.iter(|| db.equivalence_class_ids()),
+            |b, db| b.iter(|| db.class_ids().heap_bytes()),
         );
     }
     group.finish();

@@ -12,14 +12,17 @@
 //! * [`agree_sets_ec`] — **Algorithm 3**: each tuple carries the identifier
 //!   set `ec(t)` of stripped classes containing it; the agree set of a
 //!   couple is the attribute projection of `ec(t) ∩ ec(t')` (Lemma 2).
+//!   `ec(t)` is row `t` of one class-id matrix
+//!   ([`ClassIds`](depminer_relation::ClassIds)), so the intersection is an
+//!   elementwise compare of two rows.
 //!
 //! Every strategy has a `_with` variant taking a
 //! [`Parallelism`] knob; the plain entry points run with
 //! [`Parallelism::Auto`]. Parallel decomposition never changes the result:
 //! Algorithm 2 fans the partition scan across *attributes* (each worker
 //! owns a slice of columns and a dense per-couple accumulator, merged by
-//! union), Algorithm 3 fans the identifier-set intersections across
-//! *couples* (thread-local hash-set accumulators merged at the end). Both
+//! union), Algorithm 3 fans the row compares across *maximal classes*
+//! (thread-local hash-set accumulators merged at the end). Both
 //! merges are order-insensitive unions, and the final sort in
 //! [`AgreeSets::from_raw`] makes the output canonical.
 //!
@@ -33,14 +36,15 @@
 //!
 //! Every strategy also has a `_governed` variant threading a
 //! [`CancelToken`]: couples are counted against the budget one equivalence
-//! class (or one row) at a time, the couple buffer is charged to the memory
-//! cap, and partition scans poll the token. A tripped run returns the agree
+//! class (or one row) at a time, Algorithm 2's couple buffer and the
+//! class-id matrix are charged to the memory cap, and scans poll the
+//! token. A tripped run returns the agree
 //! sets accumulated from fully-flushed batches — a valid *subset* of
 //! `ag(r)` usable for diagnostics, never for downstream derivation.
 
 use depminer_govern::{BudgetExceeded, CancelToken, Stage};
 use depminer_parallel::{par_chunks, par_chunks_governed, Parallelism, GOVERN_POLL_STRIDE};
-use depminer_relation::{AttrSet, FxHashMap, FxHashSet, Relation, StrippedPartitionDb};
+use depminer_relation::{AttrSet, ClassIds, FxHashMap, FxHashSet, Relation, StrippedPartitionDb};
 
 /// Bytes one buffered couple occupies, for the approximate memory cap.
 const COUPLE_BYTES: u64 = std::mem::size_of::<(u32, u32)>() as u64;
@@ -102,6 +106,16 @@ impl AgreeSets {
             n_rows,
             constant_attrs,
         }
+    }
+
+    /// The family `seen` with `db`'s relation facts.
+    fn of_db(db: &StrippedPartitionDb, seen: FxHashSet<AttrSet>) -> Self {
+        AgreeSets::from_raw(
+            seen.into_iter().collect(),
+            db.arity(),
+            db.n_rows(),
+            db.constant_attrs(),
+        )
     }
 }
 
@@ -212,9 +226,9 @@ pub fn agree_sets_naive(r: &Relation) -> AgreeSets {
 }
 
 /// All-pairs agreement computed from the stripped partition database: every
-/// tuple's attribute-agreement is reconstructed via `ec` sets. Used as the
+/// couple's agree set is a compare of two class-id rows. Used as the
 /// `Naive` strategy when only a db is available. Row ranges fan out across
-/// threads; each worker intersects its rows against all later rows into a
+/// threads; each worker compares its rows against all later rows into a
 /// thread-local set, checkpointing once per row (each row's couple scan is
 /// O(n) work, so a finer poll would be noise).
 fn naive_from_db_governed(
@@ -224,12 +238,11 @@ fn naive_from_db_governed(
 ) -> (AgreeSets, Option<BudgetExceeded>) {
     let stage = Stage::AgreeSets;
     let _span = token.observer().span("agree-sets/naive");
-    let ec = db.equivalence_class_ids();
-    let n = db.n_rows();
-    let rows: Vec<usize> = (0..n).collect();
-    // High oversubscription: chunk i's workload shrinks with i (triangular
-    // loop), so small chunks keep the stealing balanced.
-    let locals: Vec<(FxHashSet<AttrSet>, Option<BudgetExceeded>)> =
+    scan_class_ids(db, token, stage, |ids| {
+        let n = db.n_rows();
+        let rows: Vec<usize> = (0..n).collect();
+        // High oversubscription: chunk i's workload shrinks with i
+        // (triangular loop), so small chunks keep the stealing balanced.
         par_chunks(par, &rows, chunk_len(n, par, 8), |row_chunk| {
             let _scan = token.observer().span("agree-sets/scan");
             let mut local: FxHashSet<AttrSet> = FxHashSet::default();
@@ -240,11 +253,30 @@ fn naive_from_db_governed(
                     return (local, Some(why));
                 }
                 for j in (i + 1)..n {
-                    local.insert(intersect_ec(&ec[i], &ec[j]));
+                    local.insert(ids.agree(i, j));
                 }
             }
             (local, None)
-        });
+        })
+    })
+}
+
+/// Builds the class-id matrix, charges it to `token`'s memory account for
+/// the duration of `scan`, and unions the per-chunk families `scan`
+/// returns; the first trip reason wins.
+fn scan_class_ids(
+    db: &StrippedPartitionDb,
+    token: &CancelToken,
+    stage: Stage,
+    scan: impl FnOnce(&ClassIds) -> Vec<(FxHashSet<AttrSet>, Option<BudgetExceeded>)>,
+) -> (AgreeSets, Option<BudgetExceeded>) {
+    let ids = db.class_ids();
+    let bytes = ids.heap_bytes() as u64;
+    if let Err(why) = token.reserve_memory(bytes, stage) {
+        return (AgreeSets::of_db(db, FxHashSet::default()), Some(why));
+    }
+    let locals = scan(&ids);
+    token.release_memory(bytes);
     let mut seen: FxHashSet<AttrSet> = FxHashSet::default();
     let mut stopped: Option<BudgetExceeded> = None;
     // set-union merge is order-insensitive; lint: allow(unordered-iter)
@@ -252,15 +284,7 @@ fn naive_from_db_governed(
         seen.extend(local);
         stopped = stopped.or(why);
     }
-    (
-        AgreeSets::from_raw(
-            seen.into_iter().collect(),
-            db.arity(),
-            db.n_rows(),
-            db.constant_attrs(),
-        ),
-        stopped,
-    )
+    (AgreeSets::of_db(db, seen), stopped)
 }
 
 /// **Algorithm 2** with the process default parallelism.
@@ -331,15 +355,7 @@ pub fn agree_sets_couples_governed(
         stopped = flush_couples(db, &mut couples, &mut ag, par, token).err();
     }
     token.release_memory(reserved);
-    (
-        AgreeSets::from_raw(
-            ag.into_iter().collect(),
-            db.arity(),
-            db.n_rows(),
-            db.constant_attrs(),
-        ),
-        stopped,
-    )
+    (AgreeSets::of_db(db, ag), stopped)
 }
 
 /// Lines 10–21 of Algorithm 2: scan every stripped class; each couple found
@@ -446,12 +462,7 @@ pub fn agree_sets_couples_no_mc_with(
         }
     }
     flush_couples(db, &mut couples, &mut ag, par, &token).expect("an unlimited token never trips");
-    AgreeSets::from_raw(
-        ag.into_iter().collect(),
-        db.arity(),
-        db.n_rows(),
-        db.constant_attrs(),
-    )
+    AgreeSets::of_db(db, ag)
 }
 
 /// **Algorithm 3** with the process default parallelism.
@@ -459,104 +470,69 @@ pub fn agree_sets_ec(db: &StrippedPartitionDb) -> AgreeSets {
     agree_sets_ec_with(db, Parallelism::Auto)
 }
 
-/// **Algorithm 3.** Builds `ec(t)` for every tuple (lines 2–8), then for
-/// each couple within a maximal class intersects the two identifier lists
-/// (lines 9–14). The lists are sorted, so intersection is a linear merge.
-///
-/// The couple list is materialized, sorted and deduplicated (replacing the
-/// `done`-set of the sequential formulation), then the intersections fan
-/// out across threads with a thread-local accumulator per chunk.
+/// **Algorithm 3.** Builds `ec(t)` for every tuple (lines 2–8) as one
+/// class-id matrix, then compares the two rows of each couple within a
+/// maximal class (lines 9–14), streaming class by class.
 pub fn agree_sets_ec_with(db: &StrippedPartitionDb, par: Parallelism) -> AgreeSets {
     agree_sets_ec_governed(db, par, &CancelToken::unlimited()).0
 }
 
-/// [`agree_sets_ec_with`] under a live [`CancelToken`]: couple
-/// materialization checkpoints per maximal class (count + buffer memory);
-/// the intersection scan polls every [`GOVERN_POLL_STRIDE`] couples. If
-/// the budget trips during materialization no intersections are computed
-/// (the heavy phase is skipped once the run is doomed); a trip during the
-/// scan keeps the intersections already done — a valid `ag(r)` subset.
+/// [`agree_sets_ec_with`] under a live [`CancelToken`]; see
+/// [`mc_agree_sets_governed`] for the governance.
 pub fn agree_sets_ec_governed(
     db: &StrippedPartitionDb,
     par: Parallelism,
     token: &CancelToken,
 ) -> (AgreeSets, Option<BudgetExceeded>) {
-    let stage = Stage::AgreeSets;
     let _span = token.observer().span("agree-sets/ec");
-    let ec = db.equivalence_class_ids();
-    let mc = db.maximal_classes();
-    let mut couples: Vec<(u32, u32)> = Vec::new();
-    let mut reserved: u64 = 0;
-    let mut stopped: Option<BudgetExceeded> = None;
-    for class in &mc {
-        let pairs = (class.len() * (class.len() - 1) / 2) as u64;
-        if let Err(why) = token
-            .add_couples(pairs, stage)
-            .and_then(|()| token.reserve_memory(pairs * COUPLE_BYTES, stage))
-        {
-            stopped = Some(why);
-            break;
-        }
-        reserved += pairs * COUPLE_BYTES;
-        for (k, &t) in class.iter().enumerate() {
-            for &u in &class[k + 1..] {
-                couples.push(if t < u { (t, u) } else { (u, t) });
-            }
-        }
-    }
-    let mut ag: FxHashSet<AttrSet> = FxHashSet::default();
-    if stopped.is_none() {
-        couples.sort_unstable();
-        couples.dedup();
-        let locals: Vec<(FxHashSet<AttrSet>, Option<BudgetExceeded>)> =
-            par_chunks(par, &couples, chunk_len(couples.len(), par, 4), |chunk| {
-                let _scan = token.observer().span("agree-sets/scan");
-                let mut local: FxHashSet<AttrSet> = FxHashSet::default();
-                for (idx, &(t, u)) in chunk.iter().enumerate() {
-                    if idx % GOVERN_POLL_STRIDE == 0 {
-                        if let Err(why) = token.check(stage) {
-                            return (local, Some(why));
-                        }
-                    }
-                    local.insert(intersect_ec(&ec[t as usize], &ec[u as usize]));
-                }
-                (local, None)
-            });
-        // set-union merge is order-insensitive; lint: allow(unordered-iter)
-        for (local, why) in locals {
-            ag.extend(local);
-            stopped = stopped.or(why);
-        }
-    }
-    token.release_memory(reserved);
-    (
-        AgreeSets::from_raw(
-            ag.into_iter().collect(),
-            db.arity(),
-            db.n_rows(),
-            db.constant_attrs(),
-        ),
-        stopped,
-    )
+    mc_agree_sets_governed(db, par, token, Stage::AgreeSets)
 }
 
-/// Linear merge of two sorted `(attr, class)` identifier lists, projecting
-/// the matches onto their attributes (Lemma 2).
-fn intersect_ec(a: &[(u16, u32)], b: &[(u16, u32)]) -> AttrSet {
-    let mut out = AttrSet::empty();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.insert(a[i].0 as usize);
-                i += 1;
-                j += 1;
+/// The agree sets of every couple drawn from a maximal class (Lemma 1),
+/// each the compare of two class-id rows (Lemma 2): Algorithm 3's scan,
+/// shared with FDEP's negative cover, which charges it to `stage`.
+///
+/// The class-id matrix is charged to the memory cap for the whole scan.
+/// Classes fan out across threads; each class's couples are counted
+/// before they are compared, and the token is polled every
+/// [`GOVERN_POLL_STRIDE`] couples. A couple lying in two maximal classes
+/// is compared twice, which only repeats a set insertion. A trip keeps
+/// the agree sets already computed, a valid subset of `ag(r)`.
+pub fn mc_agree_sets_governed(
+    db: &StrippedPartitionDb,
+    par: Parallelism,
+    token: &CancelToken,
+    stage: Stage,
+) -> (AgreeSets, Option<BudgetExceeded>) {
+    scan_class_ids(db, token, stage, |ids| {
+        let mc = ids.maximal_classes();
+        // Couple counts grow with the square of class size: oversubscribe
+        // so stealing evens out chunks holding the large classes.
+        par_chunks(par, &mc, chunk_len(mc.len(), par, 8), |classes| {
+            let _scan = token.observer().span("agree-sets/scan");
+            let mut local: FxHashSet<AttrSet> = FxHashSet::default();
+            let mut until_poll = GOVERN_POLL_STRIDE;
+            for class in classes {
+                let pairs = (class.len() * (class.len() - 1) / 2) as u64;
+                if let Err(why) = token.add_couples(pairs, stage) {
+                    return (local, Some(why));
+                }
+                for (k, &t) in class.iter().enumerate() {
+                    for &u in &class[k + 1..] {
+                        until_poll -= 1;
+                        if until_poll == 0 {
+                            until_poll = GOVERN_POLL_STRIDE;
+                            if let Err(why) = token.check(stage) {
+                                return (local, Some(why));
+                            }
+                        }
+                        local.insert(ids.agree(t as usize, u as usize));
+                    }
+                }
             }
-        }
-    }
-    out
+            (local, None)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -713,11 +689,35 @@ mod tests {
     }
 
     #[test]
-    fn intersect_ec_merge() {
-        let a = vec![(0u16, 0u32), (1, 1), (3, 1), (4, 1)];
-        let b = vec![(0u16, 0u32), (1, 0), (3, 1), (4, 2)];
-        assert_eq!(intersect_ec(&a, &b), s(&[0, 3]));
-        assert_eq!(intersect_ec(&a, &[]), AttrSet::empty());
+    fn class_id_rows_agree_like_the_relation() {
+        // Up to 70 attributes, so the > 64-attribute path runs too.
+        let mut rng = depminer_relation::Prng::seed_from_u64(0xC1A5_5EED);
+        for trial in 0..40 {
+            let n_attrs = if trial % 4 == 0 {
+                rng.gen_range(60..=70usize)
+            } else {
+                rng.gen_range(1..=12usize)
+            };
+            let n_rows = rng.gen_range(0..=24usize);
+            let domain = rng.gen_range(1..=4u32);
+            let cols: Vec<Vec<u32>> = (0..n_attrs)
+                .map(|_| (0..n_rows).map(|_| rng.gen_range(0..domain)).collect())
+                .collect();
+            let r = depminer_relation::Relation::from_columns(
+                depminer_relation::Schema::synthetic(n_attrs).unwrap(),
+                cols,
+            )
+            .unwrap();
+            let db = StrippedPartitionDb::from_relation(&r);
+            let ids = db.class_ids();
+            for t in 0..n_rows {
+                for u in 0..n_rows {
+                    if t != u {
+                        assert_eq!(ids.agree(t, u), r.agree_set(t, u), "trial {trial}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub mod stats;
 pub use agree::{
     agree_sets, agree_sets_couples, agree_sets_couples_governed, agree_sets_couples_no_mc,
     agree_sets_couples_no_mc_with, agree_sets_couples_with, agree_sets_ec, agree_sets_ec_governed,
-    agree_sets_ec_with, agree_sets_governed, agree_sets_naive, agree_sets_with, AgreeSetStrategy,
-    AgreeSets,
+    agree_sets_ec_with, agree_sets_governed, agree_sets_naive, agree_sets_with,
+    mc_agree_sets_governed, AgreeSetStrategy, AgreeSets,
 };
 pub use armstrong::{
     real_world_armstrong, real_world_armstrong_governed, real_world_exists, synthetic_armstrong,

@@ -7,11 +7,13 @@
 //!
 //! FDEP works bottom-up from the data:
 //!
-//! 1. **Negative cover** — scan all tuple pairs; a pair agreeing on `Y` and
+//! 1. **Negative cover** — scan the tuple pairs; a pair agreeing on `Y` and
 //!    disagreeing on `A` *violates* `Y → A`. Only the ⊆-maximal violated
 //!    lhs per rhs matter (they subsume the rest) — these are exactly the
 //!    maximal sets `max(dep(r), A)` of the Dep-Miner paper, reached from
-//!    the opposite direction.
+//!    the opposite direction. The pairs worth scanning are Dep-Miner's:
+//!    couples of maximal classes, whose agree sets come from the shared
+//!    Algorithm 3 scan ([`depminer_core::mc_agree_sets_governed`]).
 //! 2. **Negative-to-positive inversion** — start from the most general
 //!    hypothesis `∅ → A`; for each violated `Y → A`, remove every current
 //!    lhs `X ⊆ Y` and specialize it minimally (`X ∪ {B}` for `B ∉ Y∪{A}`),
@@ -31,13 +33,15 @@ pub use depminer_govern::{
     SnapshotPolicy, Stage, StageReport,
 };
 
+use depminer_core::{mc_agree_sets_governed, Parallelism};
 use depminer_fdtheory::{normalize_fds, Fd};
 use depminer_govern::snapshot::{Dec, Enc};
 use depminer_govern::SnapshotState;
+use depminer_relation::invariants::{audits_enabled, enforce, InvariantError};
 use depminer_relation::state::{
     db_fingerprint, put_attrset, put_family, take_attrset, take_family,
 };
-use depminer_relation::{AttrSet, FxHashSet, Relation, StrippedPartitionDb};
+use depminer_relation::{AttrSet, Relation, StrippedPartitionDb};
 use std::time::{Duration, Instant};
 
 /// Algorithm id stamped into FDEP snapshot frames.
@@ -53,7 +57,7 @@ pub struct FdepCheckpoint {
     pub negative: Vec<Vec<AttrSet>>,
     /// How many rhs attributes (0..`completed_attrs`) are fully inverted.
     pub completed_attrs: usize,
-    /// Raw (pre-minimization) FDs emitted by the completed inversions.
+    /// FDs emitted by the completed inversions, before sorting.
     pub fds: Vec<Fd>,
     /// Tuple-pair couples the interrupted run charged.
     pub couples: u64,
@@ -136,8 +140,8 @@ impl Fdep {
     ///
     /// The pair scan uses the stripped-partition maximal classes to skip
     /// pairs that agree on nothing (they violate `Y → A` only for `Y = ∅`,
-    /// handled via a single flag), keeping the scan sub-quadratic on data
-    /// with many distinct values.
+    /// read off the constant attributes), keeping the scan sub-quadratic
+    /// on data with many distinct values.
     pub fn run(&self, r: &Relation) -> FdepResult {
         self.run_with_token(r, &CancelToken::unlimited()).result
     }
@@ -247,26 +251,11 @@ impl Fdep {
             // vec + max filter is simpler and fast.
             let t1 = Instant::now();
             let cover_span = token.observer().span("negative-cover");
-            let ec = db.equivalence_class_ids();
-            let mc = db.maximal_classes();
-            let mut agree: FxHashSet<AttrSet> = FxHashSet::default();
-            let mut done: FxHashSet<(u32, u32)> = FxHashSet::default();
-            'classes: for class in &mc {
-                let pairs = (class.len() * class.len().saturating_sub(1) / 2) as u64;
-                if let Err(why) = token.add_couples(pairs, Stage::NegativeCover) {
-                    stopped = Some(why);
-                    break 'classes;
-                }
-                for (k, &t) in class.iter().enumerate() {
-                    for &u in &class[k + 1..] {
-                        let key = if t < u { (t, u) } else { (u, t) };
-                        if done.insert(key) {
-                            agree.insert(intersect_ec(&ec[t as usize], &ec[u as usize]));
-                        }
-                    }
-                }
-            }
-            if let Some(why) = stopped {
+            let before = token.couples();
+            let (ag, why) =
+                mc_agree_sets_governed(&db, Parallelism::Sequential, token, Stage::NegativeCover);
+            let scanned = token.couples() - before;
+            if let Some(why) = why {
                 // An incomplete negative cover poisons everything
                 // downstream: claiming an FD whose violation was never
                 // scanned would be silently wrong, so the partial result
@@ -282,7 +271,7 @@ impl Fdep {
                         StageReport {
                             stage: Stage::NegativeCover,
                             completed: false,
-                            processed: done.len() as u64,
+                            processed: scanned,
                             planned: None,
                             note: "negative cover incomplete; no FDs can be claimed".into(),
                             elapsed: t1.elapsed(),
@@ -298,37 +287,24 @@ impl Fdep {
                     ],
                 );
             }
-            // Does any pair agree on nothing? Equivalent to: the couples
-            // above do not cover all pairs. Cheap exact test: total pair
-            // count vs covered count.
-            let total_pairs = db.n_rows() * db.n_rows().saturating_sub(1) / 2;
-            let has_empty_agree = done.len() < total_pairs;
-
-            // Sort the agree family first so the negative-cover lists (and
-            // everything downstream) are independent of hash iteration
-            // order.
-            let mut agree_sorted: Vec<AttrSet> = agree.iter().copied().collect();
-            agree_sorted.sort_unstable();
+            // `ag.sets` is sorted, so the negative-cover lists (and
+            // everything downstream) are independent of hash order.
             let mut negative: Vec<Vec<AttrSet>> = vec![Vec::new(); n];
-            for &y in &agree_sorted {
+            for &y in &ag.sets {
                 for (a, neg) in negative.iter_mut().enumerate() {
                     if !y.contains(a) {
                         neg.push(y);
                     }
                 }
             }
-            for neg in &mut negative {
+            for (a, neg) in negative.iter_mut().enumerate() {
                 depminer_relation::retain_maximal(neg);
-            }
-            if has_empty_agree {
-                // ∅ → A is violated for every non-constant A with no
-                // recorded violation… in fact for *every* A: two tuples
-                // disagreeing everywhere disagree on A. (If A were
-                // constant no such pair could exist.)
-                for neg in &mut negative {
-                    if neg.is_empty() {
-                        neg.push(AttrSet::empty());
-                    }
+                // An empty list means every non-empty agree set contains
+                // A, so only a couple agreeing on nothing can disagree on
+                // A. One exists iff A is not constant, and it violates
+                // ∅ → A.
+                if neg.is_empty() && !ag.constant_attrs.contains(a) {
+                    neg.push(AttrSet::empty());
                 }
             }
             let negative_cover_size: usize = negative.iter().map(Vec::len).sum();
@@ -336,8 +312,8 @@ impl Fdep {
             let report = StageReport {
                 stage: Stage::NegativeCover,
                 completed: true,
-                processed: done.len() as u64,
-                planned: Some(total_pairs as u64),
+                processed: scanned,
+                planned: None,
                 note: format!("{negative_cover_size} maximal violated lhs across all rhs"),
                 elapsed: t1.elapsed(),
             };
@@ -392,27 +368,24 @@ impl Fdep {
                     }
                 }
             }
+            // Each step keeps `pos` an antichain, so its members are the
+            // minimal lhs: a new x ∪ {b} (x ⊆ violated, b ∉ violated) is
+            // inserted only without a subset in `pos`, and it could be a
+            // proper subset of a survivor or a sibling only if two
+            // members of the antichain before the step were nested.
+            if audits_enabled() {
+                enforce(validate_antichain(&pos, a));
+            }
             for lhs in pos.iter_sets() {
                 fds.push(Fd::new(lhs, a));
             }
         }
-        // The inversion can leave sets that became non-minimal later
-        // (an inserted specialization may dominate one inserted earlier
-        // from a different branch); a final antichain pass per rhs fixes
-        // this deterministically.
-        let mut minimal: Vec<Fd> = Vec::new();
-        for a in 0..completed_attrs {
-            let mut sides: Vec<AttrSet> =
-                fds.iter().filter(|f| f.rhs == a).map(|f| f.lhs).collect();
-            depminer_relation::retain_minimal(&mut sides);
-            minimal.extend(sides.into_iter().map(|x| Fd::new(x, a)));
-        }
-        normalize_fds(&mut minimal);
+        normalize_fds(&mut fds);
         token
             .observer()
-            .add(depminer_govern::Counter::FdEmissions, minimal.len() as u64);
+            .add(depminer_govern::Counter::FdEmissions, fds.len() as u64);
         let result = FdepResult {
-            fds: minimal,
+            fds,
             negative_cover_size,
         };
         if stopped.is_some() {
@@ -443,23 +416,20 @@ impl Fdep {
     }
 }
 
-/// Linear merge of two sorted `(attr, class)` identifier lists (Lemma 2 of
-/// the Dep-Miner paper), projecting matches onto attributes.
-fn intersect_ec(a: &[(u16, u32)], b: &[(u16, u32)]) -> AttrSet {
-    let mut out = AttrSet::empty();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.insert(a[i].0 as usize);
-                i += 1;
-                j += 1;
-            }
-        }
+/// Audits that the hypotheses for rhs `a` form an antichain: no member
+/// has a proper subset in the trie.
+fn validate_antichain(pos: &LhsTrie, a: usize) -> Result<(), InvariantError> {
+    match pos
+        .iter_sets()
+        .into_iter()
+        .find(|&x| x.iter().any(|b| pos.contains_subset_of(x.without(b))))
+    {
+        Some(x) => Err(InvariantError::new(
+            "LhsTrie",
+            format!("lhs {x:?} of rhs {a} has a proper subset among the hypotheses"),
+        )),
+        None => Ok(()),
     }
-    out
 }
 
 #[cfg(test)]
@@ -506,6 +476,31 @@ mod tests {
         let expected = mine_minimal_fds(&r);
         assert_eq!(result.fds, expected);
         assert_eq!(result.negative_cover_size, 2);
+    }
+
+    #[test]
+    fn attribute_in_every_agree_set_but_not_constant() {
+        // A lies in both non-empty agree sets ({A, B} and {A}), yet
+        // tuples 0 and 2 agree on nothing: ∅ → A is violated and B → A
+        // is minimal. With A constant instead, ∅ → A holds.
+        for a in [vec![0, 0, 1, 1], vec![0, 0, 0, 0]] {
+            let r = depminer_relation::Relation::from_columns(
+                depminer_relation::Schema::synthetic(2).unwrap(),
+                vec![a, vec![5, 5, 6, 7]],
+            )
+            .unwrap();
+            assert_eq!(Fdep::new().run(&r).fds, mine_minimal_fds(&r), "{r:?}");
+        }
+    }
+
+    #[test]
+    fn antichain_audit_rejects_nested_hypotheses() {
+        let mut pos = LhsTrie::new();
+        pos.insert(AttrSet::from_indices([0, 2]));
+        pos.insert(AttrSet::from_indices([1]));
+        assert!(validate_antichain(&pos, 3).is_ok());
+        pos.insert(AttrSet::from_indices([0, 1, 2]));
+        assert!(validate_antichain(&pos, 3).is_err());
     }
 
     #[test]

@@ -461,18 +461,24 @@ impl CancelToken {
 
     /// Tracks an allocation of approximately `bytes`; trips past the
     /// memory budget. Pair with [`CancelToken::release_memory`] when the
-    /// allocation is dropped or flushed.
+    /// allocation is dropped or flushed. On any `Err` the bytes are
+    /// handed back at once, so a failed reservation never stays charged.
     pub fn reserve_memory(&self, bytes: u64, stage: Stage) -> Result<(), BudgetExceeded> {
         let total = self.state.memory.fetch_add(bytes, Ordering::Relaxed) + bytes;
         self.state.obs.mem_sample(total);
-        if total > self.state.max_memory {
-            return Err(self.trip(
+        let verdict = if total > self.state.max_memory {
+            Err(self.trip(
                 Resource::Memory,
                 Some(stage),
                 format!("~{total} tracked bytes, limit {}", self.state.max_memory),
-            ));
+            ))
+        } else {
+            self.check(stage)
+        };
+        if verdict.is_err() {
+            self.release_memory(bytes);
         }
-        self.check(stage)
+        verdict
     }
 
     /// `true` when reserving `bytes` more tracked memory *would* trip the
@@ -924,6 +930,11 @@ mod tests {
         assert!(token.reserve_memory(600, Stage::AgreeSets).is_ok());
         let err = token.reserve_memory(200, Stage::AgreeSets).unwrap_err();
         assert_eq!(err.resource, Resource::Memory);
+        // The failed reservation was handed back, and so is one refused
+        // by the tripped token although it would fit.
+        assert_eq!(token.memory_bytes(), 900);
+        assert!(token.reserve_memory(50, Stage::AgreeSets).is_err());
+        assert_eq!(token.memory_bytes(), 900);
         // Release never underflows.
         token.release_memory(u64::MAX);
         assert_eq!(token.memory_bytes(), 0);

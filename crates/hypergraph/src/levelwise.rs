@@ -76,7 +76,8 @@ pub fn min_transversals_governed(
             let flags: Vec<bool> =
                 par_map_governed(par, token, Stage::Transversals, &level, |&cand| {
                     Ok(h.is_transversal(cand))
-                })?;
+                })
+                .inspect_err(|_| token.release_memory(level_bytes))?;
             for (&cand, is_tr) in level.iter().zip(flags) {
                 if is_tr {
                     result.push(cand);

@@ -54,6 +54,6 @@ pub use prng::Prng;
 pub use relation::{Column, Relation};
 pub use sample::sample;
 pub use schema::Schema;
-pub use spdb::{EquivalenceClassIds, StrippedPartitionDb};
+pub use spdb::{ClassIds, StrippedPartitionDb};
 pub use stats::{column_stats, render_stats, ColumnStats};
 pub use value::Value;

@@ -98,148 +98,52 @@ impl StrippedPartitionDb {
 
     /// The set `MC` of maximal (w.r.t. ⊆) equivalence classes across all
     /// per-attribute stripped partitions (§3.1):
-    /// `MC = Max⊆ {c ∈ π̂_A | π̂_A ∈ r̂}`.
+    /// `MC = Max⊆ {c ∈ π̂_A | π̂_A ∈ r̂}`, as slices borrowed from `r̂`.
     ///
     /// Agree-set computation only needs tuple couples drawn from classes in
     /// `MC` (Lemma 1): tuples in different maximal classes disagree on every
-    /// attribute.
-    ///
-    /// Implementation: classes are deduplicated exactly (hash pass — very
-    /// common: e.g. the paper's π̂_B and π̂_D coincide), then sorted by
-    /// descending size; a class is kept iff no already-kept class contains
-    /// it. Because a tuple belongs to at most `|R|` stripped classes, each
-    /// *touched* tuple (one appearing in some stripped class) carries a
-    /// short sorted list of kept class ids in a stride-`|R|` flat buffer,
-    /// and domination is the intersection of its members' lists —
-    /// O(|c| · |R|) per class. Untouched rows cost one `u32` slot, not a
-    /// `Vec` allocation.
-    // lint: allow(nested-alloc) -- Vec<Vec<u32>> is the public MC boundary type
-    pub fn maximal_classes(&self) -> Vec<Vec<u32>> {
-        use crate::fxhash::FxHashSet;
-        // Deduplicate identical classes first.
-        let mut uniq: FxHashSet<&[u32]> = FxHashSet::default();
-        let mut classes: Vec<&[u32]> = Vec::new();
-        for p in &self.partitions {
-            for c in p.classes() {
-                if uniq.insert(c) {
-                    classes.push(c);
-                }
-            }
-        }
-        classes.sort_by_key(|c| std::cmp::Reverse(c.len()));
-
-        // Compact the touched rows (those in at least one stripped class)
-        // into dense slots so the per-tuple kept-id lists are sized by
-        // touched rows only.
-        let mut row_slot: Vec<u32> = vec![u32::MAX; self.n_rows];
-        let mut touched: u32 = 0;
-        for class in &classes {
-            for &t in *class {
-                if row_slot[t as usize] == u32::MAX {
-                    row_slot[t as usize] = touched;
-                    touched += 1;
-                }
-            }
-        }
-        // kept ids (ascending) of kept classes containing each touched
-        // tuple: stride-`arity` extents, since a tuple is in at most one
-        // class per attribute.
-        let arity = self.arity().max(1);
-        let mut kept_len: Vec<u32> = vec![0; touched as usize];
-        let mut kept_ids: Vec<u32> = vec![0; touched as usize * arity];
-
-        // lint: allow(nested-alloc) -- Vec<Vec<u32>> is the public MC boundary type
-        let mut kept: Vec<Vec<u32>> = Vec::new();
-        let mut acc: Vec<u32> = Vec::new();
-        let mut tmp: Vec<u32> = Vec::new();
-        for class in classes {
-            // Intersect the kept-class id lists of all members; a non-empty
-            // result means some kept class contains the whole class.
-            let ids_of = |t: u32, kept_len: &[u32]| -> std::ops::Range<usize> {
-                let slot = row_slot[t as usize] as usize;
-                slot * arity..slot * arity + kept_len[slot] as usize
-            };
-            acc.clear();
-            acc.extend_from_slice(&kept_ids[ids_of(class[0], &kept_len)]);
-            for &t in &class[1..] {
-                if acc.is_empty() {
-                    break;
-                }
-                let other = &kept_ids[ids_of(t, &kept_len)];
-                tmp.clear();
-                let (mut i, mut j) = (0, 0);
-                while i < acc.len() && j < other.len() {
-                    match acc[i].cmp(&other[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            tmp.push(acc[i]);
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                std::mem::swap(&mut acc, &mut tmp);
-            }
-            if acc.is_empty() {
-                let id = kept.len() as u32;
-                for &t in class {
-                    // ids are assigned in increasing order, so appending
-                    // keeps each extent sorted.
-                    let slot = row_slot[t as usize] as usize;
-                    let len = &mut kept_len[slot];
-                    kept_ids[slot * arity + *len as usize] = id;
-                    *len += 1;
-                }
-                kept.push(class.to_vec());
-            }
-        }
-        // Deterministic output order.
-        kept.sort_unstable_by_key(|c| c.first().copied());
-        kept
+    /// attribute. Builds the class-id matrix and runs
+    /// [`ClassIds::maximal_classes`]; callers that also need the matrix
+    /// build it once with [`StrippedPartitionDb::class_ids`].
+    pub fn maximal_classes(&self) -> Vec<&[u32]> {
+        self.class_ids().maximal_classes()
     }
 
-    /// The identifier sets `ec(t)` of §3.1 ("another characterization"):
-    /// for each tuple `t`, the list of `(attribute, class-index)` pairs of
-    /// the stripped classes containing `t`.
+    /// The identifier sets `ec(t)` of §3.1 ("another characterization")
+    /// for every tuple, as one row-major `|r| × |R|` class-id matrix.
     ///
-    /// Returned in flat CSR form ([`EquivalenceClassIds`]); each per-tuple
-    /// slice is sorted by `(attr, class)` so that `ec(ti) ∩ ec(tj)` is a
-    /// linear merge (Lemma 2). Rows outside every stripped class cost one
-    /// offset entry, not an empty `Vec` allocation.
-    pub fn equivalence_class_ids(&self) -> EquivalenceClassIds {
-        // Counting pass: how many identifier pairs does each tuple carry?
-        let mut offsets: Vec<u32> = vec![0; self.n_rows + 1];
-        let mut total = 0usize;
-        for p in &self.partitions {
-            for &t in p.rows() {
-                offsets[t as usize + 1] += 1;
-            }
-            total += p.total_tuples();
+    /// A tuple sits in at most one class per attribute, so `ec(t)` is a
+    /// map `A ↦ class index`: row `t`, column `A` holds the index of the
+    /// class of `π̂_A` containing `t`, or a sentinel unique to row `t` when
+    /// `t` was stripped from `π̂_A`. Lemma 2's `ec(t) ∩ ec(t')` is then
+    /// an elementwise compare of two rows ([`ClassIds::agree`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics past 2³¹ tuples, where row-unique sentinels run out.
+    pub fn class_ids(&self) -> ClassIds<'_> {
+        let arity = self.arity();
+        assert!(
+            self.n_rows <= STRIPPED as usize,
+            "class-id matrix needs ≤ 2^31 tuples, got {}",
+            self.n_rows
+        );
+        let mut ids = vec![0u32; self.n_rows * arity];
+        for (t, row) in ids.chunks_exact_mut(arity.max(1)).enumerate() {
+            row.fill(STRIPPED | t as u32);
         }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        // Placement pass in ascending (attr, class) order, which makes each
-        // per-tuple slice sorted by construction.
-        let mut cursor: Vec<u32> = offsets[..self.n_rows].to_vec();
-        let mut items: Vec<(u16, u32)> = vec![(0, 0); total];
         for (a, p) in self.partitions.iter().enumerate() {
             for (i, class) in p.classes().enumerate() {
                 for &t in class {
-                    let at = &mut cursor[t as usize];
-                    items[*at as usize] = (a as u16, i as u32);
-                    *at += 1;
+                    ids[t as usize * arity + a] = i as u32;
                 }
             }
         }
-        let ec = EquivalenceClassIds { items, offsets };
-        if crate::invariants::audits_enabled() {
-            for t in 0..self.n_rows {
-                debug_assert!(ec[t].windows(2).all(|w| w[0] <= w[1]));
-            }
+        ClassIds {
+            db: self,
+            ids,
+            arity,
         }
-        ec
     }
 
     /// The full attribute set `R` as an [`AttrSet`].
@@ -265,50 +169,93 @@ impl StrippedPartitionDb {
     }
 }
 
-/// The identifier sets `ec(t)` for every tuple, in flat CSR form: one
-/// contiguous `(attr, class)` item buffer plus per-tuple offsets
-/// (`offsets.len() == n_rows + 1`). `ec[t]` / [`EquivalenceClassIds::ids`]
-/// yield tuple `t`'s slice, sorted by `(attr, class)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EquivalenceClassIds {
-    items: Vec<(u16, u32)>,
-    offsets: Vec<u32>,
+/// High bit of a class-id entry: set on a stripped row's sentinel, whose
+/// low bits are the row itself. Class indices stay below `|r| / 2`.
+const STRIPPED: u32 = 1 << 31;
+
+/// `ec(t)` for every tuple of a stripped partition database: a row-major
+/// `|r| × |R|` matrix of class indices (see
+/// [`StrippedPartitionDb::class_ids`]), borrowing the `r̂` it indexes.
+#[derive(Debug)]
+pub struct ClassIds<'db> {
+    db: &'db StrippedPartitionDb,
+    ids: Vec<u32>,
+    arity: usize,
 }
 
-impl EquivalenceClassIds {
-    /// The identifier set of tuple `t`, sorted by `(attr, class)`.
+impl<'db> ClassIds<'db> {
+    /// Row `t`: per attribute, the class index of `t` or its sentinel.
     #[inline]
-    pub fn ids(&self, t: usize) -> &[(u16, u32)] {
-        &self.items[self.offsets[t] as usize..self.offsets[t + 1] as usize]
+    fn row(&self, t: usize) -> &[u32] {
+        &self.ids[t * self.arity..(t + 1) * self.arity]
     }
 
-    /// Number of tuples covered (`n_rows` of the source database).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+    /// The identifier set `ec(t)`: `(attribute, class index)` for each
+    /// stripped class containing `t`, in attribute order.
+    pub fn ec(&self, t: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.row(t)
+            .iter()
+            .enumerate()
+            .filter(|&(_, &id)| id & STRIPPED == 0)
+            .map(|(a, &id)| (a, id))
     }
 
-    /// `true` when built over an empty relation.
+    /// The agree set `ag(t, u)`: the attributes of `ec(t) ∩ ec(u)`
+    /// (Lemma 2). Sentinels are row-unique, so equal entries mean a
+    /// shared class. Up to 64 attributes the compare packs into a `u64`.
     #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub fn agree(&self, t: usize, u: usize) -> AttrSet {
+        let (x, y) = (self.row(t), self.row(u));
+        if self.arity <= 64 {
+            let mut bits = 0u64;
+            for (a, (p, q)) in x.iter().zip(y).enumerate() {
+                bits |= u64::from(p == q) << a;
+            }
+            AttrSet::from_bits(u128::from(bits))
+        } else {
+            let mut bits = 0u128;
+            for (a, (p, q)) in x.iter().zip(y).enumerate() {
+                bits |= u128::from(p == q) << a;
+            }
+            AttrSet::from_bits(bits)
+        }
     }
 
-    /// Iterates the per-tuple identifier sets in tuple order.
-    #[inline]
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[(u16, u32)]> + Clone + '_ {
-        self.offsets
-            .windows(2)
-            .map(move |w| &self.items[w[0] as usize..w[1] as usize])
+    /// `MC` on the matrix. For a class `c` of `π̂_A` with first member
+    /// `t`, the AND of `agree(t, u)` over the other members `u` names the
+    /// attributes `B` whose class of `t` contains `c`. `c` is kept iff no
+    /// such `B ≠ A` has a larger class, or one of equal size (the same
+    /// class) with a lower index. Output order is attribute, then class.
+    pub fn maximal_classes(&self) -> Vec<&'db [u32]> {
+        let db = self.db;
+        let mut kept = Vec::new();
+        for (a, p) in db.partitions.iter().enumerate() {
+            for c in p.classes() {
+                let t = c[0] as usize;
+                let mut cover = AttrSet::full(self.arity).without(a);
+                for &u in &c[1..] {
+                    if cover.is_empty() {
+                        break;
+                    }
+                    cover = cover & self.agree(t, u as usize);
+                }
+                let row = self.row(t);
+                let dominated = cover.iter().any(|b| {
+                    let len = db.partitions[b].class(row[b] as usize).len();
+                    len > c.len() || (len == c.len() && b < a)
+                });
+                if !dominated {
+                    kept.push(c);
+                }
+            }
+        }
+        kept
     }
-}
 
-impl std::ops::Index<usize> for EquivalenceClassIds {
-    type Output = [(u16, u32)];
-
+    /// Tracked heap bytes of the matrix, for `govern` memory budgets.
     #[inline]
-    fn index(&self, t: usize) -> &[(u16, u32)] {
-        self.ids(t)
+    pub fn heap_bytes(&self) -> usize {
+        self.ids.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -317,7 +264,8 @@ mod tests {
     use super::*;
     use crate::datasets;
 
-    fn norm(mut classes: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
+    fn norm(classes: Vec<&[u32]>) -> Vec<Vec<u32>> {
+        let mut classes: Vec<Vec<u32>> = classes.iter().map(|c| c.to_vec()).collect();
         for c in &mut classes {
             c.sort_unstable();
         }
@@ -342,13 +290,16 @@ mod tests {
         // Example 6/8: ec(t2) = {(A,0),(B,1),(D,1),(E,1)} — 0-based tuple 1.
         let r = datasets::employee();
         let db = StrippedPartitionDb::from_relation(&r);
-        let ec = db.equivalence_class_ids();
+        let ids = db.class_ids();
+        let ec = |t: usize| ids.ec(t).collect::<Vec<_>>();
         // Attribute indices: A=0,B=1,C=2,D=3,E=4.
-        assert_eq!(ec[1], vec![(0, 0), (1, 1), (3, 1), (4, 1)]);
+        assert_eq!(ec(1), vec![(0, 0), (1, 1), (3, 1), (4, 1)]);
         // Example 8 row for tuple 5 (paper's tuple 6): (B,0)(D,0)(E,0).
-        assert_eq!(ec[5], vec![(1, 0), (3, 0), (4, 0)]);
+        assert_eq!(ec(5), vec![(1, 0), (3, 0), (4, 0)]);
         // Tuple 4 (paper's 5): (C,0)(E,2).
-        assert_eq!(ec[4], vec![(2, 0), (4, 2)]);
+        assert_eq!(ec(4), vec![(2, 0), (4, 2)]);
+        // Example 7: ec(t1) ∩ ec(t2) = {(A,0)}, so ag(t1, t2) = A.
+        assert_eq!(ids.agree(0, 1), AttrSet::singleton(0));
     }
 
     #[test]
@@ -428,12 +379,18 @@ mod tests {
     fn ec_is_consistent_with_partitions() {
         let r = datasets::employee();
         let db = StrippedPartitionDb::from_relation(&r);
-        let ec = db.equivalence_class_ids();
-        for (t, ids) in ec.iter().enumerate() {
-            for &(a, i) in ids {
-                let class = db.partition(a as usize).class(i as usize);
+        let ids = db.class_ids();
+        for t in 0..r.len() {
+            for (a, i) in ids.ec(t) {
+                let class = db.partition(a).class(i as usize);
                 assert!(class.contains(&(t as u32)));
             }
+            // Every stripped class containing t is named in ec(t).
+            let named = ids.ec(t).count();
+            let member_of = (0..r.arity())
+                .filter(|&a| db.partition(a).rows().contains(&(t as u32)))
+                .count();
+            assert_eq!(named, member_of, "tuple {t}");
         }
     }
 
@@ -441,19 +398,22 @@ mod tests {
     fn ec_rows_outside_all_classes_are_empty() {
         let r = datasets::employee();
         let db = StrippedPartitionDb::from_relation(&r);
-        let ec = db.equivalence_class_ids();
-        assert_eq!(ec.len(), r.len());
+        assert_eq!(db.class_ids().heap_bytes(), r.len() * r.arity() * 4);
         // Every row of the employee relation is in some stripped class —
         // build a relation with a unique row to get an empty ec(t).
         let one_off = crate::relation::Relation::from_columns(
             crate::schema::Schema::synthetic(2).unwrap(),
-            vec![vec![1, 1, 9], vec![2, 2, 9]],
+            vec![vec![1, 1, 9, 8], vec![2, 2, 9, 7]],
         )
         .unwrap();
         let db2 = StrippedPartitionDb::from_relation(&one_off);
-        let ec2 = db2.equivalence_class_ids();
-        assert!(ec2[2].is_empty());
-        assert_eq!(ec2[0], ec2[1]);
-        assert!(!ec2[0].is_empty());
+        let ids = db2.class_ids();
+        assert_eq!(ids.ec(2).count(), 0);
+        assert_eq!(ids.ec(0).collect::<Vec<_>>(), ids.ec(1).collect::<Vec<_>>());
+        assert_eq!(ids.ec(0).count(), 2);
+        // Two stripped rows never agree through their sentinels.
+        assert_eq!(ids.agree(2, 3), AttrSet::empty());
+        assert_eq!(ids.agree(0, 1), AttrSet::full(2));
+        assert_eq!(ids.agree(0, 2), AttrSet::empty());
     }
 }

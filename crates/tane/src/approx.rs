@@ -445,7 +445,7 @@ fn approximate_fds_resumable_with_token(
                     owned = Some(p);
                 }
                 let p = owned.expect("frontier sets past level 1 have ≥ 2 attributes");
-                if let Err(why) = reserve(token, &p, stage) {
+                if let Err(why) = token.reserve_memory(p.heap_bytes() as u64, stage) {
                     arena.recycle(p);
                     stopped = Some(why);
                     break;
@@ -557,7 +557,7 @@ fn approximate_fds_resumable_with_token(
                         }
                         token.observer().add(Counter::PartitionProducts, 1);
                         let p = parts.get(x).product_with(parts.get(y), &mut arena);
-                        if let Err(why) = reserve(token, &p, stage) {
+                        if let Err(why) = token.reserve_memory(p.heap_bytes() as u64, stage) {
                             arena.recycle(p);
                             stopped = Some(why);
                             next_parts.reclaim_all(&mut arena, token);
@@ -604,16 +604,6 @@ fn approximate_fds_resumable_with_token(
         Some(why) => MiningOutcome::partial(out, why, vec![report]),
         None => MiningOutcome::complete(out, vec![report]),
     }
-}
-
-/// Charges an owned partition's `heap_bytes` to the token. A failed
-/// reservation is handed back at once, so a trip leaves the account at
-/// what the live levels hold.
-fn reserve(token: &CancelToken, p: &FlatPartition, stage: Stage) -> Result<(), BudgetExceeded> {
-    let bytes = p.heap_bytes() as u64;
-    token.reserve_memory(bytes, stage).inspect_err(|_| {
-        token.release_memory(bytes);
-    })
 }
 
 /// Brute-force oracle for [`approximate_fds`]; exponential, test-only sizes.

@@ -1066,6 +1066,48 @@ mod tests {
     }
 
     #[test]
+    fn memory_is_charged_and_released_on_every_exit() {
+        use depminer_govern::Resource;
+        let r = depminer_relation::SyntheticConfig {
+            n_attrs: 7,
+            n_rows: 80,
+            correlation: 0.5,
+            seed: 5,
+        }
+        .generate()
+        .unwrap();
+        let full = Tane::new().run(&r).fds;
+        // Growing caps trip at every point of the walk, on the parallel
+        // path too, until one fits. Each partial is a subset of the full
+        // answer and a failed reservation never stays charged.
+        for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            let tane = Tane::new().with_parallelism(par);
+            let mut partial_sizes = Vec::new();
+            let mut fits = false;
+            for cap in (1..=1000).map(|k| 32 * k) {
+                let token = Budget::unlimited().with_max_memory_bytes(cap).start();
+                let outcome = tane.run_with_token(&r, &token);
+                assert_eq!(token.memory_bytes(), 0, "{par:?} cap {cap}");
+                assert!(outcome.result.fds.iter().all(|fd| full.contains(fd)));
+                if let Some(why) = &outcome.interrupted {
+                    assert_eq!(why.resource, Resource::Memory);
+                    partial_sizes.push(outcome.result.fds.len());
+                } else {
+                    assert_eq!(outcome.result.fds, full);
+                    fits = true;
+                    break;
+                }
+            }
+            partial_sizes.dedup();
+            assert!(fits, "{par:?}: no cap fits the walk");
+            assert!(
+                partial_sizes.len() >= 2,
+                "{par:?}: caps trip at one point only"
+            );
+        }
+    }
+
+    #[test]
     fn cancelled_token_stops_immediately() {
         let r = datasets::enrollment();
         let token = CancelToken::unlimited();

@@ -337,7 +337,7 @@ pub fn check_raw_snapshot_write(
 
 /// Rule `nested-alloc`: a `Vec<Vec<…>>` in a hot-path module
 /// ([`Zone::HotPath`]) is a jagged heap-of-heaps where the flat CSR
-/// forms (`FlatPartition`, `EquivalenceClassIds`, or a payload+offsets
+/// forms (`FlatPartition`, the `ClassIds` matrix, or a payload+offsets
 /// pair) belong. The match is whitespace-insensitive (so
 /// `Vec < Vec <` and `Vec<\n    Vec<` spellings still count) but
 /// string/comment-safe via the scrubbed view. Boundary types and

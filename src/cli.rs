@@ -334,8 +334,8 @@ USAGE:
 BUDGETS:
     fds, approx and armstrong accept --timeout <secs>, --max-couples <n>
     and --max-memory <size> (bytes, or with a k/m/g suffix, e.g. 64m; caps
-    the tracked partition storage — the TANE cache evicts dead partitions
-    before giving up). When the budget runs out the valid partial result
+    the tracked partition and agree-set storage — the TANE cache evicts
+    dead partitions before giving up). When the budget runs out the valid partial result
     and per-stage diagnostics are printed and the process exits with code 3.
     --timeout 0 trips at the first checkpoint: useful for smoke-testing
     budget handling, or with --checkpoint-dir for forcing a snapshot.

@@ -5,7 +5,9 @@
 //! immediately reusable.
 
 use depminer::depminer::DepMiner;
+use depminer::fdep::Fdep;
 use depminer::govern::{Budget, Resource};
+use depminer::parallel::Parallelism;
 use depminer::relation::SyntheticConfig;
 use depminer::tane::Tane;
 use std::time::{Duration, Instant};
@@ -113,4 +115,65 @@ fn candidate_budget_bounds_tane_on_a_wide_relation() {
     for fd in &outcome.result.fds {
         assert!(full.contains(fd), "invented {fd}");
     }
+}
+
+#[test]
+fn memory_caps_release_everything_and_keep_partials_sound_for_depminer2_and_fdep() {
+    let r = SyntheticConfig {
+        n_attrs: 8,
+        n_rows: 120,
+        correlation: 0.5,
+        seed: 7,
+    }
+    .generate()
+    .expect("valid config");
+    let full = DepMiner::algorithm_3().mine(&r);
+    // Growing caps trip on the class-id matrix, then on transversal
+    // levels, until one fits. The account always returns to zero, and a
+    // partial agree family is a subset of the full one.
+    for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+        let miner = DepMiner::algorithm_3().with_parallelism(par);
+        let mut trips = 0;
+        for cap in (1..).map(|k| 64 * k) {
+            let token = Budget::unlimited().with_max_memory_bytes(cap).start();
+            let outcome = miner.mine_with_token(&r, &token);
+            assert_eq!(token.memory_bytes(), 0, "{par:?} cap {cap}");
+            let ag = &outcome.result.agree_sets.sets;
+            assert!(ag.iter().all(|s| full.agree_sets.sets.contains(s)));
+            outcome
+                .result
+                .audit_claimed_fds(&r)
+                .expect("partial FDs hold");
+            match &outcome.interrupted {
+                Some(why) => {
+                    assert_eq!(why.resource, Resource::Memory);
+                    trips += 1;
+                }
+                None => {
+                    assert_eq!(outcome.result.fds, full.fds);
+                    break;
+                }
+            }
+        }
+        assert!(trips > 1, "{par:?}: caps trip at one point only");
+    }
+    // FDEP charges the same matrix for its negative cover.
+    let mut trips = 0;
+    for cap in (1..).map(|k| 64 * k) {
+        let token = Budget::unlimited().with_max_memory_bytes(cap).start();
+        let outcome = Fdep::new().run_with_token(&r, &token);
+        assert_eq!(token.memory_bytes(), 0, "fdep cap {cap}");
+        match &outcome.interrupted {
+            Some(why) => {
+                assert_eq!(why.resource, Resource::Memory);
+                assert!(outcome.result.fds.is_empty());
+                trips += 1;
+            }
+            None => {
+                assert_eq!(outcome.result.fds, full.fds);
+                break;
+            }
+        }
+    }
+    assert!(trips > 0);
 }

@@ -14,7 +14,8 @@ fn s(v: &[usize]) -> AttrSet {
     AttrSet::from_indices(v.iter().copied())
 }
 
-fn norm(mut classes: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
+fn norm<C: AsRef<[u32]>>(classes: Vec<C>) -> Vec<Vec<u32>> {
+    let mut classes: Vec<Vec<u32>> = classes.iter().map(|c| c.as_ref().to_vec()).collect();
     for c in &mut classes {
         c.sort_unstable();
     }
@@ -95,11 +96,15 @@ fn example_5_and_lemma_1() {
 fn examples_6_to_8_and_lemma_2() {
     let r = datasets::employee();
     let db = StrippedPartitionDb::from_relation(&r);
-    let ec = db.equivalence_class_ids();
+    let ids = db.class_ids();
     // Example 6: ec(paper tuple 2) = {(A,0),(B,1),(D,1),(E,1)}.
-    assert_eq!(ec[1], vec![(0, 0), (1, 1), (3, 1), (4, 1)]);
+    assert_eq!(
+        ids.ec(1).collect::<Vec<_>>(),
+        vec![(0, 0), (1, 1), (3, 1), (4, 1)]
+    );
     // Example 7: ec(1) ∩ ec(2) = {(A,0)} ⇒ ag = {A}.
     assert_eq!(r.agree_set(0, 1), s(&[0]));
+    assert_eq!(ids.agree(0, 1), s(&[0]));
     // Example 8: the full agree-set family via Algorithm 3.
     assert_eq!(agree_sets_ec(&db).sets, agree_sets_naive(&r).sets);
 }
