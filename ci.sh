@@ -105,20 +105,13 @@ fi
 echo "==> parallel scaling benchmark -> BENCH_parallel.json"
 cargo run --release -q -p depminer-bench --bin parallel_scaling -- --reps 2
 
-echo "==> governance overhead benchmark -> BENCH_govern.json"
-# Larger rows + best-of-5: single-run jitter on a small box exceeds the
-# ~1% effect being measured.
-cargo run --release -q -p depminer-bench --bin govern_overhead -- --rows 20000 --reps 5
-
-echo "==> snapshot-arming overhead benchmark -> BENCH_resume.json"
-# 100k rows, interleaved median-of-21: the armed-policy delta is a few
-# ms, so short runs and best-of estimators drown it in scheduler jitter
-# on a small box; long mines and a robust estimator keep the comparison
-# honest.
-cargo run --release -q -p depminer-bench --bin resume_overhead -- --rows 100000 --reps 21
-
-echo "==> observability overhead benchmark -> BENCH_observe.json"
-cargo run --release -q -p depminer-bench --bin observe_overhead -- --rows 20000 --reps 5
+echo "==> overhead benchmark -> BENCH_overhead.json"
+# Governance, null observer, armed/eager snapshots and the Session driver
+# on one 20x100000 workload, every configuration interleaved in one
+# process with the order rotated each rep; median and IQR of 21 reps,
+# since a few-ms effect drowns in scheduler jitter under best-of
+# estimators on a small box.
+cargo run --release -q -p depminer-bench --bin overhead
 
 echo "==> layout benchmark smoke -> target/BENCH_layout_smoke.json"
 # Small workload, single rep: the full 20x20000 comparison is the
@@ -134,5 +127,16 @@ for key in git_rev workload results layout wall_s peak_partition_bytes \
         exit 1
     fi
 done
+
+echo "==> CLI-path benchmark smoke: python3 perfbench/smoke_test.py"
+# perfbench/probe is a Cargo workspace of its own, so `cargo test
+# --workspace` never compiles it; this builds the CLI and the probe,
+# runs both trace modes on the smoke relation through the correctness
+# gate, and checks the metric names against BENCHMARK.json.
+if command -v python3 >/dev/null 2>&1; then
+    python3 perfbench/smoke_test.py
+else
+    echo "==> python3 not installed; skipping the CLI-path benchmark smoke"
+fi
 
 echo "ci.sh: all gates green"

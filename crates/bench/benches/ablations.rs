@@ -13,10 +13,15 @@
 use depminer_bench::harness::{BenchmarkId, Criterion};
 use depminer_bench::{criterion_group, criterion_main};
 use depminer_core::{
-    agree_sets_couples, agree_sets_couples_no_mc, agree_sets_ec, agree_sets_naive, cmax_sets,
-    left_hand_sides, DepMiner, TransversalEngine,
+    agree_sets, agree_sets_couples_no_mc, agree_sets_naive, cmax_sets, left_hand_sides,
+    AgreeSetStrategy, DepMiner, TransversalEngine,
 };
 use depminer_relation::{Relation, StrippedPartitionDb, SyntheticConfig};
+
+/// Algorithm 2 with a couple buffer of `chunk_size` (`None` = unbounded).
+fn alg2(chunk_size: Option<usize>) -> AgreeSetStrategy {
+    AgreeSetStrategy::Couples { chunk_size }
+}
 
 fn relation(correlation: f64, n_rows: usize) -> Relation {
     SyntheticConfig {
@@ -42,10 +47,10 @@ fn agree_strategy(c: &mut Criterion) {
             b.iter(|| agree_sets_naive(r))
         });
         group.bench_with_input(BenchmarkId::new("alg2_couples", pct), &db, |b, db| {
-            b.iter(|| agree_sets_couples(db, None))
+            b.iter(|| agree_sets(db, alg2(None)))
         });
         group.bench_with_input(BenchmarkId::new("alg3_ec", pct), &db, |b, db| {
-            b.iter(|| agree_sets_ec(db))
+            b.iter(|| agree_sets(db, AgreeSetStrategy::EquivalenceClasses))
         });
     }
     group.finish();
@@ -88,7 +93,7 @@ fn mc_reduction(c: &mut Criterion) {
         let db = StrippedPartitionDb::from_relation(&r);
         let pct = (correlation * 100.0) as u32;
         group.bench_with_input(BenchmarkId::new("with_mc", pct), &db, |b, db| {
-            b.iter(|| agree_sets_couples(db, None))
+            b.iter(|| agree_sets(db, alg2(None)))
         });
         group.bench_with_input(BenchmarkId::new("without_mc", pct), &db, |b, db| {
             b.iter(|| agree_sets_couples_no_mc(db, None))
@@ -105,13 +110,13 @@ fn chunk_threshold(c: &mut Criterion) {
     let db = StrippedPartitionDb::from_relation(&r);
     for &chunk in &[1_000usize, 10_000, 100_000] {
         group.bench_with_input(BenchmarkId::new("alg2_chunked", chunk), &db, |b, db| {
-            b.iter(|| agree_sets_couples(db, Some(chunk)))
+            b.iter(|| agree_sets(db, alg2(Some(chunk))))
         });
     }
     group.bench_with_input(
         BenchmarkId::new("alg2_chunked", "unbounded"),
         &db,
-        |b, db| b.iter(|| agree_sets_couples(db, None)),
+        |b, db| b.iter(|| agree_sets(db, alg2(None))),
     );
     group.finish();
 }

@@ -303,9 +303,7 @@ fn main() {
     // Flat peak memory from the real engine's own accounting.
     let sink = Arc::new(ProfileSink::new());
     let token = Budget::unlimited().start_observed(Obs::new(sink.clone()));
-    // db-direct path has no engine Session equivalent (the engine mines
-    // materialized relations); lint: allow(engine-bypass)
-    let outcome = tane.run_db_governed(&db, &token);
+    let outcome = tane.run_db_governed(&db, &token, None);
     assert!(outcome.is_complete(), "unlimited budget must not trip");
     let profile = sink.snapshot();
     let flat_peak =

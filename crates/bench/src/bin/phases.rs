@@ -4,12 +4,13 @@
 //! sets dominate; the transversal step grows with `|R|`), complementing
 //! the end-to-end numbers of the `experiments` binary.
 //!
-//! Phase times come from the observability layer: each run executes
-//! under a `ProfileSink`-observed token and the table is read back out
-//! of the exported span tree — the same data `depminer --profile`
-//! writes — rather than from hand-carried stopwatches. The counters
-//! column surfaces the matching span-tree counters (partition products
-//! for Dep-Miner, apriori candidates for TANE).
+//! Phase times come from the observability layer: each run goes through
+//! a `Session` observed by a `ProfileSink`, the path every CLI mining
+//! command takes, and the table is read back out of the exported span
+//! tree — the same data `depminer --profile` writes — rather than from
+//! hand-carried stopwatches. The counters column surfaces the matching
+//! span-tree counters (partition products for Dep-Miner, apriori
+//! candidates for TANE).
 //!
 //! ```text
 //! cargo run --release -p depminer-bench --bin phases -- [--attrs a,b,..] [--rows n,..] [--correlation c] [--quiet]
@@ -18,7 +19,8 @@
 use std::sync::Arc;
 
 use depminer_bench::report::{span_ms, Reporter, RunStamp};
-use depminer_core::{Budget, DepMiner};
+use depminer_core::{Budget, DepMiner, MiningOutcome};
+use depminer_engine::{Emitted, Miner, Session, SessionCtx};
 use depminer_observe::profile::{Profile, ProfileSink};
 use depminer_observe::Obs;
 use depminer_relation::{Relation, SyntheticConfig};
@@ -28,13 +30,13 @@ fn parse_list(s: &str) -> Vec<usize> {
     s.split(',').filter_map(|x| x.trim().parse().ok()).collect()
 }
 
-/// Runs `f` under a fresh profile-observed token and returns the span
-/// snapshot alongside `f`'s result.
-fn profiled<T>(f: impl FnOnce(&depminer_core::CancelToken) -> T) -> (T, Profile) {
+/// Runs `miner` on `r` through a `Session` observed by a fresh profile
+/// sink and returns the span snapshot alongside the outcome.
+fn profiled(r: &Relation, miner: &dyn Miner) -> (MiningOutcome<Emitted>, Profile) {
     let sink = Arc::new(ProfileSink::new());
-    let token = Budget::unlimited().start_observed(Obs::new(sink.clone()));
-    let out = f(&token);
-    (out, sink.snapshot())
+    let ctx = SessionCtx::new(r, Budget::unlimited(), Obs::new(sink.clone()), None);
+    let outcome = Session::new(ctx).run(miner);
+    (outcome, sink.snapshot())
 }
 
 fn ms(v: f64) -> String {
@@ -95,9 +97,7 @@ fn main() {
                 ("dep-miner2", DepMiner::algorithm_3()),
             ] {
                 reporter.progress(&format!("|R|={n_attrs} |r|={n_rows} {name}"));
-                // phase table needs the per-span profile of the direct
-                // call itself; lint: allow(engine-bypass)
-                let (outcome, profile) = profiled(|token| miner.mine_with_token(&r, token));
+                let (outcome, profile) = profiled(&r, &miner);
                 assert!(outcome.is_complete(), "unlimited budget must not trip");
                 println!(
                     "{n_attrs:<6} {n_rows:<8} {name:<12} {:>10} {:>10} {:>10} {:>12} {:>10}  products={}",
@@ -111,21 +111,20 @@ fn main() {
                 reporter.profile(&profile);
             }
             reporter.progress(&format!("|R|={n_attrs} |r|={n_rows} tane"));
-            // phase table needs the per-span profile of the direct
-            // call itself; lint: allow(engine-bypass)
-            let (outcome, profile) = profiled(|token| Tane::new().run_with_token(&r, token));
+            let (outcome, profile) = profiled(&r, &Tane::new());
             assert!(outcome.is_complete(), "unlimited budget must not trip");
-            let tn = &outcome.result;
+            // TANE's one stage report counts the levels it completed.
+            let levels = outcome.stages[0].processed;
             println!(
                 "{n_attrs:<6} {n_rows:<8} {:<12} {:>10} {:>10} {:>10} {:>12} {:>10}  \
                  levels={} candidates={} products={}",
                 "tane",
-                "-",
+                ms(span_ms(&profile, "preprocess")),
                 "-",
                 "-",
                 ms(span_ms(&profile, "tane-levels")),
                 ms(span_ms(&profile, "tane")),
-                tn.stats.levels,
+                levels,
                 profile.counter("apriori_candidates"),
                 profile.counter("partition_products"),
             );

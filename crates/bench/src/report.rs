@@ -4,10 +4,10 @@
 //! line looks the same across binaries:
 //!
 //! * [`RunStamp`] — provenance written into each exported JSON
-//!   document: the git revision the numbers were produced from, the
-//!   host CPU count, and the thread configuration the run used. A
-//!   benchmark file without a stamp is unattributable the moment the
-//!   branch moves.
+//!   document: the git revision the numbers were produced from, whether
+//!   the tree had uncommitted changes, the host CPU count, and the thread
+//!   configuration the run used. A benchmark file without a stamp is
+//!   unattributable the moment the branch moves.
 //! * [`Reporter`] — the single human-readable progress channel
 //!   (stderr), replacing the ad-hoc `eprintln!` calls the bins used to
 //!   carry individually. Sections, per-cell progress, and rendered
@@ -25,6 +25,11 @@ pub struct RunStamp {
     /// `git rev-parse HEAD` at run time, or `"unknown"` outside a
     /// checkout.
     pub git_rev: String,
+    /// `true` when tracked files differed from `git_rev` at run time
+    /// (`git status --porcelain --untracked-files=no` printed anything):
+    /// the numbers then come from a tree that revision does not name,
+    /// such as a change measured before it is committed.
+    pub dirty: bool,
     /// Hardware parallelism actually available on the host.
     ///
     /// Readers must treat multi-thread speedup tables produced where
@@ -42,18 +47,24 @@ impl RunStamp {
     /// describes the configuration the caller is about to run.
     pub fn capture(threads: impl Into<String>) -> Self {
         RunStamp {
-            git_rev: git_rev(),
+            git_rev: git(&["rev-parse", "HEAD"])
+                .filter(|rev| !rev.is_empty())
+                .unwrap_or_else(|| "unknown".to_string()),
+            dirty: git(&["status", "--porcelain", "--untracked-files=no"])
+                .is_some_and(|changes| !changes.is_empty()),
             host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
             threads: threads.into(),
         }
     }
 
     /// The stamp as a JSON object, for splicing into a hand-rolled
-    /// document: `{"git_rev": "…", "host_cpus": N, "threads": "…"}`.
+    /// document:
+    /// `{"git_rev": "…", "dirty": false, "host_cpus": N, "threads": "…"}`.
     pub fn to_json_object(&self) -> String {
         format!(
-            "{{\"git_rev\": \"{}\", \"host_cpus\": {}, \"threads\": \"{}\"}}",
+            "{{\"git_rev\": \"{}\", \"dirty\": {}, \"host_cpus\": {}, \"threads\": \"{}\"}}",
             escape(&self.git_rev),
+            self.dirty,
             self.host_cpus,
             escape(&self.threads)
         )
@@ -80,16 +91,16 @@ fn escape(s: &str) -> String {
         .collect()
 }
 
-fn git_rev() -> String {
+/// The trimmed stdout of a successful `git` invocation; `None` outside
+/// a checkout or without git.
+fn git(args: &[&str]) -> Option<String> {
     std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
+        .args(args)
         .output()
         .ok()
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// The shared stderr progress reporter. All bins speak through one of
@@ -179,10 +190,11 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn stamp_serialises_all_three_fields() {
+    fn stamp_serialises_all_four_fields() {
         let stamp = RunStamp::capture("1,2,4,8");
         let json = stamp.to_json_object();
         assert!(json.contains("\"git_rev\""));
+        assert!(json.contains(&format!("\"dirty\": {}", stamp.dirty)));
         assert!(json.contains("\"host_cpus\""));
         assert!(json.contains("\"threads\": \"1,2,4,8\""));
         assert!(stamp.host_cpus >= 1);

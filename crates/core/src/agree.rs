@@ -1,28 +1,31 @@
-//! Agree-set computation (§3.1): the three strategies of the paper.
+//! Agree-set computation (§3.1): the three strategies of the paper,
+//! selected by [`AgreeSetStrategy`] and run by [`agree_sets`].
 //!
-//! * [`agree_sets_naive`] — the O(n·p²) baseline over all tuple couples,
-//!   with a disjointness guard: a couple whose per-tuple duplicate-value
-//!   masks are disjoint provably has an empty agree set, so the O(p)
-//!   column scan is skipped for it;
-//! * [`agree_sets_couples`] — **Algorithm 2**: couples are drawn only from
-//!   maximal equivalence classes (Lemma 1) and agree sets are accumulated by
-//!   scanning the stripped partitions; includes the memory-bounded chunking
-//!   the paper describes ("computing agree sets as soon as a fixed number of
-//!   couples was generated");
-//! * [`agree_sets_ec`] — **Algorithm 3**: each tuple carries the identifier
-//!   set `ec(t)` of stripped classes containing it; the agree set of a
-//!   couple is the attribute projection of `ec(t) ∩ ec(t')` (Lemma 2).
-//!   `ec(t)` is row `t` of one class-id matrix
-//!   ([`ClassIds`](depminer_relation::ClassIds)), so the intersection is an
-//!   elementwise compare of two rows.
+//! * [`AgreeSetStrategy::Naive`] — the O(n·p²) baseline over all tuple
+//!   couples; [`agree_sets_naive`] runs it on a relation, with a
+//!   disjointness guard: a couple whose per-tuple duplicate-value masks
+//!   are disjoint provably has an empty agree set, so the O(p) column
+//!   scan is skipped for it;
+//! * [`AgreeSetStrategy::Couples`] — **Algorithm 2**: couples are drawn
+//!   only from maximal equivalence classes (Lemma 1) and agree sets are
+//!   accumulated by scanning the stripped partitions; includes the
+//!   memory-bounded chunking the paper describes ("computing agree sets as
+//!   soon as a fixed number of couples was generated");
+//!   [`agree_sets_couples_no_mc`] is its ablation without the `MC`
+//!   reduction;
+//! * [`AgreeSetStrategy::EquivalenceClasses`] — **Algorithm 3**: each
+//!   tuple carries the identifier set `ec(t)` of stripped classes
+//!   containing it; the agree set of a couple is the attribute projection
+//!   of `ec(t) ∩ ec(t')` (Lemma 2). `ec(t)` is row `t` of one class-id
+//!   matrix ([`ClassIds`](depminer_relation::ClassIds)), so the
+//!   intersection is an elementwise compare of two rows.
 //!
-//! Every strategy has a `_with` variant taking a
-//! [`Parallelism`] knob; the plain entry points run with
-//! [`Parallelism::Auto`]. Parallel decomposition never changes the result:
-//! Algorithm 2 fans the partition scan across *attributes* (each worker
-//! owns a slice of columns and a dense per-couple accumulator, merged by
-//! union), Algorithm 3 fans the row compares across *maximal classes*
-//! (thread-local hash-set accumulators merged at the end). Both
+//! [`agree_sets_with`] takes a [`Parallelism`] knob; [`agree_sets`] runs
+//! with [`Parallelism::Auto`]. Parallel decomposition never changes the
+//! result: Algorithm 2 fans the partition scan across *attributes* (each
+//! worker owns a slice of columns and a dense per-couple accumulator,
+//! merged by union), Algorithm 3 fans the row compares across *maximal
+//! classes* (thread-local hash-set accumulators merged at the end). Both
 //! merges are order-insensitive unions, and the final sort in
 //! [`AgreeSets::from_raw`] makes the output canonical.
 //!
@@ -34,11 +37,10 @@
 //! corner handles explicitly (see [`crate::maxset`]), and Algorithms 2/3
 //! never materialize it, so it is uniformly excluded here.
 //!
-//! Every strategy also has a `_governed` variant threading a
-//! [`CancelToken`]: couples are counted against the budget one equivalence
-//! class (or one row) at a time, Algorithm 2's couple buffer and the
-//! class-id matrix are charged to the memory cap, and scans poll the
-//! token. A tripped run returns the agree
+//! [`agree_sets_governed`] threads a [`CancelToken`]: couples are counted
+//! against the budget one equivalence class (or one row) at a time,
+//! Algorithm 2's couple buffer and the class-id matrix are charged to the
+//! memory cap, and scans poll the token. A tripped run returns the agree
 //! sets accumulated from fully-flushed batches — a valid *subset* of
 //! `ag(r)` usable for diagnostics, never for downstream derivation.
 
@@ -170,7 +172,10 @@ pub fn agree_sets_governed(
         AgreeSetStrategy::Couples { chunk_size } => {
             agree_sets_couples_governed(db, chunk_size, par, token)
         }
-        AgreeSetStrategy::EquivalenceClasses => agree_sets_ec_governed(db, par, token),
+        AgreeSetStrategy::EquivalenceClasses => {
+            let _span = token.observer().span("agree-sets/ec");
+            mc_agree_sets_governed(db, par, token, Stage::AgreeSets)
+        }
     }
 }
 
@@ -287,30 +292,17 @@ fn scan_class_ids(
     (AgreeSets::of_db(db, seen), stopped)
 }
 
-/// **Algorithm 2** with the process default parallelism.
-pub fn agree_sets_couples(db: &StrippedPartitionDb, chunk_size: Option<usize>) -> AgreeSets {
-    agree_sets_couples_with(db, chunk_size, Parallelism::Auto)
-}
-
 /// **Algorithm 2.** Couples are generated per maximal equivalence class;
 /// when `chunk_size` couples have accumulated, the stripped partitions are
-/// scanned once to fill in their agree sets and the buffer is flushed.
+/// scanned once to fill in their agree sets and the buffer is flushed —
+/// the flush is the hot part and is where the parallelism lives (see
+/// [`flush_couples`]).
 ///
-/// The flush is the hot part and is where the parallelism lives — see
-/// [`flush_couples`].
-pub fn agree_sets_couples_with(
-    db: &StrippedPartitionDb,
-    chunk_size: Option<usize>,
-    par: Parallelism,
-) -> AgreeSets {
-    agree_sets_couples_governed(db, chunk_size, par, &CancelToken::unlimited()).0
-}
-
-/// [`agree_sets_couples_with`] under a live [`CancelToken`]: one
-/// checkpoint per maximal class (its couple count is charged before any
-/// couple is generated, the buffer growth against the memory cap), plus
-/// the governed flush. On a trip the fully-flushed batches are returned.
-pub fn agree_sets_couples_governed(
+/// Governance: one checkpoint per maximal class (its couple count is
+/// charged before any couple is generated, the buffer growth against the
+/// memory cap), plus the governed flush. On a trip the fully-flushed
+/// batches are returned.
+fn agree_sets_couples_governed(
     db: &StrippedPartitionDb,
     chunk_size: Option<usize>,
     par: Parallelism,
@@ -435,15 +427,7 @@ fn flush_couples(
 /// the `Max⊆` filter of Lemma 1 exists to avoid. Benchmarked by
 /// `ablation_mc`.
 pub fn agree_sets_couples_no_mc(db: &StrippedPartitionDb, chunk_size: Option<usize>) -> AgreeSets {
-    agree_sets_couples_no_mc_with(db, chunk_size, Parallelism::Auto)
-}
-
-/// [`agree_sets_couples_no_mc`] with an explicit thread-count setting.
-pub fn agree_sets_couples_no_mc_with(
-    db: &StrippedPartitionDb,
-    chunk_size: Option<usize>,
-    par: Parallelism,
-) -> AgreeSets {
+    let par = Parallelism::Auto;
     let token = CancelToken::unlimited();
     let threshold = chunk_size.unwrap_or(usize::MAX).max(1);
     let mut ag: FxHashSet<AttrSet> = FxHashSet::default();
@@ -463,29 +447,6 @@ pub fn agree_sets_couples_no_mc_with(
     }
     flush_couples(db, &mut couples, &mut ag, par, &token).expect("an unlimited token never trips");
     AgreeSets::of_db(db, ag)
-}
-
-/// **Algorithm 3** with the process default parallelism.
-pub fn agree_sets_ec(db: &StrippedPartitionDb) -> AgreeSets {
-    agree_sets_ec_with(db, Parallelism::Auto)
-}
-
-/// **Algorithm 3.** Builds `ec(t)` for every tuple (lines 2–8) as one
-/// class-id matrix, then compares the two rows of each couple within a
-/// maximal class (lines 9–14), streaming class by class.
-pub fn agree_sets_ec_with(db: &StrippedPartitionDb, par: Parallelism) -> AgreeSets {
-    agree_sets_ec_governed(db, par, &CancelToken::unlimited()).0
-}
-
-/// [`agree_sets_ec_with`] under a live [`CancelToken`]; see
-/// [`mc_agree_sets_governed`] for the governance.
-pub fn agree_sets_ec_governed(
-    db: &StrippedPartitionDb,
-    par: Parallelism,
-    token: &CancelToken,
-) -> (AgreeSets, Option<BudgetExceeded>) {
-    let _span = token.observer().span("agree-sets/ec");
-    mc_agree_sets_governed(db, par, token, Stage::AgreeSets)
 }
 
 /// The agree sets of every couple drawn from a maximal class (Lemma 1),
@@ -593,7 +554,7 @@ mod tests {
     fn algorithm2_matches_paper_example() {
         let r = datasets::employee();
         let db = StrippedPartitionDb::from_relation(&r);
-        let ag = agree_sets_couples(&db, None);
+        let ag = agree_sets(&db, AgreeSetStrategy::Couples { chunk_size: None });
         assert_eq!(ag.sets, employee_expected());
     }
 
@@ -601,10 +562,16 @@ mod tests {
     fn algorithm2_chunked_matches_unchunked() {
         let r = datasets::employee();
         let db = StrippedPartitionDb::from_relation(&r);
-        let full = agree_sets_couples(&db, None);
+        let full = agree_sets(&db, AgreeSetStrategy::Couples { chunk_size: None });
         for chunk in [1, 2, 3, 5, 100] {
             assert_eq!(
-                agree_sets_couples(&db, Some(chunk)).sets,
+                agree_sets(
+                    &db,
+                    AgreeSetStrategy::Couples {
+                        chunk_size: Some(chunk)
+                    }
+                )
+                .sets,
                 full.sets,
                 "chunk={chunk}"
             );
@@ -615,7 +582,7 @@ mod tests {
     fn algorithm3_matches_paper_example() {
         let r = datasets::employee();
         let db = StrippedPartitionDb::from_relation(&r);
-        let ag = agree_sets_ec(&db);
+        let ag = agree_sets(&db, AgreeSetStrategy::EquivalenceClasses);
         assert_eq!(ag.sets, employee_expected());
     }
 
@@ -679,11 +646,11 @@ mod tests {
             let db = StrippedPartitionDb::from_relation(&r);
             assert_eq!(
                 agree_sets_couples_no_mc(&db, None).sets,
-                agree_sets_couples(&db, None).sets
+                agree_sets(&db, AgreeSetStrategy::Couples { chunk_size: None }).sets
             );
             assert_eq!(
                 agree_sets_couples_no_mc(&db, Some(2)).sets,
-                agree_sets_couples(&db, None).sets
+                agree_sets(&db, AgreeSetStrategy::Couples { chunk_size: None }).sets
             );
         }
     }

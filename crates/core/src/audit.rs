@@ -167,7 +167,7 @@ impl MiningResult {
     /// Audits exactly the claims a *partial* result makes: every listed FD
     /// must hold on `r` and have a minimal left-hand side.
     ///
-    /// A budget-tripped [`crate::DepMiner::mine_governed`] run stops at
+    /// A budget-tripped [`crate::DepMiner::mine_db_governed`] run stops at
     /// clean stage boundaries, so its FD list covers only rhs attributes
     /// whose transversal search completed — those FDs are exact, but the
     /// structural tables (`lhs`, `max_sets`) are intentionally truncated

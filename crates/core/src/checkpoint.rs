@@ -1,11 +1,13 @@
 //! Dep-Miner's resumable checkpoint state (DESIGN.md §12): which stages
 //! completed, their outputs, and per-attribute transversal progress —
-//! everything `DepMiner::resume_governed` needs to skip finished work.
+//! everything a resumed `DepMiner::mine_db_governed` needs to skip
+//! finished work.
 
 use depminer_govern::snapshot::{Dec, Enc, Snapshot};
 use depminer_govern::{SnapshotError, SnapshotState};
 use depminer_relation::state::{
-    put_attrset, put_family, put_opt_family, take_attrset, take_family, take_opt_family,
+    all_within, check_fit, put_attrset, put_family, put_opt_family, take_attrset, take_family,
+    take_opt_family,
 };
 use depminer_relation::AttrSet;
 
@@ -117,6 +119,25 @@ impl DepMinerCheckpoint {
             couples: self.couples,
             candidates: self.candidates,
         }
+    }
+
+    /// Refuses a payload that does not fit a relation of `arity`
+    /// attributes: every set must lie within the relation, the agree and
+    /// max sets must be over `arity` attributes with one `max` and one
+    /// `cmax` list each, and the transversal families must be absent or
+    /// one per attribute.
+    pub fn check_fits(&self, arity: usize) -> Result<(), SnapshotError> {
+        let agree_fits = self.agree.as_ref().is_none_or(|ag| {
+            ag.arity == arity
+                && all_within(arity, ag.sets.iter().copied().chain([ag.constant_attrs]))
+        });
+        let max_fits = self.max.as_ref().is_none_or(|ms| {
+            [ms.arity, ms.max.len(), ms.cmax.len()] == [arity; 3]
+                && all_within(arity, ms.max.iter().chain(&ms.cmax).flatten().copied())
+        });
+        let families_fit = (self.families.is_empty() || self.families.len() == arity)
+            && all_within(arity, self.families.iter().flatten().flatten().copied());
+        check_fit(agree_fits && max_fits && families_fit, DEPMINER_ALGO, arity)
     }
 
     /// Wrap the payload in a frame bound to a relation and config.

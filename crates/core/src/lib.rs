@@ -40,9 +40,7 @@ pub mod maxset;
 pub mod stats;
 
 pub use agree::{
-    agree_sets, agree_sets_couples, agree_sets_couples_governed, agree_sets_couples_no_mc,
-    agree_sets_couples_no_mc_with, agree_sets_couples_with, agree_sets_ec, agree_sets_ec_governed,
-    agree_sets_ec_with, agree_sets_governed, agree_sets_naive, agree_sets_with,
+    agree_sets, agree_sets_couples_no_mc, agree_sets_governed, agree_sets_naive, agree_sets_with,
     mc_agree_sets_governed, AgreeSetStrategy, AgreeSets,
 };
 pub use armstrong::{
@@ -136,51 +134,18 @@ impl DepMiner {
     }
 
     /// Runs the full pipeline on a relation (extracting the stripped
-    /// partition database first).
+    /// partition database first), ungoverned. Governed runs go through
+    /// the engine's `Session`, which builds `r̂` once and calls
+    /// [`DepMiner::mine_db_governed`].
     pub fn mine(&self, r: &Relation) -> MiningResult {
-        self.mine_with_token(r, &CancelToken::unlimited()).result
-    }
-
-    /// Runs the pipeline on a pre-computed stripped partition database —
-    /// the paper's actual input ("Dep-Miner takes in input a small
-    /// representation of a relation").
-    pub fn mine_db(&self, db: &StrippedPartitionDb) -> MiningResult {
-        self.mine_db_governed(db, &CancelToken::unlimited()).result
-    }
-
-    /// [`DepMiner::mine`] under a resource [`Budget`]: starts a fresh
-    /// [`CancelToken`] from the budget and runs the governed pipeline.
-    ///
-    /// When the budget trips, the run unwinds at the next checkpoint and
-    /// returns a partial [`MiningOutcome`]: the FD list covers only rhs
-    /// attributes whose transversal search completed (those FDs are exact
-    /// and pass [`MiningResult::audit_claimed_fds`]); the per-stage
-    /// [`StageReport`]s record where the run stopped and what was
-    /// processed.
-    pub fn mine_governed(&self, r: &Relation, budget: &Budget) -> MiningOutcome<MiningResult> {
-        self.mine_with_token(r, &budget.start())
-    }
-
-    /// [`DepMiner::mine_governed`] with a caller-supplied token — use this
-    /// to share one token (and its budget, or an external cancellation
-    /// source) across several runs.
-    pub fn mine_with_token(
-        &self,
-        r: &Relation,
-        token: &CancelToken,
-    ) -> MiningOutcome<MiningResult> {
         let t0 = Instant::now();
-        let db = {
-            let _span = token.observer().span("preprocess");
-            StrippedPartitionDb::from_relation_with(r, self.parallelism)
-        };
+        let db = StrippedPartitionDb::from_relation_with(r, self.parallelism);
         let preprocess = t0.elapsed();
-        if audits_enabled() {
-            enforce(db.validate_against(r));
-        }
-        let mut outcome = self.mine_db_governed(&db, token);
-        outcome.result.timings.preprocess = preprocess;
-        outcome
+        let mut result = self
+            .mine_db_governed(&db, &CancelToken::unlimited(), None)
+            .result;
+        result.timings.preprocess = preprocess;
+        result
     }
 
     /// The configuration bytes stamped into snapshot frames: agree-set
@@ -203,46 +168,23 @@ impl DepMiner {
         })
     }
 
-    /// Resume an interrupted governed run from a snapshot frame.
+    /// The governed pipeline on the stripped partition database — the
+    /// paper's actual input ("Dep-Miner takes in input a small
+    /// representation of a relation") — under a live [`CancelToken`].
     ///
-    /// Refuses loudly (no mining happens) when the frame belongs to a
-    /// different algorithm, a different relation (fingerprint), or a
-    /// different strategy/engine configuration. On success the pipeline
-    /// restarts at the checkpoint's boundary — restored stages are
-    /// skipped, per-attribute transversal results with holes resume
-    /// attribute by attribute — and the final FD set is identical to an
-    /// uninterrupted run's.
-    pub fn resume_governed(
-        &self,
-        r: &Relation,
-        snap: &Snapshot,
-        budget: &Budget,
-        obs: Obs,
-        policy: Option<SnapshotPolicy>,
-    ) -> Result<MiningOutcome<MiningResult>, SnapshotError> {
-        let db = StrippedPartitionDb::from_relation_with(r, self.parallelism);
-        snap.validate(DEPMINER_ALGO, db_fingerprint(&db), &self.config_bytes())?;
-        let cp = DepMinerCheckpoint::decode_payload(&snap.payload)?;
-        let mut token = budget.resume_from(cp.spend()).start_observed(obs);
-        if let Some(policy) = policy {
-            token = token.with_snapshots(policy);
-        }
-        Ok(self.mine_db_resumable_with_token(&db, &token, Some(cp)))
-    }
-
-    /// [`DepMiner::mine_db`] under a live [`CancelToken`]. See
-    /// [`DepMiner::mine_governed`] for the partial-result contract.
+    /// When the budget trips, the run unwinds at the next checkpoint and
+    /// returns a partial [`MiningOutcome`]: the FD list covers only rhs
+    /// attributes whose transversal search completed (those FDs are exact
+    /// and pass [`MiningResult::audit_claimed_fds`]); the per-stage
+    /// [`StageReport`]s record where the run stopped and what was
+    /// processed.
+    ///
+    /// With `resume`, a checkpoint already checked against `db`, the
+    /// pipeline restarts at its boundary: restored stages are skipped,
+    /// per-attribute transversal results with holes resume attribute by
+    /// attribute, and the final FD set is identical to an uninterrupted
+    /// run's.
     pub fn mine_db_governed(
-        &self,
-        db: &StrippedPartitionDb,
-        token: &CancelToken,
-    ) -> MiningOutcome<MiningResult> {
-        self.mine_db_resumable_with_token(db, token, None)
-    }
-
-    /// The governed pipeline, optionally fast-forwarded to a
-    /// checkpoint's boundary.
-    fn mine_db_resumable_with_token(
         &self,
         db: &StrippedPartitionDb,
         token: &CancelToken,
@@ -574,6 +516,15 @@ mod tests {
     use depminer_fdtheory::{equivalent, mine_minimal_fds};
     use depminer_relation::datasets;
 
+    /// The governed core on `r`'s freshly built `r̂`.
+    fn governed(
+        miner: &DepMiner,
+        r: &Relation,
+        token: &CancelToken,
+    ) -> MiningOutcome<MiningResult> {
+        miner.mine_db_governed(&StrippedPartitionDb::from_relation(r), token, None)
+    }
+
     #[test]
     fn default_pipeline_matches_oracle() {
         for r in [
@@ -627,7 +578,9 @@ mod tests {
         let r = datasets::employee();
         let db = StrippedPartitionDb::from_relation(&r);
         let a = DepMiner::new().mine(&r);
-        let b = DepMiner::new().mine_db(&db);
+        let b = DepMiner::new()
+            .mine_db_governed(&db, &CancelToken::unlimited(), None)
+            .result;
         assert_eq!(a.fds, b.fds);
         assert_eq!(a.max_sets, b.max_sets);
     }
@@ -635,7 +588,7 @@ mod tests {
     #[test]
     fn governed_unlimited_budget_is_complete_and_identical() {
         let r = datasets::employee();
-        let outcome = DepMiner::new().mine_governed(&r, &Budget::unlimited());
+        let outcome = governed(&DepMiner::new(), &r, &Budget::unlimited().start());
         assert!(outcome.is_complete());
         assert_eq!(outcome.result.fds, DepMiner::new().mine(&r).fds);
         assert_eq!(outcome.stages.len(), 3);
@@ -650,7 +603,7 @@ mod tests {
             .generate()
             .unwrap();
         let budget = Budget::unlimited().with_max_couples(10);
-        let outcome = DepMiner::new().mine_governed(&r, &budget);
+        let outcome = governed(&DepMiner::new(), &r, &budget.start());
         assert!(!outcome.is_complete());
         let why = outcome.interrupted.as_ref().unwrap();
         assert_eq!(why.resource, Resource::Couples);
@@ -675,7 +628,7 @@ mod tests {
         ] {
             let token = CancelToken::unlimited();
             token.cancel();
-            let outcome = miner.mine_with_token(&r, &token);
+            let outcome = governed(&miner, &r, &token);
             assert!(!outcome.is_complete(), "{miner:?}");
             assert!(outcome.result.fds.is_empty(), "{miner:?}");
             outcome.result.audit_claimed_fds(&r).unwrap();
@@ -691,7 +644,7 @@ mod tests {
         // so expect constant attrs' empty hypergraphs to complete).
         let r = datasets::constant_columns();
         let budget = Budget::unlimited().with_max_level(1);
-        let outcome = DepMiner::new().mine_governed(&r, &budget);
+        let outcome = governed(&DepMiner::new(), &r, &budget.start());
         // Whatever completed must be exact and minimal.
         outcome.result.audit_claimed_fds(&r).unwrap();
         let oracle = depminer_fdtheory::mine_minimal_fds(&r);

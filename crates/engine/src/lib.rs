@@ -3,10 +3,11 @@
 //! The paper presents Dep-Miner, TANE and FDEP as variants of one
 //! levelwise discovery problem; this crate gives the codebase the same
 //! shape. Every algorithm implements one [`Miner`] trait (stable
-//! algorithm id, config bytes for snapshot frames, `run`, `resume`), a
-//! [`SessionCtx`] owns the cross-cutting bundle every governed run needs
-//! (budget, cancel token, observer, snapshot policy, the relation), and
-//! a [`MinerRegistry`] + [`Session`] driver runs
+//! algorithm id, config bytes for snapshot frames, `run`, `resume`) over
+//! its one governed core, a [`SessionCtx`] owns the cross-cutting bundle
+//! every governed run needs (the relation and its stripped partition
+//! database `r̂`, budget, cancel token, observer, snapshot policy), and a
+//! [`MinerRegistry`] + [`Session`] driver runs
 //! load → preprocess → mine → invariant audit → report as one pipeline.
 //!
 //! Adding a fifth miner costs one `Miner` impl plus one
@@ -35,15 +36,16 @@ pub mod session;
 pub use registry::{MinerEntry, MinerRegistry};
 pub use session::{EngineError, Session};
 
-use depminer_core::DepMiner;
-use depminer_fdep::Fdep;
+use depminer_core::{DepMiner, DepMinerCheckpoint};
+use depminer_fdep::{Fdep, FdepCheckpoint};
 use depminer_fdtheory::Fd;
 use depminer_govern::{
-    Budget, CancelToken, MiningOutcome, Obs, Snapshot, SnapshotError, SnapshotPolicy,
+    Budget, CancelToken, MiningOutcome, Obs, SnapshotError, SnapshotPolicy, SnapshotState,
 };
-use depminer_relation::Relation;
+use depminer_relation::invariants::{audits_enabled, enforce};
+use depminer_relation::{Relation, StrippedPartitionDb};
 use depminer_tane::{
-    approx_config_bytes, approximate_fds_governed, resume_approximate_fds_governed, ApproxFd, Tane,
+    approx_config_bytes, approximate_fds_governed, ApproxCheckpoint, ApproxFd, Tane, TaneCheckpoint,
 };
 use std::cell::{OnceCell, RefCell};
 
@@ -86,21 +88,23 @@ impl Emitted {
     }
 }
 
-/// The cross-cutting bundle a governed mining run needs: the relation,
-/// the resource [`Budget`], the [`Obs`] observer handle, and an optional
-/// [`SnapshotPolicy`].
+/// The cross-cutting bundle a governed mining run needs: the relation
+/// and its stripped partition database `r̂`, the resource [`Budget`], the
+/// [`Obs`] observer handle, and an optional [`SnapshotPolicy`].
 ///
-/// The [`CancelToken`] is created lazily on first use — [`SnapshotPolicy`]
-/// must be attached at token creation (the policy's snapshot slot needs a
-/// sole owner), so the context holds the policy until the token
-/// materializes. One context means one token: `Session::run_all` shares
-/// it across every miner, exactly like the profiled `--algo all` mode.
+/// `r̂` and the [`CancelToken`] are created lazily on first use, so one
+/// context builds `r̂` once and `Session::run_all` shares it, and the
+/// token, across every miner, exactly like the profiled `--algo all`
+/// mode. [`SnapshotPolicy`] must be attached at token creation (the
+/// policy's snapshot slot needs a sole owner), so the context holds the
+/// policy until the shared token or a resume token materializes.
 pub struct SessionCtx<'r> {
     relation: &'r Relation,
     budget: Budget,
     obs: Obs,
     policy: RefCell<Option<SnapshotPolicy>>,
     token: OnceCell<CancelToken>,
+    db: OnceCell<StrippedPartitionDb>,
 }
 
 impl<'r> SessionCtx<'r> {
@@ -118,6 +122,7 @@ impl<'r> SessionCtx<'r> {
             obs,
             policy: RefCell::new(policy),
             token: OnceCell::new(),
+            db: OnceCell::new(),
         }
     }
 
@@ -126,41 +131,58 @@ impl<'r> SessionCtx<'r> {
         self.relation
     }
 
-    /// The run's resource budget.
-    pub fn budget(&self) -> &Budget {
-        &self.budget
-    }
-
-    /// The run's observer handle.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// Takes the snapshot policy out of the context (resume entry points
-    /// build their own carry-accounted token and attach the policy
-    /// themselves).
-    pub fn take_policy(&self) -> Option<SnapshotPolicy> {
-        self.policy.borrow_mut().take()
+    /// The relation's stripped partition database `r̂` (§3.1), the input
+    /// every governed core mines. Built on first use under the
+    /// `preprocess` span and, when audits are enabled, checked against
+    /// the relation.
+    pub fn db(&self) -> &StrippedPartitionDb {
+        self.db.get_or_init(|| {
+            let db = {
+                let _span = self.obs.span("preprocess");
+                StrippedPartitionDb::from_relation(self.relation)
+            };
+            if audits_enabled() {
+                enforce(db.validate_against(self.relation));
+            }
+            db
+        })
     }
 
     /// The shared cancel token, created from the budget (and armed with
     /// the snapshot policy, if any) on first use.
     pub fn token(&self) -> &CancelToken {
-        self.token.get_or_init(|| {
-            let token = self.budget.start_observed(self.obs.clone());
-            match self.take_policy() {
-                Some(policy) => token.with_snapshots(policy),
-                None => token,
-            }
-        })
+        self.token
+            .get_or_init(|| self.arm(self.budget.start_observed(self.obs.clone())))
+    }
+
+    /// A fresh token for resuming a run that had already charged
+    /// `spend` to the budget, armed with the snapshot policy so the
+    /// resumed run keeps checkpointing.
+    pub fn resume_token(&self, spend: SnapshotState) -> CancelToken {
+        self.arm(
+            self.budget
+                .resume_from(spend)
+                .start_observed(self.obs.clone()),
+        )
+    }
+
+    /// Attaches the snapshot policy, if the context still holds one.
+    fn arm(&self, token: CancelToken) -> CancelToken {
+        match self.policy.borrow_mut().take() {
+            Some(policy) => token.with_snapshots(policy),
+            None => token,
+        }
     }
 }
 
 /// One FD-discovery algorithm, pluggable into the [`Session`] driver.
 ///
-/// Implementations delegate to their crate's `*_with_token` entry point
-/// for `run` and to its `resume_governed` entry point for `resume`, so
-/// the engine adds dispatch — not new mining code paths.
+/// Implementations call their crate's one governed core (for example
+/// `DepMiner::mine_db_governed`) on the context's `r̂`, so the engine
+/// adds dispatch — not new mining code paths. `run` mines on the shared
+/// token; `resume` decodes a checkpoint payload, refuses one that does
+/// not fit `r̂`, and resumes the core from it on a carry-accounted
+/// token.
 pub trait Miner {
     /// Stable algorithm id, as stamped into snapshot frames
     /// (`<algo_id>.snap`).
@@ -170,15 +192,17 @@ pub trait Miner {
     /// through the registry's `from_config` constructor.
     fn config_bytes(&self) -> Vec<u8>;
 
-    /// Mines the context's relation on the context's shared token.
+    /// Mines the context's `r̂` on the context's shared token.
     fn run(&self, ctx: &SessionCtx) -> MiningOutcome<Emitted>;
 
-    /// Resumes an interrupted governed run from a snapshot frame,
-    /// refusing mismatched frames loudly.
+    /// Resumes an interrupted governed run from the payload of a snapshot
+    /// frame that `Session::resume` has already matched to this miner,
+    /// relation and configuration. A payload that does not fit `r̂` is
+    /// refused with [`SnapshotError::Mismatch`] before any mining.
     fn resume(
         &self,
         ctx: &SessionCtx,
-        snap: &Snapshot,
+        payload: &[u8],
     ) -> Result<MiningOutcome<Emitted>, SnapshotError>;
 }
 
@@ -192,23 +216,23 @@ impl Miner for DepMiner {
     }
 
     fn run(&self, ctx: &SessionCtx) -> MiningOutcome<Emitted> {
-        self.mine_with_token(ctx.relation(), ctx.token())
+        // The token first: the budget's deadline covers building r̂.
+        let token = ctx.token();
+        self.mine_db_governed(ctx.db(), token, None)
             .map(|res| Emitted::Fds(res.fds))
     }
 
     fn resume(
         &self,
         ctx: &SessionCtx,
-        snap: &Snapshot,
+        payload: &[u8],
     ) -> Result<MiningOutcome<Emitted>, SnapshotError> {
-        self.resume_governed(
-            ctx.relation(),
-            snap,
-            ctx.budget(),
-            ctx.obs().clone(),
-            ctx.take_policy(),
-        )
-        .map(|outcome| outcome.map(|res| Emitted::Fds(res.fds)))
+        let cp = DepMinerCheckpoint::decode_payload(payload)?;
+        cp.check_fits(ctx.db().arity())?;
+        let token = ctx.resume_token(cp.spend());
+        Ok(self
+            .mine_db_governed(ctx.db(), &token, Some(cp))
+            .map(|res| Emitted::Fds(res.fds)))
     }
 }
 
@@ -222,23 +246,22 @@ impl Miner for Tane {
     }
 
     fn run(&self, ctx: &SessionCtx) -> MiningOutcome<Emitted> {
-        self.run_with_token(ctx.relation(), ctx.token())
+        let token = ctx.token();
+        self.run_db_governed(ctx.db(), token, None)
             .map(|res| Emitted::Fds(res.fds))
     }
 
     fn resume(
         &self,
         ctx: &SessionCtx,
-        snap: &Snapshot,
+        payload: &[u8],
     ) -> Result<MiningOutcome<Emitted>, SnapshotError> {
-        self.resume_governed(
-            ctx.relation(),
-            snap,
-            ctx.budget(),
-            ctx.obs().clone(),
-            ctx.take_policy(),
-        )
-        .map(|outcome| outcome.map(|res| Emitted::Fds(res.fds)))
+        let cp = TaneCheckpoint::decode_payload(payload)?;
+        cp.check_fits(ctx.db().arity())?;
+        let token = ctx.resume_token(cp.spend());
+        Ok(self
+            .run_db_governed(ctx.db(), &token, Some(cp))
+            .map(|res| Emitted::Fds(res.fds)))
     }
 }
 
@@ -252,23 +275,22 @@ impl Miner for Fdep {
     }
 
     fn run(&self, ctx: &SessionCtx) -> MiningOutcome<Emitted> {
-        self.run_with_token(ctx.relation(), ctx.token())
+        let token = ctx.token();
+        self.run_db_governed(ctx.db(), token, None)
             .map(|res| Emitted::Fds(res.fds))
     }
 
     fn resume(
         &self,
         ctx: &SessionCtx,
-        snap: &Snapshot,
+        payload: &[u8],
     ) -> Result<MiningOutcome<Emitted>, SnapshotError> {
-        self.resume_governed(
-            ctx.relation(),
-            snap,
-            ctx.budget(),
-            ctx.obs().clone(),
-            ctx.take_policy(),
-        )
-        .map(|outcome| outcome.map(|res| Emitted::Fds(res.fds)))
+        let cp = FdepCheckpoint::decode_payload(payload)?;
+        cp.check_fits(ctx.db().arity())?;
+        let token = ctx.resume_token(cp.spend());
+        Ok(self
+            .run_db_governed(ctx.db(), &token, Some(cp))
+            .map(|res| Emitted::Fds(res.fds)))
     }
 }
 
@@ -290,33 +312,34 @@ impl Miner for ApproxMiner {
     }
 
     fn run(&self, ctx: &SessionCtx) -> MiningOutcome<Emitted> {
-        approximate_fds_governed(ctx.relation(), self.epsilon, ctx.token()).map(|fds| {
-            Emitted::ApproxFds {
-                fds,
-                epsilon: self.epsilon,
-            }
-        })
+        let token = ctx.token();
+        approximate_fds_governed(ctx.relation(), ctx.db(), self.epsilon, token, None)
+            .map(|fds| self.emitted(fds))
     }
 
     fn resume(
         &self,
         ctx: &SessionCtx,
-        snap: &Snapshot,
+        payload: &[u8],
     ) -> Result<MiningOutcome<Emitted>, SnapshotError> {
-        resume_approximate_fds_governed(
-            ctx.relation(),
-            self.epsilon,
-            snap,
-            ctx.budget(),
-            ctx.obs().clone(),
-            ctx.take_policy(),
+        let cp = ApproxCheckpoint::decode_payload(payload)?;
+        cp.check_fits(ctx.db().arity())?;
+        let token = ctx.resume_token(cp.spend());
+        Ok(
+            approximate_fds_governed(ctx.relation(), ctx.db(), self.epsilon, &token, Some(cp))
+                .map(|fds| self.emitted(fds)),
         )
-        .map(|outcome| {
-            outcome.map(|fds| Emitted::ApproxFds {
-                fds,
-                epsilon: self.epsilon,
-            })
-        })
+    }
+}
+
+impl ApproxMiner {
+    /// Tags mined approximate FDs with the threshold they were mined
+    /// under.
+    fn emitted(&self, fds: Vec<ApproxFd>) -> Emitted {
+        Emitted::ApproxFds {
+            fds,
+            epsilon: self.epsilon,
+        }
     }
 }
 
@@ -350,7 +373,7 @@ impl Miner for NaiveMiner {
     fn resume(
         &self,
         _ctx: &SessionCtx,
-        _snap: &Snapshot,
+        _payload: &[u8],
     ) -> Result<MiningOutcome<Emitted>, SnapshotError> {
         Err(SnapshotError::Mismatch {
             what: "the naive oracle writes no snapshots and cannot resume".to_string(),

@@ -5,6 +5,7 @@
 use crate::{Emitted, Miner, MinerRegistry, SessionCtx};
 use depminer_govern::{MiningOutcome, Snapshot, SnapshotError};
 use depminer_relation::invariants::{audits_enabled, enforce, validate_fd_holds};
+use depminer_relation::state::db_fingerprint;
 use std::fmt;
 
 /// A driver-level failure: the registered miners violated an engine
@@ -35,8 +36,8 @@ impl<'r> Session<'r> {
         Session { ctx }
     }
 
-    /// The underlying context (e.g. for sharing its token with follow-on
-    /// work such as Armstrong generation).
+    /// The underlying context (e.g. for sharing its `r̂` and token with
+    /// follow-on work such as Armstrong generation).
     pub fn ctx(&self) -> &SessionCtx<'r> {
         &self.ctx
     }
@@ -53,9 +54,11 @@ impl<'r> Session<'r> {
         outcome
     }
 
-    /// Resumes one miner from a snapshot frame (validated by the miner
-    /// against the relation fingerprint and its config bytes) and audits
-    /// the combined result.
+    /// Resumes one miner from a snapshot frame and audits the combined
+    /// result. This is the one resume path: the frame must name the
+    /// miner's algorithm, carry the fingerprint of the session's `r̂` and
+    /// the miner's config bytes, and its payload must fit `r̂`; otherwise
+    /// it is refused before any mining.
     // the miner owns the stage account; the outcome passes through
     // unmodified; lint: allow(partial-contract)
     pub fn resume(
@@ -63,7 +66,12 @@ impl<'r> Session<'r> {
         miner: &dyn Miner,
         snap: &Snapshot,
     ) -> Result<MiningOutcome<Emitted>, SnapshotError> {
-        let outcome = miner.resume(&self.ctx, snap)?;
+        snap.validate(
+            miner.algo_id(),
+            db_fingerprint(self.ctx.db()),
+            &miner.config_bytes(),
+        )?;
+        let outcome = miner.resume(&self.ctx, &snap.payload)?;
         self.audit(&outcome.result);
         Ok(outcome)
     }
@@ -127,8 +135,10 @@ impl<'r> Session<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use depminer_govern::observe::profile::{ProfileNode, ProfileSink};
     use depminer_govern::{Budget, Obs};
     use depminer_relation::datasets;
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn unlimited_session(r: &depminer_relation::Relation) -> Session<'_> {
@@ -175,5 +185,41 @@ mod tests {
             outcome.result.exact_fds().unwrap(),
             &depminer_fdtheory::mine_minimal_fds(&r)[..]
         );
+    }
+
+    /// Instances of the span `name` anywhere under `nodes`.
+    fn span_calls(nodes: &[ProfileNode], name: &str) -> u64 {
+        nodes
+            .iter()
+            .map(|n| if n.name == name { n.calls } else { 0 } + span_calls(&n.children, name))
+            .sum()
+    }
+
+    #[test]
+    fn a_session_builds_r_hat_once() {
+        let r = datasets::enrollment();
+        let reg = MinerRegistry::standard();
+        // `preprocess` spans recorded while `drive` works one session.
+        let preprocess_spans = |drive: &dyn Fn(&Session)| {
+            let sink = Arc::new(ProfileSink::new());
+            let obs = Obs::new(sink.clone());
+            drive(&Session::new(SessionCtx::new(
+                &r,
+                Budget::unlimited(),
+                obs,
+                None,
+            )));
+            span_calls(&sink.snapshot().roots, "preprocess")
+        };
+        for entry in reg.entries().iter().filter(|e| e.governed) {
+            let spans = preprocess_spans(&|session| {
+                assert!(session.run(entry.instantiate().as_ref()).is_complete());
+            });
+            assert_eq!(spans, 1, "{}", entry.cli_name);
+        }
+        let spans = preprocess_spans(&|session| {
+            assert!(session.run_all(&reg).unwrap().is_complete());
+        });
+        assert_eq!(spans, 1, "run_all shares one r̂ across its miners");
     }
 }

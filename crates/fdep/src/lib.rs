@@ -39,7 +39,7 @@ use depminer_govern::snapshot::{Dec, Enc};
 use depminer_govern::SnapshotState;
 use depminer_relation::invariants::{audits_enabled, enforce, InvariantError};
 use depminer_relation::state::{
-    db_fingerprint, put_attrset, put_family, take_attrset, take_family,
+    all_within, check_fit, db_fingerprint, put_attrset, put_family, take_attrset, take_family,
 };
 use depminer_relation::{AttrSet, Relation, StrippedPartitionDb};
 use std::time::{Duration, Instant};
@@ -107,6 +107,22 @@ impl FdepCheckpoint {
         }
     }
 
+    /// Refuses a payload that does not fit a relation of `arity`
+    /// attributes: the negative cover must hold one list per attribute,
+    /// the inverted prefix must not run past them, and every set must
+    /// lie within the relation.
+    pub fn check_fits(&self, arity: usize) -> Result<(), SnapshotError> {
+        let sets = self.negative.iter().flatten().copied();
+        check_fit(
+            self.negative.len() == arity
+                && self.completed_attrs <= arity
+                && all_within(arity, sets.chain(self.fds.iter().map(|fd| fd.lhs)))
+                && self.fds.iter().all(|fd| fd.rhs < arity),
+            FDEP_ALGO,
+            arity,
+        )
+    }
+
     fn into_snapshot(&self, schema_hash: u64) -> Snapshot {
         Snapshot {
             algo: FDEP_ALGO.to_string(),
@@ -143,12 +159,9 @@ impl Fdep {
     /// read off the constant attributes), keeping the scan sub-quadratic
     /// on data with many distinct values.
     pub fn run(&self, r: &Relation) -> FdepResult {
-        self.run_with_token(r, &CancelToken::unlimited()).result
-    }
-
-    /// Mines under a resource [`Budget`]; see [`Fdep::run_with_token`].
-    pub fn run_governed(&self, r: &Relation, budget: &Budget) -> MiningOutcome<FdepResult> {
-        self.run_with_token(r, &budget.start())
+        let db = StrippedPartitionDb::from_relation(r);
+        self.run_db_governed(&db, &CancelToken::unlimited(), None)
+            .result
     }
 
     /// The configuration bytes stamped into snapshot frames: FDEP has no
@@ -168,41 +181,8 @@ impl Fdep {
         Ok(Fdep)
     }
 
-    /// Resume an interrupted governed run from a snapshot frame.
-    ///
-    /// Refuses loudly (no mining happens) when the frame belongs to a
-    /// different algorithm or a different relation (fingerprint). On
-    /// success the inversion restarts after the checkpoint's inverted-rhs
-    /// prefix (the negative cover is restored, not re-scanned) and the
-    /// final FD set is identical to an uninterrupted run's.
-    pub fn resume_governed(
-        &self,
-        r: &Relation,
-        snap: &Snapshot,
-        budget: &Budget,
-        obs: Obs,
-        policy: Option<SnapshotPolicy>,
-    ) -> Result<MiningOutcome<FdepResult>, SnapshotError> {
-        let db = StrippedPartitionDb::from_relation(r);
-        snap.validate(FDEP_ALGO, db_fingerprint(&db), &self.config_bytes())?;
-        let cp = FdepCheckpoint::decode_payload(&snap.payload)?;
-        if cp.negative.len() != r.arity() {
-            return Err(SnapshotError::Mismatch {
-                what: format!(
-                    "checkpoint covers {} rhs attributes, relation has {}",
-                    cp.negative.len(),
-                    r.arity()
-                ),
-            });
-        }
-        let mut token = budget.resume_from(cp.spend()).start_observed(obs);
-        if let Some(policy) = policy {
-            token = token.with_snapshots(policy);
-        }
-        Ok(self.run_resumable_with_token(r, &token, Some(cp)))
-    }
-
-    /// Mines with cooperative budget checkpoints on a caller-held token.
+    /// Mines the stripped partition database `db` with cooperative
+    /// budget checkpoints on a caller-held token.
     ///
     /// Partial-result contract: a trip during the **negative cover** scan
     /// leaves the cover unusable (a missing violation would make the
@@ -210,24 +190,21 @@ impl Fdep {
     /// carries an empty FD list. A trip during **inversion** keeps the FDs
     /// of fully inverted rhs attributes — each rhs is independent — and
     /// drops the attribute being inverted when the budget ran out.
-    pub fn run_with_token(&self, r: &Relation, token: &CancelToken) -> MiningOutcome<FdepResult> {
-        self.run_resumable_with_token(r, token, None)
-    }
-
-    /// The governed pipeline, optionally fast-forwarded past a
-    /// checkpoint's negative cover and inverted-rhs prefix.
-    fn run_resumable_with_token(
+    ///
+    /// With `resume`, a checkpoint already checked against `db`, the
+    /// inversion restarts after the checkpoint's inverted-rhs prefix (the
+    /// negative cover is restored, not re-scanned) and the final FD set is
+    /// identical to an uninterrupted run's.
+    pub fn run_db_governed(
         &self,
-        r: &Relation,
+        db: &StrippedPartitionDb,
         token: &CancelToken,
         resume: Option<FdepCheckpoint>,
     ) -> MiningOutcome<FdepResult> {
         let _pipeline_span = token.observer().span("fdep");
-        let n = r.arity();
-        let db = StrippedPartitionDb::from_relation(r);
+        let n = db.arity();
         // Frame identity, computed once when snapshots can happen.
-        let snapshot_id =
-            (token.snapshots_armed() || resume.is_some()).then(|| db_fingerprint(&db));
+        let snapshot_id = (token.snapshots_armed() || resume.is_some()).then(|| db_fingerprint(db));
 
         let mut stopped: Option<BudgetExceeded> = None;
         let (negative, cover_report, mut fds, start_attr) = if let Some(cp) = resume {
@@ -253,7 +230,7 @@ impl Fdep {
             let cover_span = token.observer().span("negative-cover");
             let before = token.couples();
             let (ag, why) =
-                mc_agree_sets_governed(&db, Parallelism::Sequential, token, Stage::NegativeCover);
+                mc_agree_sets_governed(db, Parallelism::Sequential, token, Stage::NegativeCover);
             let scanned = token.couples() - before;
             if let Some(why) = why {
                 // An incomplete negative cover poisons everything
@@ -438,6 +415,11 @@ mod tests {
     use depminer_fdtheory::mine_minimal_fds;
     use depminer_relation::datasets;
 
+    /// The governed core on `r`'s freshly built `r̂`.
+    fn governed(r: &Relation, token: &CancelToken) -> MiningOutcome<FdepResult> {
+        Fdep::new().run_db_governed(&StrippedPartitionDb::from_relation(r), token, None)
+    }
+
     #[test]
     fn employee_matches_oracle() {
         let r = datasets::employee();
@@ -519,7 +501,7 @@ mod tests {
     fn governed_unlimited_budget_is_complete_and_identical() {
         let r = datasets::employee();
         let plain = Fdep::new().run(&r);
-        let outcome = Fdep::new().run_governed(&r, &Budget::unlimited());
+        let outcome = governed(&r, &Budget::unlimited().start());
         assert!(outcome.is_complete());
         assert_eq!(outcome.result.fds, plain.fds);
         assert_eq!(
@@ -534,7 +516,7 @@ mod tests {
     fn couple_budget_trips_to_empty_partial() {
         let r = datasets::employee();
         let budget = Budget::unlimited().with_max_couples(1);
-        let outcome = Fdep::new().run_governed(&r, &budget);
+        let outcome = governed(&r, &budget.start());
         assert!(!outcome.is_complete());
         let why = outcome.interrupted.as_ref().unwrap();
         assert_eq!(why.resource, depminer_govern::Resource::Couples);
@@ -549,7 +531,7 @@ mod tests {
         let r = datasets::employee();
         let token = CancelToken::unlimited();
         token.cancel();
-        let outcome = Fdep::new().run_with_token(&r, &token);
+        let outcome = governed(&r, &token);
         assert!(!outcome.is_complete());
         assert!(outcome.result.fds.is_empty());
     }

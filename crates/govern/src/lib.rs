@@ -14,8 +14,9 @@
 //! of where mining stopped and which claims are still guaranteed.
 //!
 //! The token is cheap by design: the hot check is one relaxed atomic
-//! load, so the governed code path costs the ungoverned one well under
-//! the 2% overhead target (see `BENCH_govern.json`).
+//! load. `BENCH_overhead.json` measures what the governed code path
+//! costs over the ungoverned one against a 2% target (its `governed`
+//! overhead).
 //!
 //! With the `faults` feature, tokens can carry a deterministic
 //! [`faults::FaultPlan`] that injects a cancellation, a worker panic, or

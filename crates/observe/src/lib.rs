@@ -9,9 +9,9 @@
 //! Three sinks implement the [`Observer`] trait:
 //!
 //! * [`NullSink`] — every event short-circuits before a clock read; the
-//!   default [`Obs::none`] handle costs one branch per call site, so
-//!   uninstrumented runs stay within the <1% overhead target
-//!   (`BENCH_observe.json`).
+//!   default [`Obs::none`] handle costs one branch per call site.
+//!   `BENCH_overhead.json` measures the sink against a <1% overhead
+//!   target (its `null_observer` overhead).
 //! * [`profile::ProfileSink`] — an in-memory span tree aggregating calls
 //!   by name under their parent, with per-node call counts, total time,
 //!   and distinct-thread counts. Snapshots export to JSON
@@ -163,7 +163,7 @@ pub enum Counter {
     /// Checkpoint snapshot frames persisted by the `govern` snapshot
     /// policy (due boundary writes, forced writes, and on-trip flushes).
     SnapshotsWritten,
-    /// Lattice levels / stages / rhs attributes a `resume_governed` run
+    /// Lattice levels / stages / rhs attributes a resumed run
     /// skipped because a snapshot already covered them.
     ResumeLevelsSkipped,
 }
@@ -250,8 +250,8 @@ pub trait Observer: Send + Sync {
 
 /// The sink that records nothing. [`Observer::is_enabled`] is `false`,
 /// so the [`Obs`] handle short-circuits every event before a clock read
-/// — attaching this sink measures the pure plumbing overhead
-/// (`observe_overhead` bench).
+/// — attaching this sink measures the pure plumbing overhead (the
+/// `overhead` bench's `null_observer` configuration).
 #[derive(Debug, Default)]
 pub struct NullSink;
 

@@ -9,6 +9,7 @@
 //! a composition of these plus its own counters (DESIGN.md §12).
 
 use depminer_govern::snapshot::{Dec, DecodeError, Enc};
+use depminer_govern::SnapshotError;
 
 use crate::attrset::AttrSet;
 use crate::spdb::StrippedPartitionDb;
@@ -171,6 +172,27 @@ pub fn db_fingerprint(db: &StrippedPartitionDb) -> u64 {
         h = mix_words(h, p.rows());
     }
     h
+}
+
+/// Refuses a restored payload that does not fit the relation it resumes
+/// on. A frame's CRC and fingerprint vouch for its bytes and its input,
+/// not for the shape of the state its payload claims, so every
+/// checkpoint is checked against `r̂` before any mining: `fits` is the
+/// verdict on `algo`'s payload for a relation of `arity` attributes.
+pub fn check_fit(fits: bool, algo: &str, arity: usize) -> Result<(), SnapshotError> {
+    if fits {
+        Ok(())
+    } else {
+        Err(SnapshotError::Mismatch {
+            what: format!("the {algo} checkpoint does not fit a relation of {arity} attributes"),
+        })
+    }
+}
+
+/// `true` when every set lies within the attributes `0..arity`.
+pub fn all_within(arity: usize, sets: impl IntoIterator<Item = AttrSet>) -> bool {
+    let universe = AttrSet::full(arity);
+    sets.into_iter().all(|s| s.is_subset_of(universe))
 }
 
 #[cfg(test)]

@@ -22,12 +22,12 @@
 use depminer_fdtheory::{normalize_fds, Fd};
 use depminer_govern::snapshot::{Dec, Enc, Snapshot};
 use depminer_govern::{
-    Budget, BudgetExceeded, CancelToken, Counter, MiningOutcome, Obs, SnapshotError,
-    SnapshotPolicy, SnapshotState, Stage, StageReport,
+    BudgetExceeded, CancelToken, Counter, MiningOutcome, SnapshotError, SnapshotState, Stage,
+    StageReport,
 };
 use depminer_relation::state::{
-    db_fingerprint, put_attrset, put_attrset_vec, put_family, take_attrset, take_attrset_vec,
-    take_family,
+    all_within, check_fit, db_fingerprint, put_attrset, put_attrset_vec, put_family, take_attrset,
+    take_attrset_vec, take_family,
 };
 use depminer_relation::{
     AttrSet, FlatPartition, FxHashMap, FxHashSet, PartitionArena, Relation, StrippedPartitionDb,
@@ -282,6 +282,28 @@ impl ApproxCheckpoint {
         }
     }
 
+    /// Refuses a payload that does not fit a relation of `arity`
+    /// attributes: `found` must hold one list per attribute, at most
+    /// `arity` levels can be complete, every set must lie within the
+    /// relation, and every frontier set must have `completed_levels + 1`
+    /// attributes.
+    pub fn check_fits(&self, arity: usize) -> Result<(), SnapshotError> {
+        let sets = self.frontier.iter().chain(self.found.iter().flatten());
+        let sets = sets.copied().chain(self.out.iter().map(|afd| afd.fd.lhs));
+        check_fit(
+            self.found.len() == arity
+                && self.completed_levels <= arity
+                && all_within(arity, sets)
+                && self.out.iter().all(|afd| afd.fd.rhs < arity)
+                && self
+                    .frontier
+                    .iter()
+                    .all(|x| x.len() == self.completed_levels + 1),
+            TANE_APPROX_ALGO,
+            arity,
+        )
+    }
+
     fn into_snapshot(&self, schema_hash: u64, config: Vec<u8>) -> Snapshot {
         Snapshot {
             algo: TANE_APPROX_ALGO.to_string(),
@@ -309,40 +331,6 @@ pub fn epsilon_from_config_bytes(config: &[u8]) -> Result<f64, SnapshotError> {
     Ok(epsilon)
 }
 
-/// Resume an interrupted [`approximate_fds_governed`] run from a
-/// snapshot frame.
-///
-/// Refuses loudly when the frame belongs to a different algorithm, a
-/// different relation (fingerprint), or a different `epsilon`. On
-/// success the walk restarts at the checkpoint's frontier and the final
-/// FD set is identical to an uninterrupted run's.
-pub fn resume_approximate_fds_governed(
-    r: &Relation,
-    epsilon: f64,
-    snap: &Snapshot,
-    budget: &Budget,
-    obs: Obs,
-    policy: Option<SnapshotPolicy>,
-) -> Result<MiningOutcome<Vec<ApproxFd>>, SnapshotError> {
-    let db = StrippedPartitionDb::from_relation(r);
-    snap.validate(
-        TANE_APPROX_ALGO,
-        db_fingerprint(&db),
-        &approx_config_bytes(epsilon),
-    )?;
-    let cp = ApproxCheckpoint::decode_payload(&snap.payload)?;
-    let mut token = budget.resume_from(cp.spend()).start_observed(obs);
-    if let Some(policy) = policy {
-        token = token.with_snapshots(policy);
-    }
-    Ok(approximate_fds_resumable_with_token(
-        r,
-        epsilon,
-        &token,
-        Some(cp),
-    ))
-}
-
 /// Discovers all minimal approximate FDs with `g₃ ≤ epsilon`.
 ///
 /// Minimality is with respect to the *approximate* validity: `X → A` is
@@ -352,29 +340,26 @@ pub fn resume_approximate_fds_governed(
 /// Levelwise search with per-rhs subset pruning (sound by anti-monotonicity
 /// of `g₃`); partitions are built by pairwise products as in TANE.
 pub fn approximate_fds(r: &Relation, epsilon: f64) -> Vec<ApproxFd> {
-    approximate_fds_governed(r, epsilon, &CancelToken::unlimited()).result
+    let db = StrippedPartitionDb::from_relation(r);
+    approximate_fds_governed(r, &db, epsilon, &CancelToken::unlimited(), None).result
 }
 
-/// [`approximate_fds`] under a live [`CancelToken`]: level depth and
-/// width are charged to the budget at each level boundary, and the token
-/// is polled before every partition product.
+/// [`approximate_fds`] on `r`'s stripped partition database `db` under a
+/// live [`CancelToken`]. `r` supplies the rhs column codes `g₃` counts
+/// from. Level depth and width are charged to the budget at each level
+/// boundary, and the token is polled before every partition product.
 ///
 /// On a trip the reported list is a valid *subset* of the minimal
 /// approximate FDs: every entry's `g₃` was computed in full and its
 /// minimality depends only on completed earlier levels — what is missing
 /// are FDs with longer left-hand sides.
+///
+/// With `resume`, a checkpoint already checked against `db`, the walk
+/// restarts at the checkpoint's frontier and the final FD set is
+/// identical to an uninterrupted run's.
 pub fn approximate_fds_governed(
     r: &Relation,
-    epsilon: f64,
-    token: &CancelToken,
-) -> MiningOutcome<Vec<ApproxFd>> {
-    approximate_fds_resumable_with_token(r, epsilon, token, None)
-}
-
-/// The governed levelwise walk, optionally fast-forwarded to a
-/// checkpoint's frontier.
-fn approximate_fds_resumable_with_token(
-    r: &Relation,
+    db: &StrippedPartitionDb,
     epsilon: f64,
     token: &CancelToken,
     resume: Option<ApproxCheckpoint>,
@@ -383,7 +368,6 @@ fn approximate_fds_resumable_with_token(
     let t0 = Instant::now();
     let stage = Stage::ApproxLevels;
     let _span = token.observer().span("approx-levels");
-    let db = StrippedPartitionDb::from_relation(r);
     let n = db.arity();
     let n_rows = db.n_rows();
     let mut out: Vec<ApproxFd> = Vec::new();
@@ -394,7 +378,7 @@ fn approximate_fds_resumable_with_token(
 
     // Frame identity, computed once when snapshots can happen.
     let snapshot_id = (token.snapshots_armed() || resume.is_some())
-        .then(|| (db_fingerprint(&db), approx_config_bytes(epsilon)));
+        .then(|| (db_fingerprint(db), approx_config_bytes(epsilon)));
 
     // found[a]: minimal approximate lhs discovered so far for rhs a —
     // arity outer entries of short lists; lint: allow(nested-alloc)
@@ -405,7 +389,7 @@ fn approximate_fds_resumable_with_token(
     // Level 1 borrows the singleton partitions straight from the
     // database; later levels' products are owned, charged to the token's
     // memory account when inserted and released at the level swap.
-    let mut parts = LevelCache::seed(&db);
+    let mut parts = LevelCache::seed(db);
     let mut l = 1usize;
     let mut completed = 0usize;
     let mut stopped: Option<BudgetExceeded> = None;
@@ -964,8 +948,9 @@ mod tests {
         use depminer_govern::{Budget, Resource};
         let r = datasets::enrollment();
         let full = approximate_fds(&r, 0.1);
-        let outcome =
-            approximate_fds_governed(&r, 0.1, &Budget::unlimited().with_max_level(1).start());
+        let db = StrippedPartitionDb::from_relation(&r);
+        let token = Budget::unlimited().with_max_level(1).start();
+        let outcome = approximate_fds_governed(&r, &db, 0.1, &token, None);
         assert!(!outcome.is_complete() || full == outcome.result);
         for afd in &outcome.result {
             assert!(
@@ -979,7 +964,7 @@ mod tests {
             assert_eq!(why.resource, Resource::LatticeLevel);
         }
         // Unlimited budget reproduces the plain run.
-        let complete = approximate_fds_governed(&r, 0.1, &CancelToken::unlimited());
+        let complete = approximate_fds_governed(&r, &db, 0.1, &CancelToken::unlimited(), None);
         assert!(complete.is_complete());
         assert_eq!(complete.result, full);
     }
@@ -996,6 +981,7 @@ mod tests {
         .generate()
         .unwrap();
         let full = approximate_fds(&r, 0.0);
+        let db = StrippedPartitionDb::from_relation(&r);
         // Growing caps trip at every point of the walk — on the first
         // owned partition, part-way through a next level, with a whole
         // level held — until one fits. Each partial is a subset of the
@@ -1004,7 +990,7 @@ mod tests {
         let mut fits = false;
         for cap in (1..=1000).map(|k| 32 * k) {
             let token = Budget::unlimited().with_max_memory_bytes(cap).start();
-            let outcome = approximate_fds_governed(&r, 0.0, &token);
+            let outcome = approximate_fds_governed(&r, &db, 0.0, &token, None);
             assert_eq!(token.memory_bytes(), 0, "cap {cap}");
             assert!(outcome.result.iter().all(|afd| full.contains(afd)));
             if let Some(why) = &outcome.interrupted {

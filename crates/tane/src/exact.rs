@@ -14,11 +14,13 @@
 use depminer_fdtheory::{normalize_fds, Fd};
 use depminer_govern::snapshot::{Dec, Enc, Snapshot};
 use depminer_govern::{
-    Budget, BudgetExceeded, CancelToken, Counter, MiningOutcome, Obs, SnapshotError,
-    SnapshotPolicy, SnapshotState, Stage, StageReport,
+    BudgetExceeded, CancelToken, Counter, MiningOutcome, SnapshotError, SnapshotState, Stage,
+    StageReport,
 };
 use depminer_parallel::{par_chunks_governed, par_map, par_map_governed, Parallelism};
-use depminer_relation::state::{db_fingerprint, put_attrset, put_attrset_vec, take_attrset};
+use depminer_relation::state::{
+    all_within, check_fit, db_fingerprint, put_attrset, put_attrset_vec, take_attrset,
+};
 use depminer_relation::{
     AttrSet, FlatPartition, FxHashMap, FxHashSet, PartitionArena, Relation, Schema,
     StrippedPartitionDb,
@@ -167,6 +169,33 @@ impl TaneCheckpoint {
         }
     }
 
+    /// Refuses a payload that does not fit a relation of `arity`
+    /// attributes: at most `arity` levels can be complete, every set must
+    /// lie within the relation, every frontier set must have
+    /// `completed_levels + 1` attributes, and every non-empty `x∖{a}` of a
+    /// frontier set `x` must carry its C⁺ and its partition error, which
+    /// the next level reads.
+    pub fn check_fits(&self, arity: usize) -> Result<(), SnapshotError> {
+        let sets = self.frontier.iter().copied();
+        let sets = sets.chain(self.prev_errs.iter().map(|&(x, _)| x));
+        let sets = sets.chain(self.cplus.iter().flat_map(|&(x, c)| [x, c]));
+        let sets = sets.chain(self.fds.iter().map(|fd| fd.lhs));
+        let cplus: FxHashSet<AttrSet> = self.cplus.iter().map(|&(x, _)| x).collect();
+        let errs: FxHashSet<AttrSet> = self.prev_errs.iter().map(|&(x, _)| x).collect();
+        let restored = |y: AttrSet| y.is_empty() || (cplus.contains(&y) && errs.contains(&y));
+        check_fit(
+            self.completed_levels <= arity
+                && all_within(arity, sets)
+                && self.fds.iter().all(|fd| fd.rhs < arity)
+                && self
+                    .frontier
+                    .iter()
+                    .all(|x| x.len() == self.completed_levels + 1 && x.drop_one().all(restored)),
+            TANE_ALGO,
+            arity,
+        )
+    }
+
     fn into_snapshot(&self, schema_hash: u64, config: Vec<u8>) -> Snapshot {
         Snapshot {
             algo: TANE_ALGO.to_string(),
@@ -256,27 +285,10 @@ impl Tane {
         self.run_db(&db)
     }
 
-    /// Mines from a pre-computed stripped partition database.
+    /// Mines from a pre-computed stripped partition database, ungoverned.
     pub fn run_db(&self, db: &StrippedPartitionDb) -> TaneResult {
-        self.run_db_governed(db, &CancelToken::unlimited()).result
-    }
-
-    /// [`Tane::run`] under a resource [`Budget`].
-    ///
-    /// On a trip the level walk stops at the nearest clean boundary and
-    /// the outcome is partial: every FD already emitted was validated
-    /// against fully-computed previous-level partitions and candidate
-    /// sets, so the claimed list is exact (each FD holds with a minimal
-    /// lhs) — what is missing are dependencies with *longer* left-hand
-    /// sides that deeper levels would have found.
-    pub fn run_governed(&self, r: &Relation, budget: &Budget) -> MiningOutcome<TaneResult> {
-        self.run_with_token(r, &budget.start())
-    }
-
-    /// [`Tane::run_governed`] with a caller-supplied token.
-    pub fn run_with_token(&self, r: &Relation, token: &CancelToken) -> MiningOutcome<TaneResult> {
-        let db = StrippedPartitionDb::from_relation_with(r, self.parallelism);
-        self.run_db_governed(&db, token)
+        self.run_db_governed(db, &CancelToken::unlimited(), None)
+            .result
     }
 
     /// The configuration bytes stamped into snapshot frames: the two
@@ -302,45 +314,21 @@ impl Tane {
         })
     }
 
-    /// Resume an interrupted governed run from a snapshot frame.
+    /// The governed level walk on a stripped partition database under a
+    /// live [`CancelToken`].
     ///
-    /// Refuses loudly (no mining happens) when the frame belongs to a
-    /// different algorithm, a different relation (fingerprint), or a
-    /// different pruning configuration. On success the walk restarts at
-    /// the checkpoint's frontier — completed levels are skipped, their
-    /// partitions rebuilt from the singleton database — and the final FD
-    /// set is identical to an uninterrupted run's.
-    pub fn resume_governed(
-        &self,
-        r: &Relation,
-        snap: &Snapshot,
-        budget: &Budget,
-        obs: Obs,
-        policy: Option<SnapshotPolicy>,
-    ) -> Result<MiningOutcome<TaneResult>, SnapshotError> {
-        let db = StrippedPartitionDb::from_relation_with(r, self.parallelism);
-        snap.validate(TANE_ALGO, db_fingerprint(&db), &self.config_bytes())?;
-        let cp = TaneCheckpoint::decode_payload(&snap.payload)?;
-        let mut token = budget.resume_from(cp.spend()).start_observed(obs);
-        if let Some(policy) = policy {
-            token = token.with_snapshots(policy);
-        }
-        Ok(self.run_db_resumable_with_token(&db, &token, Some(cp)))
-    }
-
-    /// [`Tane::run_db`] under a live [`CancelToken`]. See
-    /// [`Tane::run_governed`] for the partial-result contract.
+    /// On a trip the level walk stops at the nearest clean boundary and
+    /// the outcome is partial: every FD already emitted was validated
+    /// against fully-computed previous-level partitions and candidate
+    /// sets, so the claimed list is exact (each FD holds with a minimal
+    /// lhs) — what is missing are dependencies with *longer* left-hand
+    /// sides that deeper levels would have found.
+    ///
+    /// With `resume`, a checkpoint already checked against `db`, the walk
+    /// restarts at the checkpoint's frontier: completed levels are
+    /// skipped, their partitions rebuilt from the singleton database, and
+    /// the final FD set is identical to an uninterrupted run's.
     pub fn run_db_governed(
-        &self,
-        db: &StrippedPartitionDb,
-        token: &CancelToken,
-    ) -> MiningOutcome<TaneResult> {
-        self.run_db_resumable_with_token(db, token, None)
-    }
-
-    /// The governed level walk, optionally fast-forwarded to a
-    /// checkpoint's frontier.
-    fn run_db_resumable_with_token(
         &self,
         db: &StrippedPartitionDb,
         token: &CancelToken,
@@ -914,10 +902,16 @@ fn generate_next<'db>(
 mod tests {
     use super::*;
     use depminer_fdtheory::mine_minimal_fds;
+    use depminer_govern::Budget;
     use depminer_relation::datasets;
 
     fn s(v: &[usize]) -> AttrSet {
         AttrSet::from_indices(v.iter().copied())
+    }
+
+    /// The governed core on `r`'s freshly built `r̂`.
+    fn governed(tane: &Tane, r: &Relation, token: &CancelToken) -> MiningOutcome<TaneResult> {
+        tane.run_db_governed(&StrippedPartitionDb::from_relation(r), token, None)
     }
 
     #[test]
@@ -1027,7 +1021,7 @@ mod tests {
     #[test]
     fn governed_unlimited_budget_matches_plain_run() {
         let r = datasets::employee();
-        let outcome = Tane::new().run_governed(&r, &Budget::unlimited());
+        let outcome = governed(&Tane::new(), &r, &Budget::unlimited().start());
         assert!(outcome.is_complete());
         assert_eq!(outcome.result.fds, Tane::new().run(&r).fds);
         assert!(outcome.stages[0].completed);
@@ -1042,7 +1036,7 @@ mod tests {
         // must be a subset of the minimal cover.
         for max_level in 1..=3 {
             let budget = depminer_govern::Budget::unlimited().with_max_level(max_level);
-            let outcome = Tane::new().run_governed(&r, &budget);
+            let outcome = governed(&Tane::new(), &r, &budget.start());
             for fd in &outcome.result.fds {
                 assert!(
                     full.fds.contains(fd),
@@ -1059,8 +1053,8 @@ mod tests {
             }
         }
         // A budget deep enough for the whole lattice is complete.
-        let outcome =
-            Tane::new().run_governed(&r, &depminer_govern::Budget::unlimited().with_max_level(16));
+        let budget = Budget::unlimited().with_max_level(16);
+        let outcome = governed(&Tane::new(), &r, &budget.start());
         assert!(outcome.is_complete());
         assert_eq!(outcome.result.fds, full.fds);
     }
@@ -1086,7 +1080,7 @@ mod tests {
             let mut fits = false;
             for cap in (1..=1000).map(|k| 32 * k) {
                 let token = Budget::unlimited().with_max_memory_bytes(cap).start();
-                let outcome = tane.run_with_token(&r, &token);
+                let outcome = governed(&tane, &r, &token);
                 assert_eq!(token.memory_bytes(), 0, "{par:?} cap {cap}");
                 assert!(outcome.result.fds.iter().all(|fd| full.contains(fd)));
                 if let Some(why) = &outcome.interrupted {
@@ -1112,7 +1106,7 @@ mod tests {
         let r = datasets::enrollment();
         let token = CancelToken::unlimited();
         token.cancel();
-        let outcome = Tane::new().run_with_token(&r, &token);
+        let outcome = governed(&Tane::new(), &r, &token);
         assert!(!outcome.is_complete());
         assert!(outcome.result.fds.is_empty());
         assert_eq!(outcome.stages[0].processed, 0);

@@ -36,7 +36,7 @@ pub mod exact;
 pub use approx::{
     approx_config_bytes, approximate_fds, approximate_fds_brute, approximate_fds_governed,
     epsilon_from_config_bytes, g1_error, g1_error_of, g2_error, g2_error_of, g3_error, g3_error_of,
-    resume_approximate_fds_governed, ApproxCheckpoint, ApproxFd, TANE_APPROX_ALGO,
+    ApproxCheckpoint, ApproxFd, TANE_APPROX_ALGO,
 };
 pub use armstrong_ext::{max_sets_from_fds, max_union_from_fds};
 pub use depminer_govern::{

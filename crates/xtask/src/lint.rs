@@ -2,7 +2,7 @@
 //! workspace's own sources, built on the lossless [`crate::lexer`] and
 //! the [`crate::flow`] block/flow analyzer.
 //!
-//! Fifteen project-specific rules (see DESIGN.md §7.1):
+//! Fourteen project-specific rules (see DESIGN.md §7.1):
 //!
 //! | rule                  | level | what it flags                                          |
 //! |-----------------------|-------|--------------------------------------------------------|
@@ -15,7 +15,6 @@
 //! | `unchecked-loop`      | line  | lattice `while`/`loop` with no budget checkpoint at all |
 //! | `nested-alloc`        | line  | `Vec<Vec<…>>` in the flat-layout hot-path modules      |
 //! | `raw-snapshot-write`  | line  | snapshot-zone file writes bypassing the atomic helper  |
-//! | `engine-bypass`       | line  | CLI/bench code calling a concrete miner's governed entry points instead of `Session`/`MinerRegistry` |
 //! | `par-closure-capture` | flow  | `&mut` upvars / interior mutability / captured-binding mutation in `par_map`-family closures |
 //! | `budget-coverage`     | flow  | lattice loop polling a checkpoint on some paths but not all |
 //! | `safety-comment`      | flow  | `unsafe` without an adjacent `// SAFETY:` justification |
@@ -45,7 +44,7 @@ use crate::rules;
 use std::fmt;
 
 /// Every lint rule's machine name, in reporting order.
-pub const RULES: [&str; 15] = [
+pub const RULES: [&str; 14] = [
     "no-panic",
     "default-hasher",
     "unordered-iter",
@@ -55,7 +54,6 @@ pub const RULES: [&str; 15] = [
     "unchecked-loop",
     "nested-alloc",
     "raw-snapshot-write",
-    "engine-bypass",
     "par-closure-capture",
     "budget-coverage",
     "safety-comment",
@@ -283,7 +281,6 @@ pub fn lint_file(path: &str, source: &str) -> Vec<Diagnostic> {
         rules::lines::check_unchecked_loop(path, &lines, &in_test, &mut out);
         rules::lines::check_nested_alloc(path, &lines, &in_test, &mut out);
         rules::lines::check_raw_snapshot_write(path, &lines, &in_test, &mut out);
-        rules::lines::check_engine_bypass(path, &lines, &in_test, &mut out);
 
         let sig = crate::flow::significant(source);
         let tree = crate::flow::parse(&sig);
@@ -600,63 +597,6 @@ mod tests {
         // Test modules are exempt.
         let test_mod = lint_snap(
             "#[cfg(test)]\nmod tests {\n    fn t(p: &std::path::Path) {\n        let _ = fs::write(p, b\"x\");\n    }\n}\n",
-        );
-        assert!(test_mod.is_empty(), "{test_mod:?}");
-    }
-
-    const ENGINE: &str = "src/cli.rs";
-
-    fn lint_engine(body: &str) -> Vec<Diagnostic> {
-        lint_file(ENGINE, &format!("{HEADER}{body}"))
-    }
-
-    #[test]
-    fn engine_bypass_flags_direct_miner_entry_points() {
-        let diags = lint_engine(
-            "fn f(r: &Relation, budget: &Budget, token: &CancelToken) {\n    let a = DepMiner::new().mine_governed(r, budget);\n    let b = Tane::new().run_with_token(r, token);\n    let c = approximate_fds_governed(r, 0.05, token);\n    let _ = (a, b, c);\n}\n",
-        );
-        assert_eq!(
-            rules(&diags),
-            ["engine-bypass", "engine-bypass", "engine-bypass"],
-            "{diags:?}"
-        );
-        assert_eq!(diags[0].line, 3);
-        assert!(diags[0].message.contains("mine_governed"));
-        assert!(diags[0].message.contains("MinerRegistry"));
-        assert_eq!(diags[2].line, 5);
-    }
-
-    #[test]
-    fn engine_bypass_ignores_session_dispatch_and_plain_mine() {
-        // The blessed path — and the ungoverned `mine`/`run` spellings the
-        // report/keys commands use — stay silent.
-        let diags = lint_engine(
-            "fn f(r: &Relation) {\n    let session = Session::new(SessionCtx::new(r, Budget::unlimited(), Obs::none(), None));\n    let outcome = session.run(entry.instantiate().as_ref());\n    let direct = DepMiner::new().mine(r);\n    let _ = (outcome, direct);\n}\n",
-        );
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn engine_bypass_scope_and_escape_hatch() {
-        let body = "fn f(r: &Relation, budget: &Budget) {\n    let _ = Tane::new().run_governed(r, budget);\n}\n";
-        // Library crates implement the entry points; the rule only
-        // polices the engine-facing zone.
-        let lib = lint_file("crates/tane/src/lib.rs", &format!("{HEADER}{body}"));
-        assert!(lib.is_empty(), "{lib:?}");
-        // Bench bins are in the zone…
-        let bench = lint_file(
-            "crates/bench/src/bin/govern_overhead.rs",
-            &format!("{HEADER}{body}"),
-        );
-        assert_eq!(rules(&bench), ["engine-bypass"], "{bench:?}");
-        // …but a justified baseline carries the marker.
-        let allowed = lint_engine(
-            "fn f(r: &Relation, budget: &Budget) {\n    // direct-call baseline; lint: allow(engine-bypass)\n    let _ = Tane::new().run_governed(r, budget);\n}\n",
-        );
-        assert!(allowed.is_empty(), "{allowed:?}");
-        // Test modules are exempt.
-        let test_mod = lint_engine(
-            "#[cfg(test)]\nmod tests {\n    fn t(r: &Relation, b: &Budget) {\n        let _ = Tane::new().run_governed(r, b);\n    }\n}\n",
         );
         assert!(test_mod.is_empty(), "{test_mod:?}");
     }

@@ -25,11 +25,6 @@ pub enum Zone {
     /// the atomic tmp+fsync+rename helper so a crash can never leave a
     /// torn frame at the final path.
     SnapshotZone,
-    /// Engine-facing code (the CLI, its binaries, and the bench bins):
-    /// mining must dispatch through the `depminer-engine`
-    /// `Session`/`MinerRegistry` layer, not call a concrete miner's
-    /// governed entry points directly.
-    EngineZone,
 }
 
 /// How one map entry matches a workspace-relative path (normalized to
@@ -81,9 +76,6 @@ pub const MODULE_MAP: &[(Matcher, Zone)] = &[
         Matcher::Suffix("crates/govern/src/snapshot.rs"),
         Zone::SnapshotZone,
     ),
-    (Matcher::Suffix("src/cli.rs"), Zone::EngineZone),
-    (Matcher::Subpath("src/bin/"), Zone::EngineZone),
-    (Matcher::Subpath("crates/bench/src/"), Zone::EngineZone),
 ];
 
 /// `true` when `path` falls in `zone` according to [`MODULE_MAP`].
@@ -173,23 +165,5 @@ mod tests {
         ));
         assert!(!in_zone("crates/govern/src/lib.rs", Zone::SnapshotZone));
         assert!(!in_zone("src/cli.rs", Zone::SnapshotZone));
-    }
-
-    #[test]
-    fn engine_zone_covers_cli_bins_and_bench() {
-        for p in [
-            "src/cli.rs",
-            "src/bin/depminer.rs",
-            "crates/bench/src/bin/resume_overhead.rs",
-            "crates/bench/src/lib.rs",
-            "/abs/checkout/src/cli.rs",
-        ] {
-            assert!(in_zone(p, Zone::EngineZone), "{p}");
-        }
-        // Library crates (including the engine itself) stay out: they
-        // *implement* the entry points the zone polices.
-        assert!(!in_zone("crates/engine/src/session.rs", Zone::EngineZone));
-        assert!(!in_zone("crates/core/src/lib.rs", Zone::EngineZone));
-        assert!(!in_zone("src/lib.rs", Zone::EngineZone));
     }
 }

@@ -384,58 +384,6 @@ pub fn check_nested_alloc(
     }
 }
 
-/// The governed mining entry points a concrete miner exposes. Calling
-/// any of them from engine-facing code bypasses the `Session` driver
-/// (shared interrupted/partial reporting, invariant audit, snapshot
-/// routing), which is exactly the duplication the engine layer removed.
-const ENGINE_ENTRY_TOKENS: [&str; 9] = [
-    "mine_governed",
-    "mine_with_token",
-    "mine_db_governed",
-    "run_governed",
-    "run_with_token",
-    "run_db_governed",
-    "resume_governed",
-    "approximate_fds_governed",
-    "resume_approximate_fds_governed",
-];
-
-/// Rule `engine-bypass`: in engine-facing code ([`Zone::EngineZone`] —
-/// the CLI, its binaries, and the bench bins) mining goes through the
-/// `depminer-engine` `Session`/`MinerRegistry` layer. A direct call to
-/// a concrete miner's governed entry point re-grows the per-command
-/// plumbing (interrupted reporting, audits, snapshot routing) the
-/// engine centralizes. Deliberate baselines — e.g. a bench measuring
-/// the dispatch overhead *against* the direct call — carry a
-/// `// lint: allow(engine-bypass)` marker saying so.
-pub fn check_engine_bypass(
-    path: &str,
-    lines: &[ScrubbedLine],
-    in_test: &[bool],
-    out: &mut Vec<Diagnostic>,
-) {
-    if !in_zone(path, Zone::EngineZone) {
-        return;
-    }
-    for (idx, line) in lines.iter().enumerate() {
-        if in_test[idx] || allowed(lines, idx, "engine-bypass") {
-            continue;
-        }
-        for token in ENGINE_ENTRY_TOKENS {
-            if has_token(&line.code, token) {
-                out.push(Diagnostic {
-                    path: path.to_string(),
-                    line: idx + 1,
-                    rule: "engine-bypass",
-                    message: format!(
-                        "`{token}` called on a concrete miner in engine-facing code; dispatch through `Session`/`MinerRegistry` (depminer-engine), or justify a deliberate baseline with `// lint: allow(engine-bypass)`"
-                    ),
-                });
-            }
-        }
-    }
-}
-
 /// Rule `header-hygiene`: every `lib.rs` must carry
 /// `#![warn(missing_docs)]` (or the stricter `#![deny(warnings)]`) near
 /// the top, so undocumented public items fail `cargo test` under the

@@ -60,8 +60,6 @@ const LATTICE_PATH: &str = "crates/tane/src/exact.rs";
 const HOT_PATH: &str = "crates/relation/src/spdb.rs";
 /// Raw-snapshot-write only applies inside the snapshot zone.
 const SNAPSHOT_PATH: &str = "crates/govern/src/snapshot.rs";
-/// Engine-bypass only applies to the CLI, its binaries, and bench bins.
-const ENGINE_PATH: &str = "src/cli.rs";
 
 #[test]
 fn par_closure_capture_golden() {
@@ -81,11 +79,6 @@ fn nested_alloc_golden() {
 #[test]
 fn raw_snapshot_write_golden() {
     check_rule("raw-snapshot-write", SNAPSHOT_PATH, &[5, 9, 13, 17]);
-}
-
-#[test]
-fn engine_bypass_golden() {
-    check_rule("engine-bypass", ENGINE_PATH, &[5, 9, 13, 17]);
 }
 
 #[test]

@@ -497,6 +497,8 @@ fn cmd_fds(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             _ => return Err(usage_err(format!("unknown --algo: {algo}"))),
         }
     };
+    // r̂ lives in the session: free it before the FD text renders.
+    drop(session);
     let header = format!(
         "# {} minimal non-trivial FDs in {file} ({} tuples, {} attributes), algo = {algo}{}",
         outcome.result.len(),
@@ -614,6 +616,7 @@ fn cmd_resume(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let outcome = session
         .resume(miner.as_ref(), &snap)
         .map_err(snapshot_err)?;
+    drop(session);
     let header = match &outcome.result {
         Emitted::ApproxFds { epsilon, .. } => format!(
             "# resumed {algo} from {}: {} minimal approximate FDs with g3 <= {epsilon}{}",
@@ -638,15 +641,14 @@ fn cmd_armstrong(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let io = |e: std::io::Error| run_err(format!("write failed: {e}"));
     let r = load(args.single_file()?)?;
     // One token spans mining AND generation so --timeout bounds the whole
-    // command; a trip in either half exits with code 3.
-    let token = match budget_from_args(args)? {
-        Some(budget) => budget.start(),
-        None => depminer_govern::CancelToken::unlimited(),
-    };
-    // armstrong needs the full MiningResult (max sets feed the
-    // generator), which the engine's Emitted deliberately elides.
-    // lint: allow(engine-bypass)
-    let outcome = DepMiner::new().mine_with_token(&r, &token);
+    // command; a trip in either half exits with code 3. The generator
+    // needs the full MiningResult (its max sets), which the engine's
+    // Emitted elides, so Dep-Miner's core runs on the session's r̂.
+    let budget = budget_from_args(args)?.unwrap_or_else(Budget::unlimited);
+    let session = Session::new(SessionCtx::new(&r, budget, Obs::none(), None));
+    let token = session.ctx().token().clone();
+    let outcome = DepMiner::new().mine_db_governed(session.ctx().db(), &token, None);
+    drop(session);
     if let Some(why) = outcome.interrupted.clone() {
         writeln!(
             out,
@@ -723,6 +725,7 @@ fn cmd_approx(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         policy,
     ));
     let outcome = session.run(&ApproxMiner { epsilon });
+    drop(session);
     let header = format!(
         "# {} minimal approximate FDs with g3 <= {epsilon}{}",
         outcome.result.len(),

@@ -9,18 +9,22 @@
 //! poisoned pool, or a silently wrong FD set. Partial Dep-Miner results
 //! must pass `MiningResult::audit_claimed_fds` on the subset they claim;
 //! partial TANE / approx results must be subsets of the fault-free cover.
+//! Faulted runs call each miner's governed core on a token carrying the
+//! fault plan; resumes go through the engine's one resume path,
+//! `Session::resume`.
 
 #![cfg(feature = "faults")]
 
 use depminer::depminer::{AgreeSetStrategy, DepMiner, TransversalEngine};
+use depminer::engine::{ApproxMiner, Emitted, Miner, Session, SessionCtx};
 use depminer::fdep::Fdep;
 use depminer::govern::faults::{FaultKind, FaultPlan};
 use depminer::govern::snapshot::read_snapshot;
-use depminer::govern::{Budget, Obs, Resource, SnapshotError, SnapshotPolicy};
-use depminer::relation::{Prng, Relation, SyntheticConfig};
-use depminer::tane::{
-    approximate_fds, approximate_fds_governed, resume_approximate_fds_governed, Tane,
+use depminer::govern::{
+    Budget, MiningOutcome, Obs, Resource, Snapshot, SnapshotError, SnapshotPolicy,
 };
+use depminer::relation::{Prng, Relation, StrippedPartitionDb, SyntheticConfig};
+use depminer::tane::{approximate_fds, approximate_fds_governed, Tane};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
@@ -35,6 +39,20 @@ fn workload() -> Relation {
     }
     .generate()
     .expect("valid synthetic config")
+}
+
+/// Resumes `miner` from `snap` through a fault-free, unlimited session.
+fn resume(
+    r: &Relation,
+    miner: &dyn Miner,
+    snap: &Snapshot,
+) -> Result<MiningOutcome<Emitted>, SnapshotError> {
+    Session::new(SessionCtx::new(r, Budget::unlimited(), Obs::none(), None)).resume(miner, snap)
+}
+
+/// The exact FDs a resumed exact miner emitted.
+fn exact(out: &MiningOutcome<Emitted>) -> &[depminer::fdtheory::Fd] {
+    out.result.exact_fds().expect("exact miners emit FD lists")
 }
 
 /// The miner configurations under chaos (both agree-set algorithms and
@@ -60,13 +78,14 @@ const ORDINAL_RANGE: std::ops::Range<u64> = 0..600;
 #[test]
 fn injected_cancellation_yields_complete_or_audited_partial() {
     let r = workload();
+    let db = StrippedPartitionDb::from_relation(&r);
     let mut rng = Prng::seed_from_u64(0xFA01);
     for miner in miners() {
         let baseline = miner.mine(&r);
         for _ in 0..12 {
             let at = rng.gen_range(ORDINAL_RANGE);
             let token = Budget::unlimited().start_with_fault(FaultPlan::new(FaultKind::Cancel, at));
-            let outcome = miner.mine_with_token(&r, &token);
+            let outcome = miner.mine_db_governed(&db, &token, None);
             match &outcome.interrupted {
                 None => assert_eq!(outcome.result.fds, baseline.fds, "ordinal {at}"),
                 Some(why) => {
@@ -89,6 +108,7 @@ fn injected_cancellation_yields_complete_or_audited_partial() {
 #[test]
 fn injected_memory_exhaustion_yields_complete_or_audited_partial() {
     let r = workload();
+    let db = StrippedPartitionDb::from_relation(&r);
     let miner = DepMiner::new();
     let baseline = miner.mine(&r);
     let mut rng = Prng::seed_from_u64(0xFA02);
@@ -96,7 +116,7 @@ fn injected_memory_exhaustion_yields_complete_or_audited_partial() {
         let at = rng.gen_range(ORDINAL_RANGE);
         let token =
             Budget::unlimited().start_with_fault(FaultPlan::new(FaultKind::MemoryExhaust, at));
-        let outcome = miner.mine_with_token(&r, &token);
+        let outcome = miner.mine_db_governed(&db, &token, None);
         match &outcome.interrupted {
             None => assert_eq!(outcome.result.fds, baseline.fds, "ordinal {at}"),
             Some(why) => {
@@ -113,13 +133,16 @@ fn injected_memory_exhaustion_yields_complete_or_audited_partial() {
 #[test]
 fn injected_worker_panic_never_poisons_the_pool() {
     let r = workload();
+    let db = StrippedPartitionDb::from_relation(&r);
     let miner = DepMiner::new();
     let baseline = miner.mine(&r).fds;
     let mut rng = Prng::seed_from_u64(0xFA03);
     for _ in 0..12 {
         let at = rng.gen_range(ORDINAL_RANGE);
         let token = Budget::unlimited().start_with_fault(FaultPlan::new(FaultKind::Panic, at));
-        let run = catch_unwind(AssertUnwindSafe(|| miner.mine_with_token(&r, &token)));
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            miner.mine_db_governed(&db, &token, None)
+        }));
         if let Ok(outcome) = run {
             // The armed ordinal was past the last checkpoint: a clean,
             // complete, correct run.
@@ -135,6 +158,7 @@ fn injected_worker_panic_never_poisons_the_pool() {
 #[test]
 fn tane_under_injected_faults_is_exact_or_a_clean_prefix() {
     let r = workload();
+    let db = StrippedPartitionDb::from_relation(&r);
     let tane = Tane::new();
     let baseline = tane.run(&r).fds;
     let mut rng = Prng::seed_from_u64(0xFA04);
@@ -142,7 +166,7 @@ fn tane_under_injected_faults_is_exact_or_a_clean_prefix() {
         for _ in 0..10 {
             let at = rng.gen_range(ORDINAL_RANGE);
             let token = Budget::unlimited().start_with_fault(FaultPlan::new(kind, at));
-            let outcome = tane.run_with_token(&r, &token);
+            let outcome = tane.run_db_governed(&db, &token, None);
             if outcome.is_complete() {
                 assert_eq!(outcome.result.fds, baseline, "{kind:?} ordinal {at}");
             } else {
@@ -160,7 +184,7 @@ fn tane_under_injected_faults_is_exact_or_a_clean_prefix() {
     for _ in 0..6 {
         let at = rng.gen_range(ORDINAL_RANGE);
         let token = Budget::unlimited().start_with_fault(FaultPlan::new(FaultKind::Panic, at));
-        let _ = catch_unwind(AssertUnwindSafe(|| tane.run_with_token(&r, &token)));
+        let _ = catch_unwind(AssertUnwindSafe(|| tane.run_db_governed(&db, &token, None)));
         assert_eq!(tane.run(&r).fds, baseline, "rerun after ordinal {at}");
     }
 }
@@ -168,13 +192,14 @@ fn tane_under_injected_faults_is_exact_or_a_clean_prefix() {
 #[test]
 fn approx_under_injected_faults_reports_only_valid_entries() {
     let r = workload();
+    let db = StrippedPartitionDb::from_relation(&r);
     let epsilon = 0.05;
     let baseline = approximate_fds(&r, epsilon);
     let mut rng = Prng::seed_from_u64(0xFA05);
     for _ in 0..10 {
         let at = rng.gen_range(ORDINAL_RANGE);
         let token = Budget::unlimited().start_with_fault(FaultPlan::new(FaultKind::Cancel, at));
-        let outcome = approximate_fds_governed(&r, epsilon, &token);
+        let outcome = approximate_fds_governed(&r, &db, epsilon, &token, None);
         if outcome.is_complete() {
             assert_eq!(outcome.result, baseline, "ordinal {at}");
         } else {
@@ -259,6 +284,7 @@ where
 #[test]
 fn depminer_resume_after_injected_trip_matches_fault_free_baseline() {
     let r = workload();
+    let db = StrippedPartitionDb::from_relation(&r);
     let miner = DepMiner::new();
     let baseline = miner.mine(&r).fds;
     let dir = tmp_dir("resume_depminer");
@@ -267,14 +293,12 @@ fn depminer_resume_after_injected_trip_matches_fault_free_baseline() {
         "depminer",
         0xFA10,
         15,
-        |token| miner.mine_with_token(&r, token).is_complete(),
-        |snap| miner.resume_governed(&r, snap, &Budget::unlimited(), Obs::none(), None),
+        |token| miner.mine_db_governed(&db, token, None).is_complete(),
+        |snap| resume(&r, &miner, snap),
         |at, out| {
             assert!(out.is_complete(), "ordinal {at}: resume tripped");
-            out.result
-                .audit_claimed_fds(&r)
-                .unwrap_or_else(|e| panic!("ordinal {at}: resumed cover failed audit: {e}"));
-            assert_eq!(out.result.fds, baseline, "ordinal {at}");
+            // `Session::resume` has replayed every claimed FD against `r`.
+            assert_eq!(exact(&out), baseline, "ordinal {at}");
         },
     );
     assert!(resumed > 0, "sweep never resumed; ordinal range too narrow");
@@ -283,6 +307,7 @@ fn depminer_resume_after_injected_trip_matches_fault_free_baseline() {
 #[test]
 fn tane_resume_after_injected_trip_matches_fault_free_baseline() {
     let r = workload();
+    let db = StrippedPartitionDb::from_relation(&r);
     let tane = Tane::new();
     let baseline = tane.run(&r).fds;
     let dir = tmp_dir("resume_tane");
@@ -291,11 +316,11 @@ fn tane_resume_after_injected_trip_matches_fault_free_baseline() {
         "tane",
         0xFA11,
         15,
-        |token| tane.run_with_token(&r, token).is_complete(),
-        |snap| tane.resume_governed(&r, snap, &Budget::unlimited(), Obs::none(), None),
+        |token| tane.run_db_governed(&db, token, None).is_complete(),
+        |snap| resume(&r, &tane, snap),
         |at, out| {
             assert!(out.is_complete(), "ordinal {at}: resume tripped");
-            assert_eq!(out.result.fds, baseline, "ordinal {at}");
+            assert_eq!(exact(&out), baseline, "ordinal {at}");
         },
     );
     assert!(resumed > 0, "sweep never resumed; ordinal range too narrow");
@@ -304,6 +329,7 @@ fn tane_resume_after_injected_trip_matches_fault_free_baseline() {
 #[test]
 fn approx_resume_after_injected_trip_matches_fault_free_baseline() {
     let r = workload();
+    let db = StrippedPartitionDb::from_relation(&r);
     let epsilon = 0.05;
     let baseline = approximate_fds(&r, epsilon);
     let dir = tmp_dir("resume_approx");
@@ -312,20 +338,16 @@ fn approx_resume_after_injected_trip_matches_fault_free_baseline() {
         "tane-approx",
         0xFA12,
         15,
-        |token| approximate_fds_governed(&r, epsilon, token).is_complete(),
-        |snap| {
-            resume_approximate_fds_governed(
-                &r,
-                epsilon,
-                snap,
-                &Budget::unlimited(),
-                Obs::none(),
-                None,
-            )
-        },
+        |token| approximate_fds_governed(&r, &db, epsilon, token, None).is_complete(),
+        |snap| resume(&r, &ApproxMiner { epsilon }, snap),
         |at, out| {
             assert!(out.is_complete(), "ordinal {at}: resume tripped");
-            assert_eq!(out.result, baseline, "ordinal {at}");
+            let fds = baseline.clone();
+            assert_eq!(
+                out.result,
+                Emitted::ApproxFds { fds, epsilon },
+                "ordinal {at}"
+            );
         },
     );
     assert!(resumed > 0, "sweep never resumed; ordinal range too narrow");
@@ -334,6 +356,7 @@ fn approx_resume_after_injected_trip_matches_fault_free_baseline() {
 #[test]
 fn fdep_resume_after_injected_trip_matches_fault_free_baseline() {
     let r = workload();
+    let db = StrippedPartitionDb::from_relation(&r);
     let fdep = Fdep::new();
     let baseline = fdep.run(&r).fds;
     let dir = tmp_dir("resume_fdep");
@@ -342,11 +365,11 @@ fn fdep_resume_after_injected_trip_matches_fault_free_baseline() {
         "fdep",
         0xFA13,
         15,
-        |token| fdep.run_with_token(&r, token).is_complete(),
-        |snap| fdep.resume_governed(&r, snap, &Budget::unlimited(), Obs::none(), None),
+        |token| fdep.run_db_governed(&db, token, None).is_complete(),
+        |snap| resume(&r, &fdep, snap),
         |at, out| {
             assert!(out.is_complete(), "ordinal {at}: resume tripped");
-            assert_eq!(out.result.fds, baseline, "ordinal {at}");
+            assert_eq!(exact(&out), baseline, "ordinal {at}");
         },
     );
     assert!(resumed > 0, "sweep never resumed; ordinal range too narrow");
@@ -359,6 +382,7 @@ fn torn_and_bit_flipped_snapshot_writes_are_always_detected() {
     // on disk is refused — a corrupted snapshot must never be mined into
     // a silently wrong cover.
     let r = workload();
+    let db = StrippedPartitionDb::from_relation(&r);
     let tane = Tane::new();
     let dir = tmp_dir("writer_corruption");
     let path = dir.join("tane.snap");
@@ -381,7 +405,7 @@ fn torn_and_bit_flipped_snapshot_writes_are_always_detected() {
             .with_max_candidates(6)
             .start_with_fault(FaultPlan::new(kind, 0))
             .with_snapshots(policy);
-        let outcome = tane.run_with_token(&r, &token);
+        let outcome = tane.run_db_governed(&db, &token, None);
         assert!(!outcome.is_complete(), "{kind:?}: cap of 6 must trip");
         assert!(path.exists(), "{kind:?}: flush wrote nothing");
         match read_snapshot(&path) {
@@ -397,12 +421,13 @@ fn every_fault_kind_reports_a_first_trip_reason_once() {
     // Firing at checkpoint 0 stops each stage as early as possible; the
     // outcome must still be a well-formed (empty-ish) partial.
     let r = workload();
+    let db = StrippedPartitionDb::from_relation(&r);
     for (kind, resource) in [
         (FaultKind::Cancel, Resource::InjectedFault),
         (FaultKind::MemoryExhaust, Resource::Memory),
     ] {
         let token = Budget::unlimited().start_with_fault(FaultPlan::new(kind, 0));
-        let outcome = DepMiner::new().mine_with_token(&r, &token);
+        let outcome = DepMiner::new().mine_db_governed(&db, &token, None);
         let why = outcome
             .interrupted
             .as_ref()

@@ -87,10 +87,11 @@ fn agree_set_strategies_coincide() {
         let r = arb_relation(&mut rng);
         let db = StrippedPartitionDb::from_relation(&r);
         let naive = depminer::depminer::agree_sets_naive(&r);
-        let alg2 = depminer::depminer::agree_sets_couples(&db, None);
-        let alg2_chunked = depminer::depminer::agree_sets_couples(&db, Some(2));
+        let couples = |chunk_size| AgreeSetStrategy::Couples { chunk_size };
+        let alg2 = depminer::depminer::agree_sets(&db, couples(None));
+        let alg2_chunked = depminer::depminer::agree_sets(&db, couples(Some(2)));
         let alg2_nomc = depminer::depminer::agree_sets_couples_no_mc(&db, None);
-        let alg3 = depminer::depminer::agree_sets_ec(&db);
+        let alg3 = depminer::depminer::agree_sets(&db, AgreeSetStrategy::EquivalenceClasses);
         assert_eq!(alg2.sets, naive.sets);
         assert_eq!(alg2_chunked.sets, naive.sets);
         assert_eq!(alg2_nomc.sets, naive.sets);

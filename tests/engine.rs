@@ -1,6 +1,6 @@
 //! Engine-equivalence suite (DESIGN.md §13): dispatching a miner through
 //! the `depminer-engine` `Session` must be observationally identical to
-//! calling its own governed entry point directly — byte-identical FD
+//! calling its governed core directly on `r̂` — byte-identical FD
 //! vectors, the same stage sequence, and the same completion status — on
 //! random relations, under an unlimited budget, a generous one-second
 //! budget, and a zero-timeout budget that trips at the first checkpoint.
@@ -55,9 +55,11 @@ fn assert_equivalent<T>(
     );
 }
 
-/// Every registered exact miner, engine vs direct, under one budget.
+/// Every registered exact miner, engine vs its governed core, under one
+/// budget.
 fn check_exact_miners(r: &Relation, budget: Budget) {
-    let direct = DepMiner::algorithm_2(None).mine_governed(r, &budget);
+    let db = StrippedPartitionDb::from_relation(r);
+    let direct = DepMiner::algorithm_2(None).mine_db_governed(&db, &budget.start(), None);
     assert_equivalent(
         "depminer",
         &session_run(r, "depminer", budget),
@@ -65,7 +67,7 @@ fn check_exact_miners(r: &Relation, budget: Budget) {
         &direct.result.fds,
     );
 
-    let direct = DepMiner::algorithm_3().mine_governed(r, &budget);
+    let direct = DepMiner::algorithm_3().mine_db_governed(&db, &budget.start(), None);
     assert_equivalent(
         "depminer2",
         &session_run(r, "depminer2", budget),
@@ -73,7 +75,7 @@ fn check_exact_miners(r: &Relation, budget: Budget) {
         &direct.result.fds,
     );
 
-    let direct = Tane::new().run_governed(r, &budget);
+    let direct = Tane::new().run_db_governed(&db, &budget.start(), None);
     assert_equivalent(
         "tane",
         &session_run(r, "tane", budget),
@@ -81,7 +83,7 @@ fn check_exact_miners(r: &Relation, budget: Budget) {
         &direct.result.fds,
     );
 
-    let direct = Fdep::new().run_governed(r, &budget);
+    let direct = Fdep::new().run_db_governed(&db, &budget.start(), None);
     assert_equivalent(
         "fdep",
         &session_run(r, "fdep", budget),
@@ -135,8 +137,8 @@ fn session_matches_direct_approximate_miner() {
             let budget = Budget::unlimited();
             let session = Session::new(SessionCtx::new(&r, budget, Obs::none(), None));
             let engine = session.run(&ApproxMiner { epsilon });
-            let token = budget.start();
-            let direct = approximate_fds_governed(&r, epsilon, &token);
+            let db = StrippedPartitionDb::from_relation(&r);
+            let direct = approximate_fds_governed(&r, &db, epsilon, &budget.start(), None);
             match &engine.result {
                 Emitted::ApproxFds { fds, epsilon: eps } => {
                     assert_eq!(fds, &direct.result, "eps={epsilon}: FD sets diverge");

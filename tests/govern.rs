@@ -8,7 +8,7 @@ use depminer::depminer::DepMiner;
 use depminer::fdep::Fdep;
 use depminer::govern::{Budget, Resource};
 use depminer::parallel::Parallelism;
-use depminer::relation::SyntheticConfig;
+use depminer::relation::{StrippedPartitionDb, SyntheticConfig};
 use depminer::tane::Tane;
 use std::time::{Duration, Instant};
 
@@ -29,10 +29,11 @@ fn adversarial() -> depminer::relation::Relation {
 #[test]
 fn adversarial_relation_terminates_within_a_one_second_budget() {
     let r = adversarial();
+    let db = StrippedPartitionDb::from_relation(&r);
     let budget = Budget::unlimited().with_timeout(Duration::from_secs(1));
 
     let start = Instant::now();
-    let outcome = DepMiner::new().mine_governed(&r, &budget);
+    let outcome = DepMiner::new().mine_db_governed(&db, &budget.start(), None);
     let elapsed = start.elapsed();
     // Checkpoints are cooperative, so allow slack past the deadline for
     // the stage in flight to drain — but nothing near a hang.
@@ -51,7 +52,7 @@ fn adversarial_relation_terminates_within_a_one_second_budget() {
     }
 
     let start = Instant::now();
-    let tane = Tane::new().run_governed(&r, &budget);
+    let tane = Tane::new().run_db_governed(&db, &budget.start(), None);
     let elapsed = start.elapsed();
     assert!(elapsed < Duration::from_secs(20), "TANE took {elapsed:?}");
     if !tane.is_complete() {
@@ -66,8 +67,9 @@ fn adversarial_relation_terminates_within_a_one_second_budget() {
 fn certain_deadline_trip_returns_valid_partial_and_reusable_runtime() {
     let r = adversarial();
     // A deadline in the past must trip at the very first checkpoint.
+    let db = StrippedPartitionDb::from_relation(&r);
     let budget = Budget::unlimited().with_timeout(Duration::from_nanos(1));
-    let outcome = DepMiner::new().mine_governed(&r, &budget);
+    let outcome = DepMiner::new().mine_db_governed(&db, &budget.start(), None);
     let why = outcome.interrupted.as_ref().expect("1ns budget must trip");
     assert_eq!(why.resource, Resource::Deadline);
     outcome
@@ -103,8 +105,9 @@ fn candidate_budget_bounds_tane_on_a_wide_relation() {
     }
     .generate()
     .expect("valid config");
+    let db = StrippedPartitionDb::from_relation(&r);
     let budget = Budget::unlimited().with_max_candidates(20);
-    let outcome = Tane::new().run_governed(&r, &budget);
+    let outcome = Tane::new().run_db_governed(&db, &budget.start(), None);
     let why = outcome
         .interrupted
         .as_ref()
@@ -128,6 +131,7 @@ fn memory_caps_release_everything_and_keep_partials_sound_for_depminer2_and_fdep
     .generate()
     .expect("valid config");
     let full = DepMiner::algorithm_3().mine(&r);
+    let db = StrippedPartitionDb::from_relation(&r);
     // Growing caps trip on the class-id matrix, then on transversal
     // levels, until one fits. The account always returns to zero, and a
     // partial agree family is a subset of the full one.
@@ -136,7 +140,7 @@ fn memory_caps_release_everything_and_keep_partials_sound_for_depminer2_and_fdep
         let mut trips = 0;
         for cap in (1..).map(|k| 64 * k) {
             let token = Budget::unlimited().with_max_memory_bytes(cap).start();
-            let outcome = miner.mine_with_token(&r, &token);
+            let outcome = miner.mine_db_governed(&db, &token, None);
             assert_eq!(token.memory_bytes(), 0, "{par:?} cap {cap}");
             let ag = &outcome.result.agree_sets.sets;
             assert!(ag.iter().all(|s| full.agree_sets.sets.contains(s)));
@@ -161,7 +165,7 @@ fn memory_caps_release_everything_and_keep_partials_sound_for_depminer2_and_fdep
     let mut trips = 0;
     for cap in (1..).map(|k| 64 * k) {
         let token = Budget::unlimited().with_max_memory_bytes(cap).start();
-        let outcome = Fdep::new().run_with_token(&r, &token);
+        let outcome = Fdep::new().run_db_governed(&db, &token, None);
         assert_eq!(token.memory_bytes(), 0, "fdep cap {cap}");
         match &outcome.interrupted {
             Some(why) => {

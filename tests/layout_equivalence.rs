@@ -193,7 +193,7 @@ mod faulted {
             for _ in 0..10 {
                 let at = rng.gen_range(0u64..600);
                 let token = Budget::unlimited().start_with_fault(FaultPlan::new(kind, at));
-                let outcome = tane.run_db_governed(&db, &token);
+                let outcome = tane.run_db_governed(&db, &token, None);
                 if outcome.is_complete() {
                     assert_eq!(outcome.result.fds, baseline, "{kind:?} ordinal {at}");
                 } else {
@@ -216,7 +216,7 @@ mod faulted {
         for _ in 0..6 {
             let at = rng.gen_range(0u64..600);
             let token = Budget::unlimited().start_with_fault(FaultPlan::new(FaultKind::Panic, at));
-            let _ = catch_unwind(AssertUnwindSafe(|| tane.run_db_governed(&db, &token)));
+            let _ = catch_unwind(AssertUnwindSafe(|| tane.run_db_governed(&db, &token, None)));
             assert_eq!(tane.run_db(&db).fds, baseline, "rerun after panic at {at}");
         }
     }

@@ -27,7 +27,7 @@ use depminer::govern::observe::profile::{validate_profile_json, Profile, Profile
 use depminer::govern::observe::Obs;
 use depminer::govern::{Budget, Stage};
 use depminer::parallel::Parallelism;
-use depminer::relation::{Relation, SyntheticConfig};
+use depminer::relation::{Relation, StrippedPartitionDb, SyntheticConfig};
 use depminer::tane::Tane;
 
 /// Small but structurally rich workloads: several correlation regimes
@@ -84,8 +84,9 @@ fn assert_well_formed(profile: &Profile, required: &[&str], ctx: &str) {
 #[test]
 fn depminer_profiles_are_well_formed_for_every_strategy_and_engine() {
     for r in workloads() {
+        let db = StrippedPartitionDb::from_relation(&r);
         for (i, miner) in miners().into_iter().enumerate() {
-            let (outcome, profile) = profiled(|t| miner.mine_with_token(&r, t));
+            let (outcome, profile) = profiled(|t| miner.mine_db_governed(&db, t, None));
             assert!(outcome.is_complete());
             assert_well_formed(
                 &profile,
@@ -99,11 +100,12 @@ fn depminer_profiles_are_well_formed_for_every_strategy_and_engine() {
 #[test]
 fn tane_and_fdep_profiles_are_well_formed() {
     for r in workloads() {
-        let (outcome, profile) = profiled(|t| Tane::new().run_with_token(&r, t));
+        let db = StrippedPartitionDb::from_relation(&r);
+        let (outcome, profile) = profiled(|t| Tane::new().run_db_governed(&db, t, None));
         assert!(outcome.is_complete());
         assert_well_formed(&profile, &["tane", "tane-levels"], "tane");
 
-        let (outcome, profile) = profiled(|t| Fdep::new().run_with_token(&r, t));
+        let (outcome, profile) = profiled(|t| Fdep::new().run_db_governed(&db, t, None));
         assert!(outcome.is_complete());
         assert_well_formed(
             &profile,
@@ -116,8 +118,9 @@ fn tane_and_fdep_profiles_are_well_formed() {
 #[test]
 fn parallel_runs_keep_profiles_balanced() {
     for r in workloads() {
+        let db = StrippedPartitionDb::from_relation(&r);
         let miner = DepMiner::new().with_parallelism(Parallelism::Threads(4));
-        let (outcome, profile) = profiled(|t| miner.mine_with_token(&r, t));
+        let (outcome, profile) = profiled(|t| miner.mine_db_governed(&db, t, None));
         assert!(outcome.is_complete());
         assert_well_formed(
             &profile,
@@ -130,8 +133,9 @@ fn parallel_runs_keep_profiles_balanced() {
 #[test]
 fn counters_agree_with_stage_reports() {
     for r in workloads() {
+        let db = StrippedPartitionDb::from_relation(&r);
         for miner in miners() {
-            let (outcome, profile) = profiled(|t| miner.mine_with_token(&r, t));
+            let (outcome, profile) = profiled(|t| miner.mine_db_governed(&db, t, None));
             let agree = outcome
                 .stages
                 .iter()
@@ -153,13 +157,13 @@ fn counters_agree_with_stage_reports() {
                 "one max-set filter pass per attribute"
             );
         }
-        let (outcome, profile) = profiled(|t| Tane::new().run_with_token(&r, t));
+        let (outcome, profile) = profiled(|t| Tane::new().run_db_governed(&db, t, None));
         assert_eq!(
             profile.counter("fd_emissions"),
             outcome.result.fds.len() as u64
         );
         assert!(profile.counter("apriori_candidates") > 0);
-        let (outcome, profile) = profiled(|t| Fdep::new().run_with_token(&r, t));
+        let (outcome, profile) = profiled(|t| Fdep::new().run_db_governed(&db, t, None));
         assert_eq!(
             profile.counter("fd_emissions"),
             outcome.result.fds.len() as u64
@@ -180,10 +184,11 @@ fn traced(f: impl FnOnce(&depminer::govern::CancelToken)) -> String {
 #[test]
 fn jsonl_traces_are_balanced_and_monotone() {
     for r in workloads() {
+        let db = StrippedPartitionDb::from_relation(&r);
         let text = traced(|t| {
-            DepMiner::new().mine_with_token(&r, t);
-            Tane::new().run_with_token(&r, t);
-            Fdep::new().run_with_token(&r, t);
+            DepMiner::new().mine_db_governed(&db, t, None);
+            Tane::new().run_db_governed(&db, t, None);
+            Fdep::new().run_db_governed(&db, t, None);
         });
         let events =
             validate_events(&text).unwrap_or_else(|e| panic!("sequential trace invalid: {e}"));
@@ -194,9 +199,10 @@ fn jsonl_traces_are_balanced_and_monotone() {
 #[test]
 fn jsonl_traces_survive_worker_pool_parallelism() {
     for r in workloads() {
+        let db = StrippedPartitionDb::from_relation(&r);
         let miner = DepMiner::new().with_parallelism(Parallelism::Threads(4));
         let text = traced(|t| {
-            miner.mine_with_token(&r, t);
+            miner.mine_db_governed(&db, t, None);
         });
         validate_events(&text).unwrap_or_else(|e| panic!("parallel trace invalid: {e}"));
     }
@@ -217,6 +223,7 @@ mod chaos {
     #[test]
     fn profiles_stay_well_formed_under_injected_cancellation() {
         let r = workloads().remove(1);
+        let db = StrippedPartitionDb::from_relation(&r);
         let mut rng = Prng::seed_from_u64(0x0B5E_FA01);
         for miner in miners() {
             for _ in 0..8 {
@@ -226,7 +233,7 @@ mod chaos {
                     Obs::new(sink.clone()),
                     FaultPlan::new(FaultKind::Cancel, at),
                 );
-                let outcome = miner.mine_with_token(&r, &token);
+                let outcome = miner.mine_db_governed(&db, &token, None);
                 drop(token);
                 let profile = sink.snapshot();
                 assert_well_formed(&profile, &[], &format!("cancel at ordinal {at}"));
@@ -242,6 +249,7 @@ mod chaos {
     #[test]
     fn profiles_stay_balanced_when_a_stage_panics_mid_flight() {
         let r = workloads().remove(0);
+        let db = StrippedPartitionDb::from_relation(&r);
         let mut rng = Prng::seed_from_u64(0x0B5E_FA02);
         for miner in miners() {
             for _ in 0..6 {
@@ -251,7 +259,9 @@ mod chaos {
                     Obs::new(sink.clone()),
                     FaultPlan::new(FaultKind::Panic, at),
                 );
-                let _ = catch_unwind(AssertUnwindSafe(|| miner.mine_with_token(&r, &token)));
+                let _ = catch_unwind(AssertUnwindSafe(|| {
+                    miner.mine_db_governed(&db, &token, None)
+                }));
                 drop(token);
                 // Unwinding drops every SpanGuard, so even a crashed
                 // run must leave a balanced, exportable tree.
@@ -263,6 +273,7 @@ mod chaos {
     #[test]
     fn jsonl_traces_stay_valid_under_injected_cancellation() {
         let r = workloads().remove(2);
+        let db = StrippedPartitionDb::from_relation(&r);
         let mut rng = Prng::seed_from_u64(0x0B5E_FA03);
         for _ in 0..8 {
             let at = rng.gen_range(ORDINAL_RANGE);
@@ -271,8 +282,8 @@ mod chaos {
                 Obs::new(sink.clone()),
                 FaultPlan::new(FaultKind::Cancel, at),
             );
-            DepMiner::new().mine_with_token(&r, &token);
-            Tane::new().run_with_token(&r, &token);
+            DepMiner::new().mine_db_governed(&db, &token, None);
+            Tane::new().run_db_governed(&db, &token, None);
             drop(token);
             let sink = Arc::try_unwrap(sink).ok().expect("all handles dropped");
             let text = String::from_utf8(sink.into_inner()).expect("trace is utf-8");

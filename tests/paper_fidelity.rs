@@ -4,8 +4,8 @@
 //! A..E = 0..4.
 
 use depminer::depminer::{
-    agree_sets_couples, agree_sets_ec, agree_sets_naive, cmax_sets, fd_output, left_hand_sides,
-    real_world_exists, synthetic_armstrong, DepMiner, TransversalEngine,
+    agree_sets, agree_sets_naive, cmax_sets, fd_output, left_hand_sides, real_world_exists,
+    synthetic_armstrong, DepMiner, TransversalEngine,
 };
 use depminer::prelude::*;
 use depminer::relation::{datasets, Partition, StrippedPartition, StrippedPartitionDb};
@@ -83,12 +83,10 @@ fn example_5_and_lemma_1() {
     let expected = vec![s(&[0]), s(&[4]), s(&[2, 4]), s(&[1, 3, 4])];
     let mut expected_sorted = expected.clone();
     expected_sorted.sort();
-    assert_eq!(agree_sets_couples(&db, None).sets, expected_sorted);
+    let alg2 = agree_sets(&db, AgreeSetStrategy::Couples { chunk_size: None });
+    assert_eq!(alg2.sets, expected_sorted);
     // Lemma 1: identical to the naive all-pairs computation.
-    assert_eq!(
-        agree_sets_couples(&db, None).sets,
-        agree_sets_naive(&r).sets
-    );
+    assert_eq!(alg2.sets, agree_sets_naive(&r).sets);
 }
 
 /// Examples 6–8 (Algorithm 3) and Lemma 2: identifier-set intersection.
@@ -106,7 +104,8 @@ fn examples_6_to_8_and_lemma_2() {
     assert_eq!(r.agree_set(0, 1), s(&[0]));
     assert_eq!(ids.agree(0, 1), s(&[0]));
     // Example 8: the full agree-set family via Algorithm 3.
-    assert_eq!(agree_sets_ec(&db).sets, agree_sets_naive(&r).sets);
+    let alg3 = agree_sets(&db, AgreeSetStrategy::EquivalenceClasses);
+    assert_eq!(alg3.sets, agree_sets_naive(&r).sets);
 }
 
 /// Example 9 and Lemma 3: maximal sets and their complements.

@@ -11,22 +11,24 @@
 //!    states, and truncated payloads fail with positioned errors.
 //! 3. **Resume contract** — a governed run tripped mid-flight with a
 //!    boundary-snapshot policy leaves a frame on disk from which
-//!    `resume_governed` completes to an FD set identical to the
+//!    `Session::resume` completes to an FD set identical to the
 //!    uninterrupted baseline; frames for the wrong algorithm, relation
-//!    or configuration are refused loudly.
+//!    or configuration, and payloads that do not fit the relation, are
+//!    refused loudly before any mining.
 
 use depminer::depminer::agree::agree_sets_naive;
-use depminer::depminer::maxset::cmax_sets;
+use depminer::depminer::maxset::{cmax_sets, MaxSets};
 use depminer::depminer::{DepMiner, DepMinerCheckpoint, DEPMINER_ALGO};
-use depminer::fdep::{FdepCheckpoint, FDEP_ALGO};
-use depminer::fdtheory::Fd;
+use depminer::engine::{ApproxMiner, Emitted, Miner, Session, SessionCtx};
+use depminer::fdep::{Fdep, FdepCheckpoint};
+use depminer::fdtheory::{mine_minimal_fds, Fd};
 use depminer::govern::snapshot::{crc32, read_snapshot, Snapshot};
-use depminer::govern::{Budget, Obs, SnapshotError, SnapshotPolicy};
+use depminer::govern::{Budget, MiningOutcome, Obs, SnapshotError, SnapshotPolicy};
 use depminer::relation::state::db_fingerprint;
 use depminer::relation::{datasets, AttrSet, Prng, Relation, StrippedPartitionDb, SyntheticConfig};
 use depminer::tane::{
-    approximate_fds, resume_approximate_fds_governed, ApproxCheckpoint, ApproxFd, Tane,
-    TaneCheckpoint, TANE_ALGO, TANE_APPROX_ALGO,
+    approximate_fds, approximate_fds_governed, ApproxCheckpoint, ApproxFd, Tane, TaneCheckpoint,
+    TANE_ALGO, TANE_APPROX_ALGO,
 };
 use std::path::PathBuf;
 
@@ -52,6 +54,23 @@ fn workload() -> Relation {
     }
     .generate()
     .expect("valid synthetic config")
+}
+
+/// Resumes `miner` from `snap` on `r` through the engine's one resume
+/// path, under `budget` and an optional re-armed snapshot policy.
+fn resume(
+    r: &Relation,
+    miner: &dyn Miner,
+    snap: &Snapshot,
+    budget: Budget,
+    policy: Option<SnapshotPolicy>,
+) -> Result<MiningOutcome<Emitted>, SnapshotError> {
+    Session::new(SessionCtx::new(r, budget, Obs::none(), policy)).resume(miner, snap)
+}
+
+/// The exact FDs an exact miner emitted.
+fn exact(out: &MiningOutcome<Emitted>) -> &[Fd] {
+    out.result.exact_fds().expect("exact miners emit FD lists")
 }
 
 fn rand_set(rng: &mut Prng, arity: usize) -> AttrSet {
@@ -295,8 +314,12 @@ fn truncated_checkpoint_payloads_fail_with_positioned_errors() {
 #[test]
 fn depminer_resume_completes_to_the_exact_baseline() {
     let r = workload();
+    let db = StrippedPartitionDb::from_relation(&r);
     let miner = DepMiner::algorithm_2(None);
     let baseline = miner.mine(&r).fds;
+    // With the baseline equal to the oracle's minimal cover, every resume
+    // that reproduces it claims only FDs that hold with minimal lhs.
+    assert_eq!(baseline, mine_minimal_fds(&r));
     let dir = tmp_dir("depminer_resume");
     let path = dir.join(format!("{DEPMINER_ALGO}.snap"));
     let mut resumed = 0;
@@ -308,7 +331,7 @@ fn depminer_resume_completes_to_the_exact_baseline() {
         let token = Budget::unlimited()
             .with_max_candidates(max)
             .start_with_snapshots(policy);
-        let outcome = miner.mine_with_token(&r, &token);
+        let outcome = miner.mine_db_governed(&db, &token, None);
         if outcome.is_complete() {
             assert_eq!(outcome.result.fds, baseline, "max-candidates {max}");
             assert!(!path.exists(), "completed run must discard its snapshot");
@@ -316,14 +339,10 @@ fn depminer_resume_completes_to_the_exact_baseline() {
         }
         assert!(path.exists(), "tripped run left no snapshot (max {max})");
         let snap = read_snapshot(&path).unwrap();
-        let out = miner
-            .resume_governed(&r, &snap, &Budget::unlimited(), Obs::none(), None)
+        let out = resume(&r, &miner, &snap, Budget::unlimited(), None)
             .expect("pristine snapshot resumes");
         assert!(out.is_complete(), "max-candidates {max}");
-        assert_eq!(out.result.fds, baseline, "max-candidates {max}");
-        out.result
-            .audit_claimed_fds(&r)
-            .expect("resumed cover audits clean");
+        assert_eq!(exact(&out), baseline, "max-candidates {max}");
         resumed += 1;
         std::fs::remove_file(&path).ok();
     }
@@ -336,6 +355,7 @@ fn depminer_resume_completes_to_the_exact_baseline() {
 #[test]
 fn tane_chained_resumes_reach_the_exact_baseline() {
     let r = workload();
+    let db = StrippedPartitionDb::from_relation(&r);
     let tane = Tane::new();
     let baseline = tane.run(&r).fds;
     let dir = tmp_dir("tane_chain");
@@ -345,7 +365,7 @@ fn tane_chained_resumes_reach_the_exact_baseline() {
     let token = Budget::unlimited()
         .with_max_candidates(4)
         .start_with_snapshots(policy);
-    let first = tane.run_with_token(&r, &token);
+    let first = tane.run_db_governed(&db, &token, None);
     assert!(!first.is_complete(), "cap of 4 candidates must trip");
 
     // Each leg re-arms the policy and gets a slightly larger cap; carried
@@ -355,17 +375,16 @@ fn tane_chained_resumes_reach_the_exact_baseline() {
         assert!(path.exists(), "leg {leg}: tripped run left no snapshot");
         cap += 40;
         let snap = read_snapshot(&path).unwrap();
-        let out = tane
-            .resume_governed(
-                &r,
-                &snap,
-                &Budget::unlimited().with_max_candidates(cap),
-                Obs::none(),
-                Some(SnapshotPolicy::new(&dir).every_boundaries(1)),
-            )
-            .expect("pristine snapshot resumes");
+        let out = resume(
+            &r,
+            &tane,
+            &snap,
+            Budget::unlimited().with_max_candidates(cap),
+            Some(SnapshotPolicy::new(&dir).every_boundaries(1)),
+        )
+        .expect("pristine snapshot resumes");
         if out.is_complete() {
-            assert_eq!(out.result.fds, baseline, "after {leg} chained resumes");
+            assert_eq!(exact(&out), baseline, "after {leg} chained resumes");
             assert!(!path.exists(), "completed resume must discard the snapshot");
             return;
         }
@@ -376,6 +395,7 @@ fn tane_chained_resumes_reach_the_exact_baseline() {
 #[test]
 fn approx_resume_completes_to_the_exact_baseline() {
     let r = workload();
+    let db = StrippedPartitionDb::from_relation(&r);
     let epsilon = 0.05;
     let baseline = approximate_fds(&r, epsilon);
     let dir = tmp_dir("approx_resume");
@@ -386,24 +406,28 @@ fn approx_resume_completes_to_the_exact_baseline() {
         let token = Budget::unlimited()
             .with_max_candidates(max)
             .start_with_snapshots(policy);
-        let outcome = depminer::tane::approximate_fds_governed(&r, epsilon, &token);
+        let outcome = approximate_fds_governed(&r, &db, epsilon, &token, None);
         if outcome.is_complete() {
             assert_eq!(outcome.result, baseline, "max-candidates {max}");
             continue;
         }
         assert!(path.exists(), "tripped run left no snapshot (max {max})");
         let snap = read_snapshot(&path).unwrap();
-        let out = resume_approximate_fds_governed(
+        let out = resume(
             &r,
-            epsilon,
+            &ApproxMiner { epsilon },
             &snap,
-            &Budget::unlimited(),
-            Obs::none(),
+            Budget::unlimited(),
             None,
         )
         .expect("pristine snapshot resumes");
         assert!(out.is_complete(), "max-candidates {max}");
-        assert_eq!(out.result, baseline, "max-candidates {max}");
+        let fds = baseline.clone();
+        assert_eq!(
+            out.result,
+            Emitted::ApproxFds { fds, epsilon },
+            "max-candidates {max}"
+        );
         resumed += 1;
         std::fs::remove_file(&path).ok();
     }
@@ -416,6 +440,7 @@ fn approx_resume_completes_to_the_exact_baseline() {
 #[test]
 fn mismatched_frames_are_refused_before_any_mining() {
     let r = workload();
+    let db = StrippedPartitionDb::from_relation(&r);
     let tane = Tane::new();
     let dir = tmp_dir("mismatch");
     let path = dir.join(format!("{TANE_ALGO}.snap"));
@@ -423,22 +448,22 @@ fn mismatched_frames_are_refused_before_any_mining() {
     let token = Budget::unlimited()
         .with_max_candidates(4)
         .start_with_snapshots(policy);
-    assert!(!tane.run_with_token(&r, &token).is_complete());
+    assert!(!tane.run_db_governed(&db, &token, None).is_complete());
     let snap = read_snapshot(&path).unwrap();
+    let refused = |r: &Relation, miner: &dyn Miner, snap: &Snapshot| {
+        let err = resume(r, miner, snap, Budget::unlimited(), None)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(matches!(err, SnapshotError::Mismatch { .. }), "{err}");
+    };
 
     // Wrong algorithm: a TANE frame offered to Dep-Miner.
-    let err = DepMiner::algorithm_2(None)
-        .resume_governed(&r, &snap, &Budget::unlimited(), Obs::none(), None)
-        .unwrap_err();
-    assert!(matches!(err, SnapshotError::Mismatch { .. }), "{err}");
+    refused(&r, &DepMiner::algorithm_2(None), &snap);
 
     // Wrong configuration: pruning switches differ.
     let mut unpruned = Tane::new();
     unpruned.key_pruning = false;
-    let err = unpruned
-        .resume_governed(&r, &snap, &Budget::unlimited(), Obs::none(), None)
-        .unwrap_err();
-    assert!(matches!(err, SnapshotError::Mismatch { .. }), "{err}");
+    refused(&r, &unpruned, &snap);
 
     // Wrong relation: the fingerprint catches a changed input.
     let other = SyntheticConfig {
@@ -447,36 +472,82 @@ fn mismatched_frames_are_refused_before_any_mining() {
     }
     .generate()
     .unwrap();
-    let err = tane
-        .resume_governed(&other, &snap, &Budget::unlimited(), Obs::none(), None)
-        .unwrap_err();
-    assert!(matches!(err, SnapshotError::Mismatch { .. }), "{err}");
+    refused(&other, &tane, &snap);
 
-    // An arity mismatch inside an otherwise-valid FDEP payload is caught
-    // by the dedicated guard (the frame itself validates: same relation,
-    // same empty config).
-    let db = StrippedPartitionDb::from_relation(&r);
+    // Payloads that do not fit the relation, inside CRC-valid frames
+    // stamped as the miner's own run on `r` would stamp them, are
+    // refused before any mining.
+    let misfit = |miner: &dyn Miner, payload: Vec<u8>| {
+        let snap = Snapshot {
+            algo: miner.algo_id().to_string(),
+            schema_hash: db_fingerprint(&db),
+            config: miner.config_bytes(),
+            payload,
+        };
+        refused(&r, miner, &snap);
+    };
+    let arity = r.arity();
+    let set = |attrs: &[usize]| AttrSet::from_indices(attrs.iter().copied());
+    // FDEP: a negative cover one attribute short.
     let cp = FdepCheckpoint {
-        negative: vec![Vec::new(); r.arity() - 1],
+        negative: vec![Vec::new(); arity - 1],
         completed_attrs: 0,
         fds: Vec::new(),
         couples: 0,
     };
-    let bogus = Snapshot {
-        algo: FDEP_ALGO.to_string(),
-        schema_hash: db_fingerprint(&db),
-        config: Vec::new(),
-        payload: cp.encode_payload(),
+    misfit(&Fdep::new(), cp.encode_payload());
+    // Dep-Miner: max sets of a 3-attribute relation.
+    let cp = DepMinerCheckpoint {
+        agree: Some(agree_sets_naive(&r)),
+        max: Some(MaxSets {
+            max: vec![Vec::new(); 3],
+            cmax: vec![Vec::new(); 3],
+            arity: 3,
+        }),
+        families: Vec::new(),
+        couples: 0,
+        candidates: 0,
     };
-    let err = depminer::fdep::Fdep::new()
-        .resume_governed(&r, &bogus, &Budget::unlimited(), Obs::none(), None)
-        .unwrap_err();
-    assert!(matches!(err, SnapshotError::Mismatch { .. }), "{err}");
+    misfit(&DepMiner::algorithm_2(None), cp.encode_payload());
+    // Approximate TANE: `found` one list short.
+    let cp = ApproxCheckpoint {
+        completed_levels: 0,
+        frontier: (0..arity).map(AttrSet::singleton).collect(),
+        found: vec![Vec::new(); arity - 1],
+        out: Vec::new(),
+        candidates: 0,
+    };
+    misfit(&ApproxMiner { epsilon: 0.05 }, cp.encode_payload());
+    // TANE: a frontier set naming attribute 40 of 7.
+    let all = AttrSet::full(arity);
+    let cp = TaneCheckpoint {
+        completed_levels: 1,
+        frontier: vec![set(&[0, 40])],
+        prev_errs: vec![(set(&[0]), 0), (set(&[40]), 0)],
+        cplus: vec![(set(&[0]), all), (set(&[40]), all)],
+        fds: Vec::new(),
+        candidates: 0,
+        products: 0,
+    };
+    misfit(&tane, cp.encode_payload());
+    // TANE: a level-2 frontier whose subsets carry no C⁺ or error.
+    let cp = TaneCheckpoint {
+        frontier: vec![set(&[0, 1])],
+        prev_errs: Vec::new(),
+        cplus: Vec::new(),
+        ..cp
+    };
+    misfit(&tane, cp.encode_payload());
+    // TANE: more complete levels than the relation has attributes.
+    let cp = TaneCheckpoint {
+        completed_levels: usize::MAX,
+        frontier: Vec::new(),
+        ..cp
+    };
+    misfit(&tane, cp.encode_payload());
 
     // And the pristine frame still resumes fine after all the refusals.
-    let out = tane
-        .resume_governed(&r, &snap, &Budget::unlimited(), Obs::none(), None)
-        .unwrap();
+    let out = resume(&r, &tane, &snap, Budget::unlimited(), None).unwrap();
     assert!(out.is_complete());
-    assert_eq!(out.result.fds, tane.run(&r).fds);
+    assert_eq!(exact(&out), tane.run(&r).fds);
 }
