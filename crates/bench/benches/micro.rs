@@ -6,8 +6,7 @@ use depminer_bench::harness::{BenchmarkId, Criterion};
 use depminer_bench::{criterion_group, criterion_main};
 use depminer_fdtheory::{closure, Fd};
 use depminer_relation::{
-    AttrSet, FlatPartition, PartitionArena, ProductScratch, StrippedPartition, StrippedPartitionDb,
-    SyntheticConfig,
+    AttrSet, FlatPartition, PartitionArena, StrippedPartitionDb, SyntheticConfig,
 };
 use depminer_tane::g3_error;
 
@@ -26,16 +25,6 @@ fn partitions(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("spdb_extract", n_rows), &r, |b, r| {
             b.iter(|| StrippedPartitionDb::from_relation(r))
         });
-        let p0 = StrippedPartition::for_attribute(&r, 0);
-        let p1 = StrippedPartition::for_attribute(&r, 1);
-        group.bench_with_input(
-            BenchmarkId::new("partition_product", n_rows),
-            &(&p0, &p1),
-            |b, (p0, p1)| {
-                let mut scratch = ProductScratch::new(n_rows);
-                b.iter(|| p0.product_with(p1, &mut scratch))
-            },
-        );
         let f0 = FlatPartition::for_attribute(&r, 0);
         let f1 = FlatPartition::for_attribute(&r, 1);
         group.bench_with_input(

@@ -35,7 +35,7 @@ pub struct RunStamp {
     /// Readers must treat multi-thread speedup tables produced where
     /// this is `1` as invalid: the sweep measured scheduling overhead
     /// on one CPU, not parallel speedup. Same-thread-count comparisons
-    /// (e.g. the `layout` bench's nested-vs-flat ratio) stay valid.
+    /// (e.g. the `overhead` bench's ratios) stay valid.
     pub host_cpus: usize,
     /// Free-form thread configuration of the run, e.g. `"sequential"`
     /// or `"1,2,4,8"`.

@@ -17,7 +17,7 @@
 //!   tuple carries the identifier set `ec(t)` of stripped classes
 //!   containing it; the agree set of a couple is the attribute projection
 //!   of `ec(t) ∩ ec(t')` (Lemma 2). `ec(t)` is row `t` of one class-id
-//!   matrix ([`ClassIds`](depminer_relation::ClassIds)), so the
+//!   matrix ([`ClassIds`]), so the
 //!   intersection is an elementwise compare of two rows.
 //!
 //! [`agree_sets_with`] takes a [`Parallelism`] knob; [`agree_sets`] runs
@@ -27,7 +27,7 @@
 //! merged by union), Algorithm 3 fans the row compares across *maximal
 //! classes* (thread-local hash-set accumulators merged at the end). Both
 //! merges are order-insensitive unions, and the final sort in
-//! [`AgreeSets::from_raw`] makes the output canonical.
+//! `AgreeSets::from_raw` makes the output canonical.
 //!
 //! All strategies return [`AgreeSets`]: the *non-empty* agree sets of `r`,
 //! deduplicated and sorted, together with the context (arity, tuple count,

@@ -11,7 +11,7 @@
 //! load → preprocess → mine → invariant audit → report as one pipeline.
 //!
 //! Adding a fifth miner costs one `Miner` impl plus one
-//! [`MinerEntry`](registry::MinerEntry) row — no edits to the CLI, the
+//! [`MinerEntry`] row — no edits to the CLI, the
 //! governance layer, or the observability plumbing.
 //!
 //! ```

@@ -1,6 +1,6 @@
 //! The FD-tree: a trie over attribute sets with subset/superset queries.
 //!
-//! FDEP's inner data structure ([SF93]; the same structure later powers
+//! FDEP's inner data structure (\[SF93\]; the same structure later powers
 //! FastFDs and HyFD). Sets are stored as sorted attribute paths; the three
 //! queries the algorithm needs are all sub-linear in the number of stored
 //! sets:

@@ -2,7 +2,7 @@
 //!
 //! The **FDEP** algorithm of Savnik & Flach ("Bottom-up induction of
 //! functional dependencies from relations", KDD workshop 1993) — one of the
-//! prior FD miners the Dep-Miner paper cites ([SF93], §1/§5.1) —
+//! prior FD miners the Dep-Miner paper cites (\[SF93\], §1/§5.1) —
 //! implemented with its characteristic FD-tree.
 //!
 //! FDEP works bottom-up from the data:

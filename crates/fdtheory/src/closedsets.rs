@@ -3,7 +3,7 @@
 //! `CL(F)` is the family of closed attribute sets; `GEN(F)` is its unique
 //! minimal subfamily such that every closed set is an intersection of
 //! generators (the *meet-irreducible* closed sets). [MR86, MR94b] show
-//! `MAX(F) = GEN(F)`, the bridge Dep-Miner exploits; [BDFS84] shows `r` is
+//! `MAX(F) = GEN(F)`, the bridge Dep-Miner exploits; \[BDFS84\] shows `r` is
 //! Armstrong for `F` iff `GEN(F) ⊆ ag(r) ⊆ CL(F)` — the criterion our
 //! integration tests use to *prove* generated Armstrong relations correct.
 //!
@@ -51,7 +51,7 @@ pub fn max_sets(fds: &[Fd], n_attrs: usize) -> Vec<AttrSet> {
 }
 
 /// `GEN(F)`: the meet-irreducible closed sets. Equal to [`max_sets`] by the
-/// [MR86] theorem; computed here *independently* (a closed set `X ≠ R` is a
+/// \[MR86\] theorem; computed here *independently* (a closed set `X ≠ R` is a
 /// generator iff it is not the intersection of the closed sets strictly
 /// containing it) so tests can confirm the theorem rather than assume it.
 pub fn generators(fds: &[Fd], n_attrs: usize) -> Vec<AttrSet> {
@@ -86,7 +86,7 @@ pub fn agree_sets_naive(r: &Relation) -> Vec<AttrSet> {
     out
 }
 
-/// Checks the [BDFS84] Armstrong criterion:
+/// Checks the \[BDFS84\] Armstrong criterion:
 /// `r` is an Armstrong relation for `F` iff `GEN(F) ⊆ ag(r) ⊆ CL(F)`.
 ///
 /// Exponential in arity (it enumerates `CL(F)`); intended for tests.

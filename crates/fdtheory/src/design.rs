@@ -1,4 +1,4 @@
-//! Design by example ([MR86]): an Armstrong relation for a *given* FD set.
+//! Design by example (\[MR86\]): an Armstrong relation for a *given* FD set.
 //!
 //! The paper builds Armstrong relations from a mined relation; the inverse
 //! workflow — a designer writes down `F` and receives a small example
@@ -10,7 +10,7 @@
 //!    closure tests);
 //! 2. `cmax(F, A) = Tr(lhs(F, A))` (nihilpotence, §5.1), complement to get
 //!    `max(F, A)`;
-//! 3. one tuple per element of `{R} ∪ MAX(F)` (the [BDFS84] construction).
+//! 3. one tuple per element of `{R} ∪ MAX(F)` (the \[BDFS84\] construction).
 
 use crate::closure::closure;
 use crate::fd::Fd;

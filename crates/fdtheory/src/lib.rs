@@ -4,12 +4,12 @@
 //! substrate and the "logical tuning" toolkit around the miners.
 //!
 //! * [`Fd`] — functional dependencies `X → A`;
-//! * [`closure`] — attribute closures `X⁺_F` (linear-time) and the
+//! * [`closure`](mod@closure) — attribute closures `X⁺_F` (linear-time) and the
 //!   implication/membership problem;
 //! * [`cover`] — cover equivalence (the correctness criterion relating
 //!   Dep-Miner, TANE and the brute-force oracle) and canonical covers;
 //! * [`keys`] — candidate-key enumeration (Lucchesi–Osborn);
-//! * [`closedsets`] — `CL(F)`, `GEN(F)`, `MAX(F)` and the [BDFS84]
+//! * [`closedsets`] — `CL(F)`, `GEN(F)`, `MAX(F)` and the \[BDFS84\]
 //!   Armstrong-relation criterion `GEN(F) ⊆ ag(r) ⊆ CL(F)`;
 //! * [`mine`] — a brute-force minimal-FD miner used as a test oracle;
 //! * [`normalize`] — BCNF decomposition and 3NF synthesis, the schema

@@ -7,7 +7,7 @@
 //! * **Augmentation**: `X → Y  ⇒  XZ → YZ`;
 //! * **Transitivity**: `X → Y, Y → Z  ⇒  X → Z`.
 //!
-//! [`derive`] produces an explicit step-by-step [`Proof`] that `F ⊨ X → Y`
+//! [`derive()`] produces an explicit step-by-step [`Proof`] that `F ⊨ X → Y`
 //! (soundness+completeness of the axioms make this possible exactly when
 //! `Y ⊆ X⁺_F`), and [`Proof::check`] re-validates every step mechanically —
 //! so the closure algorithm's verdicts are backed by independently

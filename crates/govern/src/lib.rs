@@ -19,7 +19,7 @@
 //! overhead).
 //!
 //! With the `faults` feature, tokens can carry a deterministic
-//! [`faults::FaultPlan`] that injects a cancellation, a worker panic, or
+//! `faults::FaultPlan` that injects a cancellation, a worker panic, or
 //! an allocation-budget exhaustion at the n-th checkpoint — the chaos
 //! tests drive every injection point and assert the pipeline always
 //! yields a complete result or a well-formed partial one.
@@ -389,7 +389,7 @@ impl CancelToken {
     /// The cooperative checkpoint. Returns `Err` once the run is over
     /// budget; `stage` labels the checkpoint for diagnostics. Cost on
     /// the happy path: one relaxed load, plus — when a deadline is armed
-    /// — a clock read every [`DEADLINE_STRIDE`]-th call (the first call
+    /// — a clock read every `DEADLINE_STRIDE`-th call (the first call
     /// always reads it). Call it at coarse boundaries (per level, per
     /// class, per chunk), not per row.
     pub fn check(&self, stage: Stage) -> Result<(), BudgetExceeded> {

@@ -575,7 +575,7 @@ fn tmp_path(path: &Path) -> PathBuf {
 
 /// How an injected fault mangles a frame on its way to disk. This is
 /// the feature-independent mirror of the writer-targeting
-/// [`FaultKind`](crate::faults::FaultKind) variants, so the corrupted
+/// `faults::FaultKind` variants, so the corrupted
 /// writer (and its tests) exist without the `faults` feature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteCorruption {

@@ -11,7 +11,7 @@
 //!    candidate with an i-subset that is not a survivor (it was either a
 //!    transversal — so the candidate is non-minimal — or never generated).
 //!
-//! This mirrors [AS94]'s `Apriori-gen` exactly as the paper specifies.
+//! This mirrors \[AS94\]'s `Apriori-gen` exactly as the paper specifies.
 
 use crate::Hypergraph;
 use depminer_govern::{BudgetExceeded, CancelToken, Stage};

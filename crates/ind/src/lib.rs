@@ -1,7 +1,7 @@
 //! # depminer-ind
 //!
 //! Unary **inclusion dependency** (IND) discovery — the companion problem
-//! of [KMRS92] ("Discovering functional and inclusion dependencies in
+//! of \[KMRS92\] ("Discovering functional and inclusion dependencies in
 //! relational databases"), which the Dep-Miner paper cites as fitting the
 //! same general framework (§3).
 //!

@@ -157,9 +157,6 @@ pub enum Counter {
     /// Partitions evicted early from TANE's memory-bounded level cache
     /// because a `govern` memory cap would otherwise trip.
     PartitionCacheEvictions,
-    /// Partition products computed allocation-free against a reusable
-    /// arena (the flat CSR fast path).
-    ProductsInPlace,
     /// Checkpoint snapshot frames persisted by the `govern` snapshot
     /// policy (due boundary writes, forced writes, and on-trip flushes).
     SnapshotsWritten,
@@ -170,7 +167,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 10] = [
+    pub const ALL: [Counter; 9] = [
         Counter::CouplesScanned,
         Counter::PartitionProducts,
         Counter::AprioriCandidates,
@@ -178,7 +175,6 @@ impl Counter {
         Counter::FdEmissions,
         Counter::ArenaHighWaterBytes,
         Counter::PartitionCacheEvictions,
-        Counter::ProductsInPlace,
         Counter::SnapshotsWritten,
         Counter::ResumeLevelsSkipped,
     ];
@@ -196,7 +192,6 @@ impl Counter {
             Counter::FdEmissions => "fd_emissions",
             Counter::ArenaHighWaterBytes => "arena_high_water_bytes",
             Counter::PartitionCacheEvictions => "partition_cache_evictions",
-            Counter::ProductsInPlace => "products_in_place",
             Counter::SnapshotsWritten => "snapshots_written",
             Counter::ResumeLevelsSkipped => "resume_levels_skipped",
         }
@@ -212,9 +207,8 @@ impl Counter {
             Counter::FdEmissions => 4,
             Counter::ArenaHighWaterBytes => 5,
             Counter::PartitionCacheEvictions => 6,
-            Counter::ProductsInPlace => 7,
-            Counter::SnapshotsWritten => 8,
-            Counter::ResumeLevelsSkipped => 9,
+            Counter::SnapshotsWritten => 7,
+            Counter::ResumeLevelsSkipped => 8,
         }
     }
 }
@@ -536,6 +530,6 @@ mod tests {
             assert_eq!(c.index(), i);
             assert!(!c.name().is_empty());
         }
-        assert_eq!(Counter::COUNT, 10);
+        assert_eq!(Counter::COUNT, 9);
     }
 }

@@ -15,7 +15,7 @@
 //! `depminer-hypergraph`, and the end-to-end `MiningResult::audit`.
 
 use crate::attrset::AttrSet;
-use crate::partition::{FlatPartition, Partition, StrippedPartition};
+use crate::partition::FlatPartition;
 use crate::relation::Relation;
 use crate::spdb::StrippedPartitionDb;
 use std::fmt;
@@ -24,7 +24,7 @@ use std::fmt;
 /// what was expected and what was found.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvariantError {
-    /// Which structure failed its audit (e.g. `"StrippedPartition"`).
+    /// Which structure failed its audit (e.g. `"FlatPartition"`).
     pub structure: &'static str,
     /// What went wrong.
     pub detail: String,
@@ -67,81 +67,6 @@ pub const fn audits_enabled() -> bool {
 pub fn enforce(check: Result<(), InvariantError>) {
     if let Err(e) = check {
         panic!("{e}"); // lint: allow(no-panic) — audit failures are fatal by design
-    }
-}
-
-impl Partition {
-    /// Audits a full partition of an `n_rows`-tuple relation: every class
-    /// is non-empty and sorted ascending, classes are pairwise disjoint,
-    /// and together they cover each tuple id `0..n_rows` exactly once.
-    pub fn validate(&self, n_rows: usize) -> Result<(), InvariantError> {
-        let err = |d: String| Err(InvariantError::new("Partition", d));
-        let mut seen = vec![false; n_rows];
-        let mut covered = 0usize;
-        for (i, class) in self.classes.iter().enumerate() {
-            if class.is_empty() {
-                return err(format!("class {i} is empty"));
-            }
-            if !class.windows(2).all(|w| w[0] < w[1]) {
-                return err(format!("class {i} is not sorted ascending: {class:?}"));
-            }
-            for &t in class {
-                let t = t as usize;
-                if t >= n_rows {
-                    return err(format!("tuple id {t} out of range for |r| = {n_rows}"));
-                }
-                if seen[t] {
-                    return err(format!("tuple id {t} appears in two classes"));
-                }
-                seen[t] = true;
-                covered += 1;
-            }
-        }
-        if covered != n_rows {
-            return err(format!("classes cover {covered} of {n_rows} tuples"));
-        }
-        Ok(())
-    }
-}
-
-impl StrippedPartition {
-    /// Audits a stripped partition: every class has ≥ 2 tuples, classes
-    /// are sorted and pairwise disjoint, tuple ids are in range, and the
-    /// cached `total` equals the sum of class sizes.
-    pub fn validate(&self) -> Result<(), InvariantError> {
-        let err = |d: String| Err(InvariantError::new("StrippedPartition", d));
-        let n_rows = self.n_rows();
-        let mut seen = vec![false; n_rows];
-        let mut total = 0usize;
-        for (i, class) in self.classes().iter().enumerate() {
-            if class.len() < 2 {
-                return err(format!(
-                    "stripped class {i} has {} tuple(s); classes must have >= 2",
-                    class.len()
-                ));
-            }
-            if !class.windows(2).all(|w| w[0] < w[1]) {
-                return err(format!("class {i} is not sorted ascending: {class:?}"));
-            }
-            for &t in class {
-                let t = t as usize;
-                if t >= n_rows {
-                    return err(format!("tuple id {t} out of range for |r| = {n_rows}"));
-                }
-                if seen[t] {
-                    return err(format!("tuple id {t} appears in two classes"));
-                }
-                seen[t] = true;
-            }
-            total += class.len();
-        }
-        if total != self.total_tuples() {
-            return err(format!(
-                "cached total {} != sum of class sizes {total}",
-                self.total_tuples()
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -227,9 +152,12 @@ impl StrippedPartitionDb {
         Ok(())
     }
 
-    /// Audits the database against the relation it claims to describe:
-    /// every per-attribute stripped partition must equal the one
-    /// recomputed from `r`'s columns.
+    /// Audits the database against the relation it claims to describe,
+    /// in O(|r|) per attribute: each class of `π̂_A` must be exactly the
+    /// set of rows sharing one value of `A`, for every value that occurs
+    /// more than once. Checked as three conditions on the column codes:
+    /// all rows of a class share one code, no two classes share a code,
+    /// and the class sizes sum to the number of rows whose code repeats.
     pub fn validate_against(&self, r: &Relation) -> Result<(), InvariantError> {
         let err = |d: String| Err(InvariantError::new("StrippedPartitionDb", d));
         if self.arity() != r.arity() {
@@ -248,10 +176,33 @@ impl StrippedPartitionDb {
         }
         self.validate()?;
         for a in 0..r.arity() {
-            let fresh = StrippedPartition::for_attribute(r, a);
-            if normalized(&self.partition(a).to_nested()) != normalized(&fresh) {
+            let col = r.column(a);
+            let codes = col.codes();
+            let mut tally = vec![0u32; col.distinct_count()];
+            for &c in codes {
+                tally[c as usize] += 1;
+            }
+            let repeated: usize = tally.iter().filter(|&&n| n > 1).map(|&n| n as usize).sum();
+            // A class takes its code's tally, so a second class with the
+            // same code finds 0.
+            for (i, class) in self.partition(a).classes().enumerate() {
+                let code = codes[class[0] as usize];
+                if let Some(&t) = class.iter().find(|&&t| codes[t as usize] != code) {
+                    return err(format!(
+                        "attribute {a}: class {i} holds tuples {} and {t}, which differ on it",
+                        class[0]
+                    ));
+                }
+                if std::mem::take(&mut tally[code as usize]) == 0 {
+                    return err(format!(
+                        "attribute {a}: class {i} repeats the value of an earlier class"
+                    ));
+                }
+            }
+            let covered = self.partition(a).total_tuples();
+            if covered != repeated {
                 return err(format!(
-                    "partition for attribute {a} disagrees with one recomputed from the relation"
+                    "attribute {a}: classes cover {covered} tuples, but {repeated} share their value with another"
                 ));
             }
         }
@@ -259,24 +210,12 @@ impl StrippedPartitionDb {
     }
 }
 
-/// Classes with inner and outer order normalized, for order-insensitive
-/// partition comparison.
-fn normalized(p: &StrippedPartition) -> Vec<Vec<u32>> {
-    let mut classes: Vec<Vec<u32>> = p.classes().to_vec();
-    for c in &mut classes {
-        c.sort_unstable();
-    }
-    classes.sort();
-    classes
-}
-
 /// Audits that `fd_lhs → rhs` actually holds in `r` by replaying tuple
 /// comparisons: no two tuples may agree on `fd_lhs` yet differ on `rhs`.
 /// Used by the end-to-end `MiningResult::audit` in `depminer-core`.
 pub fn validate_fd_holds(r: &Relation, lhs: AttrSet, rhs: usize) -> Result<(), InvariantError> {
-    let sp = StrippedPartition::for_set(r, lhs);
-    for class in sp.classes() {
-        let codes = r.column(rhs).codes();
+    let codes = r.column(rhs).codes();
+    for class in FlatPartition::for_set(r, lhs).classes() {
         let first = codes[class[0] as usize];
         if let Some(&t) = class[1..].iter().find(|&&t| codes[t as usize] != first) {
             return Err(InvariantError::new(
@@ -300,65 +239,9 @@ mod tests {
     #[test]
     fn well_formed_structures_pass() {
         let r = datasets::employee();
-        for a in 0..r.arity() {
-            Partition::for_attribute(&r, a).validate(r.len()).unwrap();
-            StrippedPartition::for_attribute(&r, a).validate().unwrap();
-        }
         let db = StrippedPartitionDb::from_relation(&r);
         db.validate().unwrap();
         db.validate_against(&r).unwrap();
-    }
-
-    #[test]
-    fn partition_rejects_overlapping_classes() {
-        let p = Partition {
-            classes: vec![vec![0, 1], vec![1, 2]],
-        };
-        let e = p.validate(3).unwrap_err();
-        assert!(e.detail.contains("two classes"), "{e}");
-    }
-
-    #[test]
-    fn partition_rejects_uncovered_tuples() {
-        let p = Partition {
-            classes: vec![vec![0, 1]],
-        };
-        assert!(p.validate(3).is_err());
-    }
-
-    #[test]
-    fn partition_rejects_out_of_range_ids() {
-        let p = Partition {
-            classes: vec![vec![0, 7]],
-        };
-        let e = p.validate(2).unwrap_err();
-        assert!(e.detail.contains("out of range"), "{e}");
-    }
-
-    #[test]
-    fn stripped_partition_rejects_singleton_class() {
-        // from_classes debug_asserts, so corrupt through Partition::strip's
-        // contract instead: craft classes directly via from_classes in a
-        // release-style path. Here we build a valid one and check the
-        // validator catches a hand-made singleton via Partition.
-        let p = Partition {
-            classes: vec![vec![0], vec![1, 2]],
-        };
-        // Partition itself is fine (covers everything)…
-        p.validate(3).unwrap();
-        // …but treating its classes as stripped classes must fail.
-        let sp = StrippedPartition::from_classes_unchecked(p.classes, 3);
-        let e = sp.validate().unwrap_err();
-        assert!(e.detail.contains(">= 2"), "{e}");
-    }
-
-    #[test]
-    fn stripped_partition_rejects_bad_total() {
-        let sp = StrippedPartition::from_classes_unchecked(vec![vec![0, 1]], 3);
-        sp.validate().unwrap();
-        let corrupt = sp.with_total_for_test(5);
-        let e = corrupt.validate().unwrap_err();
-        assert!(e.detail.contains("cached total"), "{e}");
     }
 
     #[test]
@@ -405,7 +288,37 @@ mod tests {
         let db = StrippedPartitionDb::from_relation(&other);
         assert!(db.validate().is_ok());
         let e = db.validate_against(&r).unwrap_err();
-        assert!(e.detail.contains("disagrees"), "{e}");
+        assert!(e.detail.contains("attribute 0"), "{e}");
+    }
+
+    #[test]
+    fn validate_against_rejects_classes_that_misgroup_codes() {
+        // One column, codes by row: a a a a b b c.
+        let schema = Schema::synthetic(1).unwrap();
+        let r = crate::relation::Relation::from_columns(
+            schema.clone(),
+            vec![vec![1, 1, 1, 1, 2, 2, 3]],
+        )
+        .unwrap();
+        let db_of = |rows: Vec<u32>, offsets: Vec<u32>| {
+            let p = FlatPartition::from_raw_parts_unchecked(rows, offsets, 7);
+            StrippedPartitionDb::from_parts(schema.clone(), vec![p], 7)
+        };
+        let good = db_of(vec![0, 1, 2, 3, 4, 5], vec![0, 4, 6]);
+        good.validate_against(&r).unwrap();
+        let cases = [
+            // A class mixing the codes of `a` and `b`.
+            (db_of(vec![0, 1, 2, 3, 4], vec![0, 5]), "differ"),
+            // The repeated code `b` has no class.
+            (db_of(vec![0, 1, 2, 3], vec![0, 4]), "cover"),
+            // The rows of `a` split into two classes.
+            (db_of(vec![0, 1, 2, 3, 4, 5], vec![0, 2, 4, 6]), "repeats"),
+        ];
+        for (db, why) in cases {
+            db.validate().unwrap();
+            let e = db.validate_against(&r).unwrap_err();
+            assert!(e.detail.contains(why), "{why}: {e}");
+        }
     }
 
     #[test]

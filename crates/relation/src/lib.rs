@@ -10,11 +10,9 @@
 //!   algebra, as §5 of the paper prescribes);
 //! * [`Schema`], [`Value`], [`Relation`] — dictionary-encoded relations with
 //!   O(1) value equality;
-//! * [`Partition`], [`StrippedPartition`] — partitions `π_X` and stripped
-//!   partitions `π̂_X`, including the linear partition product used by TANE;
-//! * [`FlatPartition`], [`PartitionArena`] — the flat CSR hot-path form of
-//!   stripped partitions and the reusable arena that makes its product
-//!   allocation-free;
+//! * [`FlatPartition`], [`PartitionArena`] — stripped partitions `π̂_X` in
+//!   flat CSR form, the linear partition product used by TANE, and the
+//!   reusable arena that makes that product allocation-free;
 //! * [`StrippedPartitionDb`] — the stripped partition database `r̂` (§3.1)
 //!   together with the maximal-class set `MC` and the identifier sets
 //!   `ec(t)` that power the paper's two agree-set algorithms;
@@ -49,7 +47,7 @@ pub use error::RelationError;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use generator::{benchmark_cell, SyntheticConfig};
 pub use invariants::InvariantError;
-pub use partition::{FlatPartition, Partition, PartitionArena, ProductScratch, StrippedPartition};
+pub use partition::{FlatPartition, PartitionArena};
 pub use prng::Prng;
 pub use relation::{Column, Relation};
 pub use sample::sample;

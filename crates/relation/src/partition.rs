@@ -1,284 +1,37 @@
-//! Partitions and stripped partitions (§3.1, after [CKS86, Spy87, HKPT98]).
+//! Stripped partitions (§3.1, after [CKS86, Spy87, HKPT98]).
 //!
 //! The partition `π_X` groups tuples by their `X`-projection; the *stripped*
 //! partition `π̂_X` drops singleton classes, since a tuple alone in its class
-//! can never contribute to an agree set or violate an FD.
+//! can never contribute to an agree set or violate an FD. `π_X` itself is
+//! never stored: it is `π̂_X` plus one singleton per uncovered tuple, so
+//! `|π_X| = |π̂_X| + (|r| - ||π̂_X||)`.
 //!
-//! Stripped partitions support the two operations the miners need:
+//! [`FlatPartition`] is the one representation, with three constructions:
 //!
-//! * construction per attribute from a dictionary-encoded column (O(n));
-//! * the *product* `π̂_X · π̂_A = π̂_{X∪A}` (linear-time probe-table
-//!   algorithm from the TANE paper), which lets TANE walk up the lattice.
+//! * per attribute from a dictionary-encoded column (O(n) counting sort);
+//! * the *product* `π̂_X · π̂_Y = π̂_{X∪Y}` (linear-time probe-table
+//!   algorithm from the TANE paper), which lets TANE walk up the lattice;
+//! * per attribute set by grouping rows on their `X`-projection — the
+//!   independent oracle the other two are tested against.
 
 use crate::attrset::AttrSet;
+use crate::fxhash::FxHashMap;
 use crate::relation::Relation;
-
-/// A full partition `π_X`: every tuple appears in exactly one class.
-///
-/// Kept mainly for pedagogy and testing; the miners use
-/// [`StrippedPartition`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Partition {
-    /// Equivalence classes; each class lists tuple ids in ascending order.
-    // lint: allow(nested-alloc) -- pedagogical boundary type, not a hot path
-    pub classes: Vec<Vec<u32>>,
-}
-
-impl Partition {
-    /// Computes `π_A` for a single attribute.
-    pub fn for_attribute(r: &Relation, a: usize) -> Partition {
-        let col = r.column(a);
-        // lint: allow(nested-alloc) -- construction boundary (pedagogical form)
-        let mut classes: Vec<Vec<u32>> = vec![Vec::new(); col.distinct_count()];
-        for (t, &code) in col.codes().iter().enumerate() {
-            classes[code as usize].push(t as u32);
-        }
-        classes.retain(|c| !c.is_empty());
-        Partition { classes }
-    }
-
-    /// Computes `π_X` for an attribute set by hashing projections.
-    pub fn for_set(r: &Relation, x: AttrSet) -> Partition {
-        let cols: Vec<&[u32]> = x.iter().map(|a| r.column(a).codes()).collect();
-        let mut groups: crate::fxhash::FxHashMap<Vec<u32>, Vec<u32>> =
-            crate::fxhash::FxHashMap::default();
-        for t in 0..r.len() {
-            let key: Vec<u32> = cols.iter().map(|c| c[t]).collect();
-            groups.entry(key).or_default().push(t as u32);
-        }
-        // lint: allow(nested-alloc) -- construction boundary (pedagogical form)
-        let mut classes: Vec<Vec<u32>> = groups.into_values().collect();
-        classes.sort_unstable_by_key(|c| c.first().copied());
-        Partition { classes }
-    }
-
-    /// Drops singleton classes, yielding the stripped partition `π̂_X`.
-    pub fn strip(self, n_rows: usize) -> StrippedPartition {
-        // lint: allow(nested-alloc) -- construction boundary (pedagogical form)
-        let classes: Vec<Vec<u32>> = self.classes.into_iter().filter(|c| c.len() > 1).collect();
-        StrippedPartition::from_classes(classes, n_rows)
-    }
-
-    /// Number of classes `|π_X|`.
-    pub fn num_classes(&self) -> usize {
-        self.classes.len()
-    }
-}
-
-/// A stripped partition `π̂_X`: only classes of size ≥ 2.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StrippedPartition {
-    // lint: allow(nested-alloc) -- nested boundary form; hot paths use FlatPartition
-    classes: Vec<Vec<u32>>,
-    /// `||π̂_X||`: total number of tuples across classes.
-    total: usize,
-    /// `|r|`: relation size the partition was computed from (needed to
-    /// recover `|π_X| = |π̂_X| + (|r| - ||π̂_X||)` and for error measures).
-    n_rows: usize,
-}
-
-impl StrippedPartition {
-    /// Builds a stripped partition from pre-stripped classes.
-    ///
-    /// Callers must guarantee every class has ≥ 2 tuples and tuple ids are
-    /// unique and `< n_rows`; debug builds assert this.
-    // lint: allow(nested-alloc) -- boundary constructor taking the nested form
-    pub fn from_classes(classes: Vec<Vec<u32>>, n_rows: usize) -> Self {
-        debug_assert!(classes.iter().all(|c| c.len() > 1));
-        debug_assert!(classes.iter().flatten().all(|&t| (t as usize) < n_rows));
-        let total = classes.iter().map(Vec::len).sum();
-        StrippedPartition {
-            classes,
-            total,
-            n_rows,
-        }
-    }
-
-    /// Builds a stripped partition **without** the `from_classes` checks.
-    ///
-    /// Exists so tests can construct deliberately corrupted partitions and
-    /// prove the [`StrippedPartition::validate`] audit rejects them; never
-    /// use it on real data paths.
-    #[doc(hidden)]
-    // lint: allow(nested-alloc) -- test-only corrupted-partition constructor
-    pub fn from_classes_unchecked(classes: Vec<Vec<u32>>, n_rows: usize) -> Self {
-        let total = classes.iter().map(Vec::len).sum();
-        StrippedPartition {
-            classes,
-            total,
-            n_rows,
-        }
-    }
-
-    /// Returns a copy with the cached `total` overwritten — test-only, for
-    /// exercising the cache-consistency audit.
-    #[doc(hidden)]
-    pub fn with_total_for_test(mut self, total: usize) -> Self {
-        self.total = total;
-        self
-    }
-
-    /// Computes `π̂_A` for a single attribute directly from the column codes.
-    pub fn for_attribute(r: &Relation, a: usize) -> Self {
-        Partition::for_attribute(r, a).strip(r.len())
-    }
-
-    /// Computes `π̂_X` for an attribute set.
-    pub fn for_set(r: &Relation, x: AttrSet) -> Self {
-        if x.is_empty() {
-            // π_∅ has a single class containing every tuple.
-            let all: Vec<u32> = (0..r.len() as u32).collect();
-            let classes = if all.len() > 1 { vec![all] } else { Vec::new() };
-            return StrippedPartition::from_classes(classes, r.len());
-        }
-        Partition::for_set(r, x).strip(r.len())
-    }
-
-    /// The stripped classes.
-    #[inline]
-    pub fn classes(&self) -> &[Vec<u32>] {
-        &self.classes
-    }
-
-    /// Number of stripped classes, `|π̂_X|`.
-    #[inline]
-    pub fn num_classes(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// `||π̂_X||`: number of tuples covered by stripped classes.
-    #[inline]
-    pub fn total_tuples(&self) -> usize {
-        self.total
-    }
-
-    /// The relation size this partition was derived from.
-    #[inline]
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Number of classes of the *unstripped* partition `|π_X|`.
-    #[inline]
-    pub fn full_num_classes(&self) -> usize {
-        self.num_classes() + (self.n_rows - self.total)
-    }
-
-    /// TANE's partition error
-    /// `e(X) = (||π̂_X|| - |π̂_X|) / |r|`:
-    /// the fraction of tuples that must be removed for `X` to become a
-    /// superkey. Used by the approximate-FD extension.
-    pub fn error(&self) -> f64 {
-        if self.n_rows == 0 {
-            return 0.0;
-        }
-        (self.total - self.num_classes()) as f64 / self.n_rows as f64
-    }
-
-    /// `true` iff `π̂_X` is empty, i.e. `X` is a superkey.
-    #[inline]
-    pub fn is_superkey(&self) -> bool {
-        self.classes.is_empty()
-    }
-
-    /// The product `π̂_X · π̂_Y = π̂_{X∪Y}` via the linear probe-table
-    /// algorithm (TANE, Fig. 5 of [HKPT98]).
-    ///
-    /// `scratch` must be a reusable buffer of length ≥ `n_rows`, initialized
-    /// to `u32::MAX`; it is restored before returning so callers can share
-    /// one buffer across many products (avoids O(n) clears).
-    pub fn product_with(&self, other: &StrippedPartition, scratch: &mut ProductScratch) -> Self {
-        assert_eq!(
-            self.n_rows, other.n_rows,
-            "partitions over different relations"
-        );
-        scratch.ensure(self.n_rows);
-        let probe = &mut scratch.probe;
-        // lint: allow(nested-alloc) -- nested reference product; hot paths use FlatPartition::product_with
-        let mut new_classes: Vec<Vec<u32>> = Vec::new();
-        // Step 1: label every tuple of `self` with its class id.
-        for (cid, class) in self.classes.iter().enumerate() {
-            for &t in class {
-                probe[t as usize] = cid as u32;
-            }
-        }
-        // Step 2: within each class of `other`, group tuples by their
-        // `self`-class label; groups of size ≥ 2 are classes of the product.
-        let mut groups: crate::fxhash::FxHashMap<u32, Vec<u32>> =
-            crate::fxhash::FxHashMap::default();
-        for class in &other.classes {
-            groups.clear();
-            for &t in class {
-                let label = probe[t as usize];
-                if label != u32::MAX {
-                    groups.entry(label).or_default().push(t);
-                }
-            }
-            for (_, g) in groups.drain() {
-                if g.len() > 1 {
-                    new_classes.push(g);
-                }
-            }
-        }
-        // Step 3: restore the scratch buffer.
-        for class in &self.classes {
-            for &t in class {
-                probe[t as usize] = u32::MAX;
-            }
-        }
-        // Deterministic ordering regardless of hash iteration order.
-        new_classes.sort_unstable_by_key(|c| c.first().copied());
-        let product = StrippedPartition::from_classes(new_classes, self.n_rows);
-        if crate::invariants::audits_enabled() {
-            crate::invariants::enforce(product.validate());
-        }
-        product
-    }
-
-    /// Convenience wrapper allocating a fresh scratch buffer.
-    pub fn product(&self, other: &StrippedPartition) -> Self {
-        let mut scratch = ProductScratch::new(self.n_rows);
-        self.product_with(other, &mut scratch)
-    }
-}
-
-/// Reusable workspace for [`StrippedPartition::product_with`].
-#[derive(Debug)]
-pub struct ProductScratch {
-    probe: Vec<u32>,
-}
-
-impl ProductScratch {
-    /// Creates a scratch buffer for relations of up to `n_rows` tuples.
-    pub fn new(n_rows: usize) -> Self {
-        ProductScratch {
-            probe: vec![u32::MAX; n_rows],
-        }
-    }
-
-    fn ensure(&mut self, n_rows: usize) {
-        if self.probe.len() < n_rows {
-            self.probe.resize(n_rows, u32::MAX);
-        }
-    }
-}
 
 /// A stripped partition `π̂_X` in flat CSR form: one contiguous `rows`
 /// buffer holding every class member, plus an `offsets` array delimiting
 /// classes (`offsets.len() == num_classes + 1`, `offsets[0] == 0`).
 ///
-/// This is the hot-path representation: one heap allocation per partition
-/// instead of one per class, sequential scans instead of pointer chasing,
-/// and [`FlatPartition::product_with`] runs allocation-free against a
-/// reusable [`PartitionArena`]. The nested [`StrippedPartition`] remains
-/// the construction/test boundary form; [`FlatPartition::from_nested`] /
-/// [`FlatPartition::to_nested`] convert between them.
+/// One heap allocation per partition instead of one per class, sequential
+/// scans instead of pointer chasing, and [`FlatPartition::product_with`]
+/// runs allocation-free against a reusable [`PartitionArena`].
 ///
 /// Invariants (audited by `validate` when invariant audits are enabled):
 /// every class has ≥ 2 members listed in ascending tuple-id order, classes
-/// are disjoint, and all ids are `< n_rows`. All construction paths in
-/// this crate additionally order classes by first tuple id ascending,
-/// matching the nested product's deterministic ordering.
+/// are disjoint, and all ids are `< n_rows`. Every construction
+/// additionally orders classes by first tuple id ascending, so a
+/// partition is canonical: `π̂_X` compares equal under `==` however it
+/// was built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatPartition {
     rows: Vec<u32>,
@@ -288,30 +41,9 @@ pub struct FlatPartition {
 }
 
 impl FlatPartition {
-    /// Converts a nested stripped partition, preserving class order.
-    pub fn from_nested(p: &StrippedPartition) -> Self {
-        let mut rows = Vec::with_capacity(p.total_tuples());
-        let mut offsets = Vec::with_capacity(p.num_classes() + 1);
-        offsets.push(0);
-        for class in p.classes() {
-            rows.extend_from_slice(class);
-            offsets.push(rows.len() as u32);
-        }
-        FlatPartition {
-            rows,
-            offsets,
-            n_rows: p.n_rows(),
-        }
-    }
-
-    /// Converts back to the nested boundary form, preserving class order.
-    pub fn to_nested(&self) -> StrippedPartition {
-        StrippedPartition::from_classes(self.classes().map(<[u32]>::to_vec).collect(), self.n_rows)
-    }
-
     /// Computes `π̂_A` for a single attribute directly from the column
-    /// codes via a two-pass counting sort: no intermediate nested form,
-    /// no per-class allocation. Class order is code order, which equals
+    /// codes via a two-pass counting sort, with no per-class allocation.
+    /// Class order is code order, which equals
     /// ascending first-tuple order (codes are assigned in first-occurrence
     /// order by the dictionary encoder).
     pub fn for_attribute(r: &Relation, a: usize) -> Self {
@@ -352,10 +84,49 @@ impl FlatPartition {
         }
     }
 
-    /// Computes `π̂_X` for an attribute set (construction boundary: built
-    /// nested, then flattened).
+    /// Computes `π̂_X` for an attribute set by hashing each row's
+    /// `X`-codes: rows with equal codes form a class, and groups of ≥ 2
+    /// rows are kept. `X = ∅` gives one class of all rows.
+    ///
+    /// This is the oracle products are tested against, so it shares no
+    /// code with [`FlatPartition::product_with`] or
+    /// [`FlatPartition::for_attribute`].
     pub fn for_set(r: &Relation, x: AttrSet) -> Self {
-        FlatPartition::from_nested(&StrippedPartition::for_set(r, x))
+        let n_rows = r.len();
+        if x.is_empty() {
+            // One class of every row, stripped when |r| < 2.
+            let (rows, offsets) = if n_rows > 1 {
+                ((0..n_rows as u32).collect(), vec![0, n_rows as u32])
+            } else {
+                (Vec::new(), vec![0])
+            };
+            return FlatPartition {
+                rows,
+                offsets,
+                n_rows,
+            };
+        }
+        let cols: Vec<&[u32]> = x.iter().map(|a| r.column(a).codes()).collect();
+        let mut groups: FxHashMap<Vec<u32>, Vec<u32>> = FxHashMap::default();
+        for t in 0..n_rows {
+            let key: Vec<u32> = cols.iter().map(|c| c[t]).collect();
+            groups.entry(key).or_default().push(t as u32);
+        }
+        // Rows were pushed in ascending order, so each group is sorted.
+        let mut classes: Vec<Vec<u32>> = groups.into_values().filter(|c| c.len() > 1).collect();
+        classes.sort_unstable_by_key(|c| c[0]);
+        let mut rows = Vec::with_capacity(classes.iter().map(Vec::len).sum());
+        let mut offsets = Vec::with_capacity(classes.len() + 1);
+        offsets.push(0);
+        for class in &classes {
+            rows.extend_from_slice(class);
+            offsets.push(rows.len() as u32);
+        }
+        FlatPartition {
+            rows,
+            offsets,
+            n_rows,
+        }
     }
 
     /// Builds a flat partition from raw CSR parts **without** validation.
@@ -422,8 +193,9 @@ impl FlatPartition {
         self.num_classes() + (self.n_rows - self.total_tuples())
     }
 
-    /// TANE's partition error `e(X) = (||π̂_X|| - |π̂_X|) / |r|` (see
-    /// [`StrippedPartition::error`]).
+    /// TANE's partition error `e(X) = (||π̂_X|| - |π̂_X|) / |r|`: the
+    /// fraction of tuples that must be removed for `X` to become a
+    /// superkey. Used by the approximate-FD extension.
     pub fn error(&self) -> f64 {
         if self.n_rows == 0 {
             return 0.0;
@@ -449,9 +221,9 @@ impl FlatPartition {
     /// lives in `arena`, and the output buffers are drawn from the arena's
     /// recycling pool when available.
     ///
-    /// The result is byte-for-byte identical to the nested
-    /// [`StrippedPartition::product_with`] (classes ordered by first tuple
-    /// id; members ascending), so flat and nested pipelines agree exactly.
+    /// The result is canonical (classes ordered by first tuple id, members
+    /// ascending), so it equals [`FlatPartition::for_set`] of `X ∪ Y`
+    /// however the product is associated.
     pub fn product_with(&self, other: &FlatPartition, arena: &mut PartitionArena) -> FlatPartition {
         assert_eq!(
             self.n_rows, other.n_rows,
@@ -531,8 +303,7 @@ impl FlatPartition {
                 }
             }
             // Step 4: deterministic ordering — classes are disjoint, so
-            // first members are distinct and the order is total. This is
-            // exactly the nested product's `sort_unstable_by_key(first)`.
+            // first members are distinct and the order is total.
             index.sort_unstable_by_key(|&(first, _, _)| first);
         }
         // Step 5: gather into (pooled) output buffers.
@@ -564,9 +335,10 @@ impl FlatPartition {
 }
 
 /// Reusable per-level workspace for [`FlatPartition::product_with`]: the
-/// probe table (the role [`ProductScratch`] plays for the nested form)
-/// plus grouping scratch and a recycling pool of retired partition
-/// buffers, so steady-state products allocate nothing.
+/// probe table plus grouping scratch and a recycling pool of retired
+/// partition buffers, so steady-state products allocate nothing. The
+/// probe table stays all-`u32::MAX` between products: each product
+/// restores it with a second pass over `self`'s classes.
 ///
 /// Callers hand partitions they no longer need to
 /// [`PartitionArena::recycle`]; the next product reuses those buffers.
@@ -673,106 +445,63 @@ mod tests {
     use crate::datasets;
     use crate::schema::Schema;
 
-    /// Normalizes a class list for comparison.
-    fn norm(mut classes: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
-        for c in &mut classes {
-            c.sort_unstable();
-        }
-        classes.sort();
-        classes
-    }
-
-    #[test]
-    fn paper_example_partitions() {
-        // Example 1 of the paper (tuple ids shifted to 0-based):
-        // π_A = {{0,1},{2},{3},{4},{5},{6}}, π_B = {{0,5},{1,6},{2,3},{4}}, …
-        let r = datasets::employee();
-        let pa = Partition::for_attribute(&r, 0);
-        assert_eq!(pa.num_classes(), 6);
-        let pb = Partition::for_attribute(&r, 1);
-        assert_eq!(
-            norm(pb.classes.clone()),
-            vec![vec![0, 5], vec![1, 6], vec![2, 3], vec![4]]
-        );
-        let pe = Partition::for_attribute(&r, 4);
-        assert_eq!(
-            norm(pe.classes.clone()),
-            vec![vec![0, 5], vec![1, 6], vec![2, 3, 4]]
-        );
+    fn classes(p: &FlatPartition) -> Vec<Vec<u32>> {
+        p.classes().map(<[u32]>::to_vec).collect()
     }
 
     #[test]
     fn paper_example_stripped_partitions() {
-        // Example 2: π̂_A = {{0,1}}, π̂_B = {{0,5},{1,6},{2,3}},
-        // π̂_C = {{3,4}}, π̂_E = {{0,5},{1,6},{2,3,4}}.
+        // Example 2 (0-based tuple ids): π̂_A = {{0,1}},
+        // π̂_B = {{0,5},{1,6},{2,3}}, π̂_C = {{3,4}}, π̂_E = {{0,5},{1,6},{2,3,4}}.
         let r = datasets::employee();
-        let sa = StrippedPartition::for_attribute(&r, 0);
-        assert_eq!(norm(sa.classes().to_vec()), vec![vec![0, 1]]);
-        let sb = StrippedPartition::for_attribute(&r, 1);
-        assert_eq!(
-            norm(sb.classes().to_vec()),
-            vec![vec![0, 5], vec![1, 6], vec![2, 3]]
-        );
-        let sc = StrippedPartition::for_attribute(&r, 2);
-        assert_eq!(norm(sc.classes().to_vec()), vec![vec![3, 4]]);
-        let se = StrippedPartition::for_attribute(&r, 4);
-        assert_eq!(
-            norm(se.classes().to_vec()),
-            vec![vec![0, 5], vec![1, 6], vec![2, 3, 4]]
-        );
-        assert_eq!(se.total_tuples(), 7);
-        assert_eq!(se.full_num_classes(), 3);
+        let part = |a: usize| FlatPartition::for_attribute(&r, a);
+        assert_eq!(classes(&part(0)), vec![vec![0, 1]]);
+        // Example 1: π_A has 6 classes, π_B 4.
+        assert_eq!(part(0).full_num_classes(), 6);
+        assert_eq!(part(1).full_num_classes(), 4);
+        assert_eq!(classes(&part(1)), vec![vec![0, 5], vec![1, 6], vec![2, 3]]);
+        assert_eq!(classes(&part(2)), vec![vec![3, 4]]);
+        let pe = part(4);
+        assert_eq!(classes(&pe), vec![vec![0, 5], vec![1, 6], vec![2, 3, 4]]);
+        assert_eq!(pe.total_tuples(), 7);
+        assert_eq!(pe.full_num_classes(), 3);
     }
 
     #[test]
     fn product_equals_direct_set_partition() {
         let r = datasets::employee();
+        let mut arena = PartitionArena::new(r.len());
         for x in 0..r.arity() {
             for y in 0..r.arity() {
-                let px = StrippedPartition::for_attribute(&r, x);
-                let py = StrippedPartition::for_attribute(&r, y);
-                let prod = px.product(&py);
-                let direct = StrippedPartition::for_set(&r, AttrSet::from_indices([x, y]));
-                assert_eq!(
-                    norm(prod.classes().to_vec()),
-                    norm(direct.classes().to_vec()),
-                    "product mismatch for attrs {x},{y}"
-                );
+                let px = FlatPartition::for_attribute(&r, x);
+                let py = FlatPartition::for_attribute(&r, y);
+                let prod = px.product_with(&py, &mut arena);
+                let direct = FlatPartition::for_set(&r, AttrSet::from_indices([x, y]));
+                assert_eq!(prod, direct, "product mismatch for attrs {x},{y}");
             }
         }
     }
 
     #[test]
-    fn product_scratch_is_reusable() {
+    fn arena_reuse_and_recycling_preserve_results() {
         let r = datasets::employee();
-        let mut scratch = ProductScratch::new(r.len());
-        let pb = StrippedPartition::for_attribute(&r, 1);
-        let pe = StrippedPartition::for_attribute(&r, 4);
-        let p1 = pb.product_with(&pe, &mut scratch);
-        let p2 = pb.product_with(&pe, &mut scratch);
-        assert_eq!(p1, p2);
-        // scratch restored: product with a third partition still correct
-        let pc = StrippedPartition::for_attribute(&r, 2);
-        let p3 = p1.product_with(&pc, &mut scratch);
-        let direct = StrippedPartition::for_set(&r, AttrSet::from_indices([1, 2, 4]));
-        assert_eq!(norm(p3.classes().to_vec()), norm(direct.classes().to_vec()));
-    }
-
-    #[test]
-    fn empty_set_partition_is_single_class() {
-        let r = datasets::employee();
-        let p = StrippedPartition::for_set(&r, AttrSet::empty());
-        assert_eq!(p.num_classes(), 1);
-        assert_eq!(p.total_tuples(), r.len());
-    }
-
-    #[test]
-    fn superkey_has_empty_stripped_partition() {
-        let r = datasets::employee();
-        // {empnum, year} is a key of the example relation.
-        let p = StrippedPartition::for_set(&r, AttrSet::from_indices([0, 2]));
-        assert!(p.is_superkey());
-        assert_eq!(p.error(), 0.0);
+        let mut arena = PartitionArena::new(r.len());
+        let pb = FlatPartition::for_attribute(&r, 1);
+        let pe = FlatPartition::for_attribute(&r, 4);
+        let expected = FlatPartition::for_set(&r, AttrSet::from_indices([1, 4]));
+        let first = pb.product_with(&pe, &mut arena);
+        assert_eq!(first, expected);
+        // The recycled buffers back the next product, which is unchanged.
+        arena.recycle(first);
+        let again = pb.product_with(&pe, &mut arena);
+        assert_eq!(again, expected);
+        assert!(arena.high_water_bytes() > 0);
+        // The probe table was restored: a chained product is still right.
+        let pc = FlatPartition::for_attribute(&r, 2);
+        assert_eq!(
+            again.product_with(&pc, &mut arena),
+            FlatPartition::for_set(&r, AttrSet::from_indices([1, 2, 4]))
+        );
     }
 
     #[test]
@@ -780,89 +509,34 @@ mod tests {
         // Column with classes {0,1,2} and {3,4}: e = (5 - 2)/5 = 0.6
         let schema = Schema::synthetic(1).unwrap();
         let r = crate::relation::Relation::from_columns(schema, vec![vec![7, 7, 7, 9, 9]]).unwrap();
-        let p = StrippedPartition::for_attribute(&r, 0);
+        let p = FlatPartition::for_attribute(&r, 0);
         assert!((p.error() - 0.6).abs() < 1e-12);
     }
 
     #[test]
-    fn product_with_superkey_is_superkey() {
+    fn superkey_product_and_empty_set() {
         let r = datasets::employee();
-        let key = StrippedPartition::for_set(&r, AttrSet::from_indices([0, 2]));
-        let pb = StrippedPartition::for_attribute(&r, 1);
-        assert!(key.product(&pb).is_superkey());
-        assert!(pb.product(&key).is_superkey());
+        // {empnum, year} is a key of the example relation.
+        let key = FlatPartition::for_set(&r, AttrSet::from_indices([0, 2]));
+        assert!(key.is_superkey());
+        assert_eq!(key.error(), 0.0);
+        let fb = FlatPartition::for_attribute(&r, 1);
+        let with_b = FlatPartition::for_set(&r, AttrSet::from_indices([0, 1, 2]));
+        assert!(with_b.is_superkey());
+        assert_eq!(key.product(&fb), with_b);
+        assert_eq!(fb.product(&key), with_b);
+        let empty = FlatPartition::for_set(&r, AttrSet::empty());
+        assert_eq!(empty.num_classes(), 1);
+        assert_eq!(empty.total_tuples(), r.len());
+        assert_eq!(empty.class(0).len(), r.len());
     }
 
     #[test]
     fn single_tuple_relation_has_no_stripped_classes() {
         let schema = Schema::synthetic(1).unwrap();
         let r = crate::relation::Relation::from_columns(schema, vec![vec![1]]).unwrap();
-        let p = StrippedPartition::for_set(&r, AttrSet::empty());
+        let p = FlatPartition::for_set(&r, AttrSet::empty());
         assert!(p.is_superkey());
-    }
-
-    #[test]
-    fn flat_construction_matches_nested_exactly() {
-        let r = datasets::employee();
-        for a in 0..r.arity() {
-            let nested = StrippedPartition::for_attribute(&r, a);
-            let flat = FlatPartition::for_attribute(&r, a);
-            assert_eq!(flat, FlatPartition::from_nested(&nested), "attr {a}");
-            assert_eq!(flat.to_nested(), nested, "attr {a} round trip");
-            assert_eq!(flat.total_tuples(), nested.total_tuples());
-            assert_eq!(flat.num_classes(), nested.num_classes());
-            assert_eq!(flat.full_num_classes(), nested.full_num_classes());
-            assert!((flat.error() - nested.error()).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn flat_product_matches_nested_exactly() {
-        let r = datasets::employee();
-        let mut arena = PartitionArena::new(r.len());
-        let mut scratch = ProductScratch::new(r.len());
-        for x in 0..r.arity() {
-            for y in 0..r.arity() {
-                let nx = StrippedPartition::for_attribute(&r, x);
-                let ny = StrippedPartition::for_attribute(&r, y);
-                let fx = FlatPartition::for_attribute(&r, x);
-                let fy = FlatPartition::for_attribute(&r, y);
-                let nested = nx.product_with(&ny, &mut scratch);
-                let flat = fx.product_with(&fy, &mut arena);
-                // Byte-for-byte: same class order, same member order.
-                assert_eq!(flat, FlatPartition::from_nested(&nested), "{x},{y}");
-            }
-        }
-    }
-
-    #[test]
-    fn arena_recycling_preserves_results() {
-        let r = datasets::employee();
-        let mut arena = PartitionArena::new(r.len());
-        let fb = FlatPartition::for_attribute(&r, 1);
-        let fe = FlatPartition::for_attribute(&r, 4);
-        let first = fb.product_with(&fe, &mut arena);
-        let expected = first.clone();
-        arena.recycle(first);
-        // The recycled buffers back the next product; the value is
-        // unchanged and the arena allocated nothing new.
-        let again = fb.product_with(&fe, &mut arena);
-        assert_eq!(again, expected);
-        assert!(arena.high_water_bytes() > 0);
-    }
-
-    #[test]
-    fn flat_superkey_product_and_empty_set() {
-        let r = datasets::employee();
-        let key = FlatPartition::for_set(&r, AttrSet::from_indices([0, 2]));
-        assert!(key.is_superkey());
-        assert_eq!(key.error(), 0.0);
-        let fb = FlatPartition::for_attribute(&r, 1);
-        assert!(key.product(&fb).is_superkey());
-        assert!(fb.product(&key).is_superkey());
-        let empty = FlatPartition::for_set(&r, AttrSet::empty());
-        assert_eq!(empty.num_classes(), 1);
-        assert_eq!(empty.total_tuples(), r.len());
-        assert_eq!(empty.class(0).len(), r.len());
+        assert_eq!(p.offsets(), [0]);
     }
 }

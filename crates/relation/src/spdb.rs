@@ -6,9 +6,7 @@
 //! is informationally equivalent to `r` for FD discovery.
 //!
 //! Partitions are stored in the flat CSR form ([`FlatPartition`]): one
-//! contiguous buffer per attribute instead of one allocation per class. The
-//! nested [`StrippedPartition`](crate::partition::StrippedPartition) form
-//! survives only at construction/test boundaries.
+//! contiguous buffer per attribute instead of one allocation per class.
 
 use crate::attrset::AttrSet;
 use crate::partition::FlatPartition;

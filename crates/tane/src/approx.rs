@@ -1,4 +1,4 @@
-//! Approximate functional dependencies (TANE §5, [HKPT98]).
+//! Approximate functional dependencies (TANE §5, \[HKPT98\]).
 //!
 //! An FD `X → A` holds *approximately* with error `g₃(X → A) ≤ ε`, where
 //! `g₃` is the minimum fraction of tuples whose removal makes the FD exact:
@@ -221,8 +221,6 @@ pub struct ApproxCheckpoint {
     /// the singleton database on load, not persisted).
     pub frontier: Vec<AttrSet>,
     /// `found[a]`: minimal approximate lhs discovered so far per rhs.
-    // snapshot boundary type: one inner Vec per rhs attribute, not per
-    // tuple, so the flat layout buys nothing; lint: allow(nested-alloc)
     pub found: Vec<Vec<AttrSet>>,
     /// FDs emitted by the completed levels (with their errors).
     pub out: Vec<ApproxFd>,
@@ -323,11 +321,18 @@ pub fn approx_config_bytes(epsilon: f64) -> Vec<u8> {
 }
 
 /// Inverse of [`approx_config_bytes`]: reconstructs the `g3` threshold
-/// recorded in a snapshot frame.
+/// recorded in a snapshot frame. A threshold outside `[0, 1]`, or NaN,
+/// is one `approx --epsilon` refuses, so no run of ours wrote it: such a
+/// frame is refused as a mismatch.
 pub fn epsilon_from_config_bytes(config: &[u8]) -> Result<f64, SnapshotError> {
     let mut d = Dec::new(config);
     let epsilon = d.take_f64()?;
     d.finish()?;
+    if !(0.0..=1.0).contains(&epsilon) {
+        return Err(SnapshotError::Mismatch {
+            what: format!("frame's epsilon {epsilon} is outside [0, 1]"),
+        });
+    }
     Ok(epsilon)
 }
 
@@ -380,8 +385,7 @@ pub fn approximate_fds_governed(
     let snapshot_id = (token.snapshots_armed() || resume.is_some())
         .then(|| (db_fingerprint(db), approx_config_bytes(epsilon)));
 
-    // found[a]: minimal approximate lhs discovered so far for rhs a —
-    // arity outer entries of short lists; lint: allow(nested-alloc)
+    // found[a]: minimal approximate lhs discovered so far for rhs a.
     let mut found: Vec<Vec<AttrSet>> = vec![Vec::new(); n];
 
     // Levelwise over lhs sets.
@@ -597,7 +601,7 @@ pub fn approximate_fds_brute(r: &Relation, epsilon: f64) -> Vec<ApproxFd> {
     for a in 0..n {
         let mut minimal: Vec<AttrSet> = Vec::new();
         let mut level: Vec<AttrSet> = vec![AttrSet::empty()];
-        // ungoverned by design: test-only oracle; lint: allow(unchecked-loop)
+        // ungoverned by design: test-only oracle; lint: allow(budget-coverage)
         while !level.is_empty() {
             let mut next = Vec::new();
             for &x in &level {

@@ -1,4 +1,4 @@
-//! The exact TANE algorithm [HKPT98], the baseline of the paper's §5.
+//! The exact TANE algorithm \[HKPT98\], the baseline of the paper's §5.
 //!
 //! TANE walks the attribute-set lattice level by level. Each node `X`
 //! carries its stripped partition `π̂_X` and an rhs⁺ candidate set `C⁺(X)`;
@@ -67,7 +67,6 @@ impl TaneResult {
     /// `lhs(dep(r), A)`, *including* the trivial entry (`{A}`, or `∅` when
     /// `∅ → A` holds) — the form required by the §5.1 Armstrong extension
     /// (`cmax(dep(r), A) = Tr(lhs(dep(r), A))`).
-    // per-rhs lhs families, the §5.1 boundary shape; lint: allow(nested-alloc)
     pub fn lhs_families(&self) -> Vec<Vec<AttrSet>> {
         lhs_families_from_fds(&self.fds, self.schema.arity())
     }
@@ -207,9 +206,7 @@ impl TaneCheckpoint {
 }
 
 /// See [`TaneResult::lhs_families`]; split out for reuse by the extension.
-// per-rhs lhs families, the §5.1 boundary shape; lint: allow(nested-alloc)
 pub fn lhs_families_from_fds(fds: &[Fd], arity: usize) -> Vec<Vec<AttrSet>> {
-    // small: arity outer entries, minimal-lhs inner; lint: allow(nested-alloc)
     let mut fams: Vec<Vec<AttrSet>> = vec![Vec::new(); arity];
     for f in fds {
         fams[f.rhs].push(f.lhs);
@@ -226,7 +223,7 @@ pub fn lhs_families_from_fds(fds: &[Fd], arity: usize) -> Vec<Vec<AttrSet>> {
 
 /// The exact TANE miner.
 ///
-/// The two pruning rules of [HKPT98] can be disabled independently for
+/// The two pruning rules of \[HKPT98\] can be disabled independently for
 /// ablation studies (`ablation_tane` bench): `rhs_pruning` is the C⁺
 /// candidate-set machinery, `key_pruning` cuts superkey nodes from the
 /// lattice. Disabling either preserves correctness (the same minimal FDs
@@ -802,11 +799,6 @@ fn generate_next<'db>(
         depminer_govern::Counter::PartitionProducts,
         pairs.len() as u64,
     );
-    // Every product is computed into arena-pooled buffers, never a fresh
-    // nested allocation.
-    token
-        .observer()
-        .add(Counter::ProductsInPlace, pairs.len() as u64);
     let _span = token.observer().span("tane-levels/products");
     let next: Vec<AttrSet> = pairs.iter().map(|p| p.2).collect();
     let mut next_cache = LevelCache::empty();
@@ -868,7 +860,7 @@ fn generate_next<'db>(
             // an advisory query first, so eviction has no side effects
             // when the budget is comfortable. Each pass pops one queue
             // entry, so the loop is bounded by the retired count.
-            // lint: allow(unchecked-loop)
+            // lint: allow(budget-coverage)
             while token.memory_would_trip(bytes) {
                 match retired.pop_front() {
                     Some(victim) => cache.evict(victim, arena, token),

@@ -1,6 +1,6 @@
 //! # depminer-tane
 //!
-//! A from-scratch implementation of **TANE** [HKPT98] — the baseline the
+//! A from-scratch implementation of **TANE** \[HKPT98\] — the baseline the
 //! Dep-Miner paper compares against (§5.1) — plus its approximate-FD
 //! variant and the paper's suggested extension for building Armstrong
 //! relations from TANE output.

@@ -462,6 +462,9 @@ pub struct LoopInfo<'n> {
     /// For `for` loops: every identifier text in the iterated
     /// expression (between `in` and the body), lowercased.
     pub iterated_idents: Vec<String>,
+    /// The tokens between the keyword and the body: a `while` condition,
+    /// which runs before every iteration, or a `for` pattern and iterable.
+    pub head: &'n [Node],
     /// The loop body.
     pub body: &'n Group,
 }
@@ -532,6 +535,7 @@ fn walk_loops<'n>(
                     line,
                     nested: in_loop,
                     iterated_idents,
+                    head: &nodes[head_start..body_idx],
                     body,
                 });
                 walk_loops(&body.children, sig, true, out);

@@ -2,7 +2,7 @@
 //! workspace's own sources, built on the lossless [`crate::lexer`] and
 //! the [`crate::flow`] block/flow analyzer.
 //!
-//! Fourteen project-specific rules (see DESIGN.md §7.1):
+//! Twelve project-specific rules (see DESIGN.md §7.1):
 //!
 //! | rule                  | level | what it flags                                          |
 //! |-----------------------|-------|--------------------------------------------------------|
@@ -12,11 +12,9 @@
 //! | `attr-count`          | line  | hardcoded `128` where `AttrSet::MAX_ATTRS` belongs     |
 //! | `header-hygiene`      | line  | `lib.rs` missing the `#![warn(missing_docs)]` header   |
 //! | `raw-thread-spawn`    | line  | `thread::spawn`/`thread::Builder` outside the parallel runtime |
-//! | `unchecked-loop`      | line  | lattice `while`/`loop` with no budget checkpoint at all |
-//! | `nested-alloc`        | line  | `Vec<Vec<…>>` in the flat-layout hot-path modules      |
 //! | `raw-snapshot-write`  | line  | snapshot-zone file writes bypassing the atomic helper  |
 //! | `par-closure-capture` | flow  | `&mut` upvars / interior mutability / captured-binding mutation in `par_map`-family closures |
-//! | `budget-coverage`     | flow  | lattice loop polling a checkpoint on some paths but not all |
+//! | `budget-coverage`     | flow  | lattice loop missing a budget checkpoint on some path  |
 //! | `safety-comment`      | flow  | `unsafe` without an adjacent `// SAFETY:` justification |
 //! | `partial-contract`    | flow  | `fn … -> MiningOutcome` that never threads a `StageReport` |
 //! | `span-coverage`       | flow  | `fn *_governed` mining stage that never opens an observe span |
@@ -25,8 +23,8 @@
 //! (`tests/`, `benches/`, `examples/`, `fixtures/` segments and in-file
 //! `#[cfg(test)]` modules) is exempt from everything except
 //! `header-hygiene`; `raw-thread-spawn` exempts the parallel runtime;
-//! the loop rules apply only to the lattice modules and `nested-alloc`
-//! only to the flat-layout hot paths. Any remaining
+//! `budget-coverage` applies only to the lattice modules and
+//! `raw-snapshot-write` only to the snapshot codec. Any remaining
 //! finding can be suppressed with a `// lint: allow(<rule>)` comment on
 //! the same line or the line above (with a neighbouring comment saying
 //! why), or — for adopting the tool on a tree with known findings — an
@@ -44,15 +42,13 @@ use crate::rules;
 use std::fmt;
 
 /// Every lint rule's machine name, in reporting order.
-pub const RULES: [&str; 14] = [
+pub const RULES: [&str; 12] = [
     "no-panic",
     "default-hasher",
     "unordered-iter",
     "attr-count",
     "header-hygiene",
     "raw-thread-spawn",
-    "unchecked-loop",
-    "nested-alloc",
     "raw-snapshot-write",
     "par-closure-capture",
     "budget-coverage",
@@ -278,8 +274,6 @@ pub fn lint_file(path: &str, source: &str) -> Vec<Diagnostic> {
         rules::lines::check_unordered_iter(path, &lines, &in_test, &mut out);
         rules::lines::check_attr_count(path, &lines, &in_test, &mut out);
         rules::lines::check_raw_thread_spawn(path, &lines, &in_test, &mut out);
-        rules::lines::check_unchecked_loop(path, &lines, &in_test, &mut out);
-        rules::lines::check_nested_alloc(path, &lines, &in_test, &mut out);
         rules::lines::check_raw_snapshot_write(path, &lines, &in_test, &mut out);
 
         let sig = crate::flow::significant(source);
@@ -463,22 +457,22 @@ mod tests {
     }
 
     #[test]
-    fn unchecked_loop_flags_unpolled_while_in_lattice_module() {
+    fn budget_coverage_flags_unpolled_loops_in_lattice_module() {
         let diags = lint_lattice(
             "fn walk(mut level: Vec<u32>) {\n    while !level.is_empty() {\n        level.pop();\n    }\n}\n",
         );
-        assert_eq!(rules(&diags), ["unchecked-loop"]);
+        assert_eq!(rules(&diags), ["budget-coverage"]);
         assert_eq!(diags[0].line, 3);
         assert!(diags[0].message.contains("CancelToken"));
         // `loop` and labeled heads are covered too.
         let labeled = lint_lattice(
             "fn walk(mut level: Vec<u32>) {\n    'levels: loop {\n        if level.pop().is_none() { break 'levels; }\n    }\n}\n",
         );
-        assert_eq!(rules(&labeled), ["unchecked-loop"]);
+        assert_eq!(rules(&labeled), ["budget-coverage"]);
     }
 
     #[test]
-    fn unchecked_loop_accepts_checkpointed_bodies() {
+    fn budget_coverage_accepts_checkpointed_bodies() {
         for poll in [
             "token.check(Stage::TaneLevels)?;",
             "token.enter_level(l, stage)?;",
@@ -491,64 +485,27 @@ mod tests {
             let diags = lint_lattice(&body);
             assert!(diags.is_empty(), "poll {poll}: {diags:?}");
         }
+        // A `while` condition runs before every iteration.
+        let head = lint_lattice(
+            "fn walk(mut level: Vec<u32>) {\n    while token.check(stage).is_ok() {\n        level.pop();\n    }\n}\n",
+        );
+        assert!(head.is_empty(), "{head:?}");
     }
 
     #[test]
-    fn unchecked_loop_scope_and_escape_hatch() {
+    fn budget_coverage_scope_and_escape_hatch() {
         let body = "fn walk(mut level: Vec<u32>) {\n    while !level.is_empty() {\n        level.pop();\n    }\n}\n";
         // Outside the lattice modules the rule does not apply.
         let other = lint_file(LIB, &format!("{HEADER}{body}"));
         assert!(other.is_empty(), "{other:?}");
         // The escape hatch names the rule.
         let allowed = lint_lattice(
-            "fn walk(mut level: Vec<u32>) {\n    // bounded by arity; lint: allow(unchecked-loop)\n    while !level.is_empty() {\n        level.pop();\n    }\n}\n",
+            "fn walk(mut level: Vec<u32>) {\n    // bounded by arity; lint: allow(budget-coverage)\n    while !level.is_empty() {\n        level.pop();\n    }\n}\n",
         );
         assert!(allowed.is_empty(), "{allowed:?}");
         // Test modules are exempt.
         let test_mod = lint_lattice(
             "#[cfg(test)]\nmod tests {\n    fn t(mut v: Vec<u32>) {\n        while !v.is_empty() { v.pop(); }\n    }\n}\n",
-        );
-        assert!(test_mod.is_empty(), "{test_mod:?}");
-    }
-
-    const HOT: &str = "crates/relation/src/spdb.rs";
-
-    fn lint_hot(body: &str) -> Vec<Diagnostic> {
-        lint_file(HOT, &format!("{HEADER}{body}"))
-    }
-
-    #[test]
-    fn nested_alloc_flags_hot_path_nested_vecs() {
-        let diags = lint_hot(
-            "fn f(n: usize) -> Vec<Vec<u32>> {\n    let grid: Vec<Vec<u32>> = vec![Vec::new(); n];\n    grid\n}\n",
-        );
-        assert_eq!(rules(&diags), ["nested-alloc", "nested-alloc"]);
-        assert_eq!(diags[0].line, 2);
-        assert_eq!(diags[1].line, 3);
-        // Whitespace variants still match, including across a line break.
-        let spaced = lint_hot("fn g() -> Vec < Vec < u32 > > {\n    Vec::new()\n}\n");
-        assert_eq!(rules(&spaced), ["nested-alloc"]);
-        let split = lint_hot("fn h() -> Vec<\n    Vec<u32>,\n> {\n    Vec::new()\n}\n");
-        assert_eq!(rules(&split), ["nested-alloc"]);
-        assert_eq!(split[0].line, 2, "{split:?}");
-    }
-
-    #[test]
-    fn nested_alloc_scope_and_escape_hatch() {
-        let body = "fn f() -> Vec<Vec<u32>> {\n    Vec::new()\n}\n";
-        // Outside the hot-path modules the rule does not apply.
-        let other = lint_file(LIB, &format!("{HEADER}{body}"));
-        assert!(other.is_empty(), "{other:?}");
-        // Flat forms never match.
-        let flat = lint_hot("fn f(rows: Vec<u32>, offsets: Vec<u32>) -> usize {\n    rows.len() + offsets.len()\n}\n");
-        assert!(flat.is_empty(), "{flat:?}");
-        // The escape hatch names the rule; test modules are exempt.
-        let allowed = lint_hot(
-            "// boundary type; lint: allow(nested-alloc)\nfn f() -> Vec<Vec<u32>> {\n    Vec::new()\n}\n",
-        );
-        assert!(allowed.is_empty(), "{allowed:?}");
-        let test_mod = lint_hot(
-            "#[cfg(test)]\nmod tests {\n    fn t() -> Vec<Vec<u32>> {\n        Vec::new()\n    }\n}\n",
         );
         assert!(test_mod.is_empty(), "{test_mod:?}");
     }

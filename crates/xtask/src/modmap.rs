@@ -3,8 +3,9 @@
 //! to be scattered through the rules.
 //!
 //! A zone is a scope a rule keys off: test code is exempt from the code
-//! rules, only the parallel runtime may create OS threads, and only the
-//! lattice-walk modules are held to the budget-checkpoint rules. The
+//! rules, only the parallel runtime may create OS threads, only the
+//! lattice-walk modules are held to `budget-coverage`, and only the
+//! snapshot codec to `raw-snapshot-write`. The
 //! table is data, not code, so adding a module to a zone is a one-line
 //! diff reviewed next to the map — see DESIGN.md §7.1 for the rendered
 //! version.
@@ -18,9 +19,6 @@ pub enum Zone {
     ParallelRuntime,
     /// Lattice-walk modules whose loops must poll the governance token.
     LatticeModule,
-    /// Partition/agree-set hot paths held to the flat CSR layout: nested
-    /// `Vec<Vec<…>>` allocations there need a justification.
-    HotPath,
     /// Snapshot-persistence code: every file mutation must go through
     /// the atomic tmp+fsync+rename helper so a crash can never leave a
     /// torn frame at the final path.
@@ -61,17 +59,6 @@ pub const MODULE_MAP: &[(Matcher, Zone)] = &[
         Matcher::Suffix("crates/tane/src/approx.rs"),
         Zone::LatticeModule,
     ),
-    (
-        Matcher::Suffix("crates/relation/src/partition.rs"),
-        Zone::HotPath,
-    ),
-    (
-        Matcher::Suffix("crates/relation/src/spdb.rs"),
-        Zone::HotPath,
-    ),
-    (Matcher::Suffix("crates/core/src/agree.rs"), Zone::HotPath),
-    (Matcher::Suffix("crates/tane/src/exact.rs"), Zone::HotPath),
-    (Matcher::Suffix("crates/tane/src/approx.rs"), Zone::HotPath),
     (
         Matcher::Suffix("crates/govern/src/snapshot.rs"),
         Zone::SnapshotZone,
@@ -139,21 +126,6 @@ mod tests {
         assert!(!in_zone("crates/tane/src/lib.rs", Zone::LatticeModule));
         // Backslash paths normalize.
         assert!(in_zone("crates\\tane\\src\\exact.rs", Zone::LatticeModule));
-    }
-
-    #[test]
-    fn hot_path_modules_by_suffix() {
-        for p in [
-            "crates/relation/src/partition.rs",
-            "crates/relation/src/spdb.rs",
-            "crates/core/src/agree.rs",
-            "crates/tane/src/exact.rs",
-            "crates/tane/src/approx.rs",
-        ] {
-            assert!(in_zone(p, Zone::HotPath), "{p}");
-        }
-        assert!(!in_zone("crates/relation/src/relation.rs", Zone::HotPath));
-        assert!(!in_zone("crates/core/src/lhs.rs", Zone::HotPath));
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! Flow-level governance rules: `budget-coverage` (the control-flow
-//! upgrade of `unchecked-loop`, proving a checkpoint on *all* paths
-//! through a lattice loop body), `partial-contract` (functions
-//! returning `MiningOutcome` must thread a `StageReport`), and
-//! `span-coverage` (every `*_governed` mining stage must open an
+//! Flow-level governance rules: `budget-coverage` (a checkpoint on
+//! *all* paths through a lattice loop body), `partial-contract`
+//! (functions returning `MiningOutcome` must thread a `StageReport`),
+//! and `span-coverage` (every `*_governed` mining stage must open an
 //! observe span or delegate to a governed helper that does).
 
 use super::CHECKPOINT_TOKENS;
@@ -17,14 +16,13 @@ fn is_checkpoint(text: &str) -> bool {
 
 /// Rule `budget-coverage`: in a lattice module, every `while`/`loop`
 /// body must reach a [`CHECKPOINT_TOKENS`] call on *every* path through
-/// one iteration — a checkpoint only in one `if` branch still lets the
-/// other path spin past the budget. Levelwise `for` loops (iterating an
-/// expression that names a level or candidate set, and not nested in an
-/// already-checkpointed loop) are held to the same bar.
-///
-/// Division of labor with `unchecked-loop`: that rule fires when a
-/// `while`/`loop` has *no* checkpoint anywhere; this rule fires when
-/// checkpoints exist but miss a path. They never both fire on one loop.
+/// one iteration — a loop with no checkpoint can run unbounded past any
+/// budget, and a checkpoint only in one `if` branch still lets the other
+/// path spin. Levelwise `for` loops (iterating an expression that names
+/// a level or candidate set, and not nested in another loop) are held
+/// to the same bar. A loop that is bounded some other way (or an
+/// ungoverned test oracle) carries a `// lint: allow(budget-coverage)`
+/// marker saying so.
 pub fn check_budget_coverage(
     path: &str,
     sig: &[SigTok<'_>],
@@ -44,27 +42,30 @@ pub fn check_budget_coverage(
         {
             continue;
         }
-        let covered = flow::always_calls(&lp.body.children, sig, &is_checkpoint);
-        if covered {
+        // A `while` condition is evaluated before every iteration.
+        let head_polls = lp.keyword == "while" && flow::always_calls(lp.head, sig, &is_checkpoint);
+        if head_polls || flow::always_calls(&lp.body.children, sig, &is_checkpoint) {
             continue;
         }
         match lp.keyword {
             "while" | "loop" => {
-                // Only fire when `unchecked-loop` stays silent: a
-                // checkpoint is mentioned somewhere, just not on every
-                // path.
-                let mentioned = flow::mentions(&lp.body.children, sig, &is_checkpoint);
-                if mentioned {
-                    out.push(Diagnostic {
-                        path: path.to_string(),
-                        line: lp.line as usize,
-                        rule: "budget-coverage",
-                        message: format!(
-                            "`{}` body polls a budget checkpoint on some paths but not all; an uncheckpointed branch can spin past the budget — hoist the poll to the top of the body",
-                            lp.keyword
-                        ),
-                    });
-                }
+                let message = if flow::mentions(&lp.body.children, sig, &is_checkpoint) {
+                    format!(
+                        "`{}` body polls a budget checkpoint on some paths but not all; an uncheckpointed branch can spin past the budget — hoist the poll to the top of the body",
+                        lp.keyword
+                    )
+                } else {
+                    format!(
+                        "`{}` in a lattice module with no budget checkpoint; poll a `CancelToken` method (check/enter_level/add_candidates/…) in the body",
+                        lp.keyword
+                    )
+                };
+                out.push(Diagnostic {
+                    path: path.to_string(),
+                    line: lp.line as usize,
+                    rule: "budget-coverage",
+                    message,
+                });
             }
             _ => {
                 // A levelwise `for`: required only at the outermost
@@ -95,15 +96,12 @@ pub fn check_budget_coverage(
 /// contract: constructing/propagating a report, or delegating to a
 /// governed helper.
 fn satisfies_contract(text: &str) -> bool {
-    text == "StageReport"
-        || text == "stages"
-        || text.ends_with("_governed")
-        || text.ends_with("_with_token")
+    text == "StageReport" || text == "stages" || text.ends_with("_governed")
 }
 
 /// Rule `partial-contract`: a function whose return type names
 /// `MiningOutcome` must construct or propagate a `StageReport` (or
-/// delegate to a `*_governed` / `*_with_token` helper that does).
+/// delegate to a `*_governed` helper that does).
 /// Otherwise the result silently claims totality with an empty stage
 /// account.
 pub fn check_partial_contract(
@@ -137,18 +135,16 @@ pub fn check_partial_contract(
 
 /// Identifiers in a `*_governed` body that satisfy the span obligation:
 /// opening an observe span directly (`.span(…)` binds a `SpanGuard`), or
-/// delegating to another governed / token-threading helper that owns the
-/// span. Parallel-runtime fan-out helpers (`par_*`) distribute work but
-/// own no mining stage, so calling one is *not* delegation.
+/// delegating to another governed helper that owns the span.
+/// Parallel-runtime fan-out helpers (`par_*`) distribute work but own no
+/// mining stage, so calling one is *not* delegation.
 fn satisfies_span(text: &str) -> bool {
-    text == "span"
-        || (!text.starts_with("par_")
-            && (text.ends_with("_governed") || text.ends_with("_with_token")))
+    text == "span" || (!text.starts_with("par_") && text.ends_with("_governed"))
 }
 
 /// Rule `span-coverage`: a function named `*_governed` is a mining stage
 /// running under the governance token; it must open an observe span or
-/// delegate to a governed/with-token helper that does. A stage without a
+/// delegate to a governed helper that does. A stage without a
 /// span is invisible to `depminer --profile` and the §5.3 phase tables,
 /// which silently misattribute its time to the parent.
 ///

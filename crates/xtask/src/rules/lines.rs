@@ -1,8 +1,7 @@
-//! The scrubbed-line rules: the original seven checks, operating on the
-//! per-line code/comment views produced by [`crate::lint`]'s scrubber
-//! (which is itself built on the lossless [`crate::lexer`]).
+//! The scrubbed-line rules: seven checks operating on the per-line
+//! code/comment views produced by [`crate::lint`]'s scrubber (which is
+//! itself built on the lossless [`crate::lexer`]).
 
-use super::CHECKPOINT_TOKENS;
 use crate::lint::{allowed, has_token, Diagnostic, ScrubbedLine};
 use crate::modmap::{in_zone, Zone};
 
@@ -248,57 +247,6 @@ pub fn check_raw_thread_spawn(
     }
 }
 
-/// Rule `unchecked-loop`: a `while`/`loop` in the levelwise/lattice
-/// modules ([`Zone::LatticeModule`]) whose body never mentions a
-/// [`CHECKPOINT_TOKENS`] method can run unbounded past any budget. A loop
-/// that is genuinely bounded (or an ungoverned test oracle) carries a
-/// `// lint: allow(unchecked-loop)` marker saying so. The stricter
-/// all-paths version of this check is the flow-level `budget-coverage`
-/// rule.
-pub fn check_unchecked_loop(
-    path: &str,
-    lines: &[ScrubbedLine],
-    in_test: &[bool],
-    out: &mut Vec<Diagnostic>,
-) {
-    if !in_zone(path, Zone::LatticeModule) {
-        return;
-    }
-    for (idx, line) in lines.iter().enumerate() {
-        if in_test[idx] || allowed(lines, idx, "unchecked-loop") {
-            continue;
-        }
-        let mut head = line.code.trim_start();
-        // Strip a loop label (`'levels: while …`).
-        if head.starts_with('\'') {
-            match head.split_once(':') {
-                Some((_, rest)) => head = rest.trim_start(),
-                None => continue,
-            }
-        }
-        let is_loop_head = head.starts_with("while ")
-            || head.starts_with("while(")
-            || head == "loop"
-            || head.starts_with("loop ")
-            || head.starts_with("loop{");
-        if !is_loop_head {
-            continue;
-        }
-        let (_, end) = brace_extent(lines, idx);
-        let checkpointed = lines[idx..=end]
-            .iter()
-            .any(|l| CHECKPOINT_TOKENS.iter().any(|t| has_token(&l.code, t)));
-        if !checkpointed {
-            out.push(Diagnostic {
-                path: path.to_string(),
-                line: idx + 1,
-                rule: "unchecked-loop",
-                message: "`while`/`loop` in a lattice module with no budget checkpoint; poll a `CancelToken` method (check/enter_level/add_candidates/…) in the body".to_string(),
-            });
-        }
-    }
-}
-
 /// Rule `raw-snapshot-write`: in the snapshot-persistence zone
 /// ([`Zone::SnapshotZone`]) every file mutation must go through the
 /// atomic helper (`.tmp` sibling + `fsync` + rename + directory fsync)
@@ -331,55 +279,6 @@ pub fn check_raw_snapshot_write(
                     ),
                 });
             }
-        }
-    }
-}
-
-/// Rule `nested-alloc`: a `Vec<Vec<…>>` in a hot-path module
-/// ([`Zone::HotPath`]) is a jagged heap-of-heaps where the flat CSR
-/// forms (`FlatPartition`, the `ClassIds` matrix, or a payload+offsets
-/// pair) belong. The match is whitespace-insensitive (so
-/// `Vec < Vec <` and `Vec<\n    Vec<` spellings still count) but
-/// string/comment-safe via the scrubbed view. Boundary types and
-/// pedagogical nested forms carry a `// lint: allow(nested-alloc)`
-/// marker with a justification; adopting the rule on a tree with known
-/// debt goes through `xtask-baseline.txt` instead.
-pub fn check_nested_alloc(
-    path: &str,
-    lines: &[ScrubbedLine],
-    in_test: &[bool],
-    out: &mut Vec<Diagnostic>,
-) {
-    if !in_zone(path, Zone::HotPath) {
-        return;
-    }
-    // A declaration can split across lines (`Vec<` at the end of one,
-    // `Vec<` at the start of the next), so the scan joins each line with
-    // its successor before squashing whitespace; the finding lands on
-    // the first line of the pair.
-    for (idx, line) in lines.iter().enumerate() {
-        if in_test[idx] || allowed(lines, idx, "nested-alloc") {
-            continue;
-        }
-        let mut joined = line.code.clone();
-        if let Some(next) = lines.get(idx + 1) {
-            joined.push_str(&next.code);
-        }
-        let squashed: String = joined.chars().filter(|c| !c.is_whitespace()).collect();
-        // Only report the pair's first line: a hit that starts on the
-        // next line is that line's own finding.
-        let own: String = line.code.chars().filter(|c| !c.is_whitespace()).collect();
-        let starts_here = match squashed.find("Vec<Vec<") {
-            Some(pos) => pos < own.len(),
-            None => false,
-        };
-        if starts_here {
-            out.push(Diagnostic {
-                path: path.to_string(),
-                line: idx + 1,
-                rule: "nested-alloc",
-                message: "nested `Vec<Vec<…>>` in a hot-path module; use the flat CSR layout (payload + offsets, e.g. `FlatPartition`) or justify with `// lint: allow(nested-alloc)`".to_string(),
-            });
         }
     }
 }

@@ -1,6 +1,6 @@
 // Golden fixture: `MiningOutcome` producers that honour the partial-
 // result contract — building a StageReport, touching `stages`, or
-// delegating to a governed/with-token helper.
+// delegating to a governed helper.
 
 fn builds_report(rows: &[u32]) -> MiningOutcome<Vec<u32>> {
     let mut report = StageReport::default();
@@ -15,10 +15,6 @@ fn touches_stages(rows: &[u32], outcome: &mut MiningOutcome<u32>) -> MiningOutco
 
 fn delegates_to_governed(rows: &[u32], token: &CancelToken) -> MiningOutcome<Vec<u32>> {
     mine_level_governed(rows, token)
-}
-
-fn delegates_with_token(rows: &[u32], token: &CancelToken) -> MiningOutcome<Vec<u32>> {
-    mine_level_with_token(rows, token)
 }
 
 fn no_outcome_no_obligation(rows: &[u32]) -> Vec<u32> {

@@ -1,6 +1,6 @@
 // Golden fixture: governed stages that satisfy the span obligation —
-// opening an observe span directly, or delegating to a governed /
-// with-token helper that owns the span.
+// opening an observe span directly, or delegating to a governed helper
+// that owns the span.
 
 fn opens_span_governed(rows: &[u32], token: &CancelToken) -> Result<Vec<u32>, BudgetExceeded> {
     let _span = token.observer().span("agree-sets");
@@ -10,10 +10,6 @@ fn opens_span_governed(rows: &[u32], token: &CancelToken) -> Result<Vec<u32>, Bu
 
 fn delegates_governed(rows: &[u32], token: &CancelToken) -> Result<Vec<u32>, BudgetExceeded> {
     inner_stage_governed(rows, token)
-}
-
-fn threads_token_governed(rows: &[u32], token: &CancelToken) -> Result<Vec<u32>, BudgetExceeded> {
-    mine_stage_with_token(rows, token)
 }
 
 fn plain_helper(rows: &[u32]) -> Vec<u32> {

@@ -56,8 +56,6 @@ fn check_rule(rule: &str, synthetic_path: &str, fire_lines: &[usize]) {
 const LIB_PATH: &str = "crates/demo/src/work.rs";
 /// Budget coverage only applies inside lattice modules.
 const LATTICE_PATH: &str = "crates/tane/src/exact.rs";
-/// Nested-alloc only applies inside the flat-layout hot-path modules.
-const HOT_PATH: &str = "crates/relation/src/spdb.rs";
 /// Raw-snapshot-write only applies inside the snapshot zone.
 const SNAPSHOT_PATH: &str = "crates/govern/src/snapshot.rs";
 
@@ -69,11 +67,6 @@ fn par_closure_capture_golden() {
 #[test]
 fn budget_coverage_golden() {
     check_rule("budget-coverage", LATTICE_PATH, &[5, 14, 26]);
-}
-
-#[test]
-fn nested_alloc_golden() {
-    check_rule("nested-alloc", HOT_PATH, &[4, 11, 15]);
 }
 
 #[test]

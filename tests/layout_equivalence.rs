@@ -1,13 +1,8 @@
-//! Flat-vs-nested layout equivalence: the CSR [`FlatPartition`] and the
-//! arena-driven product must be observationally identical to the nested
-//! `Vec<Vec<u32>>` [`StrippedPartition`] substrate they replaced, all the
-//! way from single-partition construction up to whole-pipeline FD output.
-//!
-//! The determinism invariant under test everywhere: every flat
-//! construction and product path produces classes in ascending order of
-//! first tuple, so a flat partition equals `FlatPartition::from_nested`
-//! of its nested counterpart *byte for byte* — not merely up to class
-//! reordering.
+//! Layout independence of the mined output: the maximal classes `MC`
+//! read off the class-id matrix of `r̂` match a brute-force oracle, and
+//! TANE and Dep-Miner on the flat partition database agree with the
+//! naive FD miner. (Construction, products and partition statistics are
+//! checked against `FlatPartition::for_set` in `partition_laws.rs`.)
 //!
 //! The `faulted` module (compiled under `--features faults`) sweeps
 //! injected cancellations through the governed TANE walk and checks that
@@ -16,10 +11,10 @@
 
 use depminer::fdtheory::mine_minimal_fds;
 use depminer::prelude::*;
-use depminer::relation::{FlatPartition, PartitionArena, Prng, ProductScratch, StrippedPartition};
+use depminer::relation::{FlatPartition, Prng};
 
 mod common;
-use common::{random_relation, random_set};
+use common::random_relation;
 
 const CASES: usize = 48;
 
@@ -27,84 +22,14 @@ fn arb_relation(rng: &mut Prng) -> Relation {
     random_relation(rng, 2..=6, 0..=24, 1..=4)
 }
 
-#[test]
-fn flat_construction_matches_nested_byte_for_byte() {
-    let mut rng = Prng::seed_from_u64(0xF1A7_0001);
-    for _ in 0..CASES {
-        let r = arb_relation(&mut rng);
-        let n = r.arity();
-        for a in 0..n {
-            let nested = StrippedPartition::for_attribute(&r, a);
-            let flat = FlatPartition::for_attribute(&r, a);
-            assert_eq!(flat, FlatPartition::from_nested(&nested));
-            assert_eq!(flat.to_nested(), nested, "roundtrip for attribute {a}");
-        }
-        let x = random_set(&mut rng, 6).intersection(AttrSet::full(n));
-        let nested = StrippedPartition::for_set(&r, x);
-        let flat = FlatPartition::for_set(&r, x);
-        assert_eq!(flat, FlatPartition::from_nested(&nested), "set {x}");
-    }
-}
-
-#[test]
-fn flat_product_matches_nested_product() {
-    let mut rng = Prng::seed_from_u64(0xF1A7_0002);
-    for _ in 0..CASES {
-        let r = arb_relation(&mut rng);
-        let n = r.arity();
-        let mut arena = PartitionArena::new(r.len());
-        let mut scratch = ProductScratch::new(r.len());
-        for x in 0..n {
-            for y in 0..n {
-                let nx = StrippedPartition::for_attribute(&r, x);
-                let ny = StrippedPartition::for_attribute(&r, y);
-                let fx = FlatPartition::for_attribute(&r, x);
-                let fy = FlatPartition::for_attribute(&r, y);
-                let nested_prod = nx.product_with(&ny, &mut scratch);
-                let flat_prod = fx.product_with(&fy, &mut arena);
-                assert_eq!(
-                    flat_prod,
-                    FlatPartition::from_nested(&nested_prod),
-                    "product {x}·{y}"
-                );
-                // Recycling the product back into the arena (the hot-path
-                // lifecycle) must not perturb later products.
-                arena.recycle(flat_prod);
-            }
-        }
-    }
-}
-
-#[test]
-fn flat_statistics_match_nested() {
-    let mut rng = Prng::seed_from_u64(0xF1A7_0003);
-    for _ in 0..CASES {
-        let r = arb_relation(&mut rng);
-        let n = r.arity();
-        let x = random_set(&mut rng, 6).intersection(AttrSet::full(n));
-        let nested = StrippedPartition::for_set(&r, x);
-        let flat = FlatPartition::for_set(&r, x);
-        assert_eq!(flat.num_classes(), nested.num_classes(), "set {x}");
-        assert_eq!(flat.total_tuples(), nested.total_tuples(), "set {x}");
-        assert_eq!(
-            flat.full_num_classes(),
-            nested.full_num_classes(),
-            "set {x}"
-        );
-        assert_eq!(flat.is_superkey(), nested.is_superkey(), "set {x}");
-        assert_eq!(flat.error().to_bits(), nested.error().to_bits(), "set {x}");
-    }
-}
-
-/// Oracle for `MC`: collect every class of every per-attribute *nested*
-/// partition, deduplicate, and keep the maximal ones under set inclusion
-/// by brute force.
+/// Oracle for `MC`: collect every class of every `π̂_A`, grouped straight
+/// from the rows, into one nested list, deduplicate, and keep the maximal
+/// ones under set inclusion by brute force.
 fn naive_maximal_classes(r: &Relation) -> Vec<Vec<u32>> {
     let mut classes: Vec<Vec<u32>> = Vec::new();
     for a in 0..r.arity() {
-        for c in StrippedPartition::for_attribute(r, a).classes() {
-            let mut c = c.clone();
-            c.sort_unstable();
+        for c in FlatPartition::for_set(r, AttrSet::singleton(a)).classes() {
+            let c = c.to_vec();
             if !classes.contains(&c) {
                 classes.push(c);
             }

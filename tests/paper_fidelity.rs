@@ -8,7 +8,7 @@ use depminer::depminer::{
     synthetic_armstrong, DepMiner, TransversalEngine,
 };
 use depminer::prelude::*;
-use depminer::relation::{datasets, Partition, StrippedPartition, StrippedPartitionDb};
+use depminer::relation::{datasets, FlatPartition, StrippedPartitionDb};
 
 fn s(v: &[usize]) -> AttrSet {
     AttrSet::from_indices(v.iter().copied())
@@ -23,6 +23,20 @@ fn norm<C: AsRef<[u32]>>(classes: Vec<C>) -> Vec<Vec<u32>> {
     classes
 }
 
+/// The full partition `π_A`: the stripped classes plus one singleton per
+/// tuple they leave uncovered.
+fn full_partition(r: &Relation, a: usize) -> Vec<Vec<u32>> {
+    let stripped = FlatPartition::for_attribute(r, a);
+    let mut classes: Vec<Vec<u32>> = stripped.classes().map(<[u32]>::to_vec).collect();
+    let covered = stripped.rows();
+    classes.extend(
+        (0..r.len() as u32)
+            .filter(|t| !covered.contains(t))
+            .map(|t| vec![t]),
+    );
+    classes
+}
+
 /// Example 1: the employee relation and its per-attribute partitions.
 #[test]
 fn example_1_partitions() {
@@ -30,13 +44,14 @@ fn example_1_partitions() {
     assert_eq!(r.len(), 7);
     assert_eq!(r.arity(), 5);
     // π_A = {{1,2},{3},{4},{5},{6},{7}} (paper ids) ⇒ 6 classes.
-    assert_eq!(Partition::for_attribute(&r, 0).num_classes(), 6);
+    assert_eq!(full_partition(&r, 0).len(), 6);
+    assert_eq!(FlatPartition::for_attribute(&r, 0).full_num_classes(), 6);
     assert_eq!(
-        norm(Partition::for_attribute(&r, 1).classes),
+        norm(full_partition(&r, 1)),
         vec![vec![0, 5], vec![1, 6], vec![2, 3], vec![4]]
     );
     assert_eq!(
-        norm(Partition::for_attribute(&r, 4).classes),
+        norm(full_partition(&r, 4)),
         vec![vec![0, 5], vec![1, 6], vec![2, 3, 4]]
     );
 }
@@ -45,7 +60,7 @@ fn example_1_partitions() {
 #[test]
 fn example_2_stripped_partitions() {
     let r = datasets::employee();
-    let strip = |a: usize| norm(StrippedPartition::for_attribute(&r, a).classes().to_vec());
+    let strip = |a: usize| norm(FlatPartition::for_attribute(&r, a).classes().collect());
     assert_eq!(strip(0), vec![vec![0, 1]]);
     assert_eq!(strip(1), vec![vec![0, 5], vec![1, 6], vec![2, 3]]);
     assert_eq!(strip(2), vec![vec![3, 4]]);

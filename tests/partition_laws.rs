@@ -1,8 +1,11 @@
 //! Property tests for the partition substrate: the algebraic laws §3.1's
-//! machinery relies on.
+//! machinery relies on. `FlatPartition::for_set`, which groups rows on
+//! their `X`-projection, is the oracle every construction and product is
+//! compared against with `==`: partitions are canonical, so equal
+//! partitions are equal byte for byte.
 
 use depminer::prelude::*;
-use depminer::relation::{Partition, Prng, ProductScratch, StrippedPartition};
+use depminer::relation::{FlatPartition, PartitionArena, Prng};
 
 mod common;
 use common::{random_relation, random_set};
@@ -13,30 +16,24 @@ fn arb_relation(rng: &mut Prng) -> Relation {
     random_relation(rng, 2..=5, 0..=16, 1..=4)
 }
 
-fn norm(p: &StrippedPartition) -> Vec<Vec<u32>> {
-    let mut classes: Vec<Vec<u32>> = p.classes().to_vec();
-    for c in &mut classes {
-        c.sort_unstable();
-    }
-    classes.sort();
-    classes
-}
-
 #[test]
 fn product_computes_union_partition() {
     let mut rng = Prng::seed_from_u64(0x9A01);
     for _ in 0..CASES {
         let r = arb_relation(&mut rng);
-        // π̂_X · π̂_Y = π̂_{X∪Y}, for all singleton X, Y and some composites.
+        // π̂_X · π̂_Y = π̂_{X∪Y}, for all singleton X, Y.
         let n = r.arity();
-        let mut scratch = ProductScratch::new(r.len());
+        let mut arena = PartitionArena::new(r.len());
         for x in 0..n {
             for y in 0..n {
-                let px = StrippedPartition::for_attribute(&r, x);
-                let py = StrippedPartition::for_attribute(&r, y);
-                let prod = px.product_with(&py, &mut scratch);
-                let direct = StrippedPartition::for_set(&r, AttrSet::from_indices([x, y]));
-                assert_eq!(norm(&prod), norm(&direct));
+                let px = FlatPartition::for_attribute(&r, x);
+                let py = FlatPartition::for_attribute(&r, y);
+                let prod = px.product_with(&py, &mut arena);
+                let direct = FlatPartition::for_set(&r, AttrSet::from_indices([x, y]));
+                assert_eq!(prod, direct, "product {x}·{y}");
+                // Recycling the product into the arena must not perturb
+                // later products.
+                arena.recycle(prod);
             }
         }
     }
@@ -50,11 +47,73 @@ fn product_is_commutative() {
         let n = r.arity();
         for x in 0..n {
             for y in (x + 1)..n {
-                let px = StrippedPartition::for_attribute(&r, x);
-                let py = StrippedPartition::for_attribute(&r, y);
-                assert_eq!(norm(&px.product(&py)), norm(&py.product(&px)));
+                let px = FlatPartition::for_attribute(&r, x);
+                let py = FlatPartition::for_attribute(&r, y);
+                let direct = FlatPartition::for_set(&r, AttrSet::from_indices([x, y]));
+                assert_eq!(px.product(&py), direct, "{x}·{y}");
+                assert_eq!(py.product(&px), direct, "{y}·{x}");
             }
         }
+    }
+}
+
+/// `k` distinct attributes of `0..n`, uniformly chosen.
+fn random_attrs(rng: &mut Prng, n: usize, k: usize) -> Vec<usize> {
+    let mut attrs: Vec<usize> = (0..n).collect();
+    for i in 0..k {
+        let j = rng.gen_range(i..n);
+        attrs.swap(i, j);
+    }
+    attrs.truncate(k);
+    attrs
+}
+
+/// `π̂_X` as a left-deep chain of singleton products, the way a resume
+/// rebuilds a TANE frontier.
+fn left_deep(r: &Relation, attrs: &[usize], arena: &mut PartitionArena) -> FlatPartition {
+    let mut p = FlatPartition::for_attribute(r, attrs[0]);
+    for &a in &attrs[1..] {
+        p = p.product_with(&FlatPartition::for_attribute(r, a), arena);
+    }
+    p
+}
+
+#[test]
+fn products_are_canonical_whatever_their_association() {
+    let mut rng = Prng::seed_from_u64(0x9A07);
+    let check = |r: &Relation, rng: &mut Prng| {
+        let k = rng.gen_range(2..=4usize).min(r.arity());
+        let x = random_attrs(rng, r.arity(), k);
+        let mut arena = PartitionArena::new(r.len());
+        let chain = left_deep(r, &x, &mut arena);
+        // The join TANE computes: π̂_{X∖a} · π̂_{X∖b} for two distinct
+        // members a, b of X, each side itself a chain.
+        let (i, j) = (rng.gen_range(0..k), rng.gen_range(1..k));
+        let j = (i + j) % k;
+        let without = |skip: usize| -> Vec<usize> {
+            x.iter()
+                .enumerate()
+                .filter(|&(m, _)| m != skip)
+                .map(|(_, &a)| a)
+                .collect()
+        };
+        let left = left_deep(r, &without(i), &mut arena);
+        let right = left_deep(r, &without(j), &mut arena);
+        let join = left.product_with(&right, &mut arena);
+        let direct = FlatPartition::for_set(r, AttrSet::from_indices(x.iter().copied()));
+        assert_eq!(chain, direct, "left-deep chain of {x:?}");
+        assert_eq!(join, direct, "join of {x:?} without {} and {}", x[i], x[j]);
+    };
+    for _ in 0..CASES {
+        check(&arb_relation(&mut rng), &mut rng);
+    }
+    // Relations of zero and one row have no stripped classes at all.
+    for _ in 0..16 {
+        check(&random_relation(&mut rng, 2..=5, 0..=1, 1..=4), &mut rng);
+    }
+    // Past 64 attributes, sets leave the u64 half of `AttrSet`.
+    for _ in 0..16 {
+        check(&random_relation(&mut rng, 65..=70, 0..=24, 1..=3), &mut rng);
     }
 }
 
@@ -67,7 +126,7 @@ fn refinement_is_monotone() {
         // hence err(Y) ≤ err(X) and |π_Y| ≥ |π_X|.
         let n = r.arity();
         let err = |x: AttrSet| {
-            let p = StrippedPartition::for_set(&r, x);
+            let p = FlatPartition::for_set(&r, x);
             p.total_tuples() - p.num_classes()
         };
         for bits in 0u32..(1 << n) {
@@ -94,7 +153,7 @@ fn fd_holds_iff_error_is_preserved() {
             continue;
         }
         let err = |s: AttrSet| {
-            let p = StrippedPartition::for_set(&r, s);
+            let p = FlatPartition::for_set(&r, s);
             p.total_tuples() - p.num_classes()
         };
         assert_eq!(
@@ -110,15 +169,22 @@ fn stripping_preserves_class_structure() {
     let mut rng = Prng::seed_from_u64(0x9A05);
     for _ in 0..CASES {
         let r = arb_relation(&mut rng);
-        // π̂_X = π_X minus singletons; totals line up.
+        // π̂_A = π_A minus singletons; totals line up.
         let n = r.arity();
         for a in 0..n {
-            let full = Partition::for_attribute(&r, a);
-            let stripped = StrippedPartition::for_attribute(&r, a);
-            let singletons = full.classes.iter().filter(|c| c.len() == 1).count();
-            assert_eq!(full.num_classes(), stripped.num_classes() + singletons);
+            let stripped = FlatPartition::for_attribute(&r, a);
+            assert_eq!(stripped, FlatPartition::for_set(&r, AttrSet::singleton(a)));
+            // π_A has one class per distinct value; the singletons are the
+            // values that occur once.
+            let col = r.column(a);
+            let mut tally = vec![0usize; col.distinct_count()];
+            for &c in col.codes() {
+                tally[c as usize] += 1;
+            }
+            let singletons = tally.iter().filter(|&&k| k == 1).count();
+            assert_eq!(col.distinct_count(), stripped.num_classes() + singletons);
             assert_eq!(stripped.total_tuples() + singletons, r.len());
-            assert_eq!(stripped.full_num_classes(), full.num_classes());
+            assert_eq!(stripped.full_num_classes(), col.distinct_count());
         }
     }
 }
@@ -130,7 +196,7 @@ fn superkey_iff_empty_stripped_partition() {
         let r = arb_relation(&mut rng);
         let n = r.arity();
         let x = random_set(&mut rng, 5).intersection(AttrSet::full(n));
-        let p = StrippedPartition::for_set(&r, x);
+        let p = FlatPartition::for_set(&r, x);
         if r.is_empty() {
             assert!(p.is_superkey());
         } else if x.is_empty() {

@@ -19,7 +19,7 @@
 use depminer::depminer::agree::agree_sets_naive;
 use depminer::depminer::maxset::{cmax_sets, MaxSets};
 use depminer::depminer::{DepMiner, DepMinerCheckpoint, DEPMINER_ALGO};
-use depminer::engine::{ApproxMiner, Emitted, Miner, Session, SessionCtx};
+use depminer::engine::{ApproxMiner, Emitted, Miner, MinerRegistry, Session, SessionCtx};
 use depminer::fdep::{Fdep, FdepCheckpoint};
 use depminer::fdtheory::{mine_minimal_fds, Fd};
 use depminer::govern::snapshot::{crc32, read_snapshot, Snapshot};
@@ -27,8 +27,8 @@ use depminer::govern::{Budget, MiningOutcome, Obs, SnapshotError, SnapshotPolicy
 use depminer::relation::state::db_fingerprint;
 use depminer::relation::{datasets, AttrSet, Prng, Relation, StrippedPartitionDb, SyntheticConfig};
 use depminer::tane::{
-    approximate_fds, approximate_fds_governed, ApproxCheckpoint, ApproxFd, Tane, TaneCheckpoint,
-    TANE_ALGO, TANE_APPROX_ALGO,
+    approx_config_bytes, approximate_fds, approximate_fds_governed, ApproxCheckpoint, ApproxFd,
+    Tane, TaneCheckpoint, TANE_ALGO, TANE_APPROX_ALGO,
 };
 use std::path::PathBuf;
 
@@ -545,6 +545,43 @@ fn mismatched_frames_are_refused_before_any_mining() {
         ..cp
     };
     misfit(&tane, cp.encode_payload());
+
+    // Approximate TANE: a fitting payload under a threshold that
+    // `approx --epsilon` refuses is refused as the frame is read, before
+    // the registry builds a miner from it.
+    let fits = ApproxCheckpoint {
+        completed_levels: 0,
+        frontier: (0..arity).map(AttrSet::singleton).collect(),
+        found: vec![Vec::new(); arity],
+        out: Vec::new(),
+        candidates: 0,
+    };
+    let approx_frame = |epsilon: f64| Snapshot {
+        algo: TANE_APPROX_ALGO.to_string(),
+        schema_hash: db_fingerprint(&db),
+        config: approx_config_bytes(epsilon),
+        payload: fits.encode_payload(),
+    };
+    let from_frame = |snap: &Snapshot| {
+        MinerRegistry::standard()
+            .from_frame(snap)
+            .and_then(|miner| {
+                resume(&r, miner.as_ref(), snap, Budget::unlimited(), None).map(|out| out.result)
+            })
+    };
+    for epsilon in [-0.5, f64::NAN, 7.0] {
+        let err = from_frame(&approx_frame(epsilon)).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::Mismatch { .. }),
+            "epsilon {epsilon}: {err}"
+        );
+    }
+    // The same payload under an accepted threshold resumes to a full run.
+    let fds = approximate_fds(&r, 0.05);
+    assert_eq!(
+        from_frame(&approx_frame(0.05)).unwrap(),
+        Emitted::ApproxFds { fds, epsilon: 0.05 }
+    );
 
     // And the pristine frame still resumes fine after all the refusals.
     let out = resume(&r, &tane, &snap, Budget::unlimited(), None).unwrap();
