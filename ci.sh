@@ -113,13 +113,15 @@ echo "==> parallel scaling benchmark smoke -> target/BENCH_parallel_smoke.json"
 cargo run --release -q -p depminer-bench --bin parallel_scaling -- \
     --reps 2 --out target/BENCH_parallel_smoke.json
 
-echo "==> overhead benchmark -> BENCH_overhead.json"
+echo "==> overhead benchmark -> target/BENCH_overhead_smoke.json"
 # Governance, null observer, armed/eager snapshots and the Session driver
 # on one 20x100000 workload, every configuration interleaved in one
 # process with the order rotated each rep; median and IQR of 21 reps,
 # since a few-ms effect drowns in scheduler jitter under best-of
-# estimators on a small box.
-cargo run --release -q -p depminer-bench --bin overhead
+# estimators on a small box. The checked-in BENCH_overhead.json comes
+# from a deliberate run, so the gate writes under target/.
+cargo run --release -q -p depminer-bench --bin overhead -- \
+    --out target/BENCH_overhead_smoke.json
 
 echo "==> CLI-path benchmark smoke: python3 perfbench/smoke_test.py"
 # perfbench/probe is a Cargo workspace of its own, so `cargo test

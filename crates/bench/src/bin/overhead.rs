@@ -28,7 +28,7 @@
 //! write cadence), session vs armed (<1%).
 //!
 //! ```text
-//! cargo run --release -p depminer-bench --bin overhead   # writes BENCH_overhead.json
+//! cargo run --release -p depminer-bench --bin overhead [--out BENCH_overhead.json]
 //! ```
 
 use std::path::Path;
@@ -123,6 +123,17 @@ fn spread(mut samples: Vec<f64>) -> (f64, f64) {
 }
 
 fn main() {
+    let mut out = String::from("BENCH_overhead.json");
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--out" => out = args.next().unwrap_or_default(),
+            other => {
+                eprintln!("unknown argument: {other}");
+                std::process::exit(2);
+            }
+        }
+    }
     let r = WORKLOAD.generate().expect("valid generator parameters");
     let dir = Path::new("target/overhead_ckpt");
     std::fs::create_dir_all(dir).expect("create snapshot scratch dir");
@@ -215,7 +226,6 @@ fn main() {
         stamp.json_member(),
         results.join(",\n")
     );
-    let out = "BENCH_overhead.json";
-    std::fs::write(out, &json).expect("write benchmark summary");
-    reporter.wrote(out);
+    std::fs::write(&out, &json).expect("write benchmark summary");
+    reporter.wrote(&out);
 }

@@ -15,26 +15,26 @@
 //!
 //! `g₃` is anti-monotone in the lhs (`X ⊆ Y ⇒ g₃(Y → A) ≤ g₃(X → A)`), so
 //! minimal approximate FDs are discoverable levelwise with subset pruning —
-//! the structure of TANE with the error-based validity test. This module
-//! implements that discovery plus the error measure itself; a brute-force
-//! oracle cross-checks both in tests.
+//! the structure of TANE with the error-based validity test. Discovery runs
+//! on exact TANE's level walk, with the `g₃` test as its per-level rule; a
+//! brute-force oracle cross-checks it and the error measure in tests.
 
-use depminer_fdtheory::{normalize_fds, Fd};
-use depminer_govern::snapshot::{Dec, Enc, Snapshot};
+use depminer_fdtheory::Fd;
+use depminer_govern::snapshot::{Dec, Enc};
 use depminer_govern::{
     BudgetExceeded, CancelToken, Counter, MiningOutcome, SnapshotError, SnapshotState, Stage,
     StageReport,
 };
+use depminer_parallel::Parallelism;
 use depminer_relation::state::{
-    all_within, check_fit, db_fingerprint, put_attrset, put_attrset_vec, put_family, take_attrset,
+    all_within, check_fit, put_attrset, put_attrset_vec, put_family, take_attrset,
     take_attrset_vec, take_family,
 };
-use depminer_relation::{
-    AttrSet, FlatPartition, FxHashMap, FxHashSet, PartitionArena, Relation, StrippedPartitionDb,
-};
+use depminer_relation::{AttrSet, FlatPartition, Relation, StrippedPartitionDb};
 use std::time::Instant;
 
-use crate::exact::LevelCache;
+use crate::exact::TaneStats;
+use crate::walk::{frontier_fits, walk, Boundary, LevelCache, LevelRule};
 
 /// Computes `g₃(X → A)` from the stripped partition `π̂_X` and the rhs
 /// column's codes (`r.column(a).codes()`, one per tuple).
@@ -92,110 +92,6 @@ pub fn g3_error_of(r: &Relation, lhs: AttrSet, rhs: usize) -> f64 {
     let column = r.column(rhs);
     let mut tally = vec![0; column.distinct_count()];
     g3_error(&px, column.codes(), &mut tally, None)
-}
-
-/// The `g₁` error of Kivinen & Mannila: the fraction of *ordered* tuple
-/// pairs violating `X → A`,
-/// `g₁ = |{(t,u) : t[X]=u[X] ∧ t[A]≠u[A]}| / |r|²`.
-///
-/// Computed from partitions: within each class `c` of `π_X`, the violating
-/// unordered pairs are `C(|c|,2) − Σ_g C(|g|,2)` over the `π_{X∪A}`-groups
-/// `g` refining `c`; ordered pairs double that.
-pub fn g1_error(
-    px: &FlatPartition,
-    pxa: &FlatPartition,
-    n_rows: usize,
-    labels: &mut Vec<u32>,
-) -> f64 {
-    if n_rows == 0 {
-        return 0.0;
-    }
-    if labels.len() < n_rows {
-        labels.resize(n_rows, u32::MAX);
-    }
-    for (cid, class) in pxa.classes().enumerate() {
-        for &t in class {
-            labels[t as usize] = cid as u32;
-        }
-    }
-    let choose2 = |n: usize| n * n.saturating_sub(1) / 2;
-    let mut violating_pairs = 0usize;
-    let mut counts: FxHashMap<u32, usize> = FxHashMap::default();
-    for class in px.classes() {
-        counts.clear();
-        for &t in class {
-            let l = labels[t as usize];
-            if l != u32::MAX {
-                *counts.entry(l).or_insert(0) += 1;
-            }
-        }
-        let agreeing: usize = counts.values().map(|&g| choose2(g)).sum();
-        violating_pairs += choose2(class.len()) - agreeing;
-    }
-    for class in pxa.classes() {
-        for &t in class {
-            labels[t as usize] = u32::MAX;
-        }
-    }
-    (2 * violating_pairs) as f64 / (n_rows * n_rows) as f64
-}
-
-/// The `g₂` error of Kivinen & Mannila: the fraction of tuples involved in
-/// at least one violation of `X → A`,
-/// `g₂ = |{t : ∃u, t[X]=u[X] ∧ t[A]≠u[A]}| / |r|`.
-///
-/// A class of `π_X` that splits into ≥ 2 `π_{X∪A}`-groups makes *every* of
-/// its tuples a violator (each has a witness in another group).
-pub fn g2_error(
-    px: &FlatPartition,
-    pxa: &FlatPartition,
-    n_rows: usize,
-    labels: &mut Vec<u32>,
-) -> f64 {
-    if n_rows == 0 {
-        return 0.0;
-    }
-    if labels.len() < n_rows {
-        labels.resize(n_rows, u32::MAX);
-    }
-    for (cid, class) in pxa.classes().enumerate() {
-        for &t in class {
-            labels[t as usize] = cid as u32;
-        }
-    }
-    let mut violators = 0usize;
-    for class in px.classes() {
-        // The class is homogeneous iff all tuples share one non-MAX label
-        // (a MAX label is a singleton group, so any MAX tuple in a class of
-        // size ≥ 2 splits it).
-        let first = labels[class[0] as usize];
-        let homogeneous = first != u32::MAX && class.iter().all(|&t| labels[t as usize] == first);
-        if !homogeneous {
-            violators += class.len();
-        }
-    }
-    for class in pxa.classes() {
-        for &t in class {
-            labels[t as usize] = u32::MAX;
-        }
-    }
-    violators as f64 / n_rows as f64
-}
-
-/// Convenience: `g₁` straight from a relation.
-pub fn g1_error_of(r: &Relation, lhs: AttrSet, rhs: usize) -> f64 {
-    let px = FlatPartition::for_set(r, lhs);
-    let pxa = FlatPartition::for_set(r, lhs.with(rhs));
-    let mut labels = vec![u32::MAX; r.len()];
-    g1_error(&px, &pxa, r.len(), &mut labels)
-}
-
-/// Convenience: `g₂` straight from a relation.
-pub fn g2_error_of(r: &Relation, lhs: AttrSet, rhs: usize) -> f64 {
-    let px = FlatPartition::for_set(r, lhs);
-    let pxa = FlatPartition::for_set(r, lhs.with(rhs));
-    let mut labels = vec![u32::MAX; r.len()];
-    g2_error(&px, &pxa, r.len(), &mut labels)
 }
 
 /// A discovered approximate FD with its error.
@@ -283,8 +179,8 @@ impl ApproxCheckpoint {
     /// Refuses a payload that does not fit a relation of `arity`
     /// attributes: `found` must hold one list per attribute, at most
     /// `arity` levels can be complete, every set must lie within the
-    /// relation, and every frontier set must have `completed_levels + 1`
-    /// attributes.
+    /// relation, and the frontier must be strictly ascending with
+    /// `completed_levels + 1` attributes in every set.
     pub fn check_fits(&self, arity: usize) -> Result<(), SnapshotError> {
         let sets = self.frontier.iter().chain(self.found.iter().flatten());
         let sets = sets.copied().chain(self.out.iter().map(|afd| afd.fd.lhs));
@@ -293,22 +189,10 @@ impl ApproxCheckpoint {
                 && self.completed_levels <= arity
                 && all_within(arity, sets)
                 && self.out.iter().all(|afd| afd.fd.rhs < arity)
-                && self
-                    .frontier
-                    .iter()
-                    .all(|x| x.len() == self.completed_levels + 1),
+                && frontier_fits(self.completed_levels, &self.frontier),
             TANE_APPROX_ALGO,
             arity,
         )
-    }
-
-    fn into_snapshot(&self, schema_hash: u64, config: Vec<u8>) -> Snapshot {
-        Snapshot {
-            algo: TANE_APPROX_ALGO.to_string(),
-            schema_hash,
-            config,
-            payload: self.encode_payload(),
-        }
     }
 }
 
@@ -343,7 +227,9 @@ pub fn epsilon_from_config_bytes(config: &[u8]) -> Result<f64, SnapshotError> {
 /// With `epsilon = 0` this coincides with exact minimal-FD discovery.
 ///
 /// Levelwise search with per-rhs subset pruning (sound by anti-monotonicity
-/// of `g₃`); partitions are built by pairwise products as in TANE.
+/// of `g₃`) on TANE's level walk: partitions are built by pairwise
+/// products, fanned out across threads on wide levels and evicted under a
+/// memory cap as in exact TANE.
 pub fn approximate_fds(r: &Relation, epsilon: f64) -> Vec<ApproxFd> {
     let db = StrippedPartitionDb::from_relation(r);
     approximate_fds_governed(r, &db, epsilon, &CancelToken::unlimited(), None).result
@@ -371,216 +257,46 @@ pub fn approximate_fds_governed(
 ) -> MiningOutcome<Vec<ApproxFd>> {
     assert!(epsilon >= 0.0, "epsilon must be non-negative");
     let t0 = Instant::now();
-    let stage = Stage::ApproxLevels;
-    let _span = token.observer().span("approx-levels");
+    let _span = token.observer().span("approx");
     let n = db.arity();
-    let n_rows = db.n_rows();
-    let mut out: Vec<ApproxFd> = Vec::new();
     // g₃ counter scratch, sized for the widest rhs domain.
     let widest = (0..n).map(|a| r.column(a).distinct_count()).max();
-    let mut tally = vec![0u32; widest.unwrap_or(0)];
-    let mut arena = PartitionArena::new(n_rows);
-
-    // Frame identity, computed once when snapshots can happen.
-    let snapshot_id = (token.snapshots_armed() || resume.is_some())
-        .then(|| (db_fingerprint(db), approx_config_bytes(epsilon)));
-
-    // found[a]: minimal approximate lhs discovered so far for rhs a.
-    let mut found: Vec<Vec<AttrSet>> = vec![Vec::new(); n];
-
-    // Levelwise over lhs sets.
-    let mut level: Vec<AttrSet> = (0..n).map(AttrSet::singleton).collect();
-    // Level 1 borrows the singleton partitions straight from the
-    // database; later levels' products are owned, charged to the token's
-    // memory account when inserted and released at the level swap.
-    let mut parts = LevelCache::seed(db);
-    let mut l = 1usize;
-    let mut completed = 0usize;
-    let mut stopped: Option<BudgetExceeded> = None;
-
-    if let Some(cp) = resume {
-        // Fast-forward: restore the walk's state and rebuild the
-        // frontier's partitions from the singleton database (products are
-        // canonical, so the rebuilt partitions match the originals).
-        let _rebuild = token.observer().span("approx-resume-rebuild");
-        completed = cp.completed_levels;
-        l = completed + 1;
-        level = cp.frontier;
-        found = cp.found;
-        out = cp.out;
-        token
-            .observer()
-            .add(Counter::ResumeLevelsSkipped, completed as u64);
-        if l > 1 {
-            parts = LevelCache::empty();
-            for &x in &level {
-                if let Err(why) = token.check(stage) {
-                    stopped = Some(why);
-                    break;
-                }
-                let mut attrs = x.iter();
-                let first = attrs.next().expect("lattice sets are non-empty");
-                let mut owned: Option<FlatPartition> = None;
-                for a in attrs {
-                    let left: &FlatPartition = match &owned {
-                        Some(p) => p,
-                        None => db.partition(first),
-                    };
-                    let p = left.product_with(db.partition(a), &mut arena);
-                    if let Some(prev) = owned.take() {
-                        arena.recycle(prev);
-                    }
-                    owned = Some(p);
-                }
-                let p = owned.expect("frontier sets past level 1 have ≥ 2 attributes");
-                if let Err(why) = token.reserve_memory(p.heap_bytes() as u64, stage) {
-                    arena.recycle(p);
-                    stopped = Some(why);
-                    break;
-                }
-                parts.insert_owned(x, p);
-            }
-            if stopped.is_some() {
-                // The rebuild itself went over budget: surface the
-                // checkpoint's FDs (all validated) as the partial.
-                level.clear();
-            }
-        }
-    } else {
-        // ∅ → A first. (A resumed run restored these with `out`.)
-        let p_empty = FlatPartition::for_set(r, AttrSet::empty());
-        for (a, found_a) in found.iter_mut().enumerate() {
-            let e = g3_error(&p_empty, r.column(a).codes(), &mut tally, Some(epsilon));
-            if e <= epsilon {
-                out.push(ApproxFd {
-                    fd: Fd::new(AttrSet::empty(), a),
-                    error: e,
-                });
-                found_a.push(AttrSet::empty());
-            }
-        }
-    }
-
-    'levels: while !level.is_empty() {
-        // Boundary snapshot: the state as of the last completed level is
-        // offered *before* this level charges any budget, so a trip
-        // below flushes exactly this clean boundary to disk.
-        if let Some((hash, config)) = &snapshot_id {
-            token.offer_snapshot_with(|| {
-                let cp = ApproxCheckpoint {
-                    completed_levels: completed,
-                    frontier: level.clone(),
-                    found: found.clone(),
-                    out: out.clone(),
-                    candidates: token.candidates(),
-                };
-                cp.into_snapshot(*hash, config.clone())
-            });
-        }
-        if let Err(why) = token
-            .enter_level(l, stage)
-            .and_then(|()| token.add_candidates(level.len() as u64, stage))
-        {
-            stopped = Some(why);
-            break;
-        }
-        // Test each candidate lhs against every rhs not yet covered.
-        for &x in &level {
-            // One poll per lhs candidate: each counts g₃ for up to n rhs
-            // columns. FDs already pushed stay valid on a trip — their
-            // errors are fully computed and minimality reads only
-            // completed earlier levels.
-            if let Err(why) = token.check(stage) {
-                stopped = Some(why);
-                break 'levels;
-            }
-            let px = parts.get(x);
-            for (a, found_a) in found.iter_mut().enumerate() {
-                if x.contains(a) {
-                    continue;
-                }
-                if found_a.iter().any(|f| f.is_subset_of(x)) {
-                    continue; // a subset already valid ⇒ x not minimal
-                }
-                let e = g3_error(px, r.column(a).codes(), &mut tally, Some(epsilon));
-                if e <= epsilon {
-                    out.push(ApproxFd {
-                        fd: Fd::new(x, a),
-                        error: e,
-                    });
-                    found_a.push(x);
-                }
-            }
-        }
-        completed = l;
-        // Generate next level: extend sets that can still yield a minimal
-        // FD for some rhs (i.e. some rhs has no valid subset within x).
-        let extendable: Vec<AttrSet> = level
-            .iter()
-            .copied()
-            .filter(|&x| {
-                (0..n).any(|a| !x.contains(a) && !found[a].iter().any(|f| f.is_subset_of(x)))
+    let mut rule = ApproxRule {
+        r,
+        epsilon,
+        tally: vec![0u32; widest.unwrap_or(0)],
+        found: vec![Vec::new(); n],
+        out: Vec::new(),
+    };
+    let resume = match resume {
+        Some(cp) => {
+            rule.found = cp.found;
+            rule.out = cp.out;
+            Some(Boundary {
+                completed_levels: cp.completed_levels,
+                frontier: cp.frontier,
+                candidates: cp.candidates,
+                products: 0,
             })
-            .collect();
-        let mut next_parts = LevelCache::empty();
-        let mut next: Vec<AttrSet> = Vec::new();
-        let present: FxHashSet<AttrSet> = level.iter().copied().collect();
-        let mut by_prefix: FxHashMap<AttrSet, Vec<AttrSet>> = FxHashMap::default();
-        for &x in &extendable {
-            let m = x.max_attr().expect("non-empty");
-            by_prefix.entry(x.without(m)).or_default().push(x);
         }
-        for (_, group) in by_prefix {
-            for (i, &x) in group.iter().enumerate() {
-                for &y in &group[i + 1..] {
-                    let z = x.union(y);
-                    if z.drop_one().all(|w| present.contains(&w)) && !next_parts.contains(z) {
-                        // Poll before each next-level product too. A trip
-                        // releases the half-built next level, so the
-                        // memory account returns to its baseline.
-                        if let Err(why) = token.check(stage) {
-                            stopped = Some(why);
-                            next_parts.reclaim_all(&mut arena, token);
-                            break 'levels;
-                        }
-                        token.observer().add(Counter::PartitionProducts, 1);
-                        let p = parts.get(x).product_with(parts.get(y), &mut arena);
-                        if let Err(why) = token.reserve_memory(p.heap_bytes() as u64, stage) {
-                            arena.recycle(p);
-                            stopped = Some(why);
-                            next_parts.reclaim_all(&mut arena, token);
-                            break 'levels;
-                        }
-                        next_parts.insert_owned(z, p);
-                        next.push(z);
-                    }
-                }
-            }
+        None => {
+            // ∅ → A first. (A resumed run restored these with `out`.)
+            let p_empty = FlatPartition::for_set(r, AttrSet::empty());
+            rule.test_lhs(AttrSet::empty(), &p_empty);
+            None
         }
-        next.sort_unstable();
-        // Level swap: the outgoing level's owned partitions release their
-        // tracked bytes and feed the arena's buffer pool.
-        parts.reclaim_all(&mut arena, token);
-        parts = next_parts;
-        level = next;
-        l += 1;
-    }
-    // Release whatever the final (or interrupted) level still holds.
-    parts.reclaim_all(&mut arena, token);
+    };
+    let config = approx_config_bytes(epsilon);
+    let (_, completed_levels, stopped) =
+        walk(&mut rule, db, Parallelism::Auto, token, config, resume);
 
-    if stopped.is_some() {
-        token.flush_snapshot();
-    } else {
-        token.discard_snapshot(TANE_APPROX_ALGO);
-    }
+    let mut out = rule.out;
     out.sort_by_key(|afd| (afd.fd.rhs, afd.fd.lhs));
-    token
-        .observer()
-        .add(depminer_govern::Counter::FdEmissions, out.len() as u64);
+    token.observer().add(Counter::FdEmissions, out.len() as u64);
     let report = StageReport {
-        stage,
+        stage: Stage::ApproxLevels,
         completed: stopped.is_none(),
-        processed: completed as u64,
+        processed: completed_levels as u64,
         planned: None,
         note: format!(
             "{} approximate FDs reported; every entry satisfies g3 ≤ ε with minimal lhs",
@@ -591,6 +307,87 @@ pub fn approximate_fds_governed(
     match stopped {
         Some(why) => MiningOutcome::partial(out, why, vec![report]),
         None => MiningOutcome::complete(out, vec![report]),
+    }
+}
+
+/// Approximate TANE's rule on the shared walk: each lhs candidate `X` is
+/// tested against every rhs with no valid subset of `X` yet, and the
+/// survivors are the nodes that can still yield a minimal FD.
+struct ApproxRule<'r> {
+    /// Supplies the rhs column codes `g₃` counts from.
+    r: &'r Relation,
+    epsilon: f64,
+    /// [`g3_error`]'s counter scratch, all-zero between calls.
+    tally: Vec<u32>,
+    /// `found[a]`: minimal approximate lhs discovered so far for rhs `a`.
+    found: Vec<Vec<AttrSet>>,
+    /// FDs emitted so far, with their errors.
+    out: Vec<ApproxFd>,
+}
+
+impl ApproxRule<'_> {
+    /// Records `x → a` for every rhs `a ∉ x` with no valid subset of `x`
+    /// yet and `g₃` at most ε, counted from `px = π̂_x`. Returns whether
+    /// some rhs stayed open: only then can a superset of `x` still yield
+    /// a minimal FD.
+    fn test_lhs(&mut self, x: AttrSet, px: &FlatPartition) -> bool {
+        let mut open = false;
+        for (a, found_a) in self.found.iter_mut().enumerate() {
+            if x.contains(a) || found_a.iter().any(|f| f.is_subset_of(x)) {
+                continue; // a subset already valid ⇒ x not minimal
+            }
+            let codes = self.r.column(a).codes();
+            let e = g3_error(px, codes, &mut self.tally, Some(self.epsilon));
+            if e <= self.epsilon {
+                self.out.push(ApproxFd {
+                    fd: Fd::new(x, a),
+                    error: e,
+                });
+                found_a.push(x);
+            } else {
+                open = true;
+            }
+        }
+        open
+    }
+}
+
+impl LevelRule for ApproxRule<'_> {
+    const ALGO: &'static str = TANE_APPROX_ALGO;
+    const STAGE: Stage = Stage::ApproxLevels;
+    const REBUILD_SPAN: &'static str = "approx-resume-rebuild";
+    const PRODUCTS_SPAN: &'static str = "approx-levels/products";
+
+    fn test_level(
+        &mut self,
+        level: &[AttrSet],
+        cache: &LevelCache<'_>,
+        _par: Parallelism,
+        token: &CancelToken,
+    ) -> Result<Vec<AttrSet>, BudgetExceeded> {
+        let mut survivors = Vec::new();
+        for &x in level {
+            // One poll per lhs candidate: each counts g₃ for up to n rhs
+            // columns. FDs already pushed stay valid on a trip — their
+            // errors are fully computed and minimality reads only
+            // completed earlier levels.
+            token.check(Self::STAGE)?;
+            if self.test_lhs(x, &cache[&x]) {
+                survivors.push(x);
+            }
+        }
+        Ok(survivors)
+    }
+
+    fn frame(&self, completed_levels: usize, frontier: &[AttrSet], stats: &TaneStats) -> Vec<u8> {
+        ApproxCheckpoint {
+            completed_levels,
+            frontier: frontier.to_vec(),
+            found: self.found.clone(),
+            out: self.out.clone(),
+            candidates: stats.candidates as u64,
+        }
+        .encode_payload()
     }
 }
 
@@ -631,22 +428,10 @@ pub fn approximate_fds_brute(r: &Relation, epsilon: f64) -> Vec<ApproxFd> {
     out
 }
 
-/// Exact minimal FDs as a special case: `approximate_fds` at `ε = 0`,
-/// returned as plain [`Fd`]s. Used by tests to tie the approximate engine
-/// back to the exact miners.
-pub fn exact_via_approx(r: &Relation) -> Vec<Fd> {
-    let mut fds: Vec<Fd> = approximate_fds(r, 0.0)
-        .into_iter()
-        .map(|afd| afd.fd)
-        .collect();
-    normalize_fds(&mut fds);
-    fds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use depminer_fdtheory::mine_minimal_fds;
+    use depminer_fdtheory::{mine_minimal_fds, normalize_fds};
     use depminer_relation::datasets;
 
     fn s(v: &[usize]) -> AttrSet {
@@ -686,40 +471,6 @@ mod tests {
         assert!((g3_error_of(&r, s(&[0]), 1) - 0.25).abs() < 1e-12);
         // B→A holds exactly.
         assert_eq!(g3_error_of(&r, s(&[1]), 0), 0.0);
-    }
-
-    /// Brute-force g1: count violating ordered pairs by definition.
-    fn g1_brute(r: &depminer_relation::Relation, x: AttrSet, a: usize) -> f64 {
-        if r.is_empty() {
-            return 0.0;
-        }
-        let mut v = 0usize;
-        for i in 0..r.len() {
-            for j in 0..r.len() {
-                if i != j && r.tuples_agree(i, j, x) && !r.tuples_agree(i, j, AttrSet::singleton(a))
-                {
-                    v += 1;
-                }
-            }
-        }
-        v as f64 / (r.len() * r.len()) as f64
-    }
-
-    /// Brute-force g2: count violating tuples by definition.
-    fn g2_brute(r: &depminer_relation::Relation, x: AttrSet, a: usize) -> f64 {
-        if r.is_empty() {
-            return 0.0;
-        }
-        let mut v = 0usize;
-        for i in 0..r.len() {
-            let violates = (0..r.len()).any(|j| {
-                i != j && r.tuples_agree(i, j, x) && !r.tuples_agree(i, j, AttrSet::singleton(a))
-            });
-            if violates {
-                v += 1;
-            }
-        }
-        v as f64 / r.len() as f64
     }
 
     /// Brute-force g3 from its definition: group the rows by their X
@@ -802,55 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn g1_g2_match_brute_force() {
-        use depminer_relation::Prng;
-        let mut rng = Prng::seed_from_u64(88);
-        for _ in 0..20 {
-            let r = random_relation(&mut rng, 4, 10);
-            for a in 0..r.arity() {
-                for bits in 0u32..(1 << r.arity()) {
-                    let x = AttrSet::from_bits(bits as u128);
-                    if x.contains(a) {
-                        continue;
-                    }
-                    assert!(
-                        (g1_error_of(&r, x, a) - g1_brute(&r, x, a)).abs() < 1e-12,
-                        "g1 mismatch for {x} -> {a} on {r:?}"
-                    );
-                    assert!(
-                        (g2_error_of(&r, x, a) - g2_brute(&r, x, a)).abs() < 1e-12,
-                        "g2 mismatch for {x} -> {a} on {r:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn measure_inequalities() {
-        // Kivinen & Mannila: g3 ≤ g2 ≤ 2·g3 and g1 ≤ g2 (pairs imply
-        // involved tuples), and all vanish together.
-        let r = datasets::enrollment();
-        for a in 0..r.arity() {
-            for bits in 0u32..32 {
-                let x = AttrSet::from_bits(bits as u128);
-                if x.contains(a) {
-                    continue;
-                }
-                let g1 = g1_error_of(&r, x, a);
-                let g2 = g2_error_of(&r, x, a);
-                let g3 = g3_error_of(&r, x, a);
-                assert!(g3 <= g2 + 1e-12, "g3 > g2 for {x} -> {a}");
-                assert!(g2 <= 2.0 * g3 + 1e-12, "g2 > 2 g3 for {x} -> {a}");
-                assert!(g1 <= g2 + 1e-12, "g1 > g2 for {x} -> {a}");
-                assert_eq!(g1 == 0.0, g2 == 0.0);
-                assert_eq!(g2 == 0.0, g3 == 0.0);
-                assert_eq!(g3 == 0.0, r.satisfies(x, a));
-            }
-        }
-    }
-
-    #[test]
     fn g3_is_antimonotone() {
         let r = datasets::enrollment();
         for a in 0..r.arity() {
@@ -880,7 +582,12 @@ mod tests {
             datasets::constant_columns(),
             datasets::no_fds(),
         ] {
-            assert_eq!(exact_via_approx(&r), mine_minimal_fds(&r));
+            let mut fds: Vec<Fd> = approximate_fds(&r, 0.0)
+                .into_iter()
+                .map(|afd| afd.fd)
+                .collect();
+            normalize_fds(&mut fds);
+            assert_eq!(fds, mine_minimal_fds(&r));
         }
     }
 
@@ -971,44 +678,6 @@ mod tests {
         let complete = approximate_fds_governed(&r, &db, 0.1, &CancelToken::unlimited(), None);
         assert!(complete.is_complete());
         assert_eq!(complete.result, full);
-    }
-
-    #[test]
-    fn memory_is_charged_and_released_on_every_exit() {
-        use depminer_govern::{Budget, Resource};
-        let r = depminer_relation::SyntheticConfig {
-            n_attrs: 6,
-            n_rows: 60,
-            correlation: 0.5,
-            seed: 5,
-        }
-        .generate()
-        .unwrap();
-        let full = approximate_fds(&r, 0.0);
-        let db = StrippedPartitionDb::from_relation(&r);
-        // Growing caps trip at every point of the walk — on the first
-        // owned partition, part-way through a next level, with a whole
-        // level held — until one fits. Each partial is a subset of the
-        // full answer and nothing stays charged.
-        let mut partial_sizes = Vec::new();
-        let mut fits = false;
-        for cap in (1..=1000).map(|k| 32 * k) {
-            let token = Budget::unlimited().with_max_memory_bytes(cap).start();
-            let outcome = approximate_fds_governed(&r, &db, 0.0, &token, None);
-            assert_eq!(token.memory_bytes(), 0, "cap {cap}");
-            assert!(outcome.result.iter().all(|afd| full.contains(afd)));
-            if let Some(why) = &outcome.interrupted {
-                assert_eq!(why.resource, Resource::Memory);
-                partial_sizes.push(outcome.result.len());
-            } else {
-                assert_eq!(outcome.result, full);
-                fits = true;
-                break;
-            }
-        }
-        partial_sizes.dedup();
-        assert!(fits, "no cap fits the walk");
-        assert!(partial_sizes.len() >= 2, "caps trip at one point only");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`Tane`] — exact levelwise discovery over stripped partitions with
 //!   C⁺ rhs-candidate pruning and key pruning;
 //! * [`approximate_fds`] — minimal approximate FDs under the `g₃` error
-//!   measure;
+//!   measure, on the same level walk as [`Tane`];
 //! * [`armstrong_ext`] — `cmax(dep(r), A) = Tr(lhs(dep(r), A))`
 //!   (nihilpotence of the transversal operator), enabling Armstrong
 //!   generation *after* discovery — the extra cost Dep-Miner avoids.
@@ -32,11 +32,11 @@
 pub mod approx;
 pub mod armstrong_ext;
 pub mod exact;
+mod walk;
 
 pub use approx::{
     approx_config_bytes, approximate_fds, approximate_fds_brute, approximate_fds_governed,
-    epsilon_from_config_bytes, g1_error, g1_error_of, g2_error, g2_error_of, g3_error, g3_error_of,
-    ApproxCheckpoint, ApproxFd, TANE_APPROX_ALGO,
+    epsilon_from_config_bytes, g3_error, g3_error_of, ApproxCheckpoint, ApproxFd, TANE_APPROX_ALGO,
 };
 pub use armstrong_ext::{max_sets_from_fds, max_union_from_fds};
 pub use depminer_govern::{

@@ -60,6 +60,10 @@ pub const MODULE_MAP: &[(Matcher, Zone)] = &[
         Zone::LatticeModule,
     ),
     (
+        Matcher::Suffix("crates/tane/src/walk.rs"),
+        Zone::LatticeModule,
+    ),
+    (
         Matcher::Suffix("crates/govern/src/snapshot.rs"),
         Zone::SnapshotZone,
     ),
@@ -120,6 +124,7 @@ mod tests {
             "crates/hypergraph/src/levelwise.rs",
             "crates/tane/src/exact.rs",
             "crates/tane/src/approx.rs",
+            "crates/tane/src/walk.rs",
         ] {
             assert!(in_zone(p, Zone::LatticeModule), "{p}");
         }

@@ -14,7 +14,7 @@
 //! | [`hypergraph`] | `depminer-hypergraph` | simple hypergraphs, minimal transversals (levelwise + Berge) |
 //! | [`fdtheory`] | `depminer-fdtheory` | closures, covers, keys, closed sets, Armstrong criterion, normalization |
 //! | [`depminer`] | `depminer-core` | agree sets (Algorithms 2/3), maximal sets, lhs, FD output, Armstrong relations, keys |
-//! | [`tane`] | `depminer-tane` | exact TANE, approximate FDs (g₁/g₂/g₃), Armstrong extension |
+//! | [`tane`] | `depminer-tane` | exact TANE, approximate FDs (g₃), Armstrong extension |
 //! | [`fdep`] | `depminer-fdep` | the FDEP baseline: negative cover + FD-tree |
 //! | [`engine`] | `depminer-engine` | the `Miner` trait, `MinerRegistry`, and `Session` driver every CLI mining command dispatches through |
 //! | [`ind`] | `depminer-ind` | unary inclusion dependencies (foreign-key hunting) |

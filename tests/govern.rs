@@ -1,15 +1,19 @@
 //! Budget-governance regression tests (run under both `DEPMINER_THREADS=1`
 //! and `=4` by `ci.sh`): an adversarial generated relation must terminate
 //! promptly under a 1-second wall-clock budget with a valid — possibly
-//! partial — result, and exhausted budgets must leave the runtime
-//! immediately reusable.
+//! partial — result, exhausted budgets must leave the runtime
+//! immediately reusable, and memory caps must release every charged byte
+//! and, on TANE's sequential product path, evict before they trip.
 
 use depminer::depminer::DepMiner;
 use depminer::fdep::Fdep;
-use depminer::govern::{Budget, Resource};
+use depminer::govern::observe::profile::ProfileSink;
+use depminer::govern::observe::Obs;
+use depminer::govern::{Budget, CancelToken, Resource};
 use depminer::parallel::Parallelism;
 use depminer::relation::{StrippedPartitionDb, SyntheticConfig};
-use depminer::tane::Tane;
+use depminer::tane::{approximate_fds, approximate_fds_governed, Tane};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// High-attribute, low-correlation workload: wide lattice, many distinct
@@ -180,4 +184,93 @@ fn memory_caps_release_everything_and_keep_partials_sound_for_depminer2_and_fdep
         }
     }
     assert!(trips > 0);
+}
+
+/// Sweeps memory caps of `step`·k bytes over `mine` until one fits. Every
+/// cap must leave the token's memory account at zero, and every partial
+/// must trip on memory with a subset of `full`. Returns the partial sizes
+/// seen and the `partition_cache_evictions` of the first cap that fits.
+fn sweep_memory_caps<T: PartialEq + std::fmt::Debug>(
+    full: &[T],
+    step: u64,
+    mine: impl Fn(&CancelToken) -> (Vec<T>, Option<Resource>),
+) -> (Vec<usize>, u64) {
+    let mut partial_sizes = Vec::new();
+    for cap in (1..=1000).map(|k| step * k) {
+        let sink = Arc::new(ProfileSink::new());
+        let token = Budget::unlimited()
+            .with_max_memory_bytes(cap)
+            .start_observed(Obs::new(sink.clone()));
+        let (fds, tripped) = mine(&token);
+        assert_eq!(token.memory_bytes(), 0, "cap {cap}");
+        assert!(fds.iter().all(|fd| full.contains(fd)), "cap {cap}");
+        match tripped {
+            Some(resource) => {
+                assert_eq!(resource, Resource::Memory, "cap {cap}");
+                partial_sizes.push(fds.len());
+            }
+            None => {
+                assert_eq!(fds, full, "cap {cap}");
+                partial_sizes.dedup();
+                let evictions = sink.snapshot().counter("partition_cache_evictions");
+                return (partial_sizes, evictions);
+            }
+        }
+    }
+    panic!("no cap up to {} bytes fits the walk", 1000 * step);
+}
+
+#[test]
+fn tane_memory_caps_release_everything_and_evict_before_tripping() {
+    let r = SyntheticConfig {
+        n_attrs: 7,
+        n_rows: 80,
+        correlation: 0.5,
+        seed: 5,
+    }
+    .generate()
+    .expect("valid config");
+    let full = Tane::new().run(&r).fds;
+    let db = StrippedPartitionDb::from_relation(&r);
+    // Growing caps trip at every point of the walk, on the parallel path
+    // too, until one fits.
+    for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+        let tane = Tane::new().with_parallelism(par);
+        let (partial_sizes, evictions) = sweep_memory_caps(&full, 32, |token| {
+            let outcome = tane.run_db_governed(&db, token, None);
+            (outcome.result.fds, outcome.interrupted.map(|w| w.resource))
+        });
+        assert!(
+            partial_sizes.len() >= 2,
+            "{par:?}: caps trip at one point only"
+        );
+        // The sequential path evicts retired partitions rather than trip,
+        // so the first cap that fits is one only eviction makes room for.
+        if par == Parallelism::Sequential {
+            assert!(evictions > 0, "the first cap that fits evicted nothing");
+        }
+    }
+}
+
+#[test]
+fn approx_memory_caps_release_everything_and_evict_before_tripping() {
+    // Four attributes: no level has the 8 prefix-join pairs that fan
+    // products out, so the sequential, evicting path runs at every
+    // thread count.
+    let r = SyntheticConfig {
+        n_attrs: 4,
+        n_rows: 80,
+        correlation: 0.5,
+        seed: 4,
+    }
+    .generate()
+    .expect("valid config");
+    let full = approximate_fds(&r, 0.0);
+    let db = StrippedPartitionDb::from_relation(&r);
+    let (partial_sizes, evictions) = sweep_memory_caps(&full, 8, |token| {
+        let outcome = approximate_fds_governed(&r, &db, 0.0, token, None);
+        (outcome.result, outcome.interrupted.map(|w| w.resource))
+    });
+    assert!(partial_sizes.len() >= 2, "caps trip at one point only");
+    assert!(evictions > 0, "the first cap that fits evicted nothing");
 }

@@ -28,7 +28,7 @@ use depminer::govern::observe::Obs;
 use depminer::govern::{Budget, Stage};
 use depminer::parallel::Parallelism;
 use depminer::relation::{Relation, StrippedPartitionDb, SyntheticConfig};
-use depminer::tane::Tane;
+use depminer::tane::{approximate_fds_governed, Tane};
 
 /// Small but structurally rich workloads: several correlation regimes
 /// so agree sets, lattice levels and transversals all do real work.
@@ -112,6 +112,21 @@ fn tane_and_fdep_profiles_are_well_formed() {
             &["fdep", "negative-cover", "fdep-inversion"],
             "fdep",
         );
+    }
+}
+
+#[test]
+fn approx_profiles_are_well_formed_and_open_no_tane_span() {
+    // Approximate TANE walks exact TANE's lattice loop under its own
+    // span names.
+    for r in workloads() {
+        let db = StrippedPartitionDb::from_relation(&r);
+        let (outcome, profile) = profiled(|t| approximate_fds_governed(&r, &db, 0.05, t, None));
+        assert!(outcome.is_complete());
+        let required = ["approx", "approx-levels", "approx-levels/products"];
+        assert_well_formed(&profile, &required, "approx");
+        let names = validate_profile_json(&profile.to_json(), &[]).expect("valid profile");
+        assert!(names.iter().all(|n| !n.starts_with("tane")), "{names:?}");
     }
 }
 

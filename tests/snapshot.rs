@@ -23,7 +23,7 @@ use depminer::engine::{ApproxMiner, Emitted, Miner, MinerRegistry, Session, Sess
 use depminer::fdep::{Fdep, FdepCheckpoint};
 use depminer::fdtheory::{mine_minimal_fds, Fd};
 use depminer::govern::snapshot::{crc32, read_snapshot, Snapshot};
-use depminer::govern::{Budget, MiningOutcome, Obs, SnapshotError, SnapshotPolicy};
+use depminer::govern::{Budget, CancelToken, MiningOutcome, Obs, SnapshotError, SnapshotPolicy};
 use depminer::relation::state::db_fingerprint;
 use depminer::relation::{datasets, AttrSet, Prng, Relation, StrippedPartitionDb, SyntheticConfig};
 use depminer::tane::{
@@ -583,8 +583,67 @@ fn mismatched_frames_are_refused_before_any_mining() {
         Emitted::ApproxFds { fds, epsilon: 0.05 }
     );
 
+    // A repeated frontier set, which no walk writes: each miner's own
+    // frame past level 1 with its first frontier set doubled. Resumed, it
+    // would rebuild that set's partition twice and leave the first one's
+    // bytes charged.
+    let dup_dir = tmp_dir("mismatch_dup");
+    let tripped = |name: &str, mine: &dyn Fn(&CancelToken)| {
+        let policy = SnapshotPolicy::new(&dup_dir).every_boundaries(1);
+        mine(
+            &Budget::unlimited()
+                .with_max_candidates(10)
+                .start_with_snapshots(policy),
+        );
+        read_snapshot(&dup_dir.join(format!("{name}.snap"))).unwrap()
+    };
+    let frame = tripped(TANE_ALGO, &|token| {
+        assert!(!tane.run_db_governed(&db, token, None).is_complete());
+    });
+    let mut cp = TaneCheckpoint::decode_payload(&frame.payload).unwrap();
+    assert_eq!(cp.completed_levels, 1);
+    cp.frontier.insert(1, cp.frontier[0]);
+    misfit(&tane, cp.encode_payload());
+    let frame = tripped(TANE_APPROX_ALGO, &|token| {
+        assert!(!approximate_fds_governed(&r, &db, 0.05, token, None).is_complete());
+    });
+    let mut cp = ApproxCheckpoint::decode_payload(&frame.payload).unwrap();
+    assert_eq!(cp.completed_levels, 1);
+    cp.frontier.insert(1, cp.frontier[0]);
+    misfit(&ApproxMiner { epsilon: 0.05 }, cp.encode_payload());
+
     // And the pristine frame still resumes fine after all the refusals.
     let out = resume(&r, &tane, &snap, Budget::unlimited(), None).unwrap();
     assert!(out.is_complete());
     assert_eq!(exact(&out), tane.run(&r).fds);
+}
+
+/// Frames written before exact and approximate TANE shared one level walk
+/// (commit c35e9ae), checked in under `tests/frames/`: `workload()`
+/// tripped by `Budget::with_max_candidates(30)` after two complete levels,
+/// under `SnapshotPolicy::every_boundaries(1)`. Their payload format is
+/// unchanged, so both resume to the full FD sets.
+#[test]
+fn frames_written_before_the_shared_walk_resume_to_the_full_fd_sets() {
+    let r = workload();
+    let frame = |name: &str| {
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/frames");
+        read_snapshot(&dir.join(format!("{name}.snap"))).expect("checked-in frame reads")
+    };
+    let snap = frame(TANE_ALGO);
+    let cp = TaneCheckpoint::decode_payload(&snap.payload).unwrap();
+    assert_eq!(cp.completed_levels, 2);
+    let out = resume(&r, &Tane::new(), &snap, Budget::unlimited(), None).expect("resumes");
+    assert!(out.is_complete());
+    assert_eq!(exact(&out), Tane::new().run(&r).fds);
+
+    let epsilon = 0.05;
+    let snap = frame(TANE_APPROX_ALGO);
+    let cp = ApproxCheckpoint::decode_payload(&snap.payload).unwrap();
+    assert_eq!(cp.completed_levels, 2);
+    let miner = ApproxMiner { epsilon };
+    let out = resume(&r, &miner, &snap, Budget::unlimited(), None).expect("resumes");
+    assert!(out.is_complete());
+    let fds = approximate_fds(&r, epsilon);
+    assert_eq!(out.result, Emitted::ApproxFds { fds, epsilon });
 }
