@@ -35,11 +35,13 @@ DEPMINER_THREADS=1 cargo test -q --workspace
 echo "==> cargo test -q --workspace (DEPMINER_THREADS=4, parallel runtime)"
 DEPMINER_THREADS=4 cargo test -q --workspace
 
+# --workspace here too: at the root, `--features faults` alone tests only
+# the root package, so govern's own fault-plan unit tests never ran.
 echo "==> chaos pass: fault injection (DEPMINER_THREADS=1)"
-DEPMINER_THREADS=1 cargo test -q --features faults
+DEPMINER_THREADS=1 cargo test -q --workspace --features faults
 
 echo "==> chaos pass: fault injection (DEPMINER_THREADS=4)"
-DEPMINER_THREADS=4 cargo test -q --features faults
+DEPMINER_THREADS=4 cargo test -q --workspace --features faults
 
 echo "==> profiled smoke mine -> target/PROFILE_smoke.json"
 # Generate a §5.2 synthetic relation, then mine it with `--algo all` —

@@ -71,11 +71,7 @@ fn transversal_engine(c: &mut Criterion) {
         .expect("valid config");
         let ag = agree_sets_naive(&r);
         let ms = cmax_sets(&ag);
-        for engine in [
-            TransversalEngine::Levelwise,
-            TransversalEngine::Berge,
-            TransversalEngine::Dfs,
-        ] {
+        for engine in [TransversalEngine::Levelwise, TransversalEngine::Berge] {
             group.bench_with_input(BenchmarkId::new(engine.name(), n_attrs), &ms, |b, ms| {
                 b.iter(|| left_hand_sides(ms, engine))
             });

@@ -1,8 +1,9 @@
-//! Agree-set computation (§3.1): the three strategies of the paper,
-//! selected by [`AgreeSetStrategy`] and run by [`agree_sets`].
+//! Agree-set computation (§3.1): the paper's two algorithms, selected by
+//! [`AgreeSetStrategy`] and run by [`agree_sets`], and the naive
+//! reference they are tested against.
 //!
-//! * [`AgreeSetStrategy::Naive`] — the O(n·p²) baseline over all tuple
-//!   couples; [`agree_sets_naive`] runs it on a relation, with a
+//! * [`agree_sets_naive`] — the O(n·p²) baseline over all tuple couples
+//!   of a relation, comparing its column codes directly, with a
 //!   disjointness guard: a couple whose per-tuple duplicate-value masks
 //!   are disjoint provably has an empty agree set, so the O(p) column
 //!   scan is skipped for it;
@@ -29,7 +30,7 @@
 //! merges are order-insensitive unions, and the final sort in
 //! `AgreeSets::from_raw` makes the output canonical.
 //!
-//! All strategies return [`AgreeSets`]: the *non-empty* agree sets of `r`,
+//! All three return [`AgreeSets`]: the *non-empty* agree sets of `r`,
 //! deduplicated and sorted, together with the context (arity, tuple count,
 //! constant attributes) the downstream `CMAX_SET` step needs. The empty
 //! agree set — present in `ag(r)` whenever two tuples disagree everywhere —
@@ -51,11 +52,9 @@ use depminer_relation::{AttrSet, ClassIds, FxHashMap, FxHashSet, Relation, Strip
 /// Bytes one buffered couple occupies, for the approximate memory cap.
 const COUPLE_BYTES: u64 = std::mem::size_of::<(u32, u32)>() as u64;
 
-/// Which agree-set algorithm to run.
+/// Which of the paper's agree-set algorithms to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AgreeSetStrategy {
-    /// All-pairs baseline, O(n·p²).
-    Naive,
     /// Algorithm 2 (couples from maximal classes). `chunk_size` bounds the
     /// number of couples held in memory at once; `None` means unbounded
     /// (single pass).
@@ -71,7 +70,6 @@ impl AgreeSetStrategy {
     /// Short, stable name used in benchmark output.
     pub fn name(&self) -> &'static str {
         match self {
-            AgreeSetStrategy::Naive => "naive",
             AgreeSetStrategy::Couples { .. } => "alg2-couples",
             AgreeSetStrategy::EquivalenceClasses => "alg3-ec",
         }
@@ -163,12 +161,6 @@ pub fn agree_sets_governed(
 ) -> (AgreeSets, Option<BudgetExceeded>) {
     let _span = token.observer().span("agree-sets");
     match strategy {
-        AgreeSetStrategy::Naive => {
-            // Reconstruct pairwise agreement from the partition db itself so
-            // all strategies share one input (the db is informationally
-            // equivalent to r, §3.1).
-            naive_from_db_governed(db, par, token)
-        }
         AgreeSetStrategy::Couples { chunk_size } => {
             agree_sets_couples_governed(db, chunk_size, par, token)
         }
@@ -228,42 +220,6 @@ pub fn agree_sets_naive(r: &Relation) -> AgreeSets {
         }
     }
     AgreeSets::from_raw(seen.into_iter().collect(), r.arity(), r.len(), db_constants)
-}
-
-/// All-pairs agreement computed from the stripped partition database: every
-/// couple's agree set is a compare of two class-id rows. Used as the
-/// `Naive` strategy when only a db is available. Row ranges fan out across
-/// threads; each worker compares its rows against all later rows into a
-/// thread-local set, checkpointing once per row (each row's couple scan is
-/// O(n) work, so a finer poll would be noise).
-fn naive_from_db_governed(
-    db: &StrippedPartitionDb,
-    par: Parallelism,
-    token: &CancelToken,
-) -> (AgreeSets, Option<BudgetExceeded>) {
-    let stage = Stage::AgreeSets;
-    let _span = token.observer().span("agree-sets/naive");
-    scan_class_ids(db, token, stage, |ids| {
-        let n = db.n_rows();
-        let rows: Vec<usize> = (0..n).collect();
-        // High oversubscription: chunk i's workload shrinks with i
-        // (triangular loop), so small chunks keep the stealing balanced.
-        par_chunks(par, &rows, chunk_len(n, par, 8), |row_chunk| {
-            let _scan = token.observer().span("agree-sets/scan");
-            let mut local: FxHashSet<AttrSet> = FxHashSet::default();
-            for &i in row_chunk {
-                // Count the row's couples before scanning them; a trip
-                // keeps the rows already scanned (a valid ag(r) subset).
-                if let Err(why) = token.add_couples((n - 1 - i) as u64, stage) {
-                    return (local, Some(why));
-                }
-                for j in (i + 1)..n {
-                    local.insert(ids.agree(i, j));
-                }
-            }
-            (local, None)
-        })
-    })
 }
 
 /// Builds the class-id matrix, charges it to `token`'s memory account for
@@ -597,7 +553,6 @@ mod tests {
             let db = StrippedPartitionDb::from_relation(&r);
             let naive = agree_sets_naive(&r);
             for strat in [
-                AgreeSetStrategy::Naive,
                 AgreeSetStrategy::Couples { chunk_size: None },
                 AgreeSetStrategy::Couples {
                     chunk_size: Some(2),
@@ -618,7 +573,6 @@ mod tests {
             .unwrap();
         let db = StrippedPartitionDb::from_relation(&r);
         for strat in [
-            AgreeSetStrategy::Naive,
             AgreeSetStrategy::Couples { chunk_size: None },
             AgreeSetStrategy::Couples {
                 chunk_size: Some(64),
@@ -696,7 +650,6 @@ mod tests {
         .unwrap();
         let db = StrippedPartitionDb::from_relation(&r);
         for strat in [
-            AgreeSetStrategy::Naive,
             AgreeSetStrategy::Couples { chunk_size: None },
             AgreeSetStrategy::EquivalenceClasses,
         ] {
@@ -724,7 +677,6 @@ mod tests {
 
     #[test]
     fn strategy_names() {
-        assert_eq!(AgreeSetStrategy::Naive.name(), "naive");
         assert_eq!(
             AgreeSetStrategy::Couples {
                 chunk_size: Some(4)

@@ -74,53 +74,19 @@ impl MaxSets {
     }
 }
 
-/// Audits one attribute's lhs family against its `cmax` hypergraph: every
-/// member must be a *minimal* transversal, and the family must be exactly
-/// the sorted, deduplicated set an engine is contracted to return.
-pub fn audit_lhs_for_attribute(
-    arity: usize,
-    cmax: &[AttrSet],
-    lhs: &[AttrSet],
-) -> Result<(), InvariantError> {
-    let err = |d: String| Err(InvariantError::new("LhsTransversals", d));
-    let h = Hypergraph::new(arity, cmax.to_vec());
-    if !lhs.windows(2).all(|w| w[0] < w[1]) {
-        return err(format!("lhs family is not sorted/deduplicated: {lhs:?}"));
-    }
-    if h.is_empty() {
-        if lhs != [AttrSet::empty()] {
-            return err(format!(
-                "empty hypergraph must yield lhs = {{∅}}, got {lhs:?}"
-            ));
-        }
-        return Ok(());
-    }
-    if lhs.is_empty() {
-        return err("non-empty simple hypergraph has at least one minimal transversal".into());
-    }
-    for &t in lhs {
-        if !h.is_transversal(t) {
-            return err(format!("lhs {t} misses an edge of cmax"));
-        }
-        if !h.is_minimal_transversal(t) {
-            return err(format!("lhs {t} is a transversal but not minimal"));
-        }
-    }
-    Ok(())
-}
-
-/// Audits a whole lhs table (one family per attribute).
+/// Audits a whole lhs table (one family per attribute): each family must
+/// be exactly what [`Hypergraph::audit_transversals`] accepts for its
+/// `cmax` hypergraph — sorted, deduplicated *minimal* transversals.
 pub fn audit_lhs(ms: &MaxSets, lhs: &[Vec<AttrSet>]) -> Result<(), InvariantError> {
+    let err = |d: String| Err(InvariantError::new("LhsTransversals", d));
     if lhs.len() != ms.arity {
-        return Err(InvariantError::new(
-            "LhsTransversals",
-            format!("{} lhs families for arity {}", lhs.len(), ms.arity),
-        ));
+        return err(format!("{} lhs families for arity {}", lhs.len(), ms.arity));
     }
-    for a in 0..ms.arity {
-        audit_lhs_for_attribute(ms.arity, &ms.cmax[a], &lhs[a]).map_err(|e| {
-            InvariantError::new("LhsTransversals", format!("attribute {a}: {}", e.detail))
-        })?;
+    for (a, family) in lhs.iter().enumerate() {
+        let h = Hypergraph::new(ms.arity, ms.cmax[a].clone());
+        if let Err(e) = h.audit_transversals(family) {
+            return err(format!("attribute {a}: {}", e.detail));
+        }
     }
     Ok(())
 }
@@ -134,34 +100,15 @@ impl MiningResult {
     /// This is the heavyweight, everything-on audit; the pipeline's inline
     /// audits cover the structural parts automatically in debug builds.
     pub fn audit(&self, r: &Relation) -> Result<(), InvariantError> {
-        let err = |d: String| Err(InvariantError::new("MiningResult", d));
-        if self.schema.arity() != r.arity() {
-            return err(format!(
-                "result arity {} vs relation arity {}",
-                self.schema.arity(),
-                r.arity()
-            ));
-        }
         if self.n_rows != r.len() {
-            return err(format!(
-                "result n_rows {} vs relation size {}",
-                self.n_rows,
-                r.len()
+            return Err(InvariantError::new(
+                "MiningResult",
+                format!("result n_rows {} vs relation size {}", self.n_rows, r.len()),
             ));
         }
         self.max_sets.audit(&self.agree_sets)?;
         audit_lhs(&self.max_sets, &self.lhs)?;
-        for fd in &self.fds {
-            validate_fd_holds(r, fd.lhs, fd.rhs)?;
-            for b in fd.lhs.iter() {
-                if validate_fd_holds(r, fd.lhs.without(b), fd.rhs).is_ok() {
-                    return err(format!(
-                        "mined FD {fd} is not minimal: attribute {b} is redundant"
-                    ));
-                }
-            }
-        }
-        Ok(())
+        self.audit_claimed_fds(r)
     }
 
     /// Audits exactly the claims a *partial* result makes: every listed FD

@@ -154,10 +154,11 @@ impl DepMinerCheckpoint {
 /// Dep-Miner configuration bytes for frame validation: agree-set
 /// strategy (with its chunking) and transversal engine. Parallelism is
 /// excluded — results are thread-count independent.
+/// Strategy tag 0 (naive) and engine tag 2 (DFS) are retired: no longer
+/// written, and refused on read.
 pub fn depminer_config_bytes(strategy: AgreeSetStrategy, engine: TransversalEngine) -> Vec<u8> {
     let mut e = Enc::new();
     match strategy {
-        AgreeSetStrategy::Naive => e.put_u8(0),
         AgreeSetStrategy::Couples { chunk_size } => {
             e.put_u8(1);
             e.put_u64(chunk_size.map_or(0, |c| c as u64));
@@ -167,20 +168,19 @@ pub fn depminer_config_bytes(strategy: AgreeSetStrategy, engine: TransversalEngi
     e.put_u8(match engine {
         TransversalEngine::Levelwise => 0,
         TransversalEngine::Berge => 1,
-        TransversalEngine::Dfs => 2,
     });
     e.into_bytes()
 }
 
 /// Inverse of [`depminer_config_bytes`]: reconstructs the agree-set
 /// strategy and transversal engine recorded in a snapshot frame, so
-/// `resume` runs the exact variant that wrote it.
+/// `resume` runs the exact variant that wrote it; an unknown or retired
+/// tag is a [`SnapshotError::Mismatch`].
 pub fn depminer_config_from_bytes(
     config: &[u8],
 ) -> Result<(AgreeSetStrategy, TransversalEngine), SnapshotError> {
     let mut d = Dec::new(config);
     let strategy = match d.take_u8()? {
-        0 => AgreeSetStrategy::Naive,
         1 => {
             let c = d.take_u64()?;
             AgreeSetStrategy::Couples {
@@ -197,7 +197,6 @@ pub fn depminer_config_from_bytes(
     let engine = match d.take_u8()? {
         0 => TransversalEngine::Levelwise,
         1 => TransversalEngine::Berge,
-        2 => TransversalEngine::Dfs,
         t => {
             return Err(SnapshotError::Mismatch {
                 what: format!("unknown transversal engine tag {t} in snapshot config"),
@@ -267,29 +266,31 @@ mod tests {
     }
 
     #[test]
-    fn config_bytes_distinguish_strategy_and_engine() {
-        let base = depminer_config_bytes(
-            AgreeSetStrategy::Couples { chunk_size: None },
-            TransversalEngine::Levelwise,
-        );
-        for (s, t) in [
-            (AgreeSetStrategy::Naive, TransversalEngine::Levelwise),
+    fn config_bytes_keep_their_layout() {
+        use crate::DepMiner;
+        use TransversalEngine::{Berge, Levelwise};
+        // Frames written by earlier builds carry these bytes; they must
+        // keep resuming.
+        let cases: [(DepMiner, &[u8]); 6] = [
+            (DepMiner::algorithm_2(None), &[1, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
             (
-                AgreeSetStrategy::Couples {
-                    chunk_size: Some(64),
-                },
-                TransversalEngine::Levelwise,
+                DepMiner::algorithm_2(None).with_engine(Berge),
+                &[1, 0, 0, 0, 0, 0, 0, 0, 0, 1],
             ),
             (
-                AgreeSetStrategy::Couples { chunk_size: None },
-                TransversalEngine::Dfs,
+                DepMiner::algorithm_2(Some(64)),
+                &[1, 64, 0, 0, 0, 0, 0, 0, 0, 0],
             ),
             (
-                AgreeSetStrategy::EquivalenceClasses,
-                TransversalEngine::Berge,
+                DepMiner::algorithm_2(Some(64)).with_engine(Berge),
+                &[1, 64, 0, 0, 0, 0, 0, 0, 0, 1],
             ),
-        ] {
-            assert_ne!(base, depminer_config_bytes(s, t), "{s:?}/{t:?}");
+            (DepMiner::algorithm_3().with_engine(Levelwise), &[2, 0]),
+            (DepMiner::algorithm_3().with_engine(Berge), &[2, 1]),
+        ];
+        for (miner, bytes) in cases {
+            assert_eq!(miner.config_bytes(), bytes, "{miner:?}");
+            assert_eq!(DepMiner::from_config_bytes(bytes).unwrap(), miner);
         }
     }
 }

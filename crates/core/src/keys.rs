@@ -17,7 +17,10 @@
 
 use crate::agree::AgreeSets;
 use crate::lhs::TransversalEngine;
+use depminer_govern::CancelToken;
 use depminer_hypergraph::Hypergraph;
+use depminer_parallel::Parallelism;
+use depminer_relation::invariants::{audits_enabled, enforce};
 use depminer_relation::{retain_maximal, AttrSet};
 
 /// Computes the candidate keys (minimal unique column combinations) of the
@@ -47,11 +50,13 @@ pub fn candidate_keys_from_agree_sets(ag: &AgreeSets, engine: TransversalEngine)
     let mut edges: Vec<AttrSet> = max_ag.into_iter().map(|y| full.difference(y)).collect();
     edges.push(full);
     let h = Hypergraph::new(ag.arity, edges);
-    match engine {
-        TransversalEngine::Levelwise => h.min_transversals_levelwise(),
-        TransversalEngine::Berge => h.min_transversals_berge(),
-        TransversalEngine::Dfs => h.min_transversals_dfs(),
+    let keys = engine
+        .run_governed(&h, Parallelism::Auto, &CancelToken::unlimited())
+        .expect("an unlimited token never trips");
+    if audits_enabled() {
+        enforce(h.audit_transversals(&keys));
     }
+    keys
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 use crate::maxset::MaxSets;
 use depminer_fdtheory::{normalize_fds, Fd};
 use depminer_govern::{BudgetExceeded, CancelToken, Counter, Resource, Stage};
-use depminer_hypergraph::{berge, dfs, levelwise, Hypergraph};
+use depminer_hypergraph::{berge, levelwise, Hypergraph};
 use depminer_parallel::{par_map_indexed, Parallelism};
+use depminer_relation::invariants::{audits_enabled, enforce};
 use depminer_relation::AttrSet;
 
 /// Which minimal-transversal engine to use.
@@ -18,11 +19,9 @@ pub enum TransversalEngine {
     /// The paper's levelwise Algorithm 5 (Apriori-gen).
     #[default]
     Levelwise,
-    /// Berge's incremental algorithm (cross-check / ablation).
+    /// Berge's incremental algorithm, the cross-check levelwise is
+    /// compared against.
     Berge,
-    /// FastFDs-style ordered depth-first search (Wyss et al. 2001), the
-    /// successor approach built on the same maximal-set framework.
-    Dfs,
 }
 
 impl TransversalEngine {
@@ -31,58 +30,39 @@ impl TransversalEngine {
         match self {
             TransversalEngine::Levelwise => "levelwise",
             TransversalEngine::Berge => "berge",
-            TransversalEngine::Dfs => "dfs",
         }
     }
 
-    fn run(&self, h: &Hypergraph) -> Vec<AttrSet> {
-        match self {
-            TransversalEngine::Levelwise => h.min_transversals_levelwise(),
-            TransversalEngine::Berge => h.min_transversals_berge(),
-            TransversalEngine::Dfs => h.min_transversals_dfs(),
-        }
-    }
-
-    fn run_governed(
+    /// `Tr(h)` on this engine under `token`, the one engine dispatch:
+    /// the levelwise search fans wide levels out at `par`.
+    pub(crate) fn run_governed(
         &self,
         h: &Hypergraph,
+        par: Parallelism,
         token: &CancelToken,
     ) -> Result<Vec<AttrSet>, BudgetExceeded> {
         match self {
-            TransversalEngine::Levelwise => {
-                levelwise::min_transversals_governed(h, Parallelism::Auto, token)
-            }
+            TransversalEngine::Levelwise => levelwise::min_transversals_governed(h, par, token),
             TransversalEngine::Berge => berge::min_transversals_governed(h, token),
-            TransversalEngine::Dfs => dfs::min_transversals_governed(h, token),
         }
     }
 }
 
-/// `LEFT_HAND_SIDE`: computes `lhs(dep(r), A)` for every attribute, with
-/// the process default parallelism.
+/// `LEFT_HAND_SIDE`: computes `lhs(dep(r), A)` for every attribute,
+/// ungoverned, with the process default parallelism.
 ///
 /// When `cmax(dep(r), A)` is empty (constant attribute), the unique minimal
 /// transversal is `∅` and the minimal FD is `∅ → A`.
 pub fn left_hand_sides(ms: &MaxSets, engine: TransversalEngine) -> Vec<Vec<AttrSet>> {
-    left_hand_sides_with(ms, engine, Parallelism::Auto)
+    let token = CancelToken::unlimited();
+    left_hand_sides_governed(ms, engine, Parallelism::Auto, &token)
+        .0
+        .into_iter()
+        .map(|family| family.expect("an unlimited token never trips"))
+        .collect()
 }
 
-/// [`left_hand_sides`] with an explicit thread-count setting. Each
-/// attribute's transversal problem `Tr(cmax(dep(r), A))` is independent, so
-/// the hypergraphs fan out across attributes; every engine is deterministic,
-/// so the result is identical at any thread count.
-pub fn left_hand_sides_with(
-    ms: &MaxSets,
-    engine: TransversalEngine,
-    par: Parallelism,
-) -> Vec<Vec<AttrSet>> {
-    par_map_indexed(par, ms.arity, |a| {
-        let h = Hypergraph::new(ms.arity, ms.cmax[a].clone());
-        engine.run(&h)
-    })
-}
-
-/// [`left_hand_sides_with`] under a live [`CancelToken`], with
+/// [`left_hand_sides`] under a live [`CancelToken`], with
 /// *per-attribute* completion: `Some(family)` for every attribute whose
 /// transversal search finished, `None` for attributes cut off mid-walk
 /// (a truncated walk cannot certify minimality, so its partial list is
@@ -101,11 +81,19 @@ pub fn left_hand_sides_governed(
     left_hand_sides_resume_governed(ms, engine, par, token, &[])
 }
 
-/// [`left_hand_sides_governed`] resuming from a prior run's per-attribute
-/// results: attributes with a `Some(family)` entry in `prior` (a snapshot's
-/// transversal state) are returned as-is without re-running their search;
-/// only the holes — and any attributes past the end of `prior` — are
-/// computed. Pass an empty slice for a fresh run.
+/// The lhs step's one implementation: [`left_hand_sides_governed`]
+/// resuming from a prior run's per-attribute results. Attributes with a
+/// `Some(family)` entry in `prior` (a snapshot's transversal state) are
+/// returned as-is without re-running their search; only the holes — and
+/// any attributes past the end of `prior` — are computed. Pass an empty
+/// slice for a fresh run.
+///
+/// Each attribute's transversal problem `Tr(cmax(dep(r), A))` is
+/// independent, so the hypergraphs fan out across attributes at `par`,
+/// and the engine runs at `par` too. Every engine is deterministic, so
+/// the result is identical at any thread count. When audits are enabled,
+/// every completed family, restored ones included, passes
+/// [`Hypergraph::audit_transversals`].
 pub fn left_hand_sides_resume_governed(
     ms: &MaxSets,
     engine: TransversalEngine,
@@ -114,14 +102,21 @@ pub fn left_hand_sides_resume_governed(
     prior: &[Option<Vec<AttrSet>>],
 ) -> (Vec<Option<Vec<AttrSet>>>, Option<BudgetExceeded>) {
     let _span = token.observer().span("transversals");
+    let hypergraph = |a: usize| Hypergraph::new(ms.arity, ms.cmax[a].clone());
     let families: Vec<Option<Vec<AttrSet>>> = par_map_indexed(par, ms.arity, |a| {
         if let Some(Some(done)) = prior.get(a) {
             token.observer().add(Counter::ResumeLevelsSkipped, 1);
             return Some(done.clone());
         }
-        let h = Hypergraph::new(ms.arity, ms.cmax[a].clone());
-        engine.run_governed(&h, token).ok()
+        engine.run_governed(&hypergraph(a), par, token).ok()
     });
+    if audits_enabled() {
+        for (a, family) in families.iter().enumerate() {
+            if let Some(family) = family {
+                enforce(hypergraph(a).audit_transversals(family));
+            }
+        }
+    }
     let stopped = if families.iter().any(Option::is_none) {
         // Every engine error originates from the token, so the trip reason
         // is recorded there; synthesize one only as a defensive fallback.
@@ -194,10 +189,6 @@ mod tests {
             employee_lhs(TransversalEngine::Levelwise),
             employee_lhs(TransversalEngine::Berge)
         );
-        assert_eq!(
-            employee_lhs(TransversalEngine::Levelwise),
-            employee_lhs(TransversalEngine::Dfs)
-        );
     }
 
     #[test]
@@ -233,7 +224,6 @@ mod tests {
     fn engine_names() {
         assert_eq!(TransversalEngine::Levelwise.name(), "levelwise");
         assert_eq!(TransversalEngine::Berge.name(), "berge");
-        assert_eq!(TransversalEngine::Dfs.name(), "dfs");
         assert_eq!(TransversalEngine::default(), TransversalEngine::Levelwise);
     }
 }

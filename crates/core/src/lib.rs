@@ -47,7 +47,7 @@ pub use armstrong::{
     real_world_armstrong, real_world_armstrong_governed, real_world_exists, synthetic_armstrong,
     synthetic_armstrong_governed,
 };
-pub use audit::{audit_lhs, audit_lhs_for_attribute};
+pub use audit::audit_lhs;
 pub use checkpoint::{
     depminer_config_bytes, depminer_config_from_bytes, DepMinerCheckpoint, DEPMINER_ALGO,
 };
@@ -59,7 +59,7 @@ pub use depminer_parallel::Parallelism;
 pub use keys::candidate_keys_from_agree_sets;
 pub use lhs::{
     fd_output, left_hand_sides, left_hand_sides_governed, left_hand_sides_resume_governed,
-    left_hand_sides_with, TransversalEngine,
+    TransversalEngine,
 };
 pub use maxset::{cmax_sets, cmax_sets_governed, cmax_sets_with, MaxSets};
 pub use stats::PhaseTimings;
@@ -357,17 +357,6 @@ impl DepMiner {
             &resume_families,
         );
         let done = families.iter().filter(|f| f.is_some()).count();
-        if audits_enabled() {
-            for (a, family) in families.iter().enumerate() {
-                if let Some(family) = family {
-                    enforce(audit::audit_lhs_for_attribute(
-                        arity,
-                        &max_sets.cmax[a],
-                        family,
-                    ));
-                }
-            }
-        }
         match (&lhs_err, &snapshot_id) {
             (Some(_), Some((hash, config))) if token.snapshots_armed() => {
                 // Boundary 3 is attribute-grained: persist exactly the
@@ -547,11 +536,7 @@ mod tests {
             DepMiner::algorithm_2(Some(3)),
             DepMiner::algorithm_3(),
             DepMiner::new().with_engine(TransversalEngine::Berge),
-            DepMiner {
-                strategy: AgreeSetStrategy::Naive,
-                engine: TransversalEngine::Berge,
-                ..DepMiner::new()
-            },
+            DepMiner::algorithm_3().with_engine(TransversalEngine::Berge),
             DepMiner::new().with_parallelism(Parallelism::Sequential),
             DepMiner::new().with_parallelism(Parallelism::Threads(4)),
         ] {
@@ -621,10 +606,6 @@ mod tests {
             DepMiner::new(),
             DepMiner::algorithm_2(Some(3)),
             DepMiner::algorithm_3(),
-            DepMiner {
-                strategy: AgreeSetStrategy::Naive,
-                ..DepMiner::new()
-            },
         ] {
             let token = CancelToken::unlimited();
             token.cancel();

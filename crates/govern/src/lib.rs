@@ -50,11 +50,12 @@ pub use depminer_observe::{Counter, Obs, SpanGuard};
 /// mining stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Agree-set computation (naive pairs, couples, or equivalence classes).
+    /// Agree-set computation (Algorithm 2's couples or Algorithm 3's
+    /// equivalence classes).
     AgreeSets,
     /// Maximal/complement-maximal set derivation per attribute.
     MaxSets,
-    /// Minimal-transversal search (levelwise, Berge, or DFS).
+    /// Minimal-transversal search (levelwise or Berge).
     Transversals,
     /// TANE's exact lattice level loop.
     TaneLevels,

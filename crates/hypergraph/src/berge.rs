@@ -5,21 +5,15 @@
 //! already meets `E` is kept; each one that does not is extended by every
 //! vertex of `E`, and the union is re-minimized.
 //!
-//! Used as (a) an independent cross-check of the paper's levelwise engine,
-//! (b) the engine for the §5.1 TANE extension (`cmax = Tr(lhs)`), and
-//! (c) an ablation subject (`ablation_transversal` bench).
+//! Used as an independent cross-check of the paper's levelwise engine
+//! and as its ablation subject (`ablation_transversal` bench).
 
 use crate::Hypergraph;
 use depminer_govern::{BudgetExceeded, CancelToken, Stage};
 use depminer_relation::{retain_minimal, AttrSet};
 
-/// Computes `Tr(H)` with Berge's algorithm. Output is sorted, matching
-/// [`crate::levelwise::min_transversals`].
-pub fn min_transversals(h: &Hypergraph) -> Vec<AttrSet> {
-    min_transversals_governed(h, &CancelToken::unlimited()).expect("an unlimited token never trips")
-}
-
-/// [`min_transversals`] under a live [`CancelToken`]: checkpoints once
+/// Computes `Tr(H)` with Berge's algorithm, sorted like the levelwise
+/// engine's output, under a live [`CancelToken`]: checkpoints once
 /// per edge (the prefix transversal set can grow exponentially per
 /// step) and counts the extensions against the candidate budget. On a
 /// trip the prefix result is discarded — transversals of a prefix
@@ -63,13 +57,13 @@ mod tests {
     #[test]
     fn matches_levelwise_on_paper_example() {
         let h = Hypergraph::new(5, vec![s(&[0, 2]), s(&[0, 1, 3])]);
-        assert_eq!(min_transversals(&h), h.min_transversals_levelwise());
+        assert_eq!(h.min_transversals_berge(), h.min_transversals_levelwise());
     }
 
     #[test]
     fn empty_graph() {
         let h = Hypergraph::new(3, vec![]);
-        assert_eq!(min_transversals(&h), vec![AttrSet::empty()]);
+        assert_eq!(h.min_transversals_berge(), vec![AttrSet::empty()]);
     }
 
     #[test]
@@ -79,7 +73,7 @@ mod tests {
         let h = Hypergraph::new(2, vec![s(&[0, 1]), s(&[0])]);
         // Hypergraph::new minimizes edges to {{0}} already; build manually
         // through the public API to exercise the algorithm instead.
-        assert_eq!(min_transversals(&h), vec![s(&[0])]);
+        assert_eq!(h.min_transversals_berge(), vec![s(&[0])]);
     }
 
     #[test]
@@ -90,7 +84,7 @@ mod tests {
             for &e2 in &universe {
                 let h = Hypergraph::new(4, vec![e1, e2]);
                 assert_eq!(
-                    min_transversals(&h),
+                    h.min_transversals_berge(),
                     h.min_transversals_levelwise(),
                     "mismatch on {h:?}"
                 );
@@ -104,7 +98,7 @@ mod tests {
             6,
             vec![s(&[0, 1, 2]), s(&[2, 3]), s(&[1, 4, 5]), s(&[0, 5])],
         );
-        for &t in &min_transversals(&h) {
+        for &t in &h.min_transversals_berge() {
             assert!(h.is_minimal_transversal(t));
         }
     }

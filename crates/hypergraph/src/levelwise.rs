@@ -16,35 +16,23 @@
 use crate::Hypergraph;
 use depminer_govern::{BudgetExceeded, CancelToken, Stage};
 use depminer_parallel::{par_map_governed, Parallelism};
-use depminer_relation::AttrSet;
+use depminer_relation::{apriori_gen, AttrSet};
 
 /// Levels smaller than this are checked on the calling thread even when a
 /// parallel setting is in force: below it, the per-candidate edge scans are
 /// too cheap to amortize the fan-out.
 const PAR_LEVEL_THRESHOLD: usize = 512;
 
-/// Computes `Tr(H)`: all minimal transversals of `h`, with the process
-/// default parallelism.
+/// Computes `Tr(H)`: all minimal transversals of `h`, sorted, under a
+/// live [`CancelToken`].
 ///
 /// Returns `[∅]` when `h` has no edges (the empty set is then the unique
 /// minimal transversal), matching Algorithm 5's behaviour of `L₁ = ∅`.
-pub fn min_transversals(h: &Hypergraph) -> Vec<AttrSet> {
-    min_transversals_with(h, Parallelism::Auto)
-}
-
-/// [`min_transversals`] with an explicit thread-count setting.
 ///
-/// The per-candidate transversal checks within a level are independent, so
-/// wide levels fan out across threads; the transversal/survivor split is
-/// then replayed in level order, keeping the output identical to the
-/// sequential run. Candidate generation stays sequential (it is a small
-/// fraction of level cost and its join order matters).
-pub fn min_transversals_with(h: &Hypergraph, par: Parallelism) -> Vec<AttrSet> {
-    min_transversals_governed(h, par, &CancelToken::unlimited())
-        .expect("an unlimited token never trips")
-}
-
-/// [`min_transversals_with`] under a live [`CancelToken`].
+/// The per-candidate transversal checks within a level are independent,
+/// so levels of 512 candidates or more fan out at `par`; the transversal/survivor split is then replayed in level order,
+/// keeping the output identical to the sequential run. Candidate
+/// generation ([`apriori_gen`]) stays sequential.
 ///
 /// Checkpoints: once per lattice level (depth + candidate-count budgets,
 /// deadline) and every few candidates inside a wide level's parallel
@@ -94,51 +82,12 @@ pub fn min_transversals_governed(
                 }
             }
         }
-        level = apriori_gen(&survivors);
+        level = apriori_gen(&survivors).into_iter().map(|p| p.0).collect();
         token.release_memory(level_bytes);
         depth += 1;
     }
     result.sort();
     Ok(result)
-}
-
-/// `Apriori-gen` (join + prune) over an antichain of equal-size sets.
-///
-/// `survivors` must all have the same cardinality `i` and be sorted is not
-/// required (we sort internally); the result contains each candidate of size
-/// `i + 1` all of whose i-subsets are survivors.
-fn apriori_gen(survivors: &[AttrSet]) -> Vec<AttrSet> {
-    if survivors.len() < 2 {
-        return Vec::new();
-    }
-    // Join step: the SQL self-join of the paper matches pairs agreeing on
-    // all but the last attribute with attr_{i-1}(p) < attr_{i-1}(q). For bit
-    // sets this is: p != q, and p ∪ q has exactly i+1 bits, and the two
-    // differing bits are both greater than every shared bit... The standard
-    // prefix formulation: drop each set's maximum element; join pairs with
-    // equal prefixes.
-    use depminer_relation::fxhash::{FxHashMap, FxHashSet};
-    let mut by_prefix: FxHashMap<AttrSet, Vec<usize>> = FxHashMap::default();
-    for (idx, &s) in survivors.iter().enumerate() {
-        let max = s.max_attr().expect("survivors are non-empty");
-        by_prefix.entry(s.without(max)).or_default().push(idx);
-    }
-    let survivor_set: FxHashSet<AttrSet> = survivors.iter().copied().collect();
-    let mut out: Vec<AttrSet> = Vec::new();
-    for (_, idxs) in by_prefix {
-        for (k, &i) in idxs.iter().enumerate() {
-            for &j in &idxs[k + 1..] {
-                let cand = survivors[i].union(survivors[j]);
-                // Prune step: every max-proper subset must be a survivor.
-                if cand.drop_one().all(|sub| survivor_set.contains(&sub)) {
-                    out.push(cand);
-                }
-            }
-        }
-    }
-    out.sort();
-    out.dedup();
-    out
 }
 
 #[cfg(test)]
@@ -154,7 +103,7 @@ mod tests {
         // cmax(dep(r), A) = {AC, ABD} over R = ABCDE.
         // Expected lhs(dep(r), A) = Tr = {A, BC, CD}.
         let h = Hypergraph::new(5, vec![s(&[0, 2]), s(&[0, 1, 3])]);
-        let tr = min_transversals(&h);
+        let tr = h.min_transversals_levelwise();
         assert_eq!(tr, vec![s(&[0]), s(&[1, 2]), s(&[2, 3])]);
     }
 
@@ -183,21 +132,21 @@ mod tests {
         for (edges, mut expected) in cases {
             let h = Hypergraph::new(5, edges);
             expected.sort();
-            assert_eq!(min_transversals(&h), expected);
+            assert_eq!(h.min_transversals_levelwise(), expected);
         }
     }
 
     #[test]
     fn single_edge() {
         let h = Hypergraph::new(4, vec![s(&[1, 3])]);
-        assert_eq!(min_transversals(&h), vec![s(&[1]), s(&[3])]);
+        assert_eq!(h.min_transversals_levelwise(), vec![s(&[1]), s(&[3])]);
     }
 
     #[test]
     fn disjoint_edges_cross_product() {
         // Tr({{0,1},{2,3}}) = {02, 03, 12, 13}
         let h = Hypergraph::new(4, vec![s(&[0, 1]), s(&[2, 3])]);
-        let tr = min_transversals(&h);
+        let tr = h.min_transversals_levelwise();
         assert_eq!(tr.len(), 4);
         for t in [s(&[0, 2]), s(&[0, 3]), s(&[1, 2]), s(&[1, 3])] {
             assert!(tr.contains(&t));
@@ -208,14 +157,14 @@ mod tests {
     fn triangle_graph() {
         // Edges of a triangle: Tr = pairs of vertices.
         let h = Hypergraph::new(3, vec![s(&[0, 1]), s(&[1, 2]), s(&[0, 2])]);
-        let tr = min_transversals(&h);
+        let tr = h.min_transversals_levelwise();
         assert_eq!(tr, vec![s(&[0, 1]), s(&[0, 2]), s(&[1, 2])]);
     }
 
     #[test]
     fn singleton_edges_force_inclusion() {
         let h = Hypergraph::new(4, vec![s(&[0]), s(&[2, 3])]);
-        let tr = min_transversals(&h);
+        let tr = h.min_transversals_levelwise();
         assert_eq!(tr, vec![s(&[0, 2]), s(&[0, 3])]);
     }
 
@@ -226,10 +175,11 @@ mod tests {
         // PAR_LEVEL_THRESHOLD, exercising the parallel split path.
         let edges: Vec<AttrSet> = (0..8).map(|i| s(&[2 * i, 2 * i + 1])).collect();
         let h = Hypergraph::new(16, edges);
-        let seq = min_transversals_with(&h, Parallelism::Sequential);
+        let tr = |par| min_transversals_governed(&h, par, &CancelToken::unlimited()).unwrap();
+        let seq = tr(Parallelism::Sequential);
         assert_eq!(seq.len(), 256);
         for par in [Parallelism::Threads(2), Parallelism::Threads(4)] {
-            assert_eq!(min_transversals_with(&h, par), seq, "{par:?}");
+            assert_eq!(tr(par), seq, "{par:?}");
         }
     }
 
@@ -239,7 +189,7 @@ mod tests {
             6,
             vec![s(&[0, 1, 2]), s(&[2, 3]), s(&[1, 4, 5]), s(&[0, 5])],
         );
-        let tr = min_transversals(&h);
+        let tr = h.min_transversals_levelwise();
         assert!(!tr.is_empty());
         for &t in &tr {
             assert!(h.is_minimal_transversal(t), "{t} not a minimal transversal");

@@ -10,15 +10,19 @@
 //! computes the set `Tr(H)` of minimal transversals with the paper's
 //! levelwise algorithm (Apriori-gen candidate generation), and
 //! [`Hypergraph::min_transversals_berge`] with Berge's classic
-//! edge-by-edge product — used as a cross-check and for the
-//! `cmax = Tr(lhs)` direction (§5.1, nihilpotence `Tr(Tr(H)) = H`).
+//! edge-by-edge product, the cross-check the tests compare levelwise
+//! against. Each engine is one governed function,
+//! [`levelwise::min_transversals_governed`] or
+//! [`berge::min_transversals_governed`], behind one audited, ungoverned
+//! convenience method here.
 
 #![warn(missing_docs)]
 
 pub mod berge;
-pub mod dfs;
 pub mod levelwise;
 
+use depminer_govern::{BudgetExceeded, CancelToken};
+use depminer_parallel::Parallelism;
 use depminer_relation::invariants::{audits_enabled, enforce, InvariantError};
 use depminer_relation::{retain_minimal, AttrSet};
 use std::fmt;
@@ -109,44 +113,30 @@ impl Hypergraph {
     }
 
     /// Minimal transversals via the paper's levelwise algorithm
-    /// (Algorithm 5). See [`levelwise::min_transversals`].
+    /// (Algorithm 5), ungoverned, at the process default parallelism and
+    /// audited when audits are enabled. See
+    /// [`levelwise::min_transversals_governed`].
     pub fn min_transversals_levelwise(&self) -> Vec<AttrSet> {
-        let tr = levelwise::min_transversals(self);
-        if audits_enabled() {
-            enforce(self.audit_transversals(&tr));
-        }
-        tr
+        self.audited(levelwise::min_transversals_governed(
+            self,
+            Parallelism::Auto,
+            &CancelToken::unlimited(),
+        ))
     }
 
-    /// [`Hypergraph::min_transversals_levelwise`] with an explicit
-    /// thread-count setting: wide lattice levels fan their candidate
-    /// transversal checks across threads. The result is identical at every
-    /// thread count. See [`levelwise::min_transversals_with`].
-    pub fn min_transversals_levelwise_with(
-        &self,
-        par: depminer_parallel::Parallelism,
-    ) -> Vec<AttrSet> {
-        let tr = levelwise::min_transversals_with(self, par);
-        if audits_enabled() {
-            enforce(self.audit_transversals(&tr));
-        }
-        tr
-    }
-
-    /// Minimal transversals via Berge's incremental algorithm.
-    /// See [`berge::min_transversals`].
+    /// Minimal transversals via Berge's incremental algorithm, ungoverned
+    /// and audited when audits are enabled. See
+    /// [`berge::min_transversals_governed`].
     pub fn min_transversals_berge(&self) -> Vec<AttrSet> {
-        let tr = berge::min_transversals(self);
-        if audits_enabled() {
-            enforce(self.audit_transversals(&tr));
-        }
-        tr
+        self.audited(berge::min_transversals_governed(
+            self,
+            &CancelToken::unlimited(),
+        ))
     }
 
-    /// Minimal transversals via FastFDs-style ordered depth-first search.
-    /// See [`dfs::min_transversals`].
-    pub fn min_transversals_dfs(&self) -> Vec<AttrSet> {
-        let tr = dfs::min_transversals(self);
+    /// An unlimited engine run's result, audited when audits are enabled.
+    fn audited(&self, run: Result<Vec<AttrSet>, BudgetExceeded>) -> Vec<AttrSet> {
+        let tr = run.expect("an unlimited token never trips");
         if audits_enabled() {
             enforce(self.audit_transversals(&tr));
         }
@@ -158,8 +148,9 @@ impl Hypergraph {
     /// (checked with the private-edge criterion, independent of how the
     /// engine found it). The empty hypergraph's unique answer is `{∅}`.
     ///
-    /// Every engine wrapper runs this when audits are enabled (debug/test
-    /// builds, or the `invariants` feature).
+    /// Both convenience methods, Dep-Miner's lhs step and
+    /// `depminer_core::audit_lhs` run this when audits are enabled
+    /// (debug/test builds, or the `invariants` feature).
     pub fn audit_transversals(&self, tr: &[AttrSet]) -> Result<(), InvariantError> {
         let err = |d: String| Err(InvariantError::new("Transversals", d));
         if !tr.windows(2).all(|w| w[0] < w[1]) {

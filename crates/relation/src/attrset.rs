@@ -9,6 +9,7 @@
 //! [`Schema`](crate::schema::Schema). The empty set is the additive identity,
 //! `AttrSet::full(n)` is the schema-wide universe `R`.
 
+use crate::fxhash::{FxHashMap, FxHashSet};
 use std::fmt;
 
 /// Maximum number of attributes an [`AttrSet`] can hold.
@@ -385,6 +386,38 @@ pub fn retain_maximal(sets: &mut Vec<AttrSet>) {
             true
         }
     });
+}
+
+/// `Apriori-gen` \[AS94\]: the next level of a levelwise walk, joined from
+/// `level`'s distinct sets of one size `k`.
+///
+/// Join: two sets sharing their `k − 1` smallest attributes (the prefix)
+/// form the candidate `z = x ∪ y`. Prune: `z` is kept only if every
+/// `k`-subset of `z` is in `level`. Each candidate comes out once, as
+/// `(z, x, y)` with its generating pair `x < y`, in ascending `z` order.
+/// Algorithm 5 (the transversal search) takes the candidates, and TANE's
+/// walk the pairs for its partition products. The join polls no budget:
+/// callers charge the candidates at level entry.
+pub fn apriori_gen(level: &[AttrSet]) -> Vec<(AttrSet, AttrSet, AttrSet)> {
+    let present: FxHashSet<AttrSet> = level.iter().copied().collect();
+    let mut by_prefix: FxHashMap<AttrSet, Vec<AttrSet>> = FxHashMap::default();
+    for &x in level {
+        let prefix = x.max_attr().map_or(x, |m| x.without(m));
+        by_prefix.entry(prefix).or_default().push(x);
+    }
+    let mut out: Vec<(AttrSet, AttrSet, AttrSet)> = Vec::new();
+    for (_, group) in by_prefix {
+        for (i, &x) in group.iter().enumerate() {
+            for &y in &group[i + 1..] {
+                let z = x.union(y);
+                if z.drop_one().all(|w| present.contains(&w)) {
+                    out.push((z, x.min(y), x.max(y)));
+                }
+            }
+        }
+    }
+    out.sort_unstable_by_key(|p| p.0);
+    out
 }
 
 /// Removes non-minimal (w.r.t. ⊆) sets from `sets`, in place.

@@ -41,7 +41,7 @@ pub mod stats;
 pub mod value;
 
 pub use algebra::{natural_join, project, same_instance};
-pub use attrset::{retain_maximal, retain_minimal, AttrSet, MAX_ATTRS};
+pub use attrset::{apriori_gen, retain_maximal, retain_minimal, AttrSet, MAX_ATTRS};
 pub use depminer_parallel::Parallelism;
 pub use error::RelationError;
 pub use fxhash::{FxHashMap, FxHashSet};

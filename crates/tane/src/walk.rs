@@ -14,7 +14,7 @@ use depminer_govern::{BudgetExceeded, CancelToken, Counter, Stage};
 use depminer_parallel::{par_chunks_governed, Parallelism};
 use depminer_relation::state::db_fingerprint;
 use depminer_relation::{
-    AttrSet, FlatPartition, FxHashMap, FxHashSet, PartitionArena, StrippedPartitionDb,
+    apriori_gen, AttrSet, FlatPartition, FxHashMap, PartitionArena, StrippedPartitionDb,
 };
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -252,16 +252,16 @@ fn reclaim_all(cache: &mut LevelCache<'_>, arena: &mut PartitionArena, token: &C
     }
 }
 
-/// Prefix-join generation with Apriori pruning against the survivors;
+/// The next level, joined from the survivors by [`apriori_gen`];
 /// partitions of new nodes are products of their generating pair,
 /// computed in place against the level [`PartitionArena`].
 ///
-/// Candidate pairs are collected first (cheap set algebra, sequential),
-/// deduplicated by their union `Z` — one product per lattice node — and
-/// the products, the dominant per-level cost, either run on the calling
-/// thread against the shared arena or fan out across threads with one
-/// arena per chunk. Pairs are sorted by `Z` before the fan-out, so chunk
-/// boundaries are deterministic and the returned level strictly ascends.
+/// The join (cheap set algebra, sequential) yields one generating pair
+/// per lattice node `Z`, ascending by `Z`, and the products, the
+/// dominant per-level cost, either run on the calling thread against the
+/// shared arena or fan out across threads with one arena per chunk.
+/// Chunk boundaries are deterministic and the returned level strictly
+/// ascends.
 ///
 /// Memory: each produced partition's `heap_bytes` are reserved on the
 /// token before it is kept. On the sequential path, when a reservation
@@ -279,33 +279,14 @@ fn generate_next<'db, R: LevelRule>(
     n_rows: usize,
     token: &CancelToken,
 ) -> Result<(Vec<AttrSet>, LevelCache<'db>), BudgetExceeded> {
-    let present: FxHashSet<AttrSet> = survivors.iter().copied().collect();
-    let mut by_prefix: FxHashMap<AttrSet, Vec<AttrSet>> = FxHashMap::default();
-    for &x in survivors {
-        let m = x.max_attr().expect("level sets are non-empty");
-        by_prefix.entry(x.without(m)).or_default().push(x);
-    }
-    let mut pairs: Vec<(AttrSet, AttrSet, AttrSet)> = Vec::new();
-    for (_, group) in by_prefix {
-        for (i, &x) in group.iter().enumerate() {
-            for &y in &group[i + 1..] {
-                let z = x.union(y);
-                if z.drop_one().all(|w| present.contains(&w)) {
-                    pairs.push((x, y, z));
-                }
-            }
-        }
-    }
-    // One product per lattice node: order by Z, keep the smallest
-    // generating pair of each.
-    pairs.sort_unstable_by_key(|&(x, y, z)| (z, x, y));
-    pairs.dedup_by_key(|p| p.2);
+    // One product per lattice node `z`, of its generating pair.
+    let pairs = apriori_gen(survivors);
     stats.partition_products += pairs.len();
     token
         .observer()
         .add(Counter::PartitionProducts, pairs.len() as u64);
     let _span = token.observer().span(R::PRODUCTS_SPAN);
-    let next: Vec<AttrSet> = pairs.iter().map(|p| p.2).collect();
+    let next: Vec<AttrSet> = pairs.iter().map(|p| p.0).collect();
     let mut next_cache = LevelCache::default();
     if pairs.len() >= PAR_LEVEL_THRESHOLD && !par.is_sequential() {
         // Parallel path: the current level is read shared across threads,
@@ -319,7 +300,7 @@ fn generate_next<'db, R: LevelRule>(
                 let mut local_arena = PartitionArena::new(n_rows);
                 chunk_pairs
                     .iter()
-                    .map(|&(x, y, _)| {
+                    .map(|&(_, x, y)| {
                         token.check(R::STAGE)?;
                         Ok(cache_ref[&x].product_with(&cache_ref[&y], &mut local_arena))
                     })
@@ -328,7 +309,7 @@ fn generate_next<'db, R: LevelRule>(
             .into_iter()
             .flatten()
             .collect();
-        for (&(_, _, z), p) in pairs.iter().zip(produced) {
+        for (&(z, _, _), p) in pairs.iter().zip(produced) {
             if let Err(why) = token.reserve_memory(p.heap_bytes() as u64, R::STAGE) {
                 reclaim_all(&mut next_cache, arena, token);
                 return Err(why);
@@ -340,13 +321,13 @@ fn generate_next<'db, R: LevelRule>(
         // weight until the caller's level swap — it joins the eviction
         // queue in retirement order.
         let mut last_use: FxHashMap<AttrSet, usize> = FxHashMap::default();
-        for (i, &(x, y, _)) in pairs.iter().enumerate() {
+        for (i, &(_, x, y)) in pairs.iter().enumerate() {
             last_use.insert(x, i);
             last_use.insert(y, i);
         }
         let mut retired: VecDeque<AttrSet> = VecDeque::new();
         let mut failed: Option<BudgetExceeded> = None;
-        for (i, &(x, y, z)) in pairs.iter().enumerate() {
+        for (i, &(z, x, y)) in pairs.iter().enumerate() {
             if let Err(why) = token.check(R::STAGE) {
                 failed = Some(why);
                 break;

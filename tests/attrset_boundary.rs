@@ -1,9 +1,10 @@
 //! `AttrSet` behaviour at the 128-attribute ceiling (`MAX_ATTRS`):
-//! full-universe complements, set algebra at bit 127, and rejection of
-//! indices and schemas past the limit.
+//! full-universe complements, set algebra at bit 127, rejection of
+//! indices and schemas past the limit, and the shared Apriori-gen join
+//! on sets that reach the top bits.
 
 use depminer_relation::attrset::MAX_ATTRS;
-use depminer_relation::{AttrSet, RelationError, Schema};
+use depminer_relation::{apriori_gen, AttrSet, Prng, RelationError, Schema};
 use std::panic::catch_unwind;
 
 #[test]
@@ -94,4 +95,45 @@ fn schema_rejects_width_past_max_attrs() {
     let names: Vec<String> = (0..MAX_ATTRS).map(|i| format!("a{i}")).collect();
     let schema = Schema::new(names).expect("128 attributes is the documented maximum");
     assert_eq!(schema.all_attrs(), AttrSet::full(MAX_ATTRS));
+}
+
+/// `apriori_gen` against its definition: the candidates are exactly the
+/// (k+1)-sets whose k-subsets all lie in the level, ascending and without
+/// duplicates, each with a generating pair from the level. Universes mix
+/// low attributes with 60–70 (across the 64-bit word boundary) and
+/// 120–127 (the top of the `u128`).
+#[test]
+fn apriori_gen_matches_its_definition() {
+    assert!(apriori_gen(&[]).is_empty());
+    assert!(apriori_gen(&[AttrSet::from_indices([3, 64, 127])]).is_empty());
+
+    let pool: Vec<usize> = (0..4).chain(60..=70).chain(120..=127).collect();
+    let mut rng = Prng::seed_from_u64(0xA9_1071);
+    for case in 0..200 {
+        let width = rng.gen_range(2..=10usize);
+        let mut universe = AttrSet::empty();
+        while universe.len() < width {
+            universe.insert(pool[rng.gen_range(0..pool.len())]);
+        }
+        let k = rng.gen_range(1..width);
+        let density = rng.gen_range(3..=10u64);
+        let level: Vec<AttrSet> = universe
+            .subsets()
+            .filter(|x| x.len() == k && rng.gen_range(0..10u64) < density)
+            .collect();
+        let mut expected: Vec<AttrSet> = universe
+            .subsets()
+            .filter(|z| z.len() == k + 1 && z.drop_one().all(|w| level.contains(&w)))
+            .collect();
+        expected.sort_unstable();
+
+        let joined = apriori_gen(&level);
+        let candidates: Vec<AttrSet> = joined.iter().map(|p| p.0).collect();
+        assert_eq!(candidates, expected, "case {case}: level {level:?}");
+        for &(z, x, y) in &joined {
+            assert!(x < y, "case {case}: pair {x:?}, {y:?} of {z:?}");
+            assert!(level.contains(&x) && level.contains(&y), "case {case}");
+            assert_eq!(x.union(y), z, "case {case}");
+        }
+    }
 }

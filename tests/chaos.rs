@@ -15,7 +15,7 @@
 
 #![cfg(feature = "faults")]
 
-use depminer::depminer::{AgreeSetStrategy, DepMiner, TransversalEngine};
+use depminer::depminer::{DepMiner, TransversalEngine};
 use depminer::engine::{ApproxMiner, Emitted, Miner, Session, SessionCtx};
 use depminer::fdep::Fdep;
 use depminer::govern::faults::{FaultKind, FaultPlan};
@@ -56,17 +56,12 @@ fn exact(out: &MiningOutcome<Emitted>) -> &[depminer::fdtheory::Fd] {
 }
 
 /// The miner configurations under chaos (both agree-set algorithms and
-/// both transversal engines that differ structurally).
+/// both transversal engines).
 fn miners() -> Vec<DepMiner> {
     vec![
         DepMiner::algorithm_2(None),
         DepMiner::algorithm_3(),
-        DepMiner {
-            strategy: AgreeSetStrategy::Naive,
-            ..DepMiner::new()
-        }
-        .with_engine(TransversalEngine::Berge),
-        DepMiner::new().with_engine(TransversalEngine::Dfs),
+        DepMiner::algorithm_3().with_engine(TransversalEngine::Berge),
     ]
 }
 

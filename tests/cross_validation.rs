@@ -62,12 +62,6 @@ fn all_miners_agree_with_oracle() {
             DepMiner::algorithm_2(Some(3)),
             DepMiner::algorithm_3(),
             DepMiner::new().with_engine(TransversalEngine::Berge),
-            DepMiner::new().with_engine(TransversalEngine::Dfs),
-            DepMiner {
-                strategy: AgreeSetStrategy::Naive,
-                engine: TransversalEngine::Levelwise,
-                ..DepMiner::new()
-            },
         ];
         for miner in miners {
             let fds = miner.mine(&r).fds;

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use depminer::depminer::{AgreeSetStrategy, DepMiner, TransversalEngine};
+use depminer::depminer::{DepMiner, TransversalEngine};
 use depminer::fdep::Fdep;
 use depminer::govern::observe::jsonl::{validate_events, JsonlSink};
 use depminer::govern::observe::profile::{validate_profile_json, Profile, ProfileSink};
@@ -48,18 +48,13 @@ fn workloads() -> Vec<Relation> {
         .collect()
 }
 
-/// The structurally distinct miner configurations (all three agree-set
-/// strategies, all three transversal engines appear at least once).
+/// The structurally distinct miner configurations (both agree-set
+/// algorithms and both transversal engines appear at least once).
 fn miners() -> Vec<DepMiner> {
     vec![
         DepMiner::algorithm_2(None),
         DepMiner::algorithm_3(),
-        DepMiner {
-            strategy: AgreeSetStrategy::Naive,
-            ..DepMiner::new()
-        }
-        .with_engine(TransversalEngine::Berge),
-        DepMiner::new().with_engine(TransversalEngine::Dfs),
+        DepMiner::algorithm_3().with_engine(TransversalEngine::Berge),
     ]
 }
 

@@ -7,10 +7,10 @@
 //! that broke it.
 
 use depminer::depminer::{
-    agree_sets_with, cmax_sets_with, fd_output, left_hand_sides_with, AgreeSetStrategy, DepMiner,
-    TransversalEngine,
+    agree_sets_with, cmax_sets_with, fd_output, left_hand_sides_governed, AgreeSetStrategy,
+    DepMiner, TransversalEngine,
 };
-use depminer::hypergraph::Hypergraph;
+use depminer::hypergraph::{levelwise, Hypergraph};
 use depminer::parallel::{par_chunks, par_map, Parallelism, ThreadPool};
 use depminer::prelude::*;
 use depminer::relation::{Prng, StrippedPartitionDb};
@@ -30,18 +30,13 @@ fn arb_relation(rng: &mut Prng) -> Relation {
 fn pipeline_stages_are_thread_count_invariant() {
     let mut rng = Prng::seed_from_u64(0x9A71);
     let strategies = [
-        AgreeSetStrategy::Naive,
         AgreeSetStrategy::Couples { chunk_size: None },
         AgreeSetStrategy::Couples {
             chunk_size: Some(16),
         },
         AgreeSetStrategy::EquivalenceClasses,
     ];
-    let engines = [
-        TransversalEngine::Levelwise,
-        TransversalEngine::Berge,
-        TransversalEngine::Dfs,
-    ];
+    let engines = [TransversalEngine::Levelwise, TransversalEngine::Berge];
     for case in 0..CASES {
         let r = arb_relation(&mut rng);
         // Stage 0: stripped partition extraction.
@@ -81,11 +76,17 @@ fn pipeline_stages_are_thread_count_invariant() {
                 "case {case}: cmax diverges at {par:?}"
             );
         }
+        let lhs = |engine, par| {
+            let (families, stopped) =
+                left_hand_sides_governed(&ms, engine, par, &CancelToken::unlimited());
+            assert!(stopped.is_none(), "case {case}: an unlimited token tripped");
+            families.into_iter().flatten().collect::<Vec<_>>()
+        };
         for engine in engines {
-            let seq = left_hand_sides_with(&ms, engine, Parallelism::Sequential);
+            let seq = lhs(engine, Parallelism::Sequential);
             for par in THREAD_COUNTS {
                 assert_eq!(
-                    left_hand_sides_with(&ms, engine, par),
+                    lhs(engine, par),
                     seq,
                     "case {case}: lhs({engine:?}) diverges at {par:?}"
                 );
@@ -149,13 +150,13 @@ fn wide_transversal_levels_are_thread_count_invariant() {
             edges.push(AttrSet::from_indices([a, b]));
         }
         let h = Hypergraph::new(2 * n_pairs, edges);
-        let seq = h.min_transversals_levelwise_with(Parallelism::Sequential);
+        let tr = |par| {
+            levelwise::min_transversals_governed(&h, par, &CancelToken::unlimited())
+                .expect("an unlimited token never trips")
+        };
+        let seq = tr(Parallelism::Sequential);
         for par in THREAD_COUNTS {
-            assert_eq!(
-                h.min_transversals_levelwise_with(par),
-                seq,
-                "case {case}: transversals diverge at {par:?}"
-            );
+            assert_eq!(tr(par), seq, "case {case}: transversals diverge at {par:?}");
         }
     }
 }

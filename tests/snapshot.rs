@@ -583,6 +583,34 @@ fn mismatched_frames_are_refused_before_any_mining() {
         Emitted::ApproxFds { fds, epsilon: 0.05 }
     );
 
+    // CRC-valid Dep-Miner frames, with a payload that fits `r`, of two
+    // retired variants an older build may have left on disk: strategy tag
+    // 0 (a naive agree-set scan) and engine tag 2 (a DFS transversal
+    // engine). The registry refuses both as the frame is read.
+    let fresh = DepMinerCheckpoint {
+        agree: None,
+        max: None,
+        families: Vec::new(),
+        couples: 0,
+        candidates: 0,
+    };
+    let alg2_unbounded = [1, 0, 0, 0, 0, 0, 0, 0, 0];
+    for config in [vec![0, 0], [&alg2_unbounded[..], &[2]].concat()] {
+        let frame = Snapshot {
+            algo: DEPMINER_ALGO.to_string(),
+            schema_hash: db_fingerprint(&db),
+            config,
+            payload: fresh.encode_payload(),
+        };
+        let frame = Snapshot::decode(&frame.encode()).unwrap();
+        let err = from_frame(&frame).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::Mismatch { .. }),
+            "config {:?}: {err}",
+            frame.config
+        );
+    }
+
     // A repeated frontier set, which no walk writes: each miner's own
     // frame past level 1 with its first frontier set doubled. Resumed, it
     // would rebuild that set's partition twice and leave the first one's
