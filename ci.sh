@@ -75,8 +75,10 @@ fi
 
 echo "==> checkpoint/resume smoke: trip at first boundary, resume, compare"
 # Interrupt a governed TANE mine at its first checkpoint (--timeout 0
-# trips immediately), confirm the trip leaves a durable snapshot, resume
-# it to completion, and require the resumed FD set to match the
+# trips immediately), confirm the trip leaves a durable snapshot and
+# prints its [PARTIAL] header and interruption report (stdout is block-
+# buffered, so a buffer lost at exit 3 would leave the file empty),
+# resume it to completion, and require the resumed FD set to match the
 # uninterrupted baseline line for line. A completed resume must also
 # discard its snapshot.
 rm -rf target/ckpt_smoke
@@ -93,6 +95,14 @@ if [ "$status" -ne 3 ]; then
 fi
 if [ ! -f target/ckpt_smoke/tane.snap ]; then
     echo "ci.sh: interrupted mine left no snapshot behind" >&2
+    exit 1
+fi
+if ! head -n 1 target/fds_tripped.txt | grep -q '\[PARTIAL\]$'; then
+    echo "ci.sh: interrupted mine printed no [PARTIAL] header" >&2
+    exit 1
+fi
+if ! grep -q '^# run interrupted:' target/fds_tripped.txt; then
+    echo "ci.sh: interrupted mine printed no '# run interrupted:' line" >&2
     exit 1
 fi
 cargo run --release -q -p depminer -- resume --checkpoint-dir target/ckpt_smoke \

@@ -491,11 +491,15 @@ impl MiningResult {
 
     /// Pretty-prints the discovered FDs with schema names, one per line.
     pub fn fds_display(&self) -> String {
-        self.fds
-            .iter()
-            .map(|f| f.display_with(&self.schema))
-            .collect::<Vec<_>>()
-            .join("\n")
+        use std::fmt::Write as _;
+        let mut text = String::new();
+        for (i, fd) in self.fds.iter().enumerate() {
+            if i > 0 {
+                text.push('\n');
+            }
+            write!(text, "{}", fd.named(&self.schema)).expect("writing to a String cannot fail");
+        }
+        text
     }
 }
 

@@ -34,16 +34,54 @@ impl Fd {
 
     /// Renders with schema names, e.g. `depnum -> depname`.
     pub fn display_with(&self, schema: &Schema) -> String {
-        let lhs = if self.lhs.is_empty() {
-            "∅".to_string()
-        } else {
-            self.lhs
-                .iter()
-                .map(|a| schema.name(a).to_string())
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        format!("{lhs} -> {}", schema.name(self.rhs))
+        self.named(schema).to_string()
+    }
+
+    /// The FD with schema names, as a [`Display`](fmt::Display) value:
+    /// `write!(out, "{}", fd.named(schema))` renders `display_with`'s text
+    /// straight into `out`, with no intermediate `String`.
+    pub fn named<'s>(&self, schema: &'s Schema) -> NamedFd<'s> {
+        NamedFd { fd: *self, schema }
+    }
+}
+
+/// An [`Fd`] rendered with schema names; see [`Fd::named`].
+///
+/// The lhs names are separated by one space, an empty lhs renders as `∅`.
+/// A width or precision in the format spec applies to the whole text and
+/// counts chars, as it does for a `String`.
+pub struct NamedFd<'s> {
+    fd: Fd,
+    schema: &'s Schema,
+}
+
+impl NamedFd<'_> {
+    fn write_to(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        let mut names = self.fd.lhs.iter().map(|a| self.schema.name(a));
+        match names.next() {
+            None => w.write_str("∅")?,
+            Some(first) => {
+                w.write_str(first)?;
+                for name in names {
+                    w.write_str(" ")?;
+                    w.write_str(name)?;
+                }
+            }
+        }
+        w.write_str(" -> ")?;
+        w.write_str(self.schema.name(self.fd.rhs))
+    }
+}
+
+impl fmt::Display for NamedFd<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if f.width().is_none() && f.precision().is_none() {
+            return self.write_to(f);
+        }
+        // Padding needs the rendered length, so render once and pad.
+        let mut text = String::new();
+        self.write_to(&mut text)?;
+        f.pad(&text)
     }
 }
 
@@ -87,8 +125,50 @@ mod tests {
         assert_eq!(fd.attrs(), s(&[0, 1, 3]));
         assert_eq!(fd.to_string(), "BD -> A");
         let schema = Schema::new(["x", "y", "z", "w"]).unwrap();
-        assert_eq!(fd.display_with(&schema), "y w -> x");
-        assert_eq!(Fd::new(AttrSet::empty(), 2).display_with(&schema), "∅ -> z");
+        let cases = [
+            (fd, "y w -> x"),
+            (Fd::new(AttrSet::empty(), 2), "∅ -> z"),
+            (Fd::new(s(&[3]), 0), "w -> x"),
+        ];
+        for (fd, text) in cases {
+            assert_eq!(fd.display_with(&schema), text);
+            assert_eq!(fd.named(&schema).to_string(), text);
+        }
+    }
+
+    #[test]
+    fn named_pads_the_whole_text() {
+        let schema = Schema::new(["x", "y", "z", "w"]).unwrap();
+        let short = Fd::new(s(&[0, 1]), 2);
+        assert_eq!(
+            format!("{:<40}|", short.named(&schema)),
+            "x y -> z                                |"
+        );
+        let names: Vec<String> = (0..12).map(|i| format!("attr{i:02}")).collect();
+        let wide = Schema::new(names).unwrap();
+        let long = Fd::new(s(&[0, 1, 2, 3, 4, 5, 6]), 11);
+        let text = "attr00 attr01 attr02 attr03 attr04 attr05 attr06 -> attr11";
+        assert!(text.chars().count() > 40);
+        assert_eq!(format!("{:<40}|", long.named(&wide)), format!("{text}|"));
+    }
+
+    #[test]
+    fn named_pads_by_chars_not_bytes() {
+        let schema = Schema::new(["städte", "ü", "zip"]).unwrap();
+        let fd = Fd::new(s(&[0, 1]), 2);
+        // 15 chars in 17 bytes: a byte count would pad with 3 spaces, not 5.
+        assert_eq!(
+            format!("{:<20}|", fd.named(&schema)),
+            "städte ü -> zip     |"
+        );
+        assert_eq!(
+            format!("{:<20}|", fd.named(&schema)),
+            format!("{:<20}|", fd.display_with(&schema))
+        );
+        assert_eq!(
+            format!("{:<10}|", Fd::new(AttrSet::empty(), 1).named(&schema)),
+            "∅ -> ü    |"
+        );
     }
 
     #[test]

@@ -43,14 +43,17 @@ impl<W: Write + Send> JsonlSink<W> {
 
     fn emit(&self, line_sans_time: &str) {
         // Lock first, then read the clock: concurrent writers serialise
-        // here, so timestamps increase in file order. Writes are
+        // here, so timestamps increase in file order. The whole line goes
+        // out in one `write_all`, so an unbuffered writer (stderr) makes
+        // one write per event, not one per format piece. Writes are
         // best-effort — a broken trace pipe must not fail the mining run.
         let mut guard = match self.writer.lock() {
             Ok(g) => g,
             Err(poison) => poison.into_inner(),
         };
         let t_ns = self.epoch.elapsed().as_nanos() as u64;
-        let _ = writeln!(guard, "{line_sans_time},\"t_ns\":{t_ns}}}");
+        let line = format!("{line_sans_time},\"t_ns\":{t_ns}}}\n");
+        let _ = guard.write_all(line.as_bytes());
     }
 }
 
@@ -301,6 +304,41 @@ mod tests {
         ));
         assert!(matches!(&events[3], Event::Exit { .. }));
         assert!(matches!(&events[4], Event::Mem { bytes: 4096, .. }));
+    }
+
+    /// Records each `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_write_per_event() {
+        let sink = Arc::new(JsonlSink::new(CountingWriter::default()));
+        let obs = Obs::new(sink.clone());
+        for _ in 0..10 {
+            let _span = obs.span("level");
+        }
+        drop(obs);
+        let sink = Arc::try_unwrap(sink).ok().expect("all Obs handles dropped");
+        let writer = sink.into_inner();
+        let text = String::from_utf8(writer.bytes).expect("trace is utf-8");
+        assert_eq!(text.lines().count(), 20);
+        assert_eq!(writer.writes, 20, "one write per line");
+        assert_eq!(validate_events(&text).expect("valid").len(), 20);
     }
 
     #[test]

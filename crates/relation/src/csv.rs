@@ -9,7 +9,7 @@ use crate::error::RelationError;
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::value::Value;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Parses one CSV line into fields, handling quoted fields and `""` escapes.
@@ -192,8 +192,14 @@ pub fn write_csv<W: Write>(r: &Relation, mut w: W) -> Result<(), RelationError> 
 }
 
 /// Writes a relation to a CSV file.
+///
+/// The file is written through a buffer that is flushed before returning,
+/// so a failed write (a full disk) is an `Err`, never a short file.
 pub fn write_csv_file<P: AsRef<Path>>(r: &Relation, path: P) -> Result<(), RelationError> {
-    write_csv(r, std::fs::File::create(path)?)
+    let mut w = BufWriter::new(std::fs::File::create(path)?);
+    write_csv(r, &mut w)?;
+    w.flush()?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -372,5 +378,15 @@ mod tests {
         let r2 = read_csv_file(&path).unwrap();
         assert_eq!(r2.len(), 1);
         assert_eq!(r2.value(0, 0), &Value::Int(1));
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn file_write_to_a_full_disk_is_an_error() {
+        // Every write to /dev/full fails with ENOSPC; a buffered writer
+        // dropped without a flush would swallow that and report success.
+        let r = read_csv("a,b\n1,2\n3,4\n5,6\n".as_bytes()).unwrap();
+        assert_eq!(r.len(), 3);
+        assert!(write_csv_file(&r, "/dev/full").is_err());
     }
 }

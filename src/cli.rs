@@ -34,7 +34,8 @@
 //! per-algorithm entry-point arms.
 //!
 //! All logic lives here (unit-testable against in-memory writers); the
-//! binary in `src/bin/` only forwards `std::env::args`.
+//! binary in `src/bin/` forwards `std::env::args` and hands [`run`] one
+//! block-buffered stdout, which it flushes before every exit.
 
 use depminer_core::DepMiner;
 use depminer_engine::{ApproxMiner, Emitted, MinerRegistry, Session, SessionCtx};
@@ -263,6 +264,23 @@ fn partial_suffix<T>(outcome: &MiningOutcome<T>) -> &'static str {
     }
 }
 
+/// Writes `text` and a newline to `out` in one `write_all`, rendered into
+/// the reused `line` first. A block buffer that only ever receives whole
+/// lines flushes at line ends, and stdout's line writer then passes each
+/// block on in one write(2), rather than the lines and then the held-back
+/// partial line in two.
+fn write_line(
+    out: &mut dyn Write,
+    line: &mut String,
+    text: fmt::Arguments<'_>,
+) -> Result<(), CliError> {
+    line.clear();
+    fmt::Write::write_fmt(line, text).expect("formatting into a String cannot fail");
+    line.push('\n');
+    out.write_all(line.as_bytes())
+        .map_err(|e| run_err(format!("write failed: {e}")))
+}
+
 /// The shared tail of every mining command, emitted once for the whole
 /// `Session` driver layer instead of per command: prints the header and
 /// the emitted dependency lines, surfaces per-stage diagnostics plus the
@@ -281,21 +299,18 @@ fn emit_outcome(
 ) -> Result<(), CliError> {
     let io = |e: std::io::Error| run_err(format!("write failed: {e}"));
     writeln!(out, "{header}").map_err(io)?;
+    let mut line = String::new();
     match &outcome.result {
         Emitted::Fds(fds) => {
             for fd in fds {
-                writeln!(out, "{}", fd.display_with(r.schema())).map_err(io)?;
+                write_line(out, &mut line, format_args!("{}", fd.named(r.schema())))?;
             }
         }
         Emitted::ApproxFds { fds, .. } => {
             for afd in fds {
-                writeln!(
-                    out,
-                    "{:<40} g3 = {:.4}",
-                    afd.fd.display_with(r.schema()),
-                    afd.error
-                )
-                .map_err(io)?;
+                let named = afd.fd.named(r.schema());
+                let text = format_args!("{named:<40} g3 = {:.4}", afd.error);
+                write_line(out, &mut line, text)?;
             }
         }
     }
@@ -742,7 +757,7 @@ fn cmd_normalize(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let cover = canonical_cover(&result.fds);
     writeln!(out, "# canonical cover ({} FDs):", cover.len()).map_err(io)?;
     for fd in &cover {
-        writeln!(out, "  {}", fd.display_with(&schema)).map_err(io)?;
+        writeln!(out, "  {}", fd.named(&schema)).map_err(io)?;
     }
     let keys = candidate_keys(&cover, r.arity());
     writeln!(out, "# candidate keys:").map_err(io)?;
@@ -830,7 +845,7 @@ fn cmd_report(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     )
     .map_err(io)?;
     for fd in &result.fds {
-        writeln!(out, "  {}", fd.display_with(&schema)).map_err(io)?;
+        writeln!(out, "  {}", fd.named(&schema)).map_err(io)?;
     }
 
     let keys = result.candidate_keys();
