@@ -63,15 +63,22 @@ cargo run -p xtask -q -- validate-profile target/PROFILE_smoke.json \
 
 echo "==> Algorithm 3 smoke: fds --algo depminer2 matches fds --algo tane"
 # depminer2 is not `in_all`, so the run above never exercises Algorithm 3.
-cargo run --release -q -p depminer -- fds --algo depminer2 target/smoke.csv \
-    | grep -- '->' > target/fds_depminer2_only.txt
-cargo run --release -q -p depminer -- fds --algo tane target/smoke.csv \
-    | grep -- '->' > target/fds_tane_only.txt
-if ! cmp -s target/fds_depminer2_only.txt target/fds_tane_only.txt; then
-    echo "ci.sh: fds --algo depminer2 and fds --algo tane disagree" >&2
-    diff target/fds_tane_only.txt target/fds_depminer2_only.txt >&2 || true
-    exit 1
-fi
+# The 8-attribute smoke relation's transversal hypergraphs fit in one
+# 64-bit edge-cover word; the 20-attribute one's have 135–143 edges, so
+# their covers span three words.
+cargo run --release -q -p depminer -- generate \
+    --attrs 20 --rows 400 --correlation 0.5 --seed 9 target/smoke20.csv > /dev/null
+for csv in target/smoke.csv target/smoke20.csv; do
+    cargo run --release -q -p depminer -- fds --algo depminer2 "$csv" \
+        | grep -- '->' > target/fds_depminer2_only.txt
+    cargo run --release -q -p depminer -- fds --algo tane "$csv" \
+        | grep -- '->' > target/fds_tane_only.txt
+    if ! cmp -s target/fds_depminer2_only.txt target/fds_tane_only.txt; then
+        echo "ci.sh: fds --algo depminer2 and fds --algo tane disagree on $csv" >&2
+        diff target/fds_tane_only.txt target/fds_depminer2_only.txt >&2 || true
+        exit 1
+    fi
+done
 
 echo "==> checkpoint/resume smoke: trip at first boundary, resume, compare"
 # Interrupt a governed TANE mine at its first checkpoint (--timeout 0

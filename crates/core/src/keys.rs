@@ -19,7 +19,6 @@ use crate::agree::AgreeSets;
 use crate::lhs::TransversalEngine;
 use depminer_govern::CancelToken;
 use depminer_hypergraph::Hypergraph;
-use depminer_parallel::Parallelism;
 use depminer_relation::invariants::{audits_enabled, enforce};
 use depminer_relation::{retain_maximal, AttrSet};
 
@@ -51,7 +50,7 @@ pub fn candidate_keys_from_agree_sets(ag: &AgreeSets, engine: TransversalEngine)
     edges.push(full);
     let h = Hypergraph::new(ag.arity, edges);
     let keys = engine
-        .run_governed(&h, Parallelism::Auto, &CancelToken::unlimited())
+        .run_governed(&h, &CancelToken::unlimited())
         .expect("an unlimited token never trips");
     if audits_enabled() {
         enforce(h.audit_transversals(&keys));

@@ -33,16 +33,15 @@ impl TransversalEngine {
         }
     }
 
-    /// `Tr(h)` on this engine under `token`, the one engine dispatch:
-    /// the levelwise search fans wide levels out at `par`.
+    /// `Tr(h)` on this engine under `token`, on the calling thread: the
+    /// one engine dispatch.
     pub(crate) fn run_governed(
         &self,
         h: &Hypergraph,
-        par: Parallelism,
         token: &CancelToken,
     ) -> Result<Vec<AttrSet>, BudgetExceeded> {
         match self {
-            TransversalEngine::Levelwise => levelwise::min_transversals_governed(h, par, token),
+            TransversalEngine::Levelwise => levelwise::min_transversals_governed(h, token),
             TransversalEngine::Berge => berge::min_transversals_governed(h, token),
         }
     }
@@ -90,7 +89,7 @@ pub fn left_hand_sides_governed(
 ///
 /// Each attribute's transversal problem `Tr(cmax(dep(r), A))` is
 /// independent, so the hypergraphs fan out across attributes at `par`,
-/// and the engine runs at `par` too. Every engine is deterministic, so
+/// each search on the thread it lands on. Every engine is deterministic, so
 /// the result is identical at any thread count. When audits are enabled,
 /// every completed family, restored ones included, passes
 /// [`Hypergraph::audit_transversals`].
@@ -108,7 +107,7 @@ pub fn left_hand_sides_resume_governed(
             token.observer().add(Counter::ResumeLevelsSkipped, 1);
             return Some(done.clone());
         }
-        engine.run_governed(&hypergraph(a), par, token).ok()
+        engine.run_governed(&hypergraph(a), token).ok()
     });
     if audits_enabled() {
         for (a, family) in families.iter().enumerate() {

@@ -12,77 +12,94 @@
 //!    transversal — so the candidate is non-minimal — or never generated).
 //!
 //! This mirrors \[AS94\]'s `Apriori-gen` exactly as the paper specifies.
+//! The transversal test of step 1 reads an *edge cover* instead of the
+//! edges: bit `e` of a candidate's cover is set iff the candidate meets
+//! edge `e`, and a candidate's cover is the OR of its generating pair's,
+//! as Zaki's Eclat (IEEE TKDE, 2000) carries tid-lists and Hébert,
+//! Bretto and Crémilleux (Fundamenta Informaticae, 2007) run this search
+//! on vertical bitsets. A candidate is a transversal iff its cover is
+//! full: one OR and one compare per candidate, where the paper's test
+//! scans every edge.
 
 use crate::Hypergraph;
 use depminer_govern::{BudgetExceeded, CancelToken, Stage};
-use depminer_parallel::{par_map_governed, Parallelism};
 use depminer_relation::{apriori_gen, AttrSet};
 
-/// Levels smaller than this are checked on the calling thread even when a
-/// parallel setting is in force: below it, the per-candidate edge scans are
-/// too cheap to amortize the fan-out.
-const PAR_LEVEL_THRESHOLD: usize = 512;
-
 /// Computes `Tr(H)`: all minimal transversals of `h`, sorted, under a
-/// live [`CancelToken`].
+/// live [`CancelToken`], on the calling thread.
 ///
 /// Returns `[∅]` when `h` has no edges (the empty set is then the unique
 /// minimal transversal), matching Algorithm 5's behaviour of `L₁ = ∅`.
 ///
-/// The per-candidate transversal checks within a level are independent,
-/// so levels of 512 candidates or more fan out at `par`; the transversal/survivor split is then replayed in level order,
-/// keeping the output identical to the sequential run. Candidate
-/// generation ([`apriori_gen`]) stays sequential.
+/// A level's edge covers live in one flat buffer, `⌈|edges|/64⌉` words
+/// per candidate in level order. Level 1's are built from the edges,
+/// one singleton per vertex of the support; each later candidate's is
+/// the OR of the covers of the pair [`apriori_gen`] generated it from.
 ///
 /// Checkpoints: once per lattice level (depth + candidate-count budgets,
-/// deadline) and every few candidates inside a wide level's parallel
-/// split. On a trip the search unwinds immediately with the budget
+/// deadline, and the level's sets and covers against the memory
+/// budget). On a trip the search unwinds immediately with the budget
 /// error; no partial transversal list is returned, because a truncated
 /// level walk cannot certify minimality of what it has emitted — the
 /// caller treats the whole attribute as unprocessed.
 pub fn min_transversals_governed(
     h: &Hypergraph,
-    par: Parallelism,
     token: &CancelToken,
 ) -> Result<Vec<AttrSet>, BudgetExceeded> {
     let _span = token.observer().span("transversals/levelwise");
     if h.is_empty() {
         return Ok(vec![AttrSet::empty()]);
     }
+    let edges = h.edges();
+    let words = edges.len().div_ceil(64);
+    let last_word = match edges.len() % 64 {
+        0 => u64::MAX,
+        bits => (1u64 << bits) - 1,
+    };
+    let is_full = |cover: &[u64]| {
+        cover[..words - 1].iter().all(|&w| w == u64::MAX) && cover[words - 1] == last_word
+    };
+    // L1: the vertices appearing in some edge, ascending, each covering
+    // the edges that contain it, 64 edges to a word.
+    let support = h.vertex_support();
+    let mut level: Vec<AttrSet> = support.singletons().collect();
+    let mut covers: Vec<u64> = Vec::with_capacity(level.len() * words);
+    for v in support.iter() {
+        covers.extend(edges.chunks(64).map(|chunk| {
+            chunk.iter().enumerate().fold(0, |word, (bit, e)| {
+                word | ((e.bits() >> v) as u64 & 1) << bit
+            })
+        }));
+    }
+    let mut next_covers: Vec<u64> = Vec::new();
+    let candidate_bytes = std::mem::size_of::<AttrSet>() + words * std::mem::size_of::<u64>();
     let mut result: Vec<AttrSet> = Vec::new();
-    // L1: attributes appearing in some edge.
-    let mut level: Vec<AttrSet> = h.vertex_support().singletons().collect();
     let mut depth = 1usize;
     while !level.is_empty() {
         token.enter_level(depth, Stage::Transversals)?;
         token.add_candidates(level.len() as u64, Stage::Transversals)?;
-        let level_bytes = (level.len() * std::mem::size_of::<AttrSet>()) as u64;
+        let level_bytes = (level.len() * candidate_bytes) as u64;
         token.reserve_memory(level_bytes, Stage::Transversals)?;
-        // Split the level into transversals (emitted) and survivors.
+        // Split the level into transversals (emitted) and survivors, whose
+        // covers move down to the survivor's index.
         let mut survivors: Vec<AttrSet> = Vec::with_capacity(level.len());
-        if level.len() >= PAR_LEVEL_THRESHOLD && !par.is_sequential() {
-            let flags: Vec<bool> =
-                par_map_governed(par, token, Stage::Transversals, &level, |&cand| {
-                    Ok(h.is_transversal(cand))
-                })
-                .inspect_err(|_| token.release_memory(level_bytes))?;
-            for (&cand, is_tr) in level.iter().zip(flags) {
-                if is_tr {
-                    result.push(cand);
-                } else {
-                    survivors.push(cand);
-                }
-            }
-        } else {
-            for &cand in &level {
-                if h.is_transversal(cand) {
-                    result.push(cand);
-                } else {
-                    survivors.push(cand);
-                }
+        for (c, &cand) in level.iter().enumerate() {
+            let at = c * words;
+            if is_full(&covers[at..at + words]) {
+                result.push(cand);
+            } else {
+                covers.copy_within(at..at + words, survivors.len() * words);
+                survivors.push(cand);
             }
         }
-        level = apriori_gen(&survivors).into_iter().map(|p| p.0).collect();
+        let next = apriori_gen(&survivors);
+        next_covers.clear();
+        for &(_, i, j) in &next {
+            let (x, y) = (&covers[i * words..][..words], &covers[j * words..][..words]);
+            next_covers.extend(x.iter().zip(y).map(|(a, b)| a | b));
+        }
+        std::mem::swap(&mut covers, &mut next_covers);
+        level = next.into_iter().map(|p| p.0).collect();
         token.release_memory(level_bytes);
         depth += 1;
     }
@@ -169,17 +186,35 @@ mod tests {
     }
 
     #[test]
-    fn parallel_levels_match_sequential_above_threshold() {
+    fn disjoint_pairs_cross_product_matches_berge() {
         // 8 disjoint pairs: Tr is the 2^8 = 256-way cross product, and the
-        // middle lattice levels are wide enough (C(8,5)·2^5 = 1792) to cross
-        // PAR_LEVEL_THRESHOLD, exercising the parallel split path.
+        // middle lattice levels are wide (C(8,5)·2^5 = 1792 candidates).
         let edges: Vec<AttrSet> = (0..8).map(|i| s(&[2 * i, 2 * i + 1])).collect();
         let h = Hypergraph::new(16, edges);
-        let tr = |par| min_transversals_governed(&h, par, &CancelToken::unlimited()).unwrap();
-        let seq = tr(Parallelism::Sequential);
-        assert_eq!(seq.len(), 256);
-        for par in [Parallelism::Threads(2), Parallelism::Threads(4)] {
-            assert_eq!(tr(par), seq, "{par:?}");
+        let tr = h.min_transversals_levelwise();
+        assert_eq!(tr.len(), 256);
+        assert_eq!(tr, h.min_transversals_berge());
+    }
+
+    #[test]
+    fn covers_across_word_boundaries() {
+        // The first m 4-subsets of an 11-vertex universe straddling both
+        // halves of the 128-bit vertex space: sets of one size form an
+        // antichain, so the hypergraph keeps all m edges, and the covers
+        // take one, two, three or four words, with m % 64 hitting 63, 0
+        // and 1.
+        let universe = s(&[0, 1, 2, 3, 62, 63, 64, 65, 125, 126, 127]);
+        let quads: Vec<AttrSet> = universe.subsets().filter(|x| x.len() == 4).collect();
+        for m in [63, 64, 65, 127, 128, 129, 200] {
+            let h = Hypergraph::new(128, quads[..m].to_vec());
+            assert_eq!(h.edges().len(), m);
+            let brute: Vec<AttrSet> = universe
+                .subsets()
+                .filter(|&t| h.is_minimal_transversal(t))
+                .collect();
+            let levelwise = h.min_transversals_levelwise();
+            assert_eq!(levelwise, h.min_transversals_berge(), "m = {m}");
+            assert_eq!(levelwise, brute, "m = {m}");
         }
     }
 

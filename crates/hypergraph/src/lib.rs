@@ -22,7 +22,6 @@ pub mod berge;
 pub mod levelwise;
 
 use depminer_govern::{BudgetExceeded, CancelToken};
-use depminer_parallel::Parallelism;
 use depminer_relation::invariants::{audits_enabled, enforce, InvariantError};
 use depminer_relation::{retain_minimal, AttrSet};
 use std::fmt;
@@ -113,13 +112,11 @@ impl Hypergraph {
     }
 
     /// Minimal transversals via the paper's levelwise algorithm
-    /// (Algorithm 5), ungoverned, at the process default parallelism and
-    /// audited when audits are enabled. See
+    /// (Algorithm 5), ungoverned and audited when audits are enabled. See
     /// [`levelwise::min_transversals_governed`].
     pub fn min_transversals_levelwise(&self) -> Vec<AttrSet> {
         self.audited(levelwise::min_transversals_governed(
             self,
-            Parallelism::Auto,
             &CancelToken::unlimited(),
         ))
     }

@@ -9,7 +9,7 @@
 //! [`Schema`](crate::schema::Schema). The empty set is the additive identity,
 //! `AttrSet::full(n)` is the schema-wide universe `R`.
 
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashMap;
 use std::fmt;
 
 /// Maximum number of attributes an [`AttrSet`] can hold.
@@ -215,6 +215,12 @@ impl AttrSet {
         }
     }
 
+    /// `self` without its smallest attribute (`∅` stays `∅`).
+    #[inline]
+    const fn without_min(self) -> Self {
+        AttrSet(self.0 & self.0.wrapping_sub(1))
+    }
+
     /// Iterates over attribute indices in ascending order.
     #[inline]
     pub fn iter(self) -> AttrIter {
@@ -389,34 +395,66 @@ pub fn retain_maximal(sets: &mut Vec<AttrSet>) {
 }
 
 /// `Apriori-gen` \[AS94\]: the next level of a levelwise walk, joined from
-/// `level`'s distinct sets of one size `k`.
+/// `level`'s sets of one size `k`, which must strictly ascend.
 ///
-/// Join: two sets sharing their `k − 1` smallest attributes (the prefix)
-/// form the candidate `z = x ∪ y`. Prune: `z` is kept only if every
-/// `k`-subset of `z` is in `level`. Each candidate comes out once, as
-/// `(z, x, y)` with its generating pair `x < y`, in ascending `z` order.
-/// Algorithm 5 (the transversal search) takes the candidates, and TANE's
-/// walk the pairs for its partition products. The join polls no budget:
-/// callers charge the candidates at level entry.
-pub fn apriori_gen(level: &[AttrSet]) -> Vec<(AttrSet, AttrSet, AttrSet)> {
-    let present: FxHashSet<AttrSet> = level.iter().copied().collect();
-    let mut by_prefix: FxHashMap<AttrSet, Vec<AttrSet>> = FxHashMap::default();
-    for &x in level {
-        let prefix = x.max_attr().map_or(x, |m| x.without(m));
-        by_prefix.entry(prefix).or_default().push(x);
-    }
-    let mut out: Vec<(AttrSet, AttrSet, AttrSet)> = Vec::new();
-    for (_, group) in by_prefix {
-        for (i, &x) in group.iter().enumerate() {
-            for &y in &group[i + 1..] {
-                let z = x.union(y);
-                if z.drop_one().all(|w| present.contains(&w)) {
-                    out.push((z, x.min(y), x.max(y)));
+/// Join: in ascending order, the sets that share their `k − 1` largest
+/// attributes form one contiguous run, and two sets of a run join into
+/// the candidate `z = x ∪ y`. Each `(k+1)`-set is formed at most once
+/// this way, by the two subsets that drop one of its two smallest
+/// attributes, and taking the larger set of the pair as the outer loop
+/// yields the candidates in ascending order, so no groups are hashed and
+/// nothing is sorted. Prune: `z` is kept only if its other `k`-subsets
+/// are in `level` too.
+///
+/// Each candidate comes out once, as `(z, i, j)`, in ascending `z` order:
+/// `level[i]` is `z` minus its largest attribute and `level[j]` is `z`
+/// minus its second-largest, so `i < j`, and the two share `z`'s `k − 1`
+/// smallest attributes (the prefix pair). Algorithm 5 (the transversal
+/// search) ORs the pair's edge covers, and TANE's walk multiplies the
+/// pair's partitions. The join polls no budget: callers charge the
+/// candidates at level entry.
+///
+/// # Panics
+///
+/// Panics if `level` does not strictly ascend.
+pub fn apriori_gen(level: &[AttrSet]) -> Vec<(AttrSet, usize, usize)> {
+    assert!(
+        level.windows(2).all(|w| w[0] < w[1]),
+        "apriori_gen: the level must strictly ascend"
+    );
+    let index: FxHashMap<AttrSet, usize> = level.iter().enumerate().map(|(i, &x)| (x, i)).collect();
+    let mut out = Vec::new();
+    let mut start = 0;
+    while start < level.len() {
+        let top = level[start].without_min();
+        let run = level[start..]
+            .iter()
+            .take_while(|x| x.without_min() == top)
+            .count();
+        for j in start + 1..start + run {
+            for i in start..j {
+                let z = level[i].union(level[j]);
+                // Walk `z`'s attributes upwards, keeping the level indices
+                // of `z` minus the last two: `z` minus `level[i]`'s smallest
+                // attribute is `level[j]`, and minus `level[j]`'s it is
+                // `level[i]`; `z` minus an attribute of `top` is looked up,
+                // and a miss prunes `z`. The walk ends on `z` minus its
+                // second-largest and its largest attribute.
+                let (mut second, mut largest) = (j, i);
+                let kept = top.iter().all(|t| match index.get(&z.without(t)) {
+                    Some(&w) => {
+                        (second, largest) = (largest, w);
+                        true
+                    }
+                    None => false,
+                });
+                if kept {
+                    out.push((z, largest, second));
                 }
             }
         }
+        start += run;
     }
-    out.sort_unstable_by_key(|p| p.0);
     out
 }
 

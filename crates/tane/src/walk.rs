@@ -300,9 +300,10 @@ fn generate_next<'db, R: LevelRule>(
                 let mut local_arena = PartitionArena::new(n_rows);
                 chunk_pairs
                     .iter()
-                    .map(|&(_, x, y)| {
+                    .map(|&(_, i, j)| {
                         token.check(R::STAGE)?;
-                        Ok(cache_ref[&x].product_with(&cache_ref[&y], &mut local_arena))
+                        let (x, y) = (&cache_ref[&survivors[i]], &cache_ref[&survivors[j]]);
+                        Ok(x.product_with(y, &mut local_arena))
                     })
                     .collect::<Result<Vec<_>, BudgetExceeded>>()
             })?
@@ -320,18 +321,19 @@ fn generate_next<'db, R: LevelRule>(
         // After its last generating pair, a survivor's partition is dead
         // weight until the caller's level swap — it joins the eviction
         // queue in retirement order.
-        let mut last_use: FxHashMap<AttrSet, usize> = FxHashMap::default();
-        for (i, &(_, x, y)) in pairs.iter().enumerate() {
-            last_use.insert(x, i);
-            last_use.insert(y, i);
+        let mut last_use = vec![usize::MAX; survivors.len()];
+        for (k, &(_, i, j)) in pairs.iter().enumerate() {
+            last_use[i] = k;
+            last_use[j] = k;
         }
         let mut retired: VecDeque<AttrSet> = VecDeque::new();
         let mut failed: Option<BudgetExceeded> = None;
-        for (i, &(z, x, y)) in pairs.iter().enumerate() {
+        for (k, &(z, i, j)) in pairs.iter().enumerate() {
             if let Err(why) = token.check(R::STAGE) {
                 failed = Some(why);
                 break;
             }
+            let (x, y) = (survivors[i], survivors[j]);
             let p = cache[&x].product_with(&cache[&y], arena);
             let bytes = p.heap_bytes() as u64;
             // Evict dead partitions before letting the reservation trip:
@@ -351,10 +353,10 @@ fn generate_next<'db, R: LevelRule>(
                 break;
             }
             next_cache.insert(z, Cow::Owned(p));
-            if last_use[&x] == i {
+            if last_use[i] == k {
                 retired.push_back(x);
             }
-            if last_use[&y] == i {
+            if last_use[j] == k {
                 retired.push_back(y);
             }
         }

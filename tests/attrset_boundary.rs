@@ -99,8 +99,9 @@ fn schema_rejects_width_past_max_attrs() {
 
 /// `apriori_gen` against its definition: the candidates are exactly the
 /// (k+1)-sets whose k-subsets all lie in the level, ascending and without
-/// duplicates, each with a generating pair from the level. Universes mix
-/// low attributes with 60–70 (across the 64-bit word boundary) and
+/// duplicates, each with the level indices of its prefix pair: `z` minus
+/// its largest attribute, then `z` minus its second-largest. Universes
+/// mix low attributes with 60–70 (across the 64-bit word boundary) and
 /// 120–127 (the top of the `u128`).
 #[test]
 fn apriori_gen_matches_its_definition() {
@@ -130,10 +131,25 @@ fn apriori_gen_matches_its_definition() {
         let joined = apriori_gen(&level);
         let candidates: Vec<AttrSet> = joined.iter().map(|p| p.0).collect();
         assert_eq!(candidates, expected, "case {case}: level {level:?}");
-        for &(z, x, y) in &joined {
-            assert!(x < y, "case {case}: pair {x:?}, {y:?} of {z:?}");
-            assert!(level.contains(&x) && level.contains(&y), "case {case}");
-            assert_eq!(x.union(y), z, "case {case}");
+        for &(z, i, j) in &joined {
+            assert!(i < j, "case {case}: pair {i}, {j} of {z:?}");
+            let largest = z.max_attr().expect("z is not empty");
+            let second = z.without(largest).max_attr().expect("|z| >= 2");
+            assert_eq!(level[i], z.without(largest), "case {case}: {z:?}");
+            assert_eq!(level[j], z.without(second), "case {case}: {z:?}");
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "strictly ascend")]
+fn apriori_gen_refuses_a_descending_level() {
+    apriori_gen(&[AttrSet::singleton(64), AttrSet::singleton(3)]);
+}
+
+#[test]
+#[should_panic(expected = "strictly ascend")]
+fn apriori_gen_refuses_a_repeated_set() {
+    let x = AttrSet::from_indices([3, 64]);
+    apriori_gen(&[x, x, AttrSet::from_indices([5, 64])]);
 }

@@ -10,7 +10,6 @@ use depminer::depminer::{
     agree_sets_with, cmax_sets_with, fd_output, left_hand_sides_governed, AgreeSetStrategy,
     DepMiner, TransversalEngine,
 };
-use depminer::hypergraph::{levelwise, Hypergraph};
 use depminer::parallel::{par_chunks, par_map, Parallelism, ThreadPool};
 use depminer::prelude::*;
 use depminer::relation::{Prng, StrippedPartitionDb};
@@ -129,34 +128,6 @@ fn full_miners_are_thread_count_invariant() {
                 t.stats.candidates, tane_seq.stats.candidates,
                 "case {case}: TANE lattice exploration diverges at {par:?}"
             );
-        }
-    }
-}
-
-#[test]
-fn wide_transversal_levels_are_thread_count_invariant() {
-    // Random hypergraphs with enough disjoint structure to cross the
-    // parallel level threshold (wide middle levels).
-    let mut rng = Prng::seed_from_u64(0x9A73);
-    for case in 0..8 {
-        let n_pairs = rng.gen_range(6..=8usize);
-        let mut edges: Vec<AttrSet> = (0..n_pairs)
-            .map(|i| AttrSet::from_indices([2 * i, 2 * i + 1]))
-            .collect();
-        // A few random extra edges to break the pure product structure.
-        for _ in 0..rng.gen_range(0..3usize) {
-            let a = rng.gen_range(0..2 * n_pairs);
-            let b = rng.gen_range(0..2 * n_pairs);
-            edges.push(AttrSet::from_indices([a, b]));
-        }
-        let h = Hypergraph::new(2 * n_pairs, edges);
-        let tr = |par| {
-            levelwise::min_transversals_governed(&h, par, &CancelToken::unlimited())
-                .expect("an unlimited token never trips")
-        };
-        let seq = tr(Parallelism::Sequential);
-        for par in THREAD_COUNTS {
-            assert_eq!(tr(par), seq, "case {case}: transversals diverge at {par:?}");
         }
     }
 }

@@ -3,7 +3,8 @@
 //! coverage of every result, and the nihilpotence `Tr(Tr(H)) = H` that the
 //! TANE→Armstrong extension relies on (§5.1).
 
-use depminer::hypergraph::Hypergraph;
+use depminer::govern::CancelToken;
+use depminer::hypergraph::{berge, levelwise, Hypergraph};
 use depminer::relation::{AttrSet, Prng};
 
 const CASES: usize = 128;
@@ -87,5 +88,31 @@ fn transversal_duality_is_symmetric() {
         let g = Hypergraph::new(h.n_vertices(), h.min_transversals_berge());
         let back = g.min_transversals_levelwise();
         assert_eq!(back, h.edges().to_vec());
+    }
+}
+
+#[test]
+fn wide_levels_agree_with_berge() {
+    // Disjoint pairs give a cross product of transversals and lattice
+    // levels of up to 1,792 candidates; a few random extra edges break
+    // the pure product structure.
+    let mut rng = Prng::seed_from_u64(0x9A73);
+    for case in 0..8 {
+        let n_pairs = rng.gen_range(6..=8usize);
+        let mut edges: Vec<AttrSet> = (0..n_pairs)
+            .map(|i| AttrSet::from_indices([2 * i, 2 * i + 1]))
+            .collect();
+        for _ in 0..rng.gen_range(0..3usize) {
+            let a = rng.gen_range(0..2 * n_pairs);
+            let b = rng.gen_range(0..2 * n_pairs);
+            edges.push(AttrSet::from_indices([a, b]));
+        }
+        let h = Hypergraph::new(2 * n_pairs, edges);
+        let token = CancelToken::unlimited();
+        assert_eq!(
+            levelwise::min_transversals_governed(&h, &token).expect("unlimited"),
+            berge::min_transversals_governed(&h, &token).expect("unlimited"),
+            "case {case}: {h:?}"
+        );
     }
 }
