@@ -49,10 +49,11 @@ echo "==> profiled smoke mine -> target/PROFILE_smoke.json"
 # MinerRegistry through one shared Session — under a profile observer,
 # and validate the exported span tree against the same invariants the
 # property tests assert: every pipeline stage of Dep-Miner, TANE and
-# FDEP must have opened a span.
+# FDEP must have opened a span. Two threads, not `Auto`, so the tree
+# holds worker spans for the validator even on a one-core host.
 cargo run --release -q -p depminer -- generate \
     --attrs 8 --rows 400 --correlation 0.5 --seed 9 target/smoke.csv > /dev/null
-cargo run --release -q -p depminer -- fds --algo all \
+DEPMINER_THREADS=2 cargo run --release -q -p depminer -- fds --algo all \
     --profile target/PROFILE_smoke.json target/smoke.csv > target/fds_all.txt
 if ! grep -q "algo = all" target/fds_all.txt; then
     echo "ci.sh: registry smoke: fds --algo all header missing 'algo = all'" >&2

@@ -35,7 +35,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use depminer_bench::report::{Reporter, RunStamp};
+use depminer_bench::report::{spread, Reporter, RunStamp};
 use depminer_core::{DepMiner, Parallelism};
 use depminer_engine::{Miner, Session, SessionCtx};
 use depminer_govern::{Budget, CancelToken, SnapshotPolicy};
@@ -108,18 +108,6 @@ fn mine(algo: &str, config: &str, r: &Relation, dir: &Path) -> bool {
     } else {
         Tane::new().run_db_governed(&db, &token, None).is_complete()
     }
-}
-
-/// Median and interquartile range of one cell's samples, in seconds.
-fn spread(mut samples: Vec<f64>) -> (f64, f64) {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("wall-clock samples are finite"));
-    // The `q`-quantile, interpolating between ranks.
-    let quantile = |q: f64| {
-        let pos = q * (samples.len() - 1) as f64;
-        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
-        samples[lo] + (samples[hi] - samples[lo]) * (pos - lo as f64)
-    };
-    (quantile(0.5), quantile(0.75) - quantile(0.25))
 }
 
 fn main() {

@@ -16,7 +16,8 @@
 //!
 //! The bins obtain their timings from `depminer-observe` span trees;
 //! [`span_ns`] is the shared lookup from a snapshot to a named span's
-//! accumulated nanoseconds.
+//! accumulated nanoseconds. Wall-clock benches summarise their
+//! interleaved reps with [`spread`] (median and interquartile range).
 
 use depminer_observe::profile::{Profile, ProfileNode};
 
@@ -182,6 +183,21 @@ pub fn span_ms(profile: &Profile, name: &str) -> f64 {
     span_ns(profile, name).unwrap_or(0) as f64 / 1.0e6
 }
 
+/// Median and interquartile range of `samples` (wall-clock seconds),
+/// interpolating between ranks. The benches report these over
+/// interleaved reps: on a shared host, best-of estimators hide the
+/// spread that decides whether an effect is real.
+pub fn spread(mut samples: Vec<f64>) -> (f64, f64) {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("wall-clock samples are finite"));
+    // The `q`-quantile, interpolating between ranks.
+    let quantile = |q: f64| {
+        let pos = q * (samples.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        samples[lo] + (samples[hi] - samples[lo]) * (pos - lo as f64)
+    };
+    (quantile(0.5), quantile(0.75) - quantile(0.25))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,6 +216,13 @@ mod tests {
         assert!(stamp.host_cpus >= 1);
         assert!(!stamp.git_rev.is_empty());
         assert!(stamp.json_member().starts_with("  \"stamp\": {"));
+    }
+
+    #[test]
+    fn spread_interpolates_median_and_quartiles() {
+        assert_eq!(spread(vec![3.0, 1.0, 2.0]), (2.0, 1.0));
+        assert_eq!(spread(vec![4.0, 1.0, 3.0, 2.0]), (2.5, 1.5));
+        assert_eq!(spread(vec![7.0]), (7.0, 0.0));
     }
 
     #[test]

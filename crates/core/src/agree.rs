@@ -121,8 +121,8 @@ impl AgreeSets {
 
 /// Chunk length that cuts `total` items into `oversub` chunks per thread
 /// (one chunk — i.e. the sequential path — when `par` resolves to a single
-/// thread). Oversubscription lets work stealing smooth out uneven chunk
-/// costs.
+/// thread). Oversubscription lets the fan-out's shared chunk index
+/// balance uneven chunk costs.
 fn chunk_len(total: usize, par: Parallelism, oversub: usize) -> usize {
     let threads = par.effective_threads();
     if threads <= 1 {

@@ -203,9 +203,8 @@ pub fn parse_events(text: &str) -> Result<Vec<Event>, String> {
 /// 1. every line parses and has a monotone non-decreasing `t_ns`;
 /// 2. per thread, enter/exit form a balanced stack (an exit always
 ///    matches that thread's innermost open span). A thread is its label
-///    plus its `tid`: two driver-tagged threads — a run's driver and
-///    another run's driver helping to drain the shared pool — keep
-///    separate stacks;
+///    plus its `tid`: two threads with one label — the `w0` workers of
+///    two fan-outs, or the drivers of two runs — keep separate stacks;
 /// 3. every span that is opened is also closed, on the same thread.
 ///
 /// Returns the parsed events on success so callers can assert further.

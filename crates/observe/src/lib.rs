@@ -21,11 +21,12 @@
 //!   `count`/`mem` records with nanosecond timestamps), for `--trace`
 //!   and offline analysis.
 //!
-//! Spans are **thread-aware**: the `crates/parallel` pool tags its
-//! workers via [`set_worker_tag`] and marks the tasks a joining thread
-//! runs via [`enter_pool_task`]. A task span whose own stack is empty
-//! attaches under the innermost span the driver opened outside a task,
-//! so fan-out stages aggregate under the stage that spawned them.
+//! Spans are **thread-aware**: each `crates/parallel` fan-out tags its
+//! scoped workers via [`set_worker_tag`] and marks the chunks the calling
+//! thread takes itself via [`enter_pool_task`]. A task span whose own
+//! stack is empty attaches under the innermost span the driver opened
+//! outside a task, so fan-out stages aggregate under the stage that
+//! spawned them.
 //!
 //! Span naming scheme (see DESIGN.md §10): top-level spans carry the
 //! algorithm name (`depminer`, `tane`, `fdep`), stage spans reuse the
@@ -51,9 +52,10 @@ pub type SpanId = u64;
 /// Which kind of thread an event came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadTag {
-    /// A driver thread: anything that is not a registered pool worker.
+    /// A driver thread: anything that is not a fan-out worker.
     Driver,
-    /// Worker `i` of the in-tree work-stealing pool.
+    /// Scoped worker `i` of a `crates/parallel` fan-out. Every fan-out
+    /// numbers its workers from 0 again.
     Worker(u32),
 }
 
@@ -76,18 +78,18 @@ thread_local! {
 static NEXT_THREAD_KEY: AtomicU32 = AtomicU32::new(0);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Tags the current thread as pool worker `index`. Called once per
-/// worker thread by `crates/parallel` when the thread starts; every
-/// span or counter recorded from that thread then carries the tag.
+/// Tags the current thread as fan-out worker `index`. Called by each
+/// scoped worker of `crates/parallel` when it starts; every span or
+/// counter recorded from that thread then carries the tag.
 pub fn set_worker_tag(index: u32) {
     THREAD_TAG.with(|t| t.set(ThreadTag::Worker(index)));
 }
 
 /// Marks the current thread as running a pool task until the returned
-/// guard drops. `crates/parallel` holds one around each queued job that a
-/// thread joining a scope runs while it helps drain the shared pool —
-/// a job of its own run or of another run sharing the pool. Pool workers
-/// run nothing but tasks and need no guard.
+/// guard drops. `crates/parallel` holds one on the calling thread while
+/// it takes its own share of a fan-out's chunks, so a worker's first
+/// span attaches to the stage, not to a chunk span the caller has open.
+/// Workers run nothing but tasks and need no guard.
 pub fn enter_pool_task() -> PoolTask {
     PoolTask {
         was: IN_POOL_TASK.with(|c| c.replace(true)),
@@ -106,8 +108,8 @@ impl Drop for PoolTask {
     }
 }
 
-/// `true` while the current thread runs a pool task: always on a pool
-/// worker, and inside [`enter_pool_task`] on any other thread.
+/// `true` while the current thread runs a pool task: always on a
+/// fan-out worker, and inside [`enter_pool_task`] on any other thread.
 pub(crate) fn in_pool_task() -> bool {
     matches!(current_thread_tag(), ThreadTag::Worker(_)) || IN_POOL_TASK.with(Cell::get)
 }
@@ -214,7 +216,7 @@ impl Counter {
 }
 
 /// An event sink. Implementations must be cheap and thread-safe: spans
-/// and counters arrive concurrently from the driver and every pool
+/// and counters arrive concurrently from the driver and every fan-out
 /// worker.
 ///
 /// Span IDs are allocated by the [`Obs`] handle (not the sink), so one

@@ -1,5 +1,5 @@
 //! In-memory profile sink: aggregates spans by name into a tree,
-//! tracks per-node call counts / total time / distinct threads, and
+//! tracks per-node call counts / total time / distinct thread tags, and
 //! snapshots to JSON for `depminer --profile` and the bench bins.
 //!
 //! Aggregation model: two spans with the same name under the same
@@ -8,9 +8,13 @@
 //! thread whose own stack is empty attaches under the innermost span the
 //! driver opened outside a task — that is what makes `par_map_governed`
 //! fan-out show up *inside* the stage that spawned it rather than as a
-//! forest of orphan roots, whichever thread runs the task: a worker, the
-//! driver helping while it joins, or another run's driver helping to
-//! drain the shared pool.
+//! forest of orphan roots. The driver's own chunks run inside
+//! [`crate::enter_pool_task`], so a worker's first span never nests
+//! under a chunk span the driver has open at the same time.
+//!
+//! A node's `threads` counts [`ThreadTag`]s, not OS threads: each
+//! fan-out starts fresh scoped workers, tagged `w0`, `w1`, … again, so a
+//! node that many fan-outs feed still counts at most the thread setting.
 //!
 //! [`validate_profile_json`] checks an exported document against the
 //! span-tree invariants (balanced, well-formed nodes, child time
@@ -32,7 +36,7 @@ struct NodeData {
     children: Vec<usize>,
     calls: u64,
     total_ns: u64,
-    threads: Vec<u32>,
+    threads: Vec<ThreadTag>,
 }
 
 struct OpenSpan {
@@ -46,7 +50,8 @@ struct TreeState {
     nodes: Vec<NodeData>,
     /// Per-thread stacks of open spans — node index, and whether the span
     /// was opened in a pool task — keyed by the dense thread key (a `Vec`
-    /// map — a handful of threads at most).
+    /// map — a handful of threads at most). A thread's entry goes when
+    /// its stack empties, so finished fan-outs leave no entries behind.
     stacks: Vec<(u32, Vec<(usize, bool)>)>,
     /// Open span instances, by process-unique span id.
     open: Vec<(SpanId, OpenSpan)>,
@@ -188,7 +193,7 @@ impl ProfileSink {
 }
 
 impl Observer for ProfileSink {
-    fn span_enter(&self, id: SpanId, name: &'static str, _thread: ThreadTag) {
+    fn span_enter(&self, id: SpanId, name: &'static str, thread: ThreadTag) {
         let key = current_thread_key();
         let task = in_pool_task();
         let mut tree = self.lock_tree();
@@ -198,9 +203,8 @@ impl Observer for ProfileSink {
             Some(top) => top,
             // A task's first span on this thread hangs under the stage
             // that spawned the fan-out: the driver's innermost span opened
-            // outside a task, never a sibling task the driver runs while
-            // it helps. The thread may be a worker, the driver itself, or
-            // another run's driver helping to drain the shared pool.
+            // outside a task, never a chunk span the driver has open while
+            // it takes its own share of the chunks.
             None if task => tree
                 .driver_key
                 .and_then(|dk| tree.non_task_top(dk))
@@ -214,8 +218,8 @@ impl Observer for ProfileSink {
         };
         let node = tree.child_named(parent, name);
         tree.nodes[node].calls += 1;
-        if !tree.nodes[node].threads.contains(&key) {
-            tree.nodes[node].threads.push(key);
+        if !tree.nodes[node].threads.contains(&thread) {
+            tree.nodes[node].threads.push(thread);
         }
         tree.stack_mut(key).push((node, task));
         tree.open.push((
@@ -239,8 +243,8 @@ impl Observer for ProfileSink {
         tree.nodes[span.node].total_ns += t_ns.saturating_sub(span.start_ns);
         let node = span.node;
         let stack = tree.stack_mut(span.thread_key);
-        match stack.pop() {
-            Some((top, _)) if top == node => {}
+        let in_order = match stack.pop() {
+            Some((top, _)) if top == node => true,
             other => {
                 // Out-of-order exit: restore and scrub so later exits
                 // on this thread still pair up, but flag the tree.
@@ -248,9 +252,13 @@ impl Observer for ProfileSink {
                     stack.push(top);
                 }
                 stack.retain(|&(n, _)| n != node);
-                tree.unbalanced = true;
+                false
             }
+        };
+        if stack.is_empty() {
+            tree.stacks.retain(|(k, _)| *k != span.thread_key);
         }
+        tree.unbalanced |= !in_order;
     }
 
     fn add_counter(&self, counter: Counter, n: u64, _thread: ThreadTag) {
@@ -273,7 +281,9 @@ pub struct ProfileNode {
     /// Instances on different threads overlap, so this can exceed the
     /// parent's time by up to the thread fan-out.
     pub total_ns: u64,
-    /// Number of distinct threads that contributed instances.
+    /// Number of distinct thread tags (the driver, `w0`, `w1`, …) that
+    /// contributed instances: at most the run's thread setting, however
+    /// many fan-outs started fresh workers.
     pub threads: u32,
     /// Child nodes, in first-seen order.
     pub children: Vec<ProfileNode>,
@@ -565,29 +575,20 @@ mod tests {
 
     #[test]
     fn pool_task_spans_nest_under_the_stage_whichever_thread_runs_them() {
-        // The driver opens a stage and, joining its fan-out, runs one task
-        // itself. Meanwhile another run's driver, joining a scope of its
-        // own, helps drain the shared pool and runs a task of this run,
-        // and a pool worker starts one too. All three task spans belong
-        // under the stage: neither a root, nor a child of the driver's
-        // task.
+        // The driver opens a stage and takes its own share of the
+        // fan-out's chunks inside `enter_pool_task`, while a worker takes
+        // another. Both chunk spans belong under the stage: neither a
+        // root, nor a child of the driver's chunk span.
         let sink = Arc::new(ProfileSink::new());
         let obs = Obs::new(sink.clone());
         {
             let _stage = obs.span("stage");
-            let _helping = enter_pool_task();
+            let _task = enter_pool_task();
             let _own = obs.span("stage/task");
-            let helper = obs.clone();
-            std::thread::spawn(move || {
-                let _helping = enter_pool_task();
-                let _task = helper.span("stage/task");
-            })
-            .join()
-            .unwrap();
             let worker = obs.clone();
             std::thread::spawn(move || {
                 set_worker_tag(0);
-                let _chunk = worker.span("stage/chunk");
+                let _chunk = worker.span("stage/task");
             })
             .join()
             .unwrap();
@@ -599,12 +600,39 @@ mod tests {
         assert!(p.balanced);
         let roots: Vec<&str> = p.roots.iter().map(|n| n.name.as_str()).collect();
         assert_eq!(roots, ["stage", "next"]);
-        let stage: Vec<(&str, u32, usize)> = p.roots[0]
+        let stage: Vec<(&str, u64, u32, usize)> = p.roots[0]
             .children
             .iter()
-            .map(|n| (n.name.as_str(), n.threads, n.children.len()))
+            .map(|n| (n.name.as_str(), n.calls, n.threads, n.children.len()))
             .collect();
-        assert_eq!(stage, [("stage/task", 2, 0), ("stage/chunk", 1, 0)]);
+        assert_eq!(stage, [("stage/task", 2, 2, 0)]);
+    }
+
+    #[test]
+    fn threads_count_tags_and_finished_workers_leave_no_stack() {
+        // Every fan-out starts a fresh `w0`: three fan-outs under one
+        // stage are two tags (the driver and `w0`), not four OS threads.
+        let sink = Arc::new(ProfileSink::new());
+        let obs = Obs::new(sink.clone());
+        {
+            let _stage = obs.span("stage");
+            for _ in 0..3 {
+                let _task = enter_pool_task();
+                let _own = obs.span("stage/chunk");
+                let worker = obs.clone();
+                std::thread::spawn(move || {
+                    set_worker_tag(0);
+                    let _chunk = worker.span("stage/chunk");
+                })
+                .join()
+                .unwrap();
+            }
+            assert_eq!(sink.lock_tree().stacks.len(), 1, "only the driver's");
+        }
+        assert!(sink.lock_tree().stacks.is_empty());
+        let p = sink.snapshot();
+        let chunk = &p.roots[0].children[0];
+        assert_eq!((chunk.calls, chunk.threads), (6, 2));
     }
 
     #[test]

@@ -1,20 +1,22 @@
 //! # depminer-parallel
 //!
-//! A dependency-free work-stealing parallel runtime for the Dep-Miner
-//! hot path. The workspace must build with zero network access, so this
-//! crate hand-rolls on `std` what `rayon` would otherwise provide:
+//! A dependency-free scoped fan-out for the Dep-Miner hot path. The
+//! workspace must build with zero network access, so this crate builds
+//! on `std::thread::scope` what `rayon` would otherwise provide:
 //!
-//! * a global, lazily grown [`ThreadPool`] of work-stealing workers
-//!   ([`pool`]);
-//! * scoped spawning with panic propagation ([`scope`], the soundness
-//!   core);
 //! * data-parallel helpers — [`par_map`], [`par_map_indexed`],
 //!   [`par_chunks`] — with **deterministic result ordering**: outputs are
-//!   always in input order, no matter which worker ran which chunk;
+//!   always in input order, no matter which thread ran which chunk;
 //! * the [`Parallelism`] knob every mining entry point exposes, with a
 //!   `DEPMINER_THREADS` environment override (`0` or `1` force the
 //!   sequential fallback, so debug invariant audits and tests stay
 //!   reproducible under a single-threaded run).
+//!
+//! Each fan-out is one `std::thread::scope`: the calling thread and up
+//! to `threads − 1` scoped workers take chunks from one shared index,
+//! and the scope joins every worker before the helper returns. No thread
+//! outlives its fan-out or runs another run's chunks, and the borrow
+//! checker proves that closures never outlive what they borrow.
 //!
 //! Determinism contract: for a pure `f`, every helper in this crate
 //! returns bit-identical results at any thread count, because work is
@@ -25,30 +27,25 @@
 //!
 //! Governance: the `_governed` variants ([`par_map_governed`],
 //! [`par_map_indexed_governed`], [`par_chunks_governed`]) thread a
-//! [`CancelToken`] through the fan-out. Workers observe the token at two
-//! points — a queued chunk checks it before doing any work (so a
-//! cancelled run drains its backlog as cheap no-ops), and the per-item
-//! map polls it every [`GOVERN_POLL_STRIDE`] items (so an in-flight
-//! worker abandons a multi-second chunk promptly instead of finishing
-//! it). On a trip the helper returns the budget error; per-item closures
-//! may also fail with their own checkpoint errors, which cancel the
-//! token for every sibling chunk automatically (all budget errors
-//! originate from the shared token).
+//! [`CancelToken`] through the fan-out. Threads observe the token at two
+//! points — a chunk checks it before doing any work (so a cancelled run
+//! drains its backlog as cheap no-ops), and the per-item map polls it
+//! every [`GOVERN_POLL_STRIDE`] items (so an in-flight chunk is
+//! abandoned promptly instead of finished). On a trip the helper
+//! returns the budget error; per-item closures may also fail with their
+//! own checkpoint errors, which cancel the token for every sibling chunk
+//! automatically (all budget errors originate from the shared token).
 
 #![warn(missing_docs)]
 
-pub mod pool;
-pub mod scope;
-
-pub use pool::ThreadPool;
-pub use scope::Scope;
-
 use depminer_govern::{BudgetExceeded, CancelToken, Stage};
-use std::sync::OnceLock;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// How many chunks to cut per participating thread: a little
-/// oversubscription lets work stealing smooth out uneven chunk costs
-/// without shredding cache locality.
+/// oversubscription lets the shared chunk index balance uneven chunk
+/// costs without shredding cache locality.
 const CHUNKS_PER_THREAD: usize = 4;
 
 /// Thread-count knob carried by the mining entry points.
@@ -113,8 +110,47 @@ impl Parallelism {
 /// order**. Falls back to a plain sequential map when `par` resolves to
 /// one thread or the input is tiny.
 ///
-/// Panics in `f` propagate to the caller after all in-flight chunks
-/// finish (see [`scope`]).
+/// A panic in `f` is re-raised on the calling thread with its own
+/// payload, once every scoped worker has joined.
+///
+/// `f` is bound `Fn + Sync` because chunks run on several threads at
+/// once, so rustc rejects a closure that mutates what it captures. A
+/// captured assignment does not compile:
+///
+/// ```compile_fail
+/// use depminer_parallel::{par_map, Parallelism};
+/// let items = [1u32, 2, 3];
+/// let mut total = 0u32;
+/// par_map(Parallelism::Threads(2), &items, |&x| {
+///     total += x;
+///     x
+/// });
+/// ```
+///
+/// nor does a `&mut` borrow of a capture:
+///
+/// ```compile_fail
+/// use depminer_parallel::{par_map, Parallelism};
+/// let items = [1u32, 2, 3];
+/// let mut seen: Vec<u32> = Vec::new();
+/// par_map(Parallelism::Threads(2), &items, |&x| {
+///     (&mut seen).push(x);
+///     x
+/// });
+/// ```
+///
+/// nor a captured `Cell`, which is not `Sync`:
+///
+/// ```compile_fail
+/// use depminer_parallel::{par_map, Parallelism};
+/// use std::cell::Cell;
+/// let items = [1u32, 2, 3];
+/// let hits = Cell::new(0u32);
+/// par_map(Parallelism::Threads(2), &items, |&x| {
+///     hits.set(hits.get() + 1);
+///     x
+/// });
+/// ```
 pub fn par_map<T, R, F>(par: Parallelism, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -163,47 +199,72 @@ where
     run_chunked(threads, items, chunk_size, f)
 }
 
-/// Shared chunked executor: cut `items` at deterministic boundaries,
-/// fan the chunks out on the global pool, and collect per-chunk results
-/// into slots indexed by chunk position.
+/// Shared chunked executor: cut `items` at deterministic boundaries and
+/// [`fan_out`] the chunks, so that the calling thread and
+/// `min(threads, chunks) − 1` scoped workers take chunks from one shared
+/// index; each result lands in the slot of its chunk.
 fn run_chunked<T, R, F>(threads: usize, items: &[T], chunk_size: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&[T]) -> R + Sync,
 {
-    let pool = ThreadPool::global();
-    // The joining thread participates, so `threads` parallelism needs
-    // `threads - 1` workers.
-    pool.ensure_workers(threads.saturating_sub(1));
-    let n_chunks = items.len().div_ceil(chunk_size);
+    let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
     // One slot per chunk, indexed by chunk position — this is what makes
     // result order deterministic. `Mutex<Option<R>>` (rather than
     // `OnceLock`) keeps the bound at `R: Send`; each slot is written
-    // exactly once by the task owning the chunk, so the lock is never
-    // contended.
-    let slots: Vec<std::sync::Mutex<Option<R>>> =
-        (0..n_chunks).map(|_| std::sync::Mutex::new(None)).collect();
-    pool.scope(|s| {
-        for (slot, chunk) in slots.iter().zip(items.chunks(chunk_size)) {
-            let f = &f;
-            s.spawn(move || {
-                let value = f(chunk);
-                *slot
-                    .lock()
-                    .expect("chunk slot mutex poisoned (the writer cannot unwind mid-store)") =
-                    Some(value);
-            });
-        }
-    });
+    // exactly once, so the lock is never contended.
+    let slots: Vec<Mutex<Option<R>>> = chunks.iter().map(|_| Mutex::new(None)).collect();
+    // `Relaxed` suffices: the index only hands out chunk numbers, and the
+    // joins publish every slot write to the calling thread.
+    let next = AtomicUsize::new(0);
+    let take_chunks = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&chunk) = chunks.get(i) else { break };
+        let value = f(chunk);
+        *slots[i]
+            .lock()
+            .expect("chunk slot mutex poisoned (the writer cannot unwind mid-store)") = Some(value);
+    };
+    fan_out(threads.min(chunks.len()).saturating_sub(1), &take_chunks);
     slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .expect("chunk slot mutex poisoned (the writer cannot unwind mid-store)")
-                .expect("scope joined, so every chunk task has run")
+                .expect("scope joined, so every chunk has run")
         })
         .collect()
+}
+
+/// Runs `work` on the calling thread and on `workers` scoped threads at
+/// once, and returns when every one of them has finished; a worker's
+/// panic is re-raised with its own payload, not std's generic "a scoped
+/// thread panicked". `work` is a trait object so that the thread
+/// machinery is compiled once, not once per `par_*` instantiation.
+fn fan_out(workers: usize, work: &(dyn Fn() + Sync)) {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                scope.spawn(move || {
+                    depminer_observe::set_worker_tag(w as u32);
+                    work();
+                })
+            })
+            .collect();
+        {
+            // The caller's own chunks are tasks too: their spans must
+            // attach where a worker's would, not become the innermost
+            // driver span that workers' first spans hang under.
+            let _task = depminer_observe::enter_pool_task();
+            work();
+        }
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                resume_unwind(payload);
+            }
+        }
+    });
 }
 
 /// How often the governed per-item loops poll the token: one relaxed
@@ -373,13 +434,17 @@ mod tests {
     #[test]
     fn par_map_panic_propagates() {
         let items: Vec<u32> = (0..100).collect();
-        let result = std::panic::catch_unwind(|| {
+        let payload = std::panic::catch_unwind(|| {
             par_map(Parallelism::Threads(4), &items, |&x| {
                 assert!(x != 57, "x hit the poison value");
                 x
             })
-        });
-        assert!(result.is_err());
+        })
+        .expect_err("the panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("x hit the poison value")
+        );
     }
 
     #[test]
@@ -410,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn governed_map_stops_on_cancelled_token_and_pool_stays_usable() {
+    fn governed_map_stops_on_cancelled_token() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let items: Vec<u64> = (0..100_000).collect();
         let token = CancelToken::unlimited();
@@ -430,7 +495,7 @@ mod tests {
         assert_eq!(err.resource, depminer_govern::Resource::External);
         // Every queued chunk saw the cancelled token before mapping.
         assert_eq!(calls.load(Ordering::Relaxed), 0);
-        // The pool is not poisoned: a fresh ungoverned run still works.
+        // A fresh ungoverned run still works.
         let sums = par_map(Parallelism::Threads(4), &items, |&x| x + 1);
         assert_eq!(sums.len(), items.len());
         assert_eq!(sums[10], 11);

@@ -131,23 +131,10 @@ pub fn tok_text<'a>(node: &Node, sig: &[SigTok<'a>]) -> Option<&'a str> {
     }
 }
 
-/// The line a node starts on.
-pub fn node_line(node: &Node, sig: &[SigTok<'_>]) -> u32 {
-    match node {
-        Node::Tok(t) => sig[*t].line,
-        Node::Group(g) => g.line,
-    }
-}
-
 /// The text of the leaf at `nodes[i]`, or `None` when out of bounds or
 /// a group.
 pub fn tok_text_at<'a>(nodes: &[Node], i: usize, sig: &[SigTok<'a>]) -> Option<&'a str> {
     nodes.get(i).and_then(|n| tok_text(n, sig))
-}
-
-/// The line of `nodes[i]`, or line 1 when out of bounds.
-pub fn node_line_at(nodes: &[Node], i: usize, sig: &[SigTok<'_>]) -> u32 {
-    nodes.get(i).map_or(1, |n| node_line(n, sig))
 }
 
 /// `true` when the node at `i` starts a closure: a `|` whose *previous*

@@ -2,7 +2,7 @@
 //! workspace's own sources, built on the lossless [`crate::lexer`] and
 //! the [`crate::flow`] block/flow analyzer.
 //!
-//! Twelve project-specific rules (see DESIGN.md §7.1):
+//! Eleven project-specific rules (see DESIGN.md §7.1):
 //!
 //! | rule                  | level | what it flags                                          |
 //! |-----------------------|-------|--------------------------------------------------------|
@@ -11,11 +11,10 @@
 //! | `unordered-iter`      | line  | hash-map iteration feeding ordered output, no sort     |
 //! | `attr-count`          | line  | hardcoded `128` where `AttrSet::MAX_ATTRS` belongs     |
 //! | `header-hygiene`      | line  | `lib.rs` missing the `#![warn(missing_docs)]` header   |
-//! | `raw-thread-spawn`    | line  | `thread::spawn`/`thread::Builder` outside the parallel runtime |
+//! | `raw-thread-spawn`    | line  | `thread::spawn`/`thread::Builder`/`thread::scope` outside the parallel runtime |
 //! | `raw-snapshot-write`  | line  | snapshot-zone file writes bypassing the atomic helper  |
-//! | `par-closure-capture` | flow  | `&mut` upvars / interior mutability / captured-binding mutation in `par_map`-family closures |
 //! | `budget-coverage`     | flow  | lattice loop missing a budget checkpoint on some path  |
-//! | `safety-comment`      | flow  | `unsafe` without an adjacent `// SAFETY:` justification |
+//! | `safety-comment`      | line  | `unsafe` without an adjacent `// SAFETY:` justification |
 //! | `partial-contract`    | flow  | `fn … -> MiningOutcome` that never threads a `StageReport` |
 //! | `span-coverage`       | flow  | `fn *_governed` mining stage that never opens an observe span |
 //!
@@ -42,7 +41,7 @@ use crate::rules;
 use std::fmt;
 
 /// Every lint rule's machine name, in reporting order.
-pub const RULES: [&str; 12] = [
+pub const RULES: [&str; 11] = [
     "no-panic",
     "default-hasher",
     "unordered-iter",
@@ -50,7 +49,6 @@ pub const RULES: [&str; 12] = [
     "header-hygiene",
     "raw-thread-spawn",
     "raw-snapshot-write",
-    "par-closure-capture",
     "budget-coverage",
     "safety-comment",
     "partial-contract",
@@ -275,13 +273,10 @@ pub fn lint_file(path: &str, source: &str) -> Vec<Diagnostic> {
         rules::lines::check_attr_count(path, &lines, &in_test, &mut out);
         rules::lines::check_raw_thread_spawn(path, &lines, &in_test, &mut out);
         rules::lines::check_raw_snapshot_write(path, &lines, &in_test, &mut out);
+        rules::lines::check_safety_comment(path, &lines, &in_test, &mut out);
 
         let sig = crate::flow::significant(source);
         let tree = crate::flow::parse(&sig);
-        rules::concurrency::check_par_closure_capture(
-            path, &sig, &tree, &lines, &in_test, &mut out,
-        );
-        rules::concurrency::check_safety_comment(path, &lines, &in_test, &mut out);
         rules::governance::check_budget_coverage(path, &sig, &tree, &lines, &in_test, &mut out);
         rules::governance::check_partial_contract(path, &sig, &tree, &lines, &in_test, &mut out);
         rules::governance::check_span_coverage(path, &sig, &tree, &lines, &in_test, &mut out);
@@ -415,24 +410,29 @@ mod tests {
     }
 
     #[test]
-    fn raw_thread_spawn_flags_spawn_and_builder() {
+    fn raw_thread_spawn_flags_spawn_builder_and_scope() {
         let diags = lint(
-            "fn f() {\n    std::thread::spawn(|| {});\n    let b = thread::Builder::new();\n    let _ = b;\n}\n",
+            "fn f() {\n    std::thread::spawn(|| {});\n    let b = thread::Builder::new();\n    let _ = b;\n    std::thread::scope(|s| { s.spawn(|| {}); });\n}\n",
         );
-        assert_eq!(rules(&diags), ["raw-thread-spawn", "raw-thread-spawn"]);
+        assert_eq!(
+            rules(&diags),
+            ["raw-thread-spawn", "raw-thread-spawn", "raw-thread-spawn"]
+        );
         assert_eq!(diags[0].line, 3);
         assert!(diags[0].message.contains("thread::spawn"));
         assert_eq!(diags[1].line, 4);
         assert!(diags[1].message.contains("thread::Builder"));
+        assert_eq!(diags[2].line, 6);
+        assert!(diags[2].message.contains("thread::scope"));
     }
 
     #[test]
     fn raw_thread_spawn_allows_parallel_runtime_and_tests() {
-        let body = "fn f() {\n    std::thread::spawn(|| {});\n}\n";
+        let body = "fn f() {\n    std::thread::spawn(|| {});\n    std::thread::scope(|s| { s.spawn(|| {}); });\n}\n";
         let src = format!("{HEADER}{body}");
-        // The parallel runtime is the one place allowed to spawn.
-        let pool = lint_file("crates/parallel/src/pool.rs", &src);
-        assert!(pool.is_empty(), "{pool:?}");
+        // The parallel runtime is the one place allowed to start threads.
+        let runtime = lint_file("crates/parallel/src/lib.rs", &src);
+        assert!(runtime.is_empty(), "{runtime:?}");
         // Test code is exempt like every code-level rule.
         let test_mod = lint(
             "#[cfg(test)]\nmod tests {\n    fn t() {\n        std::thread::spawn(|| {});\n    }\n}\n",
@@ -629,24 +629,6 @@ mod tests {
     }
 
     // --- flow-rule driver tests ------------------------------------------
-
-    #[test]
-    fn par_closure_capture_flags_mutating_closures() {
-        let diags = lint(
-            "fn f(items: &[u32]) -> u32 {\n    let mut total = 0u32;\n    par_map(items, |x| {\n        total += x;\n        total\n    });\n    total\n}\n",
-        );
-        assert_eq!(rules(&diags), ["par-closure-capture"], "{diags:?}");
-        assert_eq!(diags[0].line, 5);
-        assert!(diags[0].message.contains("total"));
-    }
-
-    #[test]
-    fn par_closure_capture_accepts_local_accumulators() {
-        let diags = lint(
-            "fn f(items: &[u32]) -> Vec<u32> {\n    par_map(items, |x| {\n        let mut local = 0u32;\n        local += x;\n        local\n    })\n}\n",
-        );
-        assert!(diags.is_empty(), "{diags:?}");
-    }
 
     #[test]
     fn budget_coverage_flags_branch_only_polls() {

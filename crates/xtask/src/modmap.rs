@@ -15,7 +15,7 @@
 pub enum Zone {
     /// Test-only code: exempt from every code-level rule.
     TestCode,
-    /// The work-stealing pool — the one place allowed to spawn threads.
+    /// The parallel runtime — the one place allowed to start threads.
     ParallelRuntime,
     /// Lattice-walk modules whose loops must poll the governance token.
     LatticeModule,

@@ -1,4 +1,4 @@
-//! The scrubbed-line rules: seven checks operating on the per-line
+//! The scrubbed-line rules: eight checks operating on the per-line
 //! code/comment views produced by [`crate::lint`]'s scrubber (which is
 //! itself built on the lossless [`crate::lexer`]).
 
@@ -214,11 +214,11 @@ pub fn check_attr_count(
     }
 }
 
-/// Rule `raw-thread-spawn`: raw thread creation (`thread::spawn`,
-/// `thread::Builder`) is confined to `crates/parallel`. Everywhere else
-/// must go through the work-stealing pool's scoped API, so thread counts
+/// Rule `raw-thread-spawn`: starting threads (`thread::spawn`,
+/// `thread::Builder`, `thread::scope`) is confined to `crates/parallel`.
+/// Everywhere else goes through its `par_*` fan-outs, so thread counts
 /// honor the `Parallelism` knob and the `DEPMINER_THREADS` override, and
-/// panics propagate instead of killing detached threads.
+/// panics reach the caller with their own payload.
 pub fn check_raw_thread_spawn(
     path: &str,
     lines: &[ScrubbedLine],
@@ -232,19 +232,90 @@ pub fn check_raw_thread_spawn(
         if in_test[idx] || allowed(lines, idx, "raw-thread-spawn") {
             continue;
         }
-        for token in ["thread::spawn", "thread::Builder"] {
+        for token in ["thread::spawn", "thread::Builder", "thread::scope"] {
             if has_token(&line.code, token) {
                 out.push(Diagnostic {
                     path: path.to_string(),
                     line: idx + 1,
                     rule: "raw-thread-spawn",
                     message: format!(
-                        "`{token}` outside crates/parallel; use the depminer-parallel pool (scope/par_map) so `DEPMINER_THREADS` and panic propagation apply"
+                        "`{token}` outside crates/parallel; use its par_map/par_chunks fan-outs so `DEPMINER_THREADS` and panic propagation apply"
                     ),
                 });
             }
         }
     }
+}
+
+/// Rule `safety-comment`: every `unsafe` block, `unsafe fn`, and
+/// `unsafe impl` in library code needs a `// SAFETY:` justification — a
+/// trailing comment on the same line, or a contiguous comment block
+/// immediately above the statement the `unsafe` belongs to.
+pub fn check_safety_comment(
+    path: &str,
+    lines: &[ScrubbedLine],
+    in_test: &[bool],
+    out: &mut Vec<Diagnostic>,
+) {
+    for (idx, line) in lines.iter().enumerate() {
+        if in_test[idx] || allowed(lines, idx, "safety-comment") {
+            continue;
+        }
+        if !has_token(&line.code, "unsafe") {
+            continue;
+        }
+        if justified(lines, idx) {
+            continue;
+        }
+        out.push(Diagnostic {
+            path: path.to_string(),
+            line: idx + 1,
+            rule: "safety-comment",
+            message: "`unsafe` without an adjacent `// SAFETY:` comment justifying why the invariants hold".to_string(),
+        });
+    }
+}
+
+/// `true` when the `unsafe` on line `idx` carries a SAFETY comment: on
+/// the line itself, or in the contiguous comment block above the start
+/// of the enclosing statement (continuation lines — those whose
+/// *predecessor* does not end a statement — are walked through).
+fn justified(lines: &[ScrubbedLine], idx: usize) -> bool {
+    if lines[idx].comment.contains("SAFETY") {
+        return true;
+    }
+    // Find the statement start: walk up while the previous line is code
+    // that flows into this one (no terminator) or an attribute.
+    let mut s = idx;
+    while s > 0 {
+        let prev = lines[s - 1].code.trim_end();
+        let prev_trimmed = prev.trim_start();
+        let continues = !prev.is_empty()
+            && !prev.ends_with(';')
+            && !prev.ends_with('{')
+            && !prev.ends_with('}')
+            && !prev_trimmed.is_empty();
+        let is_attr = prev_trimmed.starts_with("#[") || prev_trimmed.starts_with("#![");
+        if continues || is_attr {
+            s -= 1;
+        } else {
+            break;
+        }
+    }
+    // Contiguous comment-only lines above the statement.
+    let mut k = s;
+    while k > 0 {
+        let prev = &lines[k - 1];
+        if prev.code.trim().is_empty() && !prev.comment.is_empty() {
+            if prev.comment.contains("SAFETY") {
+                return true;
+            }
+            k -= 1;
+        } else {
+            break;
+        }
+    }
+    false
 }
 
 /// Rule `raw-snapshot-write`: in the snapshot-persistence zone

@@ -1,8 +1,7 @@
 //! Rule implementations, grouped by analysis level: `lines` holds the
-//! scrubbed-line rules, `concurrency` and `governance` the flow-level
-//! analyses built on [`crate::flow`].
+//! scrubbed-line rules, `governance` the flow-level analyses built on
+//! [`crate::flow`].
 
-pub mod concurrency;
 pub mod governance;
 pub mod lines;
 

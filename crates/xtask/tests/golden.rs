@@ -60,11 +60,6 @@ const LATTICE_PATH: &str = "crates/tane/src/exact.rs";
 const SNAPSHOT_PATH: &str = "crates/govern/src/snapshot.rs";
 
 #[test]
-fn par_closure_capture_golden() {
-    check_rule("par-closure-capture", LIB_PATH, &[7, 15, 21]);
-}
-
-#[test]
 fn budget_coverage_golden() {
     check_rule("budget-coverage", LATTICE_PATH, &[5, 14, 26]);
 }

@@ -9,7 +9,7 @@
 //!   the same `validate_profile_json` gate that `xtask
 //!   validate-profile` and ci.sh apply to real CLI output;
 //! * JSONL traces (the `--trace` sink) are per-thread balanced with
-//!   monotone timestamps, including under worker-pool parallelism;
+//!   monotone timestamps, including under parallel fan-outs;
 //! * the counters a run accumulates agree with the `StageReport`s the
 //!   governance layer publishes for the same run.
 //!
@@ -18,15 +18,17 @@
 //! checkpoint ordinals: an interrupted or unwinding run may truncate
 //! the tree, but it must never leave it unbalanced or inconsistent.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use depminer::depminer::{DepMiner, TransversalEngine};
 use depminer::fdep::Fdep;
 use depminer::govern::observe::jsonl::{validate_events, JsonlSink};
-use depminer::govern::observe::profile::{validate_profile_json, Profile, ProfileSink};
+use depminer::govern::observe::profile::{
+    validate_profile_json, Profile, ProfileNode, ProfileSink,
+};
 use depminer::govern::observe::Obs;
 use depminer::govern::{Budget, Stage};
-use depminer::parallel::Parallelism;
+use depminer::parallel::{par_map, Parallelism};
 use depminer::relation::{Relation, StrippedPartitionDb, SyntheticConfig};
 use depminer::tane::{approximate_fds_governed, Tane};
 
@@ -138,6 +140,82 @@ fn parallel_runs_keep_profiles_balanced() {
             "parallel dep-miner",
         );
     }
+}
+
+/// Every node of `nodes` and below, flattened.
+fn all_nodes(nodes: &[ProfileNode]) -> Vec<&ProfileNode> {
+    nodes
+        .iter()
+        .flat_map(|n| std::iter::once(n).chain(all_nodes(&n.children)))
+        .collect()
+}
+
+#[test]
+fn profiled_runs_keep_to_their_thread_setting() {
+    // A node counts the thread tags that fed it. Each fan-out starts
+    // fresh scoped workers, so counting OS threads instead would let a
+    // node that several fan-outs feed exceed the setting — and loosen
+    // the validator's child ≤ parent × threads bound.
+    let r = SyntheticConfig::new(20, 600, 0.5)
+        .generate()
+        .expect("valid synthetic config");
+    let db = StrippedPartitionDb::from_relation(&r);
+    for (par, max_threads) in [(Parallelism::Sequential, 1), (Parallelism::Threads(2), 2)] {
+        let miner = DepMiner::new().with_parallelism(par);
+        let (outcome, depminer) = profiled(|t| miner.mine_db_governed(&db, t, None));
+        assert!(outcome.is_complete());
+        let tane = Tane::new().with_parallelism(par);
+        let (outcome, tane) = profiled(|t| tane.run_db_governed(&db, t, None));
+        assert!(outcome.is_complete());
+        for profile in [&depminer, &tane] {
+            for node in all_nodes(&profile.roots) {
+                if par == Parallelism::Sequential {
+                    assert_eq!(node.threads, 1, "{par:?}: `{}`", node.name);
+                } else {
+                    assert!(node.threads <= max_threads, "{par:?}: `{}`", node.name);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fan_out_chunk_spans_attach_to_the_stage_on_every_thread() {
+    // Two chunks, one per thread, each open `stage/task` under the
+    // driver's `stage`. The caller's chunk opens first and stays open
+    // until the other chunk's span is open too: were the caller's own
+    // chunk not marked as a task, the worker's first span would hang
+    // under the caller's `stage/task` instead of under `stage`.
+    let sink = Arc::new(ProfileSink::new());
+    let obs = Obs::new(sink.clone());
+    let caller = std::thread::current().id();
+    let opened = Barrier::new(2);
+    let both_open = Barrier::new(2);
+    {
+        let _stage = obs.span("stage");
+        par_map(Parallelism::Threads(2), &[0, 1], |_| {
+            if std::thread::current().id() == caller {
+                let _task = obs.span("stage/task");
+                opened.wait();
+                both_open.wait();
+            } else {
+                opened.wait();
+                let _task = obs.span("stage/task");
+                both_open.wait();
+            }
+        });
+    }
+    let profile = sink.snapshot();
+    assert!(profile.balanced);
+    assert_eq!(profile.roots.len(), 1);
+    let stage = &profile.roots[0];
+    assert_eq!(stage.name, "stage");
+    let tasks: Vec<(&str, u64, u32, usize)> = stage
+        .children
+        .iter()
+        .map(|n| (n.name.as_str(), n.calls, n.threads, n.children.len()))
+        .collect();
+    assert_eq!(tasks, [("stage/task", 2, 2, 0)]);
 }
 
 #[test]
