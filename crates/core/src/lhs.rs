@@ -42,7 +42,9 @@ impl TransversalEngine {
     ) -> Result<Vec<AttrSet>, BudgetExceeded> {
         match self {
             TransversalEngine::Levelwise => levelwise::min_transversals_governed(h, token),
-            TransversalEngine::Berge => berge::min_transversals_governed(h, token),
+            TransversalEngine::Berge => {
+                berge::min_transversals_governed(h, token, Stage::Transversals)
+            }
         }
     }
 }

@@ -37,7 +37,6 @@ pub mod checkpoint;
 pub mod keys;
 pub mod lhs;
 pub mod maxset;
-pub mod stats;
 
 pub use agree::{
     agree_sets, agree_sets_couples_no_mc, agree_sets_governed, agree_sets_naive, agree_sets_with,
@@ -61,8 +60,7 @@ pub use lhs::{
     fd_output, left_hand_sides, left_hand_sides_governed, left_hand_sides_resume_governed,
     TransversalEngine,
 };
-pub use maxset::{cmax_sets, cmax_sets_governed, cmax_sets_with, MaxSets};
-pub use stats::PhaseTimings;
+pub use maxset::{cmax_sets, cmax_sets_governed, cmax_sets_with, max_sets_governed, MaxSets};
 
 use depminer_fdtheory::Fd;
 use depminer_relation::invariants::{audits_enabled, enforce};
@@ -138,14 +136,9 @@ impl DepMiner {
     /// the engine's `Session`, which builds `r̂` once and calls
     /// [`DepMiner::mine_db_governed`].
     pub fn mine(&self, r: &Relation) -> MiningResult {
-        let t0 = Instant::now();
         let db = StrippedPartitionDb::from_relation_with(r, self.parallelism);
-        let preprocess = t0.elapsed();
-        let mut result = self
-            .mine_db_governed(&db, &CancelToken::unlimited(), None)
-            .result;
-        result.timings.preprocess = preprocess;
-        result
+        self.mine_db_governed(&db, &CancelToken::unlimited(), None)
+            .result
     }
 
     /// The configuration bytes stamped into snapshot frames: agree-set
@@ -215,7 +208,7 @@ impl DepMiner {
             note: "restored from snapshot".into(),
             elapsed: Duration::ZERO,
         };
-        let (ag, agree_err, t_agree) = match resume_agree {
+        let (ag, agree_err) = match resume_agree {
             Some(ag) => {
                 token
                     .observer()
@@ -223,29 +216,22 @@ impl DepMiner {
                 let mut report = restored(Stage::AgreeSets, token.couples());
                 report.planned = None;
                 stages.push(report);
-                (ag, None, Duration::ZERO)
+                (ag, None)
             }
             None => {
                 let t1 = Instant::now();
                 let (ag, agree_err) =
                     agree_sets_governed(db, self.strategy, self.parallelism, token);
-                let t_agree = t1.elapsed();
                 stages.push(StageReport {
                     stage: Stage::AgreeSets,
                     completed: agree_err.is_none(),
                     processed: token.couples(),
                     planned: None,
                     note: format!("{} distinct non-empty agree sets", ag.sets.len()),
-                    elapsed: t_agree,
+                    elapsed: t1.elapsed(),
                 });
-                (ag, agree_err, t_agree)
+                (ag, agree_err)
             }
-        };
-        let timings = |t_cmax: Duration, t_lhs: Duration| PhaseTimings {
-            preprocess: Duration::ZERO,
-            agree_sets: t_agree,
-            cmax_sets: t_cmax,
-            left_hand_sides: t_lhs,
         };
         let skipped = |stage: Stage| StageReport {
             stage,
@@ -275,7 +261,6 @@ impl DepMiner {
                 },
                 lhs: vec![Vec::new(); arity],
                 fds: Vec::new(),
-                timings: timings(Duration::ZERO, Duration::ZERO),
             };
             return MiningOutcome::partial(result, why, stages);
         }
@@ -291,17 +276,16 @@ impl DepMiner {
         });
 
         let t2 = Instant::now();
-        let (max_sets, t_cmax) = match resume_max {
+        let max_sets = match resume_max {
             Some(ms) => {
                 token
                     .observer()
                     .add(depminer_govern::Counter::ResumeLevelsSkipped, 1);
                 stages.push(restored(Stage::MaxSets, arity as u64));
-                (ms, Duration::ZERO)
+                ms
             }
             None => match cmax_sets_governed(&ag, self.parallelism, token) {
                 Ok(ms) => {
-                    let t_cmax = t2.elapsed();
                     if audits_enabled() {
                         enforce(ms.audit(&ag));
                     }
@@ -311,9 +295,9 @@ impl DepMiner {
                         processed: arity as u64,
                         planned: Some(arity as u64),
                         note: "maximal sets and complements derived per attribute".into(),
-                        elapsed: t_cmax,
+                        elapsed: t2.elapsed(),
                     });
-                    (ms, t_cmax)
+                    ms
                 }
                 Err(why) => {
                     // The pending boundary-1 snapshot (agree sets) is what
@@ -332,7 +316,6 @@ impl DepMiner {
                         },
                         lhs: vec![Vec::new(); arity],
                         fds: Vec::new(),
-                        timings: timings(t2.elapsed(), Duration::ZERO),
                     };
                     return MiningOutcome::partial(result, why, stages);
                 }
@@ -385,7 +368,6 @@ impl DepMiner {
         token
             .observer()
             .add(depminer_govern::Counter::FdEmissions, fds.len() as u64);
-        let t_lhs = t3.elapsed();
         stages.push(StageReport {
             stage: Stage::Transversals,
             completed: lhs_err.is_none(),
@@ -399,7 +381,7 @@ impl DepMiner {
                     arity - done
                 )
             },
-            elapsed: t_lhs,
+            elapsed: t3.elapsed(),
         });
 
         let result = MiningResult {
@@ -409,7 +391,6 @@ impl DepMiner {
             max_sets,
             lhs,
             fds,
-            timings: timings(t_cmax, t_lhs),
         };
         match lhs_err {
             Some(why) => MiningOutcome::partial(result, why, stages),
@@ -433,8 +414,6 @@ pub struct MiningResult {
     pub lhs: Vec<Vec<AttrSet>>,
     /// The minimal non-trivial FDs (a cover of `dep(r)`).
     pub fds: Vec<Fd>,
-    /// Per-phase wall-clock times.
-    pub timings: PhaseTimings,
 }
 
 impl MiningResult {
@@ -558,8 +537,6 @@ mod tests {
         assert_eq!(result.armstrong_size(), 4);
         assert_eq!(result.max_union().len(), 3);
         assert!(result.fds_display().contains("depnum -> depname"));
-        // timings were recorded
-        assert!(result.timings.total() > std::time::Duration::ZERO);
     }
 
     #[test]

@@ -21,13 +21,12 @@ pub struct MinerEntry {
     /// Several CLI spellings may share one id (e.g. `depminer` and
     /// `depminer2` are two configurations of the same frame format).
     pub algo_id: &'static str,
-    /// `true` when the miner supports budgets/observers/checkpoints
-    /// (i.e. has a token-governed entry point).
+    /// `true` when the miner has a token-governed entry point: it
+    /// supports budgets, observers and checkpoints, and writes resumable
+    /// snapshot frames.
     pub governed: bool,
     /// `true` when `fds --algo all` includes this miner.
     pub in_all: bool,
-    /// `true` when the miner writes resumable snapshot frames.
-    pub resumable: bool,
     /// `true` when the name is a valid `fds --algo` value (the
     /// approximate miner has its own `approx` command instead).
     pub fds_algo: bool,
@@ -67,7 +66,6 @@ impl MinerRegistry {
                 algo_id: depminer_core::DEPMINER_ALGO,
                 governed: true,
                 in_all: true,
-                resumable: true,
                 fds_algo: true,
                 make: || Box::new(DepMiner::algorithm_2(None)),
                 from_config: |config| {
@@ -79,7 +77,6 @@ impl MinerRegistry {
                 algo_id: depminer_core::DEPMINER_ALGO,
                 governed: true,
                 in_all: false,
-                resumable: true,
                 fds_algo: true,
                 make: || Box::new(DepMiner::algorithm_3()),
                 from_config: |config| {
@@ -91,7 +88,6 @@ impl MinerRegistry {
                 algo_id: depminer_tane::TANE_ALGO,
                 governed: true,
                 in_all: true,
-                resumable: true,
                 fds_algo: true,
                 make: || Box::new(Tane::new()),
                 from_config: |config| {
@@ -103,7 +99,6 @@ impl MinerRegistry {
                 algo_id: depminer_fdep::FDEP_ALGO,
                 governed: true,
                 in_all: true,
-                resumable: true,
                 fds_algo: true,
                 make: || Box::new(Fdep::new()),
                 from_config: |config| {
@@ -115,7 +110,6 @@ impl MinerRegistry {
                 algo_id: depminer_tane::TANE_APPROX_ALGO,
                 governed: true,
                 in_all: false,
-                resumable: true,
                 fds_algo: false,
                 make: || Box::new(ApproxMiner { epsilon: 0.0 }),
                 from_config: |config| {
@@ -128,7 +122,6 @@ impl MinerRegistry {
                 algo_id: "naive",
                 governed: false,
                 in_all: false,
-                resumable: false,
                 fds_algo: true,
                 make: || Box::new(NaiveMiner),
                 from_config: |_| {
@@ -159,7 +152,7 @@ impl MinerRegistry {
     /// The distinct snapshot algorithm ids the registry can resume.
     pub fn resumable_algo_ids(&self) -> Vec<&'static str> {
         let mut ids: Vec<&'static str> = Vec::new();
-        for e in self.entries.iter().filter(|e| e.resumable) {
+        for e in self.entries.iter().filter(|e| e.governed) {
             if !ids.contains(&e.algo_id) {
                 ids.push(e.algo_id);
             }
@@ -175,7 +168,7 @@ impl MinerRegistry {
         match self
             .entries
             .iter()
-            .find(|e| e.resumable && e.algo_id == snap.algo)
+            .find(|e| e.governed && e.algo_id == snap.algo)
         {
             Some(entry) => (entry.from_config)(&snap.config),
             None => Err(SnapshotError::Mismatch {
@@ -197,7 +190,7 @@ mod tests {
     fn registry_round_trips_config_bytes() {
         let reg = MinerRegistry::standard();
         for entry in reg.entries() {
-            if !entry.resumable {
+            if !entry.governed {
                 continue;
             }
             let miner = entry.instantiate();

@@ -2,8 +2,7 @@
 //!
 //! The **FDEP** algorithm of Savnik & Flach ("Bottom-up induction of
 //! functional dependencies from relations", KDD workshop 1993) — one of the
-//! prior FD miners the Dep-Miner paper cites (\[SF93\], §1/§5.1) —
-//! implemented with its characteristic FD-tree.
+//! prior FD miners the Dep-Miner paper cites (\[SF93\], §1/§5.1).
 //!
 //! FDEP works bottom-up from the data:
 //!
@@ -13,31 +12,36 @@
 //!    maximal sets `max(dep(r), A)` of the Dep-Miner paper, reached from
 //!    the opposite direction. The pairs worth scanning are Dep-Miner's:
 //!    couples of maximal classes, whose agree sets come from the shared
-//!    Algorithm 3 scan ([`depminer_core::mc_agree_sets_governed`]).
+//!    Algorithm 3 scan ([`depminer_core::mc_agree_sets_governed`]), and
+//!    the maximal filter is Dep-Miner's Algorithm 4 step
+//!    ([`depminer_core::max_sets_governed`]).
 //! 2. **Negative-to-positive inversion** — start from the most general
 //!    hypothesis `∅ → A`; for each violated `Y → A`, remove every current
-//!    lhs `X ⊆ Y` and specialize it minimally (`X ∪ {B}` for `B ∉ Y∪{A}`),
-//!    keeping the hypothesis space an antichain via FD-tree subset queries.
+//!    lhs `X ⊆ Y` and specialize it minimally (`X ∪ {B}` for
+//!    `B ∉ Y ∪ {A}`), keeping the hypothesis space an antichain via
+//!    FD-tree subset queries. That is Berge's transversal algorithm on
+//!    the edges `R \ Y`, i.e. on `cmax(dep(r), A)`
+//!    ([`depminer_hypergraph::berge::min_transversals_governed`], on
+//!    the FD-tree as its set-trie), minus the trivial lhs `{A}`: `A` lies
+//!    in every edge, so `{A}` is a transversal that holds every
+//!    extension by `A`.
 //!
 //! The result is the identical minimal cover Dep-Miner and TANE produce —
 //! asserted by cross-validation tests here and in the workspace root.
 
 #![warn(missing_docs)]
 
-pub mod fdtree;
-
-pub use fdtree::LhsTrie;
-
 pub use depminer_govern::{
     Budget, BudgetExceeded, CancelToken, MiningOutcome, Obs, Snapshot, SnapshotError,
     SnapshotPolicy, Stage, StageReport,
 };
 
-use depminer_core::{mc_agree_sets_governed, Parallelism};
+use depminer_core::{max_sets_governed, mc_agree_sets_governed, Parallelism};
 use depminer_fdtheory::{normalize_fds, Fd};
 use depminer_govern::snapshot::{Dec, Enc};
 use depminer_govern::SnapshotState;
-use depminer_relation::invariants::{audits_enabled, enforce, InvariantError};
+use depminer_hypergraph::{berge, Hypergraph};
+use depminer_relation::invariants::{audits_enabled, enforce};
 use depminer_relation::state::{
     all_within, check_fit, db_fingerprint, put_attrset, put_family, take_attrset, take_family,
 };
@@ -223,67 +227,55 @@ impl Fdep {
             (cp.negative, report, cp.fds, cp.completed_attrs)
         } else {
             // ---- Phase 1: negative cover -----------------------------
-            // Violated lhs per rhs, kept maximal. A trie per rhs would
-            // also work; the agree-set family is typically small, so a
-            // vec + max filter is simpler and fast.
+            // Violated lhs per rhs, kept maximal: Algorithm 4 on the
+            // agree sets of the maximal-class couples.
             let t1 = Instant::now();
             let cover_span = token.observer().span("negative-cover");
             let before = token.couples();
             let (ag, why) =
                 mc_agree_sets_governed(db, Parallelism::Sequential, token, Stage::NegativeCover);
             let scanned = token.couples() - before;
-            if let Some(why) = why {
+            let negative = match why {
+                None => {
+                    max_sets_governed(&ag, Parallelism::Sequential, token, Stage::NegativeCover)
+                }
+                Some(why) => Err(why),
+            };
+            let negative = match negative {
+                Ok(negative) => negative,
                 // An incomplete negative cover poisons everything
                 // downstream: claiming an FD whose violation was never
                 // scanned would be silently wrong, so the partial result
                 // carries no FDs at all — and nothing is resumable, so no
                 // snapshot is written either.
-                return MiningOutcome::partial(
-                    FdepResult {
-                        fds: Vec::new(),
-                        negative_cover_size: 0,
-                    },
-                    why,
-                    vec![
-                        StageReport {
-                            stage: Stage::NegativeCover,
-                            completed: false,
-                            processed: scanned,
-                            planned: None,
-                            note: "negative cover incomplete; no FDs can be claimed".into(),
-                            elapsed: t1.elapsed(),
+                Err(why) => {
+                    return MiningOutcome::partial(
+                        FdepResult {
+                            fds: Vec::new(),
+                            negative_cover_size: 0,
                         },
-                        StageReport {
-                            stage: Stage::FdepInversion,
-                            completed: false,
-                            processed: 0,
-                            planned: Some(n as u64),
-                            note: "skipped: an earlier stage was cut off".into(),
-                            elapsed: Duration::ZERO,
-                        },
-                    ],
-                );
-            }
-            // `ag.sets` is sorted, so the negative-cover lists (and
-            // everything downstream) are independent of hash order.
-            let mut negative: Vec<Vec<AttrSet>> = vec![Vec::new(); n];
-            for &y in &ag.sets {
-                for (a, neg) in negative.iter_mut().enumerate() {
-                    if !y.contains(a) {
-                        neg.push(y);
-                    }
+                        why,
+                        vec![
+                            StageReport {
+                                stage: Stage::NegativeCover,
+                                completed: false,
+                                processed: scanned,
+                                planned: None,
+                                note: "negative cover incomplete; no FDs can be claimed".into(),
+                                elapsed: t1.elapsed(),
+                            },
+                            StageReport {
+                                stage: Stage::FdepInversion,
+                                completed: false,
+                                processed: 0,
+                                planned: Some(n as u64),
+                                note: "skipped: an earlier stage was cut off".into(),
+                                elapsed: Duration::ZERO,
+                            },
+                        ],
+                    )
                 }
-            }
-            for (a, neg) in negative.iter_mut().enumerate() {
-                depminer_relation::retain_maximal(neg);
-                // An empty list means every non-empty agree set contains
-                // A, so only a couple agreeing on nothing can disagree on
-                // A. One exists iff A is not constant, and it violates
-                // ∅ → A.
-                if neg.is_empty() && !ag.constant_attrs.contains(a) {
-                    neg.push(AttrSet::empty());
-                }
-            }
+            };
             let negative_cover_size: usize = negative.iter().map(Vec::len).sum();
             drop(cover_span);
             let report = StageReport {
@@ -301,6 +293,7 @@ impl Fdep {
         // ---- Phase 2: invert into the positive cover ------------------
         let t2 = Instant::now();
         let _invert_span = token.observer().span("fdep-inversion");
+        let full = AttrSet::full(n);
         let mut completed_attrs = n;
         'invert: for (a, neg) in negative.iter().enumerate().skip(start_attr) {
             // Boundary snapshot: the inverted-rhs prefix 0..a is clean —
@@ -316,46 +309,33 @@ impl Fdep {
                     cp.into_snapshot(hash)
                 });
             }
-            if let Err(why) = token.check(Stage::FdepInversion) {
-                stopped = Some(why);
-                completed_attrs = a;
-                break 'invert;
-            }
-            let mut pos = LhsTrie::new();
-            pos.insert(AttrSet::empty()); // most general hypothesis: ∅ → A
-            for &violated in neg {
-                // A half-inverted hypothesis space claims FDs the remaining
-                // violations would refute, so a mid-attribute trip drops
-                // this rhs entirely and keeps only fully inverted ones.
-                if let Err(why) = token.check(Stage::FdepInversion) {
+            // Berge on cmax(dep(r), A). A half-inverted hypothesis space
+            // claims FDs the remaining violations would refute, so a
+            // mid-attribute trip drops this rhs entirely and keeps only
+            // fully inverted ones.
+            let h = Hypergraph::new(n, neg.iter().map(|&y| full.difference(y)).collect());
+            let inverted = token
+                .check(Stage::FdepInversion)
+                .and_then(|()| berge::min_transversals_governed(&h, token, Stage::FdepInversion));
+            let lhs = match inverted {
+                Ok(lhs) => lhs,
+                Err(why) => {
                     stopped = Some(why);
                     completed_attrs = a;
                     break 'invert;
                 }
-                for x in pos.remove_subsets_of(violated) {
-                    // Specialize x minimally so it is no longer ⊆ violated.
-                    for b in 0..n {
-                        if b == a || violated.contains(b) {
-                            continue;
-                        }
-                        let cand = x.with(b);
-                        if !pos.contains_subset_of(cand) {
-                            pos.insert(cand);
-                        }
-                    }
-                }
-            }
-            // Each step keeps `pos` an antichain, so its members are the
-            // minimal lhs: a new x ∪ {b} (x ⊆ violated, b ∉ violated) is
-            // inserted only without a subset in `pos`, and it could be a
-            // proper subset of a survivor or a sibling only if two
-            // members of the antichain before the step were nested.
+            };
             if audits_enabled() {
-                enforce(validate_antichain(&pos, a));
+                enforce(h.audit_transversals(&lhs));
             }
-            for lhs in pos.iter_sets() {
-                fds.push(Fd::new(lhs, a));
-            }
+            // Algorithm 6's `X ≠ {A}` guard: A lies in every edge, so {A}
+            // is the one minimal transversal that holds A.
+            let trivial = AttrSet::singleton(a);
+            fds.extend(
+                lhs.into_iter()
+                    .filter(|&x| x != trivial)
+                    .map(|x| Fd::new(x, a)),
+            );
         }
         normalize_fds(&mut fds);
         token
@@ -390,22 +370,6 @@ impl Fdep {
             Some(why) => MiningOutcome::partial(result, why, vec![cover_report, invert_report]),
             None => MiningOutcome::complete(result, vec![cover_report, invert_report]),
         }
-    }
-}
-
-/// Audits that the hypotheses for rhs `a` form an antichain: no member
-/// has a proper subset in the trie.
-fn validate_antichain(pos: &LhsTrie, a: usize) -> Result<(), InvariantError> {
-    match pos
-        .iter_sets()
-        .into_iter()
-        .find(|&x| x.iter().any(|b| pos.contains_subset_of(x.without(b))))
-    {
-        Some(x) => Err(InvariantError::new(
-            "LhsTrie",
-            format!("lhs {x:?} of rhs {a} has a proper subset among the hypotheses"),
-        )),
-        None => Ok(()),
     }
 }
 
@@ -473,16 +437,6 @@ mod tests {
             .unwrap();
             assert_eq!(Fdep::new().run(&r).fds, mine_minimal_fds(&r), "{r:?}");
         }
-    }
-
-    #[test]
-    fn antichain_audit_rejects_nested_hypotheses() {
-        let mut pos = LhsTrie::new();
-        pos.insert(AttrSet::from_indices([0, 2]));
-        pos.insert(AttrSet::from_indices([1]));
-        assert!(validate_antichain(&pos, 3).is_ok());
-        pos.insert(AttrSet::from_indices([0, 1, 2]));
-        assert!(validate_antichain(&pos, 3).is_err());
     }
 
     #[test]

@@ -546,27 +546,13 @@ impl CancelToken {
     }
 
     /// Offer resumable state at a clean boundary. The policy writes it
-    /// when due and otherwise retains it for an on-trip flush. Returns
-    /// `true` when a file reached disk (best-effort: write errors are
-    /// recorded on the policy, never propagated into the mine).
-    pub fn offer_snapshot(&self, snap: &Snapshot) -> bool {
-        let Some(policy) = &self.state.snapshots else {
-            return false;
-        };
-        let _g = self.state.obs.span("snapshot-offer");
-        let wrote = policy.offer(&snap.algo, snap.encode(), || self.writer_corruption());
-        if wrote {
-            self.state.obs.add(Counter::SnapshotsWritten, 1);
-        }
-        wrote
-    }
-
-    /// Lazy variant of [`CancelToken::offer_snapshot`]: `make` builds
-    /// the frame only when the policy actually needs the bytes (a write
-    /// is due, or the retained trip-flush state has gone stale). Miners
-    /// use this at hot boundaries so an armed-but-idle policy costs a
-    /// branch and a clock read per boundary, not a checkpoint clone +
-    /// encode. Returns `true` when a file reached disk.
+    /// when due and otherwise retains it for an on-trip flush; `make`
+    /// builds the frame only when the policy actually needs the bytes (a
+    /// write is due, or the retained trip-flush state has gone stale), so
+    /// an armed-but-idle policy costs a branch and a clock read per
+    /// boundary, not a checkpoint clone + encode. Returns `true` when a
+    /// file reached disk (best-effort: write errors are recorded on the
+    /// policy, never propagated into the mine).
     pub fn offer_snapshot_with<F: FnOnce() -> Snapshot>(&self, make: F) -> bool {
         let Some(policy) = &self.state.snapshots else {
             return false;
@@ -1034,7 +1020,7 @@ mod tests {
             config: Vec::new(),
             payload: Vec::new(),
         };
-        assert!(!token.offer_snapshot(&snap));
+        assert!(!token.offer_snapshot_with(|| snap.clone()));
         assert!(!token.force_snapshot(&snap));
         assert!(!token.flush_snapshot());
         token.discard_snapshot("tane");
@@ -1053,7 +1039,7 @@ mod tests {
             payload: vec![2, 3],
         };
         // Trip-only policy: offers retain, flush persists.
-        assert!(!token.offer_snapshot(&snap));
+        assert!(!token.offer_snapshot_with(|| snap.clone()));
         assert!(token.flush_snapshot());
         let path = token.snapshot_policy().unwrap().path_for("tane");
         let read = snapshot::read_snapshot(&path).unwrap();

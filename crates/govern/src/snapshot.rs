@@ -732,33 +732,10 @@ impl SnapshotPolicy {
             .expect("snapshot policy mutex poisoned (no code unwinds while holding it)")
     }
 
-    /// Offer encoded frame bytes at a clean boundary. Writes if due,
-    /// otherwise retains them as the pending state a trip would flush.
-    /// Returns `true` when a file was written.
-    pub(crate) fn offer<F>(&self, algo: &str, bytes: Vec<u8>, corrupt: F) -> bool
-    where
-        F: FnOnce() -> Option<WriteCorruption>,
-    {
-        let mut g = self.lock();
-        g.boundaries += 1;
-        let due_count = self
-            .every_boundaries
-            .map_or(false, |n| g.boundaries % n == 0);
-        let due_time = self
-            .min_interval
-            .map_or(false, |d| g.last_write.map_or(true, |t| t.elapsed() >= d));
-        if due_count || due_time {
-            self.write_locked(&mut g, algo, &bytes, corrupt)
-        } else {
-            g.pending = Some((algo.to_string(), bytes));
-            g.pending_at = Some(Instant::now());
-            false
-        }
-    }
-
-    /// Lazy variant of [`SnapshotPolicy::offer`]: counts the boundary
-    /// and invokes `make` — which builds and encodes the frame — only
-    /// when the bytes are actually needed (a write is due, or the
+    /// Offer a frame at a clean boundary: writes it if due, otherwise
+    /// retains it as the pending state a trip would flush. Counts the
+    /// boundary and invokes `make` — which builds and encodes the frame —
+    /// only when the bytes are actually needed (a write is due, or the
     /// retained trip-flush state is absent or older than
     /// [`PENDING_REFRESH`]). An armed-but-idle policy thus charges the
     /// miner a mutex lock and a clock read per boundary instead of a
@@ -1002,14 +979,14 @@ mod tests {
         let p = SnapshotPolicy::new(&dir).every_boundaries(2);
         let f1 = frame().encode();
         // Boundary 1: not due, retained.
-        assert!(!p.offer("tane", f1.clone(), || None));
+        assert!(!p.offer_with(|| ("tane".to_string(), f1.clone()), || None));
         assert_eq!(p.written(), 0);
         // Boundary 2: due, written.
-        assert!(p.offer("tane", f1.clone(), || None));
+        assert!(p.offer_with(|| ("tane".to_string(), f1.clone()), || None));
         assert_eq!(p.written(), 1);
         assert!(p.path_for("tane").exists());
         // Boundary 3: retained; flush writes it.
-        assert!(!p.offer("tane", f1.clone(), || None));
+        assert!(!p.offer_with(|| ("tane".to_string(), f1.clone()), || None));
         assert!(p.flush(|| None));
         assert_eq!(p.written(), 2);
         // Nothing pending → flush is a no-op.

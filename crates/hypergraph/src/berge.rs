@@ -1,48 +1,63 @@
 //! Berge's incremental minimal-transversal algorithm.
 //!
-//! Processes edges one at a time, maintaining the minimal transversals of
-//! the prefix hypergraph: to add edge `E`, every current transversal that
-//! already meets `E` is kept; each one that does not is extended by every
-//! vertex of `E`, and the union is re-minimized.
+//! Processes edges one at a time, smallest first, maintaining the minimal
+//! transversals of the prefix hypergraph in a set-trie: to add edge `E`,
+//! every current transversal that meets `E` is kept; each one that
+//! misses it, i.e. each subset of `R \ E`, is taken out and extended by
+//! every vertex of `E`, and an extension joins the trie only if no kept
+//! transversal is a subset of it.
 //!
-//! Used as an independent cross-check of the paper's levelwise engine
-//! and as its ablation subject (`ablation_transversal` bench).
+//! This is also FDEP's inversion of its negative cover (\[SF93\]): for
+//! rhs `A`, FDEP's specialization of `∅ → A` against each maximal
+//! violated lhs `Y` is this step on the edge `R \ Y`. Dep-Miner's tests
+//! and ablation A2 compare the levelwise engine against it.
 
+use crate::settrie::SetTrie;
 use crate::Hypergraph;
 use depminer_govern::{BudgetExceeded, CancelToken, Stage};
-use depminer_relation::{retain_minimal, AttrSet};
+use depminer_relation::{AttrSet, MAX_ATTRS};
 
 /// Computes `Tr(H)` with Berge's algorithm, sorted like the levelwise
-/// engine's output, under a live [`CancelToken`]: checkpoints once
-/// per edge (the prefix transversal set can grow exponentially per
-/// step) and counts the extensions against the candidate budget. On a
-/// trip the prefix result is discarded — transversals of a prefix
-/// hypergraph say nothing about the full one.
+/// engine's output, under a live [`CancelToken`] charged to the caller's
+/// `stage`: checkpoints once per edge (the prefix transversal set can
+/// grow exponentially per step) and counts the kept transversals plus
+/// the generated extensions against the candidate budget. On a trip the
+/// prefix result is discarded — transversals of a prefix hypergraph say
+/// nothing about the full one.
+///
+/// The trie stays an antichain without a minimization pass. Let `x`,
+/// `x'` be members that miss `E`, and `v, v' ∈ E`. Two extensions never
+/// nest: `x ∪ {v} ⊆ x' ∪ {v'}` forces `v = v'` and `x ⊆ x'`, so `x = x'`.
+/// A kept member `k` never lies strictly above an extension, or `x ⊊ k`.
+/// And a kept `k ⊆ x ∪ {v}` meets `E` only in `v`, so the one test an
+/// extension needs is for a kept member that holds `v`.
 pub fn min_transversals_governed(
     h: &Hypergraph,
     token: &CancelToken,
+    stage: Stage,
 ) -> Result<Vec<AttrSet>, BudgetExceeded> {
     let _span = token.observer().span("transversals/berge");
+    let mut edges = h.edges().to_vec();
+    edges.sort_by_key(|e| e.len());
     // Tr of the empty hypergraph is {∅}.
-    let mut tr: Vec<AttrSet> = vec![AttrSet::empty()];
-    for &edge in h.edges() {
-        token.check(Stage::Transversals)?;
-        let mut next: Vec<AttrSet> = Vec::with_capacity(tr.len());
-        for &t in &tr {
-            if t.intersects(edge) {
-                next.push(t);
-            } else {
-                for v in edge.iter() {
-                    next.push(t.with(v));
-                }
-            }
+    let mut tr = SetTrie::default();
+    tr.insert(AttrSet::empty());
+    for edge in edges {
+        token.check(stage)?;
+        let missed = tr.remove_subsets_of(edge.complement(MAX_ATTRS));
+        token.add_candidates((tr.len() + missed.len() * edge.len()) as u64, stage)?;
+        let fresh: Vec<AttrSet> = missed
+            .iter()
+            .flat_map(|&x| edge.iter().map(move |v| (x, v)))
+            .filter(|&(x, v)| !tr.contains_subset_with(x, v))
+            .map(|(x, v)| x.with(v))
+            .collect();
+        for t in fresh {
+            tr.insert(t);
         }
-        token.add_candidates(next.len() as u64, Stage::Transversals)?;
-        retain_minimal(&mut next);
-        tr = next;
     }
-    tr.sort();
-    tr.dedup();
+    let mut tr = tr.iter_sets();
+    tr.sort_unstable();
     Ok(tr)
 }
 
@@ -67,13 +82,11 @@ mod tests {
     }
 
     #[test]
-    fn incremental_extension_is_reminimized() {
-        // {{0,1}} then {{0,1},{0}}: after adding {0}, transversal {1} must
-        // be extended to {0,1}... which is dominated by {0}.
-        let h = Hypergraph::new(2, vec![s(&[0, 1]), s(&[0])]);
-        // Hypergraph::new minimizes edges to {{0}} already; build manually
-        // through the public API to exercise the algorithm instead.
-        assert_eq!(h.min_transversals_berge(), vec![s(&[0])]);
+    fn dominated_extensions_are_not_kept() {
+        // After {0,1}, Tr = {0}, {1}. Edge {1,2} keeps {1} and extends
+        // {0} to {0,1}, which holds {1}, and to {0,2}, which joins.
+        let h = Hypergraph::new(3, vec![s(&[0, 1]), s(&[1, 2])]);
+        assert_eq!(h.min_transversals_berge(), vec![s(&[1]), s(&[0, 2])]);
     }
 
     #[test]

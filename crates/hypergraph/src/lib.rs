@@ -2,17 +2,18 @@
 //!
 //! Simple hypergraphs over attribute sets and **minimal transversal**
 //! computation — the combinatorial engine behind Dep-Miner's
-//! `LEFT_HAND_SIDE` step (Algorithm 5 of the paper).
+//! `LEFT_HAND_SIDE` step (Algorithm 5 of the paper) and FDEP's
+//! inversion of its negative cover.
 //!
 //! A collection `H` of subsets of `R` is a *simple hypergraph* if no edge is
 //! empty and no edge contains another (§2, after Berge). A *transversal*
 //! intersects every edge; [`Hypergraph::min_transversals_levelwise`]
 //! computes the set `Tr(H)` of minimal transversals with the paper's
 //! levelwise algorithm (Apriori-gen candidate generation), and
-//! [`Hypergraph::min_transversals_berge`] with Berge's classic
-//! edge-by-edge product, the cross-check the tests compare levelwise
-//! against. Each engine is one governed function,
-//! [`levelwise::min_transversals_governed`] or
+//! [`Hypergraph::min_transversals_berge`] with Berge's edge-by-edge
+//! algorithm on a set-trie, the cross-check the tests compare levelwise
+//! against and the inversion step of FDEP. Each engine is one governed
+//! function, [`levelwise::min_transversals_governed`] or
 //! [`berge::min_transversals_governed`], behind one audited, ungoverned
 //! convenience method here.
 
@@ -20,8 +21,9 @@
 
 pub mod berge;
 pub mod levelwise;
+mod settrie;
 
-use depminer_govern::{BudgetExceeded, CancelToken};
+use depminer_govern::{BudgetExceeded, CancelToken, Stage};
 use depminer_relation::invariants::{audits_enabled, enforce, InvariantError};
 use depminer_relation::{retain_minimal, AttrSet};
 use std::fmt;
@@ -128,6 +130,7 @@ impl Hypergraph {
         self.audited(berge::min_transversals_governed(
             self,
             &CancelToken::unlimited(),
+            Stage::Transversals,
         ))
     }
 
@@ -145,8 +148,8 @@ impl Hypergraph {
     /// (checked with the private-edge criterion, independent of how the
     /// engine found it). The empty hypergraph's unique answer is `{∅}`.
     ///
-    /// Both convenience methods, Dep-Miner's lhs step and
-    /// `depminer_core::audit_lhs` run this when audits are enabled
+    /// Both convenience methods, Dep-Miner's lhs step, FDEP's inversion
+    /// and `depminer_core::audit_lhs` run this when audits are enabled
     /// (debug/test builds, or the `invariants` feature).
     pub fn audit_transversals(&self, tr: &[AttrSet]) -> Result<(), InvariantError> {
         let err = |d: String| Err(InvariantError::new("Transversals", d));

@@ -1,35 +1,30 @@
-//! The FD-tree: a trie over attribute sets with subset/superset queries.
+//! A set-trie over attribute sets with subset queries: the store behind
+//! Berge's transversal algorithm.
 //!
-//! FDEP's inner data structure (\[SF93\]; the same structure later powers
-//! FastFDs and HyFD). Sets are stored as sorted attribute paths; the three
-//! queries the algorithm needs are all sub-linear in the number of stored
+//! This is FDEP's FD-tree (\[SF93\]; the same structure later powers
+//! FastFDs and HyFD). Sets are stored as ascending attribute paths; the
+//! two queries Berge's step needs are sub-linear in the number of stored
 //! sets:
 //!
-//! * [`LhsTrie::contains_subset_of`] — is some stored set ⊆ `x`?
-//!   (minimality test during specialization);
-//! * [`LhsTrie::remove_subsets_of`] — extract every stored set ⊆ `x`
-//!   (the generalizations invalidated by a violated FD);
-//! * [`LhsTrie::insert`] — add a set (no dedup of supersets; callers keep
-//!   the trie an antichain via the two queries above).
+//! * [`SetTrie::contains_subset_with`] — is some stored set that holds
+//!   `v` a subset of `x ∪ {v}`? (the minimality test for an extension);
+//! * [`SetTrie::remove_subsets_of`] — extract every stored set ⊆ `x`
+//!   (the transversals that miss the edge `R \ x`).
+//!
+//! [`SetTrie::insert`] does no dedup of supersets: the caller keeps the
+//! trie an antichain through the two queries above.
 
 use depminer_relation::AttrSet;
 
 /// One trie node. Children are kept sorted by attribute for deterministic
 /// traversal; `terminal` marks a stored set ending here.
-#[derive(Debug, Clone, Default)]
+#[derive(Default)]
 struct Node {
     children: Vec<(u16, Node)>,
     terminal: bool,
 }
 
 impl Node {
-    fn child(&self, a: u16) -> Option<&Node> {
-        self.children
-            .binary_search_by_key(&a, |(k, _)| *k)
-            .ok()
-            .map(|i| &self.children[i].1)
-    }
-
     fn child_mut_or_insert(&mut self, a: u16) -> &mut Node {
         match self.children.binary_search_by_key(&a, |(k, _)| *k) {
             Ok(i) => &mut self.children[i].1,
@@ -41,31 +36,21 @@ impl Node {
     }
 }
 
-/// A set-trie of attribute sets (lhs candidates for one rhs).
-#[derive(Debug, Clone, Default)]
-pub struct LhsTrie {
+/// A set-trie of attribute sets.
+#[derive(Default)]
+pub(crate) struct SetTrie {
     root: Node,
     len: usize,
 }
 
-impl LhsTrie {
-    /// An empty trie.
-    pub fn new() -> Self {
-        LhsTrie::default()
-    }
-
+impl SetTrie {
     /// Number of stored sets.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// `true` when no sets are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Inserts `x`. Returns `false` if `x` was already present.
-    pub fn insert(&mut self, x: AttrSet) -> bool {
+    pub(crate) fn insert(&mut self, x: AttrSet) -> bool {
         let mut node = &mut self.root;
         for a in x.iter() {
             node = node.child_mut_or_insert(a as u16);
@@ -79,41 +64,30 @@ impl LhsTrie {
         }
     }
 
-    /// `true` iff `x` itself is stored.
-    pub fn contains(&self, x: AttrSet) -> bool {
-        let mut node = &self.root;
-        for a in x.iter() {
-            match node.child(a as u16) {
-                Some(n) => node = n,
-                None => return false,
-            }
-        }
-        node.terminal
-    }
-
-    /// `true` iff some stored set is a subset of `x` (including `x` itself
-    /// and the empty set).
-    pub fn contains_subset_of(&self, x: AttrSet) -> bool {
-        fn rec(node: &Node, x: AttrSet, from: usize) -> bool {
-            if node.terminal {
+    /// `true` iff some stored set that holds `v` is a subset of `x ∪ {v}`.
+    /// Paths ascend, so a search that has not taken `v` stops at the
+    /// first child past it.
+    pub(crate) fn contains_subset_with(&self, x: AttrSet, v: usize) -> bool {
+        fn rec(node: &Node, x: AttrSet, v: usize, took_v: bool) -> bool {
+            if node.terminal && took_v {
                 return true;
             }
             for (a, child) in &node.children {
                 let a = *a as usize;
-                if a < from {
-                    continue;
+                if a > v && !took_v {
+                    return false;
                 }
-                if x.contains(a) && rec(child, x, a + 1) {
+                if (a == v || x.contains(a)) && rec(child, x, v, took_v || a == v) {
                     return true;
                 }
             }
             false
         }
-        rec(&self.root, x, 0)
+        rec(&self.root, x, v, false)
     }
 
     /// Removes every stored set that is a subset of `x`, returning them.
-    pub fn remove_subsets_of(&mut self, x: AttrSet) -> Vec<AttrSet> {
+    pub(crate) fn remove_subsets_of(&mut self, x: AttrSet) -> Vec<AttrSet> {
         let mut removed = Vec::new();
         fn rec(node: &mut Node, x: AttrSet, prefix: AttrSet, removed: &mut Vec<AttrSet>) -> bool {
             if node.terminal {
@@ -121,12 +95,9 @@ impl LhsTrie {
                 removed.push(prefix);
             }
             node.children.retain_mut(|(a, child)| {
-                let a_us = *a as usize;
-                if !x.contains(a_us) {
-                    return true; // the subtree requires an attribute ∉ x
-                }
-
-                rec(child, x, prefix.with(a_us), removed)
+                let a = *a as usize;
+                // A subtree outside `x` holds no subset of it.
+                !x.contains(a) || rec(child, x, prefix.with(a), removed)
             });
             node.terminal || !node.children.is_empty()
         }
@@ -136,7 +107,7 @@ impl LhsTrie {
     }
 
     /// All stored sets, in trie (colex-ish) order.
-    pub fn iter_sets(&self) -> Vec<AttrSet> {
+    pub(crate) fn iter_sets(&self) -> Vec<AttrSet> {
         let mut out = Vec::with_capacity(self.len);
         fn rec(node: &Node, prefix: AttrSet, out: &mut Vec<AttrSet>) {
             if node.terminal {
@@ -160,46 +131,45 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_contains() {
-        let mut t = LhsTrie::new();
+    fn insert_and_iterate() {
+        let mut t = SetTrie::default();
         assert!(t.insert(s(&[0, 2])));
         assert!(t.insert(s(&[1])));
         assert!(!t.insert(s(&[0, 2]))); // duplicate
         assert_eq!(t.len(), 2);
-        assert!(t.contains(s(&[0, 2])));
-        assert!(t.contains(s(&[1])));
-        assert!(!t.contains(s(&[0])));
-        assert!(!t.contains(s(&[0, 1, 2])));
+        // Interior nodes are not stored sets.
+        assert_eq!(t.iter_sets(), vec![s(&[0, 2]), s(&[1])]);
     }
 
     #[test]
     fn empty_set_is_storable() {
-        let mut t = LhsTrie::new();
+        let mut t = SetTrie::default();
         assert!(t.insert(AttrSet::empty()));
-        assert!(t.contains(AttrSet::empty()));
-        assert!(t.contains_subset_of(s(&[3, 4])));
+        assert_eq!(t.iter_sets(), vec![AttrSet::empty()]);
         assert_eq!(
             t.remove_subsets_of(AttrSet::empty()),
             vec![AttrSet::empty()]
         );
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
     fn subset_query() {
-        let mut t = LhsTrie::new();
+        let mut t = SetTrie::default();
         t.insert(s(&[0, 2]));
         t.insert(s(&[1, 3]));
-        assert!(t.contains_subset_of(s(&[0, 1, 2])));
-        assert!(t.contains_subset_of(s(&[1, 3, 4])));
-        assert!(!t.contains_subset_of(s(&[0, 1])));
-        assert!(!t.contains_subset_of(s(&[2, 3])));
-        assert!(!t.contains_subset_of(AttrSet::empty()));
+        assert!(t.contains_subset_with(s(&[0, 1]), 2));
+        assert!(t.contains_subset_with(s(&[1, 2]), 0));
+        assert!(t.contains_subset_with(s(&[1, 4]), 3));
+        // {0, 2} ⊆ {0, 1, 2} but does not hold 1.
+        assert!(!t.contains_subset_with(s(&[0, 2]), 1));
+        assert!(!t.contains_subset_with(s(&[0, 2]), 3));
+        assert!(!t.contains_subset_with(AttrSet::empty(), 2));
     }
 
     #[test]
     fn remove_subsets() {
-        let mut t = LhsTrie::new();
+        let mut t = SetTrie::default();
         for x in [s(&[0]), s(&[0, 1]), s(&[2]), s(&[1, 3]), s(&[0, 1, 2])] {
             t.insert(x);
         }
@@ -208,15 +178,14 @@ mod tests {
         // AttrSet order is by bit value: A < AB < C < ABC.
         assert_eq!(removed, vec![s(&[0]), s(&[0, 1]), s(&[2]), s(&[0, 1, 2])]);
         assert_eq!(t.len(), 1);
-        assert!(t.contains(s(&[1, 3])));
+        assert_eq!(t.iter_sets(), vec![s(&[1, 3])]);
         // Interior nodes left behind by removal do not resurrect sets.
-        assert!(!t.contains(s(&[0])));
-        assert!(!t.contains_subset_of(s(&[0, 1, 2])));
+        assert!(!t.contains_subset_with(s(&[0, 1]), 2));
     }
 
     #[test]
     fn iter_returns_everything() {
-        let mut t = LhsTrie::new();
+        let mut t = SetTrie::default();
         let sets = [s(&[4]), s(&[0, 1]), s(&[2, 3, 5])];
         for x in sets {
             t.insert(x);
@@ -232,7 +201,7 @@ mod tests {
     fn stress_against_naive_set() {
         use depminer_relation::Prng;
         let mut rng = Prng::seed_from_u64(44);
-        let mut trie = LhsTrie::new();
+        let mut trie = SetTrie::default();
         let mut naive: Vec<AttrSet> = Vec::new();
         for _ in 0..500 {
             let x = AttrSet::from_bits(rng.gen_range(0u32..256) as u128);
@@ -245,10 +214,13 @@ mod tests {
                     }
                 }
                 1 => {
+                    let v = rng.gen_range(0..8usize);
                     assert_eq!(
-                        trie.contains_subset_of(x),
-                        naive.iter().any(|n| n.is_subset_of(x)),
-                        "subset query mismatch for {x}"
+                        trie.contains_subset_with(x, v),
+                        naive
+                            .iter()
+                            .any(|n| n.contains(v) && n.is_subset_of(x.with(v))),
+                        "subset query mismatch for {x} with {v}"
                     );
                 }
                 _ => {

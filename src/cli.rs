@@ -37,7 +37,9 @@
 //! binary in `src/bin/` forwards `std::env::args` and hands [`run`] one
 //! block-buffered stdout, which it flushes before every exit.
 
-use depminer_core::DepMiner;
+use depminer_core::{
+    agree_sets, candidate_keys_from_agree_sets, AgreeSetStrategy, DepMiner, TransversalEngine,
+};
 use depminer_engine::{ApproxMiner, Emitted, MinerRegistry, Session, SessionCtx};
 use depminer_fdtheory::{candidate_keys, canonical_cover, is_bcnf, synthesize_3nf};
 use depminer_govern::observe::jsonl::JsonlSink;
@@ -47,7 +49,7 @@ use depminer_govern::snapshot::read_snapshot;
 use depminer_govern::{
     Budget, BudgetExceeded, MiningOutcome, Snapshot, SnapshotError, SnapshotPolicy,
 };
-use depminer_relation::{csv, Relation, SyntheticConfig};
+use depminer_relation::{csv, Relation, StrippedPartitionDb, SyntheticConfig};
 use std::fmt;
 use std::io::Write;
 use std::sync::Arc;
@@ -556,11 +558,11 @@ fn locate_snapshot(
     registry: &MinerRegistry,
 ) -> Result<std::path::PathBuf, CliError> {
     if let Some(algo) = args.get("algo") {
-        let Some(entry) = registry.by_cli_name(algo).filter(|e| e.resumable) else {
+        let Some(entry) = registry.by_cli_name(algo).filter(|e| e.governed) else {
             let names: Vec<&str> = registry
                 .entries()
                 .iter()
-                .filter(|e| e.resumable)
+                .filter(|e| e.governed)
                 .map(|e| e.cli_name)
                 .collect();
             let stored = frame_algos(dir);
@@ -708,8 +710,13 @@ fn cmd_armstrong(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 fn cmd_keys(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let io = |e: std::io::Error| run_err(format!("write failed: {e}"));
     let r = load(args.single_file()?)?;
-    let result = DepMiner::new().mine(&r);
-    let keys = result.candidate_keys();
+    // Keys are the transversals of the maximal agree sets' complements,
+    // so they need ag(r) from r̂ and none of the per-attribute FD work.
+    let ag = agree_sets(
+        &StrippedPartitionDb::from_relation(&r),
+        AgreeSetStrategy::EquivalenceClasses,
+    );
+    let keys = candidate_keys_from_agree_sets(&ag, TransversalEngine::Levelwise);
     writeln!(out, "# {} candidate key(s)", keys.len()).map_err(io)?;
     for k in keys {
         writeln!(out, "{}", r.schema().format_set(k)).map_err(io)?;

@@ -11,11 +11,11 @@
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
 //! | [`relation`] | `depminer-relation` | schemas, relations, partitions, stripped partition databases, synthetic benchmark generator, CSV |
-//! | [`hypergraph`] | `depminer-hypergraph` | simple hypergraphs, minimal transversals (levelwise + Berge) |
+//! | [`hypergraph`] | `depminer-hypergraph` | simple hypergraphs, minimal transversals (levelwise + Berge on a set-trie) |
 //! | [`fdtheory`] | `depminer-fdtheory` | closures, covers, keys, closed sets, Armstrong criterion, normalization |
 //! | [`depminer`] | `depminer-core` | agree sets (Algorithms 2/3), maximal sets, lhs, FD output, Armstrong relations, keys |
 //! | [`tane`] | `depminer-tane` | exact TANE, approximate FDs (g₃), Armstrong extension |
-//! | [`fdep`] | `depminer-fdep` | the FDEP baseline: negative cover + FD-tree |
+//! | [`fdep`] | `depminer-fdep` | the FDEP baseline: Dep-Miner's max sets as negative cover, Berge inversion |
 //! | [`engine`] | `depminer-engine` | the `Miner` trait, `MinerRegistry`, and `Session` driver every CLI mining command dispatches through |
 //! | [`ind`] | `depminer-ind` | unary inclusion dependencies (foreign-key hunting) |
 //!

@@ -21,7 +21,7 @@ use depminer::fdep::Fdep;
 use depminer::govern::faults::{FaultKind, FaultPlan};
 use depminer::govern::snapshot::read_snapshot;
 use depminer::govern::{
-    Budget, MiningOutcome, Obs, Resource, Snapshot, SnapshotError, SnapshotPolicy,
+    Budget, MiningOutcome, Obs, Resource, Snapshot, SnapshotError, SnapshotPolicy, Stage,
 };
 use depminer::relation::{Prng, Relation, StrippedPartitionDb, SyntheticConfig};
 use depminer::tane::{approximate_fds, approximate_fds_governed, Tane};
@@ -98,6 +98,37 @@ fn injected_cancellation_yields_complete_or_audited_partial() {
             }
         }
     }
+}
+
+#[test]
+fn fdep_injected_cancellation_stops_in_its_own_stages_with_a_sound_prefix() {
+    // FDEP's inversion runs on Berge's engine, which must charge FDEP's
+    // stage, not Dep-Miner's `transversals`.
+    let r = workload();
+    let db = StrippedPartitionDb::from_relation(&r);
+    let fdep = Fdep::new();
+    let baseline = fdep.run(&r).fds;
+    let mut rng = Prng::seed_from_u64(0xFA06);
+    let mut in_inversion = 0;
+    for _ in 0..24 {
+        let at = rng.gen_range(ORDINAL_RANGE);
+        let token = Budget::unlimited().start_with_fault(FaultPlan::new(FaultKind::Cancel, at));
+        let outcome = fdep.run_db_governed(&db, &token, None);
+        let Some(why) = &outcome.interrupted else {
+            assert_eq!(outcome.result.fds, baseline, "ordinal {at}");
+            continue;
+        };
+        assert_eq!(why.resource, Resource::InjectedFault, "ordinal {at}");
+        match why.stage {
+            Some(Stage::NegativeCover) => {}
+            Some(Stage::FdepInversion) => in_inversion += 1,
+            other => panic!("ordinal {at}: FDEP tripped in stage {other:?}"),
+        }
+        for fd in &outcome.result.fds {
+            assert!(baseline.contains(fd), "ordinal {at}: invented {fd}");
+        }
+    }
+    assert!(in_inversion > 0, "no ordinal landed in the inversion");
 }
 
 #[test]

@@ -256,6 +256,11 @@ fn counters_agree_with_stage_reports() {
             profile.counter("fd_emissions"),
             outcome.result.fds.len() as u64
         );
+        assert_eq!(
+            profile.counter("maxset_filter_passes"),
+            r.arity() as u64,
+            "FDEP's negative cover runs Algorithm 4's filter once per attribute"
+        );
     }
 }
 

@@ -3,9 +3,10 @@
 //! coverage of every result, and the nihilpotence `Tr(Tr(H)) = H` that the
 //! TANE→Armstrong extension relies on (§5.1).
 
-use depminer::govern::CancelToken;
+use depminer::depminer::{agree_sets, cmax_sets, AgreeSetStrategy};
+use depminer::govern::{CancelToken, Stage};
 use depminer::hypergraph::{berge, levelwise, Hypergraph};
-use depminer::relation::{AttrSet, Prng};
+use depminer::relation::{AttrSet, Prng, StrippedPartitionDb, SyntheticConfig};
 
 const CASES: usize = 128;
 
@@ -111,8 +112,30 @@ fn wide_levels_agree_with_berge() {
         let token = CancelToken::unlimited();
         assert_eq!(
             levelwise::min_transversals_governed(&h, &token).expect("unlimited"),
-            berge::min_transversals_governed(&h, &token).expect("unlimited"),
+            berge::min_transversals_governed(&h, &token, Stage::Transversals).expect("unlimited"),
             "case {case}: {h:?}"
+        );
+    }
+}
+
+#[test]
+fn engines_agree_on_every_cmax_family_of_a_generated_relation() {
+    // The §5.2 generator at 20 × 1,000, c = 0.5: 20 families of 133 to
+    // 142 edges, where Berge's intermediate transversal sets are far
+    // larger than on the random graphs above.
+    let r = SyntheticConfig::new(20, 1_000, 0.5)
+        .generate()
+        .expect("valid synthetic config");
+    let ag = agree_sets(
+        &StrippedPartitionDb::from_relation(&r),
+        AgreeSetStrategy::EquivalenceClasses,
+    );
+    for (a, cmax) in cmax_sets(&ag).cmax.into_iter().enumerate() {
+        let h = Hypergraph::new(r.arity(), cmax);
+        assert_eq!(
+            h.min_transversals_levelwise(),
+            h.min_transversals_berge(),
+            "attribute {a}"
         );
     }
 }
