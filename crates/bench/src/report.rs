@@ -19,6 +19,7 @@
 //! accumulated nanoseconds. Wall-clock benches summarise their
 //! interleaved reps with [`spread`] (median and interquartile range).
 
+use depminer_observe::json::escape;
 use depminer_observe::profile::{Profile, ProfileNode};
 
 /// Provenance block embedded in every benchmark JSON export.
@@ -76,20 +77,6 @@ impl RunStamp {
     pub fn json_member(&self) -> String {
         format!("  \"stamp\": {},\n", self.to_json_object())
     }
-}
-
-/// Minimal string escaping for the stamp fields (revisions and thread
-/// descriptions are ASCII, but a hostile `--out`-style input must not
-/// break the document).
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' | '\r' | '\t' => vec![' '],
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// The trimmed stdout of a successful `git` invocation; `None` outside
@@ -223,11 +210,6 @@ mod tests {
         assert_eq!(spread(vec![3.0, 1.0, 2.0]), (2.0, 1.0));
         assert_eq!(spread(vec![4.0, 1.0, 3.0, 2.0]), (2.5, 1.5));
         assert_eq!(spread(vec![7.0]), (7.0, 0.0));
-    }
-
-    #[test]
-    fn escape_defuses_quotes_and_newlines() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c d");
     }
 
     #[test]

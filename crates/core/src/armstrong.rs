@@ -9,8 +9,10 @@
 //! [`synthetic_armstrong`] uses fresh integer values (the classic
 //! construction, Example 12); [`real_world_armstrong`] draws values from the
 //! original relation's active domains (Definition 1, Example 13), subject to
-//! the existence condition of Proposition 1.
+//! the existence condition of Proposition 1. [`armstrong_for_fds`] runs the
+//! integer construction on a *given* FD set (design by example, \[MR86\]).
 
+use depminer_fdtheory::{max_sets_via_transversals, max_union, Fd};
 use depminer_govern::{BudgetExceeded, CancelToken, Stage};
 use depminer_relation::{AttrSet, Relation, RelationError, Schema, Value};
 
@@ -51,6 +53,21 @@ pub fn synthetic_armstrong_governed(
         rows.push(row);
     }
     Ok(Relation::from_rows(schema.clone(), rows).expect("rows match schema arity"))
+}
+
+/// Design by example: the integer Armstrong relation for a given FD set
+/// `F` over `n_attrs` synthetic attributes, `|MAX(F)| + 1` tuples that
+/// satisfy exactly the dependencies `F` implies.
+pub fn armstrong_for_fds(f: &[Fd], n_attrs: usize) -> Relation {
+    let schema = Schema::synthetic(n_attrs).expect("valid synthetic schema");
+    armstrong_for_fds_with_schema(f, &schema)
+}
+
+/// As [`armstrong_for_fds`], over a caller-provided schema: `MAX(F)` from
+/// `lhs(F, A)` by transversals, then [`synthetic_armstrong`].
+pub fn armstrong_for_fds_with_schema(f: &[Fd], schema: &Schema) -> Relation {
+    let max = max_sets_via_transversals(f, schema.arity());
+    synthetic_armstrong(schema, &max_union(&max))
 }
 
 /// Checks Proposition 1: a real-world Armstrong relation exists iff every
@@ -253,6 +270,64 @@ mod tests {
         token.cancel();
         assert!(synthetic_armstrong_governed(r.schema(), &max, &token).is_err());
         assert!(real_world_armstrong_governed(&r, &max, &token).is_err());
+    }
+
+    fn fd(lhs: &[usize], rhs: usize) -> Fd {
+        Fd::new(s(lhs), rhs)
+    }
+
+    #[test]
+    fn armstrong_for_textbook_fd_set() {
+        // F = {A→B, B→C} over ABC.
+        let f = vec![fd(&[0], 1), fd(&[1], 2)];
+        let arm = armstrong_for_fds(&f, 3);
+        assert!(is_armstrong_for(&arm, &f));
+        // Re-mining the example yields a cover equivalent to F.
+        let mined = mine_minimal_fds(&arm);
+        assert!(depminer_fdtheory::equivalent(&mined, &f));
+    }
+
+    #[test]
+    fn armstrong_for_empty_fd_set() {
+        // F = ∅ over 3 attributes: MAX = {R \ {A}}, size 4 example, no FDs.
+        let arm = armstrong_for_fds(&[], 3);
+        assert_eq!(arm.len(), 4);
+        assert!(mine_minimal_fds(&arm).is_empty());
+        assert!(is_armstrong_for(&arm, &[]));
+    }
+
+    #[test]
+    fn armstrong_for_key_fd_set() {
+        // F = {A→B, A→C}: A is a key.
+        let f = vec![fd(&[0], 1), fd(&[0], 2)];
+        let arm = armstrong_for_fds(&f, 3);
+        assert!(is_armstrong_for(&arm, &f));
+        assert!(arm.satisfies(s(&[0]), 1));
+        assert!(arm.satisfies(s(&[0]), 2));
+        assert!(!arm.satisfies(s(&[1]), 0));
+    }
+
+    #[test]
+    fn random_fd_sets_produce_verified_examples() {
+        use depminer_relation::Prng;
+        let mut rng = Prng::seed_from_u64(77);
+        for trial in 0..30 {
+            let n = rng.gen_range(2..=4usize);
+            let n_fds = rng.gen_range(0..=4usize);
+            let f: Vec<Fd> = (0..n_fds)
+                .map(|_| {
+                    Fd::new(
+                        AttrSet::from_bits(rng.gen_range(0u32..(1 << n)) as u128),
+                        rng.gen_range(0..n),
+                    )
+                })
+                .collect();
+            let arm = armstrong_for_fds(&f, n);
+            assert!(
+                is_armstrong_for(&arm, &f),
+                "trial {trial}: example not Armstrong for {f:?}"
+            );
+        }
     }
 
     #[test]

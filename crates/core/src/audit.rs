@@ -12,6 +12,7 @@
 //! structures are rejected.
 
 use crate::agree::AgreeSets;
+use crate::lhs::in_output_order;
 use crate::maxset::MaxSets;
 use crate::MiningResult;
 use depminer_hypergraph::Hypergraph;
@@ -94,7 +95,8 @@ pub fn audit_lhs(ms: &MaxSets, lhs: &[Vec<AttrSet>]) -> Result<(), InvariantErro
 impl MiningResult {
     /// End-to-end audit of a mining result against the relation it was
     /// mined from: internal consistency (maxset duality, lhs
-    /// transversality), plus a replay of every mined FD over `r`'s tuples
+    /// transversality of the families regrouped from the FDs, FDs in
+    /// output order), plus a replay of every mined FD over `r`'s tuples
     /// and a minimality check on each FD's left-hand side.
     ///
     /// This is the heavyweight, everything-on audit; the pipeline's inline
@@ -107,7 +109,13 @@ impl MiningResult {
             ));
         }
         self.max_sets.audit(&self.agree_sets)?;
-        audit_lhs(&self.max_sets, &self.lhs)?;
+        audit_lhs(&self.max_sets, &self.lhs_families())?;
+        if !in_output_order(&self.fds) {
+            return Err(InvariantError::new(
+                "MiningResult",
+                "FDs are not strictly ascending by (rhs, lhs)",
+            ));
+        }
         self.audit_claimed_fds(r)
     }
 
@@ -117,9 +125,10 @@ impl MiningResult {
     /// A budget-tripped [`crate::DepMiner::mine_db_governed`] run stops at
     /// clean stage boundaries, so its FD list covers only rhs attributes
     /// whose transversal search completed — those FDs are exact, but the
-    /// structural tables (`lhs`, `max_sets`) are intentionally truncated
-    /// and would fail the full [`MiningResult::audit`]. This validator
-    /// checks the subset the partial result vouches for and nothing more.
+    /// structural tables (`max_sets`, the regrouped lhs families) are
+    /// intentionally truncated and would fail the full
+    /// [`MiningResult::audit`]. This validator checks the subset the
+    /// partial result vouches for and nothing more.
     pub fn audit_claimed_fds(&self, r: &Relation) -> Result<(), InvariantError> {
         let err = |d: String| Err(InvariantError::new("MiningResult", d));
         if self.schema.arity() != r.arity() {
@@ -231,6 +240,16 @@ mod tests {
         // B → A does not hold in the employee relation.
         result.fds.push(Fd::new(s(&[1]), 0));
         assert!(result.audit(&r).is_err());
+        assert!(result.audit_claimed_fds(&r).is_err());
+    }
+
+    #[test]
+    fn result_audit_rejects_fds_out_of_output_order() {
+        let r = datasets::employee();
+        let mut result = DepMiner::new().mine(&r);
+        result.fds.reverse();
+        let e = result.audit(&r).unwrap_err();
+        assert!(e.detail.contains("ascending"), "{e}");
     }
 
     #[test]
@@ -250,6 +269,8 @@ mod tests {
             .unwrap();
         result.fds.push(Fd::new(fd.lhs.with(extra), fd.rhs));
         let e = result.audit(&r).unwrap_err();
+        assert!(e.detail.contains("not minimal"), "{e}");
+        let e = result.audit_claimed_fds(&r).unwrap_err();
         assert!(e.detail.contains("not minimal"), "{e}");
     }
 }

@@ -3,7 +3,8 @@
 //! everything a resumed `DepMiner::mine_db_governed` needs to skip
 //! finished work.
 
-use depminer_govern::snapshot::{Dec, Enc, Snapshot};
+use depminer_fdtheory::Fd;
+use depminer_govern::snapshot::{Dec, DecodeError, Enc, Snapshot};
 use depminer_govern::{SnapshotError, SnapshotState};
 use depminer_relation::state::{
     all_within, check_fit, put_attrset, put_family, put_opt_family, take_attrset, take_family,
@@ -125,7 +126,8 @@ impl DepMinerCheckpoint {
     /// attributes: every set must lie within the relation, the agree and
     /// max sets must be over `arity` attributes with one `max` and one
     /// `cmax` list each, and the transversal families must be absent or
-    /// one per attribute.
+    /// one per attribute, each strictly ascending as the engines return
+    /// them (`fd_output` trusts that order).
     pub fn check_fits(&self, arity: usize) -> Result<(), SnapshotError> {
         let agree_fits = self.agree.as_ref().is_none_or(|ag| {
             ag.arity == arity
@@ -136,7 +138,12 @@ impl DepMinerCheckpoint {
                 && all_within(arity, ms.max.iter().chain(&ms.cmax).flatten().copied())
         });
         let families_fit = (self.families.is_empty() || self.families.len() == arity)
-            && all_within(arity, self.families.iter().flatten().flatten().copied());
+            && all_within(arity, self.families.iter().flatten().flatten().copied())
+            && self
+                .families
+                .iter()
+                .flatten()
+                .all(|f| f.windows(2).all(|w| w[0] < w[1]));
         check_fit(agree_fits && max_fits && families_fit, DEPMINER_ALGO, arity)
     }
 
@@ -149,6 +156,27 @@ impl DepMinerCheckpoint {
             payload: self.encode_payload(),
         }
     }
+}
+
+/// Append an FD list (its length, then each FD's lhs mask and rhs): the
+/// one FD-list layout, shared by TANE's and FDEP's frames.
+pub fn put_fds(e: &mut Enc, fds: &[Fd]) {
+    e.put_usize(fds.len());
+    for fd in fds {
+        put_attrset(e, fd.lhs);
+        e.put_usize(fd.rhs);
+    }
+}
+
+/// Decode an FD list written by [`put_fds`].
+pub fn take_fds(d: &mut Dec<'_>) -> Result<Vec<Fd>, DecodeError> {
+    let n = d.take_usize()?;
+    let mut fds = Vec::new();
+    for _ in 0..n {
+        let lhs = take_attrset(d)?;
+        fds.push(Fd::new(lhs, d.take_usize()?));
+    }
+    Ok(fds)
 }
 
 /// Dep-Miner configuration bytes for frame validation: agree-set

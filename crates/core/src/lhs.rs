@@ -6,7 +6,7 @@
 //! emits the final minimal non-trivial FDs (`FD_OUTPUT`).
 
 use crate::maxset::MaxSets;
-use depminer_fdtheory::{normalize_fds, Fd};
+use depminer_fdtheory::Fd;
 use depminer_govern::{BudgetExceeded, CancelToken, Counter, Resource, Stage};
 use depminer_hypergraph::{berge, levelwise, Hypergraph};
 use depminer_parallel::{par_map_indexed, Parallelism};
@@ -134,18 +134,56 @@ pub fn left_hand_sides_resume_governed(
 
 /// `FD_OUTPUT`: turns per-attribute lhs families into minimal non-trivial
 /// FDs, skipping the trivial lhs `{A}` (Algorithm 6's `X ≠ {A}` guard).
+///
+/// The list comes out in (rhs, lhs) order by construction: families are
+/// visited rhs by rhs, and each is sorted and duplicate-free, as both
+/// transversal engines return it (audited by
+/// [`Hypergraph::audit_transversals`]). [`lhs_families_from_fds`] inverts it.
 pub fn fd_output(lhs: &[Vec<AttrSet>]) -> Vec<Fd> {
-    let mut fds = Vec::new();
+    let mut fds = Vec::with_capacity(lhs.iter().map(Vec::len).sum());
     for (a, sides) in lhs.iter().enumerate() {
-        for &x in sides {
-            if x != AttrSet::singleton(a) {
-                debug_assert!(!x.contains(a), "non-trivial lhs must not contain rhs");
-                fds.push(Fd::new(x, a));
-            }
+        fd_output_rhs(&mut fds, a, sides);
+    }
+    fds
+}
+
+/// [`fd_output`] for one rhs `a`: appends `X → a` for every `X` in
+/// `lhs(dep(r), a)` but the trivial `{a}`. FDEP calls it as it inverts
+/// rhs by rhs.
+pub fn fd_output_rhs(fds: &mut Vec<Fd>, a: usize, sides: &[AttrSet]) {
+    let trivial = AttrSet::singleton(a);
+    for &x in sides {
+        if x != trivial {
+            debug_assert!(!x.contains(a), "non-trivial lhs must not contain rhs");
+            fds.push(Fd::new(x, a));
         }
     }
-    normalize_fds(&mut fds);
-    fds
+}
+
+/// `true` when `fds` is strictly ascending by (rhs, lhs): the order
+/// [`fd_output`] emits, with no FD twice.
+pub fn in_output_order(fds: &[Fd]) -> bool {
+    fds.windows(2)
+        .all(|w| (w[0].rhs, w[0].lhs) < (w[1].rhs, w[1].lhs))
+}
+
+/// The inverse of [`fd_output`]: groups minimal FDs into per-attribute lhs
+/// families `lhs(dep(r), A)`, each sorted and *including* the trivial
+/// entry (`{A}`, or `∅` when `∅ → A` holds). That is the form the §5.1
+/// extension reads (`cmax(dep(r), A) = Tr(lhs(dep(r), A))`).
+pub fn lhs_families_from_fds(fds: &[Fd], arity: usize) -> Vec<Vec<AttrSet>> {
+    let mut fams: Vec<Vec<AttrSet>> = vec![Vec::new(); arity];
+    for f in fds {
+        fams[f.rhs].push(f.lhs);
+    }
+    for (a, fam) in fams.iter_mut().enumerate() {
+        // `{A}` is a minimal lhs unless ∅ → A holds (∅ ⊂ {A}).
+        if !fam.contains(&AttrSet::empty()) {
+            fam.push(AttrSet::singleton(a));
+        }
+        fam.sort_unstable();
+    }
+    fams
 }
 
 #[cfg(test)]
@@ -199,6 +237,15 @@ mod tests {
         let expected = depminer_fdtheory::mine_minimal_fds(&datasets::employee());
         assert_eq!(fds, expected);
         assert_eq!(fds.len(), 14);
+    }
+
+    #[test]
+    fn lhs_families_from_fds_inverts_fd_output() {
+        for r in [datasets::employee(), datasets::constant_columns()] {
+            let ms = cmax_sets(&agree_sets_naive(&r));
+            let lhs = left_hand_sides(&ms, TransversalEngine::Levelwise);
+            assert_eq!(lhs_families_from_fds(&fd_output(&lhs), r.arity()), lhs);
+        }
     }
 
     #[test]

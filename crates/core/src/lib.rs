@@ -43,12 +43,14 @@ pub use agree::{
     mc_agree_sets_governed, AgreeSetStrategy, AgreeSets,
 };
 pub use armstrong::{
-    real_world_armstrong, real_world_armstrong_governed, real_world_exists, synthetic_armstrong,
+    armstrong_for_fds, armstrong_for_fds_with_schema, real_world_armstrong,
+    real_world_armstrong_governed, real_world_exists, synthetic_armstrong,
     synthetic_armstrong_governed,
 };
 pub use audit::audit_lhs;
 pub use checkpoint::{
-    depminer_config_bytes, depminer_config_from_bytes, DepMinerCheckpoint, DEPMINER_ALGO,
+    depminer_config_bytes, depminer_config_from_bytes, put_fds, take_fds, DepMinerCheckpoint,
+    DEPMINER_ALGO,
 };
 pub use depminer_govern::{
     Budget, BudgetExceeded, CancelToken, MiningOutcome, Obs, Resource, Snapshot, SnapshotError,
@@ -57,8 +59,8 @@ pub use depminer_govern::{
 pub use depminer_parallel::Parallelism;
 pub use keys::candidate_keys_from_agree_sets;
 pub use lhs::{
-    fd_output, left_hand_sides, left_hand_sides_governed, left_hand_sides_resume_governed,
-    TransversalEngine,
+    fd_output, fd_output_rhs, in_output_order, left_hand_sides, left_hand_sides_governed,
+    left_hand_sides_resume_governed, lhs_families_from_fds, TransversalEngine,
 };
 pub use maxset::{cmax_sets, cmax_sets_governed, cmax_sets_with, max_sets_governed, MaxSets};
 
@@ -259,7 +261,6 @@ impl DepMiner {
                     cmax: vec![Vec::new(); arity],
                     arity,
                 },
-                lhs: vec![Vec::new(); arity],
                 fds: Vec::new(),
             };
             return MiningOutcome::partial(result, why, stages);
@@ -314,7 +315,6 @@ impl DepMiner {
                             cmax: vec![Vec::new(); arity],
                             arity,
                         },
-                        lhs: vec![Vec::new(); arity],
                         fds: Vec::new(),
                     };
                     return MiningOutcome::partial(result, why, stages);
@@ -389,7 +389,6 @@ impl DepMiner {
             n_rows: db.n_rows(),
             agree_sets: ag,
             max_sets,
-            lhs,
             fds,
         };
         match lhs_err {
@@ -410,13 +409,18 @@ pub struct MiningResult {
     pub agree_sets: AgreeSets,
     /// `max(dep(r), A)` and `cmax(dep(r), A)` per attribute.
     pub max_sets: MaxSets,
-    /// `lhs(dep(r), A)` per attribute (including trivial `{A}` entries).
-    pub lhs: Vec<Vec<AttrSet>>,
-    /// The minimal non-trivial FDs (a cover of `dep(r)`).
+    /// The minimal non-trivial FDs (a cover of `dep(r)`), in (rhs, lhs)
+    /// order as [`fd_output`] emits them.
     pub fds: Vec<Fd>,
 }
 
 impl MiningResult {
+    /// `lhs(dep(r), A)` per attribute, including the trivial `{A}` entries,
+    /// regrouped from [`MiningResult::fds`] by [`lhs_families_from_fds`].
+    pub fn lhs_families(&self) -> Vec<Vec<AttrSet>> {
+        lhs_families_from_fds(&self.fds, self.schema.arity())
+    }
+
     /// `MAX(dep(r))`: union of per-attribute maximal sets.
     pub fn max_union(&self) -> Vec<AttrSet> {
         self.max_sets.max_union()

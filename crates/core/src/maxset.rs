@@ -26,6 +26,7 @@
 //! explicitly so Dep-Miner is exact on *every* input.
 
 use crate::agree::AgreeSets;
+use depminer_fdtheory::max_union;
 use depminer_govern::{BudgetExceeded, CancelToken, Stage};
 use depminer_parallel::{par_map_indexed_governed, Parallelism};
 use depminer_relation::{retain_maximal, AttrSet};
@@ -45,10 +46,7 @@ impl MaxSets {
     /// The union `MAX(dep(r)) = ⋃_A max(dep(r), A)`, sorted and
     /// deduplicated — the input of Armstrong-relation generation (§4).
     pub fn max_union(&self) -> Vec<AttrSet> {
-        let mut out: Vec<AttrSet> = self.max.iter().flatten().copied().collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+        max_union(&self.max)
     }
 }
 

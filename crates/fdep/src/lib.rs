@@ -36,15 +36,16 @@ pub use depminer_govern::{
     SnapshotPolicy, Stage, StageReport,
 };
 
-use depminer_core::{max_sets_governed, mc_agree_sets_governed, Parallelism};
-use depminer_fdtheory::{normalize_fds, Fd};
+use depminer_core::{
+    fd_output_rhs, in_output_order, max_sets_governed, mc_agree_sets_governed, put_fds, take_fds,
+    Parallelism,
+};
+use depminer_fdtheory::Fd;
 use depminer_govern::snapshot::{Dec, Enc};
 use depminer_govern::SnapshotState;
 use depminer_hypergraph::{berge, Hypergraph};
 use depminer_relation::invariants::{audits_enabled, enforce};
-use depminer_relation::state::{
-    all_within, check_fit, db_fingerprint, put_attrset, put_family, take_attrset, take_family,
-};
+use depminer_relation::state::{all_within, check_fit, db_fingerprint, put_family, take_family};
 use depminer_relation::{AttrSet, Relation, StrippedPartitionDb};
 use std::time::{Duration, Instant};
 
@@ -61,10 +62,12 @@ pub struct FdepCheckpoint {
     pub negative: Vec<Vec<AttrSet>>,
     /// How many rhs attributes (0..`completed_attrs`) are fully inverted.
     pub completed_attrs: usize,
-    /// FDs emitted by the completed inversions, before sorting.
+    /// FDs emitted by the completed inversions, in (rhs, lhs) order.
     pub fds: Vec<Fd>,
     /// Tuple-pair couples the interrupted run charged.
     pub couples: u64,
+    /// Berge candidates the interrupted run charged.
+    pub candidates: u64,
 }
 
 impl FdepCheckpoint {
@@ -73,12 +76,9 @@ impl FdepCheckpoint {
         let mut e = Enc::new();
         put_family(&mut e, &self.negative);
         e.put_usize(self.completed_attrs);
-        e.put_usize(self.fds.len());
-        for f in &self.fds {
-            put_attrset(&mut e, f.lhs);
-            e.put_usize(f.rhs);
-        }
+        put_fds(&mut e, &self.fds);
         e.put_u64(self.couples);
+        e.put_u64(self.candidates);
         e.into_bytes()
     }
 
@@ -87,19 +87,16 @@ impl FdepCheckpoint {
         let mut d = Dec::new(bytes);
         let negative = take_family(&mut d)?;
         let completed_attrs = d.take_usize()?;
-        let n = d.take_usize()?;
-        let mut fds = Vec::new();
-        for _ in 0..n {
-            let lhs = take_attrset(&mut d)?;
-            fds.push(Fd::new(lhs, d.take_usize()?));
-        }
+        let fds = take_fds(&mut d)?;
         let couples = d.take_u64()?;
+        let candidates = d.take_u64()?;
         d.finish()?;
         Ok(FdepCheckpoint {
             negative,
             completed_attrs,
             fds,
             couples,
+            candidates,
         })
     }
 
@@ -107,21 +104,24 @@ impl FdepCheckpoint {
     pub fn spend(&self) -> SnapshotState {
         SnapshotState {
             couples: self.couples,
-            candidates: 0,
+            candidates: self.candidates,
         }
     }
 
     /// Refuses a payload that does not fit a relation of `arity`
     /// attributes: the negative cover must hold one list per attribute,
-    /// the inverted prefix must not run past them, and every set must
-    /// lie within the relation.
+    /// the inverted prefix must not run past them, every set must lie
+    /// within the relation, and the FD prefix must be strictly ascending
+    /// by (rhs, lhs) with every rhs inverted, since the resumed run
+    /// appends to it without sorting.
     pub fn check_fits(&self, arity: usize) -> Result<(), SnapshotError> {
         let sets = self.negative.iter().flatten().copied();
         check_fit(
             self.negative.len() == arity
                 && self.completed_attrs <= arity
                 && all_within(arity, sets.chain(self.fds.iter().map(|fd| fd.lhs)))
-                && self.fds.iter().all(|fd| fd.rhs < arity),
+                && self.fds.iter().all(|fd| fd.rhs < self.completed_attrs)
+                && in_output_order(&self.fds),
             FDEP_ALGO,
             arity,
         )
@@ -305,6 +305,7 @@ impl Fdep {
                         completed_attrs: a,
                         fds: fds.clone(),
                         couples: token.couples(),
+                        candidates: token.candidates(),
                     };
                     cp.into_snapshot(hash)
                 });
@@ -329,15 +330,11 @@ impl Fdep {
                 enforce(h.audit_transversals(&lhs));
             }
             // Algorithm 6's `X ≠ {A}` guard: A lies in every edge, so {A}
-            // is the one minimal transversal that holds A.
-            let trivial = AttrSet::singleton(a);
-            fds.extend(
-                lhs.into_iter()
-                    .filter(|&x| x != trivial)
-                    .map(|x| Fd::new(x, a)),
-            );
+            // is the one minimal transversal that holds A. Berge's output
+            // is sorted, and rhs goes up, so `fds` stays in (rhs, lhs)
+            // order.
+            fd_output_rhs(&mut fds, a, &lhs);
         }
-        normalize_fds(&mut fds);
         token
             .observer()
             .add(depminer_govern::Counter::FdEmissions, fds.len() as u64);

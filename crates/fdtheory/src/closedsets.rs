@@ -12,6 +12,7 @@
 //! not production paths.
 
 use crate::closure::closure;
+use crate::design::max_union;
 use crate::fd::Fd;
 use depminer_relation::{retain_maximal, AttrSet, Relation};
 
@@ -42,12 +43,10 @@ pub fn max_sets_for(fds: &[Fd], n_attrs: usize, a: usize) -> Vec<AttrSet> {
 
 /// `MAX(F) = ⋃_A max(F, A)`, sorted and deduplicated.
 pub fn max_sets(fds: &[Fd], n_attrs: usize) -> Vec<AttrSet> {
-    let mut out: Vec<AttrSet> = (0..n_attrs)
-        .flat_map(|a| max_sets_for(fds, n_attrs, a))
+    let per_attr: Vec<Vec<AttrSet>> = (0..n_attrs)
+        .map(|a| max_sets_for(fds, n_attrs, a))
         .collect();
-    out.sort();
-    out.dedup();
-    out
+    max_union(&per_attr)
 }
 
 /// `GEN(F)`: the meet-irreducible closed sets. Equal to [`max_sets`] by the

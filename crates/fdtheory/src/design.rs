@@ -10,12 +10,17 @@
 //!    closure tests);
 //! 2. `cmax(F, A) = Tr(lhs(F, A))` (nihilpotence, §5.1), complement to get
 //!    `max(F, A)`;
-//! 3. one tuple per element of `{R} ∪ MAX(F)` (the \[BDFS84\] construction).
+//! 3. one tuple per element of `{R} ∪ MAX(F)` (the \[BDFS84\] construction,
+//!    `depminer_core::armstrong_for_fds`).
+//!
+//! Step 2 is [`max_sets_from_lhs`] and the union `MAX(F)` is [`max_union`].
+//! TANE's §5.1 extension runs both on mined lhs families, and Dep-Miner's
+//! `MaxSets::max_union` runs the union.
 
 use crate::closure::closure;
 use crate::fd::Fd;
 use depminer_hypergraph::Hypergraph;
-use depminer_relation::{AttrSet, Relation, Schema, Value};
+use depminer_relation::AttrSet;
 
 /// All minimal lhs sets for attribute `a` w.r.t. `F`:
 /// `lhs(F, a) = Min⊆ {X ⊆ R | a ∈ X⁺_F}`.
@@ -51,15 +56,24 @@ pub fn minimal_lhs_for(f: &[Fd], n_attrs: usize, a: usize) -> Vec<AttrSet> {
 /// [`crate::closedsets::max_sets_for`] (asserted in tests) but runs off the
 /// transversal machinery instead of the closed-set lattice.
 pub fn max_sets_via_transversals(f: &[Fd], n_attrs: usize) -> Vec<Vec<AttrSet>> {
-    let full = AttrSet::full(n_attrs);
-    (0..n_attrs)
-        .map(|a| {
-            let lhs = minimal_lhs_for(f, n_attrs, a);
-            if lhs == [AttrSet::empty()] {
-                return Vec::new(); // ∅ → a: nothing fails to determine a
+    let families = (0..n_attrs)
+        .map(|a| minimal_lhs_for(f, n_attrs, a))
+        .collect();
+    max_sets_from_lhs(families, n_attrs)
+}
+
+/// `max(F, A)` per attribute from the lhs families `lhs(F, A)` (trivial
+/// entry included): `cmax(F, A) = Tr(lhs(F, A))` by nihilpotence (§5.1),
+/// complemented and sorted. A family `{∅}` (`∅ → A`) yields no maximal set.
+pub fn max_sets_from_lhs(families: Vec<Vec<AttrSet>>, arity: usize) -> Vec<Vec<AttrSet>> {
+    let full = AttrSet::full(arity);
+    families
+        .into_iter()
+        .map(|family| {
+            if family == [AttrSet::empty()] {
+                return Vec::new(); // ∅ → A: nothing fails to determine A
             }
-            let h = Hypergraph::new(n_attrs, lhs);
-            let mut max: Vec<AttrSet> = h
+            let mut max: Vec<AttrSet> = Hypergraph::new(arity, family)
                 .min_transversals_levelwise()
                 .into_iter()
                 .map(|t| full.difference(t))
@@ -70,46 +84,19 @@ pub fn max_sets_via_transversals(f: &[Fd], n_attrs: usize) -> Vec<Vec<AttrSet>> 
         .collect()
 }
 
-/// Builds an Armstrong relation for `F` over a schema of `n_attrs`
-/// synthetic attributes: `|MAX(F)| + 1` tuples satisfying *exactly* the
-/// dependencies implied by `F`.
-pub fn armstrong_for_fds(f: &[Fd], n_attrs: usize) -> Relation {
-    let schema = Schema::synthetic(n_attrs).expect("valid synthetic schema");
-    armstrong_for_fds_with_schema(f, &schema)
-}
-
-/// As [`armstrong_for_fds`], over a caller-provided schema.
-pub fn armstrong_for_fds_with_schema(f: &[Fd], schema: &Schema) -> Relation {
-    let n = schema.arity();
-    let mut max_union: Vec<AttrSet> = max_sets_via_transversals(f, n)
-        .into_iter()
-        .flatten()
-        .collect();
-    max_union.sort_unstable();
-    max_union.dedup();
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(max_union.len() + 1);
-    rows.push(vec![Value::Int(0); n]);
-    for (i, &x) in max_union.iter().enumerate() {
-        rows.push(
-            (0..n)
-                .map(|a| {
-                    if x.contains(a) {
-                        Value::Int(0)
-                    } else {
-                        Value::Int(i as i64 + 1)
-                    }
-                })
-                .collect(),
-        );
-    }
-    Relation::from_rows(schema.clone(), rows).expect("rows match schema arity")
+/// `MAX = ⋃_A max(A)`, sorted and deduplicated: the input of the
+/// \[BDFS84\] Armstrong construction (§4).
+pub fn max_union(max: &[Vec<AttrSet>]) -> Vec<AttrSet> {
+    let mut out: Vec<AttrSet> = max.iter().flatten().copied().collect();
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closedsets::{is_armstrong_for, max_sets_for};
-    use crate::mine::mine_minimal_fds;
+    use crate::closedsets::max_sets_for;
 
     fn s(v: &[usize]) -> AttrSet {
         AttrSet::from_indices(v.iter().copied())
@@ -148,60 +135,6 @@ mod tests {
             for (a, got) in via_tr.iter().enumerate() {
                 assert_eq!(got, &max_sets_for(&f, 4, a), "F = {f:?}, attr {a}");
             }
-        }
-    }
-
-    #[test]
-    fn armstrong_for_textbook_fd_set() {
-        // F = {A→B, B→C} over ABC.
-        let f = vec![fd(&[0], 1), fd(&[1], 2)];
-        let arm = armstrong_for_fds(&f, 3);
-        assert!(is_armstrong_for(&arm, &f));
-        // Re-mining the example yields a cover equivalent to F.
-        let mined = mine_minimal_fds(&arm);
-        assert!(crate::cover::equivalent(&mined, &f));
-    }
-
-    #[test]
-    fn armstrong_for_empty_fd_set() {
-        // F = ∅ over 3 attributes: MAX = {R \ {A}}, size 4 example, no FDs.
-        let arm = armstrong_for_fds(&[], 3);
-        assert_eq!(arm.len(), 4);
-        assert!(mine_minimal_fds(&arm).is_empty());
-        assert!(is_armstrong_for(&arm, &[]));
-    }
-
-    #[test]
-    fn armstrong_for_key_fd_set() {
-        // F = {A→B, A→C}: A is a key.
-        let f = vec![fd(&[0], 1), fd(&[0], 2)];
-        let arm = armstrong_for_fds(&f, 3);
-        assert!(is_armstrong_for(&arm, &f));
-        assert!(arm.satisfies(s(&[0]), 1));
-        assert!(arm.satisfies(s(&[0]), 2));
-        assert!(!arm.satisfies(s(&[1]), 0));
-    }
-
-    #[test]
-    fn random_fd_sets_produce_verified_examples() {
-        use depminer_relation::Prng;
-        let mut rng = Prng::seed_from_u64(77);
-        for trial in 0..30 {
-            let n = rng.gen_range(2..=4usize);
-            let n_fds = rng.gen_range(0..=4usize);
-            let f: Vec<Fd> = (0..n_fds)
-                .map(|_| {
-                    Fd::new(
-                        AttrSet::from_bits(rng.gen_range(0u32..(1 << n)) as u128),
-                        rng.gen_range(0..n),
-                    )
-                })
-                .collect();
-            let arm = armstrong_for_fds(&f, n);
-            assert!(
-                is_armstrong_for(&arm, &f),
-                "trial {trial}: example not Armstrong for {f:?}"
-            );
         }
     }
 }

@@ -11,9 +11,14 @@
 //! * [`keys`] — candidate-key enumeration (Lucchesi–Osborn);
 //! * [`closedsets`] — `CL(F)`, `GEN(F)`, `MAX(F)` and the \[BDFS84\]
 //!   Armstrong-relation criterion `GEN(F) ⊆ ag(r) ⊆ CL(F)`;
+//! * [`design`] — `lhs(F, A)`, the one `Tr(lhs) → max` step
+//!   ([`max_sets_from_lhs`]) and the one union `MAX` ([`max_union`]); the
+//!   \[BDFS84\] rows built from them are `depminer_core::armstrong_for_fds`;
+//! * [`fdfile`] — the plain-text FD-file format the CLI reads and writes;
 //! * [`mine`] — a brute-force minimal-FD miner used as a test oracle;
 //! * [`normalize`] — BCNF decomposition and 3NF synthesis, the schema
-//!   reorganization step the paper's introduction motivates.
+//!   reorganization step the paper's introduction motivates;
+//! * [`proofs`] — derivations under Armstrong's axioms.
 
 #![warn(missing_docs)]
 
@@ -33,7 +38,7 @@ pub use closedsets::{
 };
 pub use closure::{closure, closure_naive, implies, is_closed};
 pub use cover::{canonical_cover, covers, equivalent};
-pub use design::{armstrong_for_fds, max_sets_via_transversals, minimal_lhs_for};
+pub use design::{max_sets_from_lhs, max_sets_via_transversals, max_union, minimal_lhs_for};
 pub use fd::{normalize_fds, Fd};
 pub use keys::{candidate_keys, is_superkey, minimize_key, prime_attributes};
 pub use mine::mine_minimal_fds;

@@ -11,51 +11,22 @@
 //! for why Dep-Miner's combined pipeline is cheaper; the `micro` bench
 //! quantifies it.
 
-use crate::exact::{lhs_families_from_fds, TaneResult};
-use depminer_core::{real_world_armstrong, synthetic_armstrong};
-use depminer_fdtheory::Fd;
-use depminer_hypergraph::Hypergraph;
+use crate::exact::TaneResult;
+use depminer_core::{lhs_families_from_fds, real_world_armstrong, synthetic_armstrong};
+use depminer_fdtheory::{max_sets_from_lhs, max_union, Fd};
 use depminer_relation::{AttrSet, Relation, RelationError};
 
 /// Reconstructs `max(dep(r), A)` per attribute from minimal FDs via
 /// `cmax = Tr(lhs)`.
 pub fn max_sets_from_fds(fds: &[Fd], arity: usize) -> Vec<Vec<AttrSet>> {
-    let full = AttrSet::full(arity);
-    lhs_families_from_fds(fds, arity)
-        .into_iter()
-        .map(|family| {
-            if family == [AttrSet::empty()] {
-                // ∅ → A: nothing fails to determine A; max(dep, A) = ∅.
-                return Vec::new();
-            }
-            let h = Hypergraph::new(arity, family);
-            let mut max: Vec<AttrSet> = h
-                .min_transversals_levelwise()
-                .into_iter()
-                .map(|t| full.difference(t))
-                .collect();
-            max.sort_unstable();
-            max
-        })
-        .collect()
-}
-
-/// `MAX(dep(r))` reconstructed from minimal FDs, sorted and deduplicated.
-pub fn max_union_from_fds(fds: &[Fd], arity: usize) -> Vec<AttrSet> {
-    let mut out: Vec<AttrSet> = max_sets_from_fds(fds, arity)
-        .into_iter()
-        .flatten()
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
+    max_sets_from_lhs(lhs_families_from_fds(fds, arity), arity)
 }
 
 impl TaneResult {
     /// `MAX(dep(r))` via the transversal round-trip (extra post-processing
     /// relative to Dep-Miner, which gets maximal sets for free).
     pub fn max_union(&self) -> Vec<AttrSet> {
-        max_union_from_fds(&self.fds, self.schema.arity())
+        max_union(&max_sets_from_fds(&self.fds, self.schema.arity()))
     }
 
     /// The classic integer Armstrong relation, via the extension.

@@ -13,6 +13,7 @@
 //! cover Dep-Miner produces, which the integration tests assert on both
 //! crafted and random relations.
 
+use depminer_core::{lhs_families_from_fds, put_fds, take_fds};
 use depminer_fdtheory::{normalize_fds, Fd};
 use depminer_govern::snapshot::{Dec, Enc};
 use depminer_govern::{
@@ -62,7 +63,8 @@ impl TaneResult {
     /// Groups the discovered FDs into per-attribute lhs families
     /// `lhs(dep(r), A)`, *including* the trivial entry (`{A}`, or `∅` when
     /// `∅ → A` holds) — the form required by the §5.1 Armstrong extension
-    /// (`cmax(dep(r), A) = Tr(lhs(dep(r), A))`).
+    /// (`cmax(dep(r), A) = Tr(lhs(dep(r), A))`); see
+    /// [`lhs_families_from_fds`].
     pub fn lhs_families(&self) -> Vec<Vec<AttrSet>> {
         lhs_families_from_fds(&self.fds, self.schema.arity())
     }
@@ -109,11 +111,7 @@ impl TaneCheckpoint {
             put_attrset(&mut e, x);
             put_attrset(&mut e, c);
         }
-        e.put_usize(self.fds.len());
-        for fd in &self.fds {
-            put_attrset(&mut e, fd.lhs);
-            e.put_usize(fd.rhs);
-        }
+        put_fds(&mut e, &self.fds);
         e.put_u64(self.candidates);
         e.put_u64(self.products);
         e.into_bytes()
@@ -136,12 +134,7 @@ impl TaneCheckpoint {
             let x = take_attrset(&mut d)?;
             cplus.push((x, take_attrset(&mut d)?));
         }
-        let n = d.take_usize()?;
-        let mut fds = Vec::new();
-        for _ in 0..n {
-            let lhs = take_attrset(&mut d)?;
-            fds.push(Fd::new(lhs, d.take_usize()?));
-        }
+        let fds = take_fds(&mut d)?;
         let candidates = d.take_u64()?;
         let products = d.take_u64()?;
         d.finish()?;
@@ -188,22 +181,6 @@ impl TaneCheckpoint {
             arity,
         )
     }
-}
-
-/// See [`TaneResult::lhs_families`]; split out for reuse by the extension.
-pub fn lhs_families_from_fds(fds: &[Fd], arity: usize) -> Vec<Vec<AttrSet>> {
-    let mut fams: Vec<Vec<AttrSet>> = vec![Vec::new(); arity];
-    for f in fds {
-        fams[f.rhs].push(f.lhs);
-    }
-    for (a, fam) in fams.iter_mut().enumerate() {
-        // `{A}` is a minimal lhs unless ∅ → A holds (∅ ⊂ {A}).
-        if !fam.contains(&AttrSet::empty()) {
-            fam.push(AttrSet::singleton(a));
-        }
-        fam.sort_unstable();
-    }
-    fams
 }
 
 /// The exact TANE miner.

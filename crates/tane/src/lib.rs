@@ -38,10 +38,10 @@ pub use approx::{
     approx_config_bytes, approximate_fds, approximate_fds_brute, approximate_fds_governed,
     epsilon_from_config_bytes, g3_error, g3_error_of, ApproxCheckpoint, ApproxFd, TANE_APPROX_ALGO,
 };
-pub use armstrong_ext::{max_sets_from_fds, max_union_from_fds};
+pub use armstrong_ext::max_sets_from_fds;
 pub use depminer_govern::{
     Budget, BudgetExceeded, CancelToken, MiningOutcome, Obs, Snapshot, SnapshotError,
     SnapshotPolicy, StageReport,
 };
 pub use depminer_parallel::Parallelism;
-pub use exact::{lhs_families_from_fds, Tane, TaneCheckpoint, TaneResult, TaneStats, TANE_ALGO};
+pub use exact::{Tane, TaneCheckpoint, TaneResult, TaneStats, TANE_ALGO};

@@ -26,8 +26,7 @@
 //! `raw-snapshot-write` only to the snapshot codec. Any remaining
 //! finding can be suppressed with a `// lint: allow(<rule>)` comment on
 //! the same line or the line above (with a neighbouring comment saying
-//! why), or — for adopting the tool on a tree with known findings — an
-//! entry in the checked-in `xtask-baseline.txt`.
+//! why); there is no other suppression mechanism.
 //!
 //! The line rules match identifier-bounded tokens against per-line
 //! code/comment views scrubbed from the exact token stream; the flow
@@ -38,6 +37,7 @@
 use crate::lexer;
 use crate::modmap::{in_zone, Zone};
 use crate::rules;
+use depminer_observe::json::escape;
 use std::fmt;
 
 /// Every lint rule's machine name, in reporting order.
@@ -82,32 +82,13 @@ impl Diagnostic {
     /// Serializes the diagnostic as one JSON object.
     pub fn to_json(&self) -> String {
         format!(
-            r#"{{"path":{},"line":{},"rule":{},"message":{}}}"#,
-            json_string(&self.path),
+            r#"{{"path":"{}","line":{},"rule":"{}","message":"{}"}}"#,
+            escape(&self.path),
             self.line,
-            json_string(self.rule),
-            json_string(&self.message)
+            escape(self.rule),
+            escape(&self.message)
         )
     }
-}
-
-/// JSON string literal with the escapes the spec requires.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// One line of source after scrubbing, plus what was scrubbed away.

@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p xtask -- check [--json] [--diff BASE] [--baseline FILE] [PATH...]
+//! cargo run -p xtask -- check [--json] [--diff BASE] [PATH...]
 //! cargo run -p xtask -- validate-profile FILE [--require a,b,c]
 //! ```
 //!
@@ -13,17 +13,14 @@
 //! spans all appear — used by `ci.sh` after the profiled smoke mine.
 //!
 //! `check` runs the in-tree static-analysis pass (see `xtask::lint`)
-//! over the workspace sources and exits non-zero if any diagnostic
-//! survives the baseline. Modes:
+//! over the workspace sources and exits non-zero on any diagnostic; a
+//! `// lint: allow(<rule>)` comment is the one way to suppress one.
+//! Modes:
 //!
 //! * `--json` — machine-readable JSON array (shape is stable:
 //!   `{"path":…,"line":…,"rule":…,"message":…}` per finding).
 //! * `--diff BASE` — lint only the `.rs` files changed since the git
 //!   revision `BASE` (`git diff --name-only BASE`), for fast local runs.
-//! * `--baseline FILE` — suppression list of known findings, one
-//!   `<rule> <path>` pair per line (`#` comments allowed). Defaults to
-//!   `xtask-baseline.txt` at the workspace root when present. Suppressed
-//!   findings are reported as a count, never as failures.
 //! * `PATH...` — restrict the scan to the given files/directories.
 
 use std::path::{Path, PathBuf};
@@ -36,9 +33,7 @@ fn main() -> ExitCode {
         Some("check") => {}
         Some("validate-profile") => return validate_profile(args),
         Some("--help") | Some("-h") | None => {
-            eprintln!(
-                "usage: cargo run -p xtask -- check [--json] [--diff BASE] [--baseline FILE] [PATH...]"
-            );
+            eprintln!("usage: cargo run -p xtask -- check [--json] [--diff BASE] [PATH...]");
             eprintln!("       cargo run -p xtask -- validate-profile FILE [--require a,b,c]");
             eprintln!("rules: {}", lint::RULES.join(", "));
             return if args.next().is_none() && std::env::args().len() == 1 {
@@ -54,7 +49,6 @@ fn main() -> ExitCode {
     }
     let mut json = false;
     let mut diff_base: Option<String> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
@@ -64,13 +58,6 @@ fn main() -> ExitCode {
                 Some(base) => diff_base = Some(base),
                 None => {
                     eprintln!("xtask: --diff requires a git revision argument");
-                    return ExitCode::from(2);
-                }
-            },
-            "--baseline" => match args.next() {
-                Some(file) => baseline_path = Some(PathBuf::from(file)),
-                None => {
-                    eprintln!("xtask: --baseline requires a file argument");
                     return ExitCode::from(2);
                 }
             },
@@ -107,15 +94,6 @@ fn main() -> ExitCode {
         paths.push(root.clone());
     }
 
-    // Baseline: explicit file, or the checked-in default when present.
-    let baseline = match load_baseline(&root, baseline_path.as_deref()) {
-        Ok(b) => b,
-        Err(msg) => {
-            eprintln!("xtask: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-
     let mut files: Vec<PathBuf> = Vec::new();
     for p in &paths {
         collect_rust_files(p, &mut files);
@@ -124,7 +102,6 @@ fn main() -> ExitCode {
     files.dedup();
 
     let mut diags: Vec<Diagnostic> = Vec::new();
-    let mut suppressed = 0usize;
     let mut read_errors = 0usize;
     for file in &files {
         let rel = file
@@ -133,15 +110,7 @@ fn main() -> ExitCode {
             .to_string_lossy()
             .replace('\\', "/");
         match std::fs::read_to_string(file) {
-            Ok(source) => {
-                for d in lint::lint_file(&rel, &source) {
-                    if baseline.iter().any(|(r, p)| *r == d.rule && *p == d.path) {
-                        suppressed += 1;
-                    } else {
-                        diags.push(d);
-                    }
-                }
-            }
+            Ok(source) => diags.extend(lint::lint_file(&rel, &source)),
             Err(e) => {
                 eprintln!("xtask: cannot read {rel}: {e}");
                 read_errors += 1;
@@ -156,16 +125,11 @@ fn main() -> ExitCode {
         for d in &diags {
             println!("{d}");
         }
-        let base = if suppressed > 0 {
-            format!(" ({suppressed} baselined)")
-        } else {
-            String::new()
-        };
         if diags.is_empty() {
-            println!("xtask check: {} files, clean{base}", files.len());
+            println!("xtask check: {} files, clean", files.len());
         } else {
             println!(
-                "xtask check: {} files, {} diagnostic(s){base}",
+                "xtask check: {} files, {} diagnostic(s)",
                 files.len(),
                 diags.len()
             );
@@ -262,41 +226,6 @@ fn changed_files(root: &Path, base: &str) -> Result<Vec<PathBuf>, String> {
         .map(|n| root.join(n))
         .filter(|p| p.is_file())
         .collect())
-}
-
-/// Parses the baseline suppression file: `<rule> <path>` per line, `#`
-/// starts a comment. An explicitly-passed file must exist; the default
-/// `xtask-baseline.txt` is optional.
-fn load_baseline(root: &Path, explicit: Option<&Path>) -> Result<Vec<(String, String)>, String> {
-    let (path, required) = match explicit {
-        Some(p) => (p.to_path_buf(), true),
-        None => (root.join("xtask-baseline.txt"), false),
-    };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if required => return Err(format!("cannot read baseline {}: {e}", path.display())),
-        Err(_) => return Ok(Vec::new()),
-    };
-    let mut out = Vec::new();
-    for (n, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        match line.split_once(char::is_whitespace) {
-            Some((rule, path)) if lint::RULES.contains(&rule.trim()) => {
-                out.push((rule.trim().to_string(), path.trim().to_string()));
-            }
-            _ => {
-                return Err(format!(
-                    "baseline {}:{}: expected `<rule> <path>`, got `{line}`",
-                    path.display(),
-                    n + 1
-                ))
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// The workspace root: walk up from the manifest dir (or cwd) to the

@@ -9,7 +9,8 @@
 //!
 //! Run with: `cargo run --release --example design_by_example`
 
-use depminer::fdtheory::{derive, design, mine_minimal_fds, Fd};
+use depminer::depminer::armstrong_for_fds_with_schema;
+use depminer::fdtheory::{derive, mine_minimal_fds, Fd};
 use depminer::prelude::*;
 use depminer::relation::Schema;
 
@@ -28,7 +29,7 @@ fn main() {
     }
 
     // The Armstrong example.
-    let example = design::armstrong_for_fds_with_schema(&fds, &schema);
+    let example = armstrong_for_fds_with_schema(&fds, &schema);
     println!("\nArmstrong example ({} tuples):\n{example}", example.len());
 
     // It satisfies exactly the consequences of the specification: mining it

@@ -38,10 +38,11 @@
 //! block-buffered stdout, which it flushes before every exit.
 
 use depminer_core::{
-    agree_sets, candidate_keys_from_agree_sets, AgreeSetStrategy, DepMiner, TransversalEngine,
+    agree_sets, armstrong_for_fds_with_schema, candidate_keys_from_agree_sets, AgreeSetStrategy,
+    DepMiner, TransversalEngine,
 };
 use depminer_engine::{ApproxMiner, Emitted, MinerRegistry, Session, SessionCtx};
-use depminer_fdtheory::{candidate_keys, canonical_cover, is_bcnf, synthesize_3nf};
+use depminer_fdtheory::{candidate_keys, canonical_cover, fdfile, is_bcnf, synthesize_3nf, Fd};
 use depminer_govern::observe::jsonl::JsonlSink;
 use depminer_govern::observe::profile::ProfileSink;
 use depminer_govern::observe::{Fanout, Obs, Observer};
@@ -49,7 +50,7 @@ use depminer_govern::snapshot::read_snapshot;
 use depminer_govern::{
     Budget, BudgetExceeded, MiningOutcome, Snapshot, SnapshotError, SnapshotPolicy,
 };
-use depminer_relation::{csv, Relation, StrippedPartitionDb, SyntheticConfig};
+use depminer_relation::{csv, Relation, Schema, StrippedPartitionDb, SyntheticConfig};
 use std::fmt;
 use std::io::Write;
 use std::sync::Arc;
@@ -322,7 +323,7 @@ fn emit_outcome(
         return Err(err);
     }
     if let (Some(path), Some(fds)) = (save, outcome.result.exact_fds()) {
-        let text = depminer_fdtheory::fdfile::render(r.schema(), fds);
+        let text = fdfile::render(r.schema(), fds);
         std::fs::write(path, text).map_err(|e| run_err(format!("cannot write {path}: {e}")))?;
         writeln!(out, "# saved FD file to {path}").map_err(io)?;
     }
@@ -885,50 +886,17 @@ fn cmd_report(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses the FD file format: an `attributes:` header then `X -> A` lines.
-fn parse_fd_file(
-    path: &str,
-) -> Result<(depminer_relation::Schema, Vec<depminer_fdtheory::Fd>), CliError> {
+/// Reads an FD file in the [`fdfile`] format.
+fn read_fd_file(path: &str) -> Result<(Schema, Vec<Fd>), CliError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| run_err(format!("cannot read {path}: {e}")))?;
-    parse_fd_text(&text).map_err(|m| run_err(format!("{path}: {m}")))
-}
-
-fn parse_fd_text(
-    text: &str,
-) -> Result<(depminer_relation::Schema, Vec<depminer_fdtheory::Fd>), String> {
-    let mut lines = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'));
-    let header = lines.next().ok_or("empty FD file")?;
-    let names = header
-        .strip_prefix("attributes:")
-        .ok_or("first line must be `attributes: <name> <name> …`")?;
-    let schema =
-        depminer_relation::Schema::new(names.split_whitespace()).map_err(|e| e.to_string())?;
-    let mut fds = Vec::new();
-    for line in lines {
-        let (lhs_txt, rhs_txt) = line
-            .split_once("->")
-            .ok_or_else(|| format!("missing `->` in {line:?}"))?;
-        let lhs = schema
-            .attr_set(lhs_txt.split_whitespace())
-            .map_err(|e| e.to_string())?;
-        for rhs_name in rhs_txt.split_whitespace() {
-            let rhs = schema
-                .index_of(rhs_name)
-                .ok_or_else(|| format!("unknown attribute {rhs_name:?}"))?;
-            fds.push(depminer_fdtheory::Fd::new(lhs, rhs));
-        }
-    }
-    Ok((schema, fds))
+    fdfile::parse(&text).map_err(|m| run_err(format!("{path}: {m}")))
 }
 
 fn cmd_design(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let io = |e: std::io::Error| run_err(format!("write failed: {e}"));
-    let (schema, fds) = parse_fd_file(args.single_file()?)?;
-    let arm = depminer_fdtheory::design::armstrong_for_fds_with_schema(&fds, &schema);
+    let (schema, fds) = read_fd_file(args.single_file()?)?;
+    let arm = armstrong_for_fds_with_schema(&fds, &schema);
     writeln!(
         out,
         "# Armstrong relation for {} FD(s): {} tuples satisfying exactly their consequences",
@@ -952,7 +920,7 @@ fn cmd_prove(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let goal_txt = args
         .get("goal")
         .ok_or_else(|| usage_err("prove requires --goal \"X -> Y\""))?;
-    let (schema, fds) = parse_fd_file(args.single_file()?)?;
+    let (schema, fds) = read_fd_file(args.single_file()?)?;
     let (lhs_txt, rhs_txt) = goal_txt
         .split_once("->")
         .ok_or_else(|| usage_err("goal must have the form \"X -> Y\""))?;
@@ -977,7 +945,7 @@ fn cmd_prove(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             // Show the counterexample relation: an Armstrong relation for F
             // violates every non-implied FD.
             writeln!(out, "# counterexample (Armstrong relation for F):").map_err(io)?;
-            let arm = depminer_fdtheory::design::armstrong_for_fds_with_schema(&fds, &schema);
+            let arm = armstrong_for_fds_with_schema(&fds, &schema);
             write!(out, "{arm}").map_err(io)?;
         }
     }
@@ -1240,6 +1208,9 @@ zip -> city
         assert_eq!(run_cli(&["design", &bad2]).unwrap_err().code, 1);
         let bad3 = tmp_csv("bad3.txt", "attributes: a b\na b\n");
         assert_eq!(run_cli(&["design", &bad3]).unwrap_err().code, 1);
+        // An FD line with no right-hand side is an error, not a dropped line.
+        let bad4 = tmp_csv("bad4.txt", "attributes: a b c\na ->\nb -> c\n");
+        assert_eq!(run_cli(&["design", &bad4]).unwrap_err().code, 1);
     }
 
     #[test]

@@ -18,12 +18,16 @@
 
 use depminer::depminer::agree::agree_sets_naive;
 use depminer::depminer::maxset::{cmax_sets, MaxSets};
-use depminer::depminer::{DepMiner, DepMinerCheckpoint, DEPMINER_ALGO};
+use depminer::depminer::{
+    left_hand_sides, DepMiner, DepMinerCheckpoint, TransversalEngine, DEPMINER_ALGO,
+};
 use depminer::engine::{ApproxMiner, Emitted, Miner, MinerRegistry, Session, SessionCtx};
-use depminer::fdep::{Fdep, FdepCheckpoint};
+use depminer::fdep::{Fdep, FdepCheckpoint, FDEP_ALGO};
 use depminer::fdtheory::{mine_minimal_fds, Fd};
 use depminer::govern::snapshot::{crc32, read_snapshot, Snapshot};
-use depminer::govern::{Budget, CancelToken, MiningOutcome, Obs, SnapshotError, SnapshotPolicy};
+use depminer::govern::{
+    Budget, CancelToken, MiningOutcome, Obs, Resource, SnapshotError, SnapshotPolicy, Stage,
+};
 use depminer::relation::state::db_fingerprint;
 use depminer::relation::{datasets, AttrSet, Prng, Relation, StrippedPartitionDb, SyntheticConfig};
 use depminer::tane::{
@@ -272,6 +276,7 @@ fn tane_and_approx_checkpoints_round_trip_for_seeded_states() {
             completed_attrs: rng.gen_range(0..arity as u64) as usize,
             fds: fds(&mut rng),
             couples: rng.next_u64(),
+            candidates: rng.next_u64(),
         };
         let back = FdepCheckpoint::decode_payload(&cp.encode_payload()).expect("fdep round trip");
         assert_eq!(back, cp, "fdep iteration {i}");
@@ -393,6 +398,40 @@ fn tane_chained_resumes_reach_the_exact_baseline() {
 }
 
 #[test]
+fn fdep_resume_under_the_same_candidate_cap_trips_again() {
+    let r = workload();
+    let db = StrippedPartitionDb::from_relation(&r);
+    let fdep = Fdep::new();
+    let dir = tmp_dir("fdep_cap");
+    let path = dir.join(format!("{FDEP_ALGO}.snap"));
+    // Three quarters of what an uninterrupted run charges trips late in
+    // the inversion, after several rhs attributes are inverted.
+    let token = Budget::unlimited().start();
+    assert!(fdep.run_db_governed(&db, &token, None).is_complete());
+    let cap = token.candidates() * 3 / 4;
+
+    let policy = SnapshotPolicy::new(&dir).every_boundaries(1);
+    let token = Budget::unlimited()
+        .with_max_candidates(cap)
+        .start_with_snapshots(policy);
+    let first = fdep.run_db_governed(&db, &token, None);
+    let why = first.interrupted.expect("the cap must trip");
+    assert_eq!(why.resource, Resource::Candidates);
+    assert_eq!(why.stage, Some(Stage::FdepInversion));
+
+    // The frame carries the candidates charged before the interrupted rhs,
+    // so the resume re-inverts that rhs against the same cap and trips
+    // again; a frame that forgot its spend would let it finish.
+    let snap = read_snapshot(&path).unwrap();
+    let budget = Budget::unlimited().with_max_candidates(cap);
+    let out = resume(&r, &fdep, &snap, budget, None).expect("pristine snapshot resumes");
+    let why = out
+        .interrupted
+        .expect("carried spend counts against the cap");
+    assert_eq!(why.resource, Resource::Candidates);
+}
+
+#[test]
 fn approx_resume_completes_to_the_exact_baseline() {
     let r = workload();
     let db = StrippedPartitionDb::from_relation(&r);
@@ -494,7 +533,27 @@ fn mismatched_frames_are_refused_before_any_mining() {
         completed_attrs: 0,
         fds: Vec::new(),
         couples: 0,
+        candidates: 0,
     };
+    misfit(&Fdep::new(), cp.encode_payload());
+    // FDEP: an FD prefix out of (rhs, lhs) order, which the resumed run
+    // would append to unsorted.
+    let mut fds = Fdep::new().run(&r).fds;
+    fds.reverse();
+    let cp = FdepCheckpoint {
+        negative: vec![Vec::new(); arity],
+        completed_attrs: arity,
+        fds,
+        ..cp
+    };
+    misfit(&Fdep::new(), cp.encode_payload());
+    // FDEP: an ordered FD prefix naming an rhs it has not inverted yet.
+    let cp = FdepCheckpoint {
+        completed_attrs: 1,
+        fds: Fdep::new().run(&r).fds,
+        ..cp
+    };
+    assert!(cp.fds.iter().any(|fd| fd.rhs >= 1));
     misfit(&Fdep::new(), cp.encode_payload());
     // Dep-Miner: max sets of a 3-attribute relation.
     let cp = DepMinerCheckpoint {
@@ -505,6 +564,25 @@ fn mismatched_frames_are_refused_before_any_mining() {
             arity: 3,
         }),
         families: Vec::new(),
+        couples: 0,
+        candidates: 0,
+    };
+    misfit(&DepMiner::algorithm_2(None), cp.encode_payload());
+    // Dep-Miner: a restored lhs family out of order, which `fd_output`
+    // would emit as it stands.
+    let ag = agree_sets_naive(&r);
+    let ms = cmax_sets(&ag);
+    let mut families: Vec<Option<Vec<AttrSet>>> =
+        left_hand_sides(&ms, TransversalEngine::Levelwise)
+            .into_iter()
+            .map(Some)
+            .collect();
+    let wide = families.iter_mut().flatten().find(|f| f.len() > 1).unwrap();
+    wide.reverse();
+    let cp = DepMinerCheckpoint {
+        agree: Some(ag),
+        max: Some(ms),
+        families,
         couples: 0,
         candidates: 0,
     };
