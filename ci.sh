@@ -54,7 +54,9 @@ echo "==> profiled smoke mine -> target/PROFILE_smoke.json"
 # MinerRegistry through one shared Session — under a profile observer,
 # and validate the exported span tree against the same invariants the
 # property tests assert: every pipeline stage of Dep-Miner, TANE and
-# FDEP must have opened a span. Two threads, not `Auto`, so the tree
+# FDEP must have opened a span (FDEP's configuration, Algorithm 3 on
+# the Berge engine, is the only one to open `agree-sets/ec` and
+# `transversals/berge`). Two threads, not `Auto`, so the tree
 # holds worker spans for the validator even on a one-core host.
 cargo run --release -q -p depminer -- generate \
     --attrs 8 --rows 400 --correlation 0.5 --seed 9 target/smoke.csv > /dev/null
@@ -65,14 +67,15 @@ if ! grep -q "algo = all" target/fds_all.txt; then
     exit 1
 fi
 cargo run -p xtask -q -- validate-profile target/PROFILE_smoke.json \
-    --require depminer,agree-sets,max-sets,transversals,tane,tane-levels,fdep,negative-cover,fdep-inversion
+    --require depminer,agree-sets,max-sets,transversals,tane,tane-levels,agree-sets/ec,transversals/berge
 
 echo "==> Algorithm 3 and FDEP smoke: fds --algo depminer2 and --algo fdep match fds --algo tane"
-# depminer2 is not `in_all`, so the run above never exercises Algorithm 3,
-# and it compares FDEP only on the 8-attribute relation. That relation's
-# transversal hypergraphs fit in one 64-bit edge-cover word; the
-# 20-attribute one's have 135–143 edges, so their covers span three
-# words, and FDEP's Berge inversion works through as many edges.
+# depminer2 is not `in_all`, so the run above never exercises Algorithm 3
+# on the levelwise engine, and it compares FDEP only on the 8-attribute
+# relation. That relation's transversal hypergraphs fit in one 64-bit
+# edge-cover word; the 20-attribute one's have 135–143 edges, so their
+# covers span three words, and FDEP's Berge inversion works through as
+# many edges.
 cargo run --release -q -p depminer -- generate \
     --attrs 20 --rows 400 --correlation 0.5 --seed 9 target/smoke20.csv > /dev/null
 for csv in target/smoke.csv target/smoke20.csv; do

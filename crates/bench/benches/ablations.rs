@@ -118,20 +118,14 @@ fn chunk_threshold(c: &mut Criterion) {
 }
 
 /// End-to-end sanity: the full pipelines the ablation pieces compose into,
-/// plus the FDEP baseline ([SF93]) the paper cites as prior work.
+/// plus the FDEP baseline ([SF93]) the paper cites as prior work, which is
+/// Dep-Miner's Algorithm 3 on the Berge engine.
 fn pipelines(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_pipelines");
     group.sample_size(10);
     let r = relation(0.3, 1_500);
     group.bench_function("depminer_alg2_levelwise", |b| {
         b.iter(|| DepMiner::algorithm_2(None).mine(&r))
-    });
-    group.bench_function("depminer_alg3_berge", |b| {
-        b.iter(|| {
-            DepMiner::algorithm_3()
-                .with_engine(TransversalEngine::Berge)
-                .mine(&r)
-        })
     });
     group.bench_function("fdep", |b| b.iter(|| depminer_fdep::Fdep::new().run(&r)));
     group.finish();

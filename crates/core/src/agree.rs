@@ -166,7 +166,7 @@ pub fn agree_sets_governed(
         }
         AgreeSetStrategy::EquivalenceClasses => {
             let _span = token.observer().span("agree-sets/ec");
-            mc_agree_sets_governed(db, par, token, Stage::AgreeSets)
+            agree_sets_ec_governed(db, par, token)
         }
     }
 }
@@ -220,32 +220,6 @@ pub fn agree_sets_naive(r: &Relation) -> AgreeSets {
         }
     }
     AgreeSets::from_raw(seen.into_iter().collect(), r.arity(), r.len(), db_constants)
-}
-
-/// Builds the class-id matrix, charges it to `token`'s memory account for
-/// the duration of `scan`, and unions the per-chunk families `scan`
-/// returns; the first trip reason wins.
-fn scan_class_ids(
-    db: &StrippedPartitionDb,
-    token: &CancelToken,
-    stage: Stage,
-    scan: impl FnOnce(&ClassIds) -> Vec<(FxHashSet<AttrSet>, Option<BudgetExceeded>)>,
-) -> (AgreeSets, Option<BudgetExceeded>) {
-    let ids = db.class_ids();
-    let bytes = ids.heap_bytes() as u64;
-    if let Err(why) = token.reserve_memory(bytes, stage) {
-        return (AgreeSets::of_db(db, FxHashSet::default()), Some(why));
-    }
-    let locals = scan(&ids);
-    token.release_memory(bytes);
-    let mut seen: FxHashSet<AttrSet> = FxHashSet::default();
-    let mut stopped: Option<BudgetExceeded> = None;
-    // set-union merge is order-insensitive; lint: allow(unordered-iter)
-    for (local, why) in locals {
-        seen.extend(local);
-        stopped = stopped.or(why);
-    }
-    (AgreeSets::of_db(db, seen), stopped)
 }
 
 /// **Algorithm 2.** Couples are generated per maximal equivalence class;
@@ -405,51 +379,63 @@ pub fn agree_sets_couples_no_mc(db: &StrippedPartitionDb, chunk_size: Option<usi
     AgreeSets::of_db(db, ag)
 }
 
-/// The agree sets of every couple drawn from a maximal class (Lemma 1),
-/// each the compare of two class-id rows (Lemma 2): Algorithm 3's scan,
-/// shared with FDEP's negative cover, which charges it to `stage`.
+/// **Algorithm 3.** The agree sets of every couple drawn from a maximal
+/// class (Lemma 1), each the compare of two class-id rows (Lemma 2).
 ///
 /// The class-id matrix is charged to the memory cap for the whole scan.
 /// Classes fan out across threads; each class's couples are counted
 /// before they are compared, and the token is polled every
 /// [`GOVERN_POLL_STRIDE`] couples. A couple lying in two maximal classes
 /// is compared twice, which only repeats a set insertion. A trip keeps
-/// the agree sets already computed, a valid subset of `ag(r)`.
-pub fn mc_agree_sets_governed(
+/// the agree sets already computed, a valid subset of `ag(r)`; the first
+/// trip reason wins.
+fn agree_sets_ec_governed(
     db: &StrippedPartitionDb,
     par: Parallelism,
     token: &CancelToken,
-    stage: Stage,
 ) -> (AgreeSets, Option<BudgetExceeded>) {
-    scan_class_ids(db, token, stage, |ids| {
-        let mc = ids.maximal_classes();
-        // Couple counts grow with the square of class size: oversubscribe
-        // so stealing evens out chunks holding the large classes.
-        par_chunks(par, &mc, chunk_len(mc.len(), par, 8), |classes| {
-            let _scan = token.observer().span("agree-sets/scan");
-            let mut local: FxHashSet<AttrSet> = FxHashSet::default();
-            let mut until_poll = GOVERN_POLL_STRIDE;
-            for class in classes {
-                let pairs = (class.len() * (class.len() - 1) / 2) as u64;
-                if let Err(why) = token.add_couples(pairs, stage) {
-                    return (local, Some(why));
-                }
-                for (k, &t) in class.iter().enumerate() {
-                    for &u in &class[k + 1..] {
-                        until_poll -= 1;
-                        if until_poll == 0 {
-                            until_poll = GOVERN_POLL_STRIDE;
-                            if let Err(why) = token.check(stage) {
-                                return (local, Some(why));
-                            }
+    let stage = Stage::AgreeSets;
+    let ids: ClassIds = db.class_ids();
+    let bytes = ids.heap_bytes() as u64;
+    if let Err(why) = token.reserve_memory(bytes, stage) {
+        return (AgreeSets::of_db(db, FxHashSet::default()), Some(why));
+    }
+    let mc = ids.maximal_classes();
+    // Couple counts grow with the square of class size: oversubscribe
+    // so stealing evens out chunks holding the large classes.
+    let locals = par_chunks(par, &mc, chunk_len(mc.len(), par, 8), |classes| {
+        let _scan = token.observer().span("agree-sets/scan");
+        let mut local: FxHashSet<AttrSet> = FxHashSet::default();
+        let mut until_poll = GOVERN_POLL_STRIDE;
+        for class in classes {
+            let pairs = (class.len() * (class.len() - 1) / 2) as u64;
+            if let Err(why) = token.add_couples(pairs, stage) {
+                return (local, Some(why));
+            }
+            for (k, &t) in class.iter().enumerate() {
+                for &u in &class[k + 1..] {
+                    until_poll -= 1;
+                    if until_poll == 0 {
+                        until_poll = GOVERN_POLL_STRIDE;
+                        if let Err(why) = token.check(stage) {
+                            return (local, Some(why));
                         }
-                        local.insert(ids.agree(t as usize, u as usize));
                     }
+                    local.insert(ids.agree(t as usize, u as usize));
                 }
             }
-            (local, None)
-        })
-    })
+        }
+        (local, None)
+    });
+    token.release_memory(bytes);
+    let mut seen: FxHashSet<AttrSet> = FxHashSet::default();
+    let mut stopped: Option<BudgetExceeded> = None;
+    // set-union merge is order-insensitive; lint: allow(unordered-iter)
+    for (local, why) in locals {
+        seen.extend(local);
+        stopped = stopped.or(why);
+    }
+    (AgreeSets::of_db(db, seen), stopped)
 }
 
 #[cfg(test)]

@@ -159,7 +159,7 @@ impl DepMinerCheckpoint {
 }
 
 /// Append an FD list (its length, then each FD's lhs mask and rhs): the
-/// one FD-list layout, shared by TANE's and FDEP's frames.
+/// FD-list layout of TANE's frames.
 pub fn put_fds(e: &mut Enc, fds: &[Fd]) {
     e.put_usize(fds.len());
     for fd in fds {

@@ -16,18 +16,16 @@
 //! `depminer-fdtheory`.
 
 use crate::agree::AgreeSets;
-use crate::lhs::TransversalEngine;
-use depminer_govern::CancelToken;
 use depminer_hypergraph::Hypergraph;
-use depminer_relation::invariants::{audits_enabled, enforce};
 use depminer_relation::{retain_maximal, AttrSet};
 
 /// Computes the candidate keys (minimal unique column combinations) of the
-/// relation whose agree sets are `ag`. Output is sorted.
+/// relation whose agree sets are `ag`, with the levelwise transversal
+/// engine (audited when audits are enabled). Output is sorted.
 ///
 /// Degenerate cases: a relation with fewer than two tuples has every set —
 /// minimally `∅` — as a key; `∅ ∈ keys` is returned as the single key then.
-pub fn candidate_keys_from_agree_sets(ag: &AgreeSets, engine: TransversalEngine) -> Vec<AttrSet> {
+pub fn candidate_keys_from_agree_sets(ag: &AgreeSets) -> Vec<AttrSet> {
     if ag.n_rows < 2 {
         return vec![AttrSet::empty()];
     }
@@ -48,14 +46,7 @@ pub fn candidate_keys_from_agree_sets(ag: &AgreeSets, engine: TransversalEngine)
     retain_maximal(&mut max_ag);
     let mut edges: Vec<AttrSet> = max_ag.into_iter().map(|y| full.difference(y)).collect();
     edges.push(full);
-    let h = Hypergraph::new(ag.arity, edges);
-    let keys = engine
-        .run_governed(&h, &CancelToken::unlimited())
-        .expect("an unlimited token never trips");
-    if audits_enabled() {
-        enforce(h.audit_transversals(&keys));
-    }
-    keys
+    Hypergraph::new(ag.arity, edges).min_transversals_levelwise()
 }
 
 #[cfg(test)]
@@ -69,7 +60,7 @@ mod tests {
     }
 
     fn keys_of(r: &depminer_relation::Relation) -> Vec<AttrSet> {
-        candidate_keys_from_agree_sets(&agree_sets_naive(r), TransversalEngine::Levelwise)
+        candidate_keys_from_agree_sets(&agree_sets_naive(r))
     }
 
     /// Brute-force oracle: minimal X with |π_X(r)| = |r|.
@@ -103,16 +94,6 @@ mod tests {
         ] {
             assert_eq!(keys_of(&r), keys_brute(&r), "keys mismatch on {r:?}");
         }
-    }
-
-    #[test]
-    fn engines_agree_on_keys() {
-        let r = datasets::enrollment();
-        let ag = agree_sets_naive(&r);
-        assert_eq!(
-            candidate_keys_from_agree_sets(&ag, TransversalEngine::Levelwise),
-            candidate_keys_from_agree_sets(&ag, TransversalEngine::Berge)
-        );
     }
 
     #[test]

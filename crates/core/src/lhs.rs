@@ -42,9 +42,7 @@ impl TransversalEngine {
     ) -> Result<Vec<AttrSet>, BudgetExceeded> {
         match self {
             TransversalEngine::Levelwise => levelwise::min_transversals_governed(h, token),
-            TransversalEngine::Berge => {
-                berge::min_transversals_governed(h, token, Stage::Transversals)
-            }
+            TransversalEngine::Berge => berge::min_transversals_governed(h, token),
         }
     }
 }
@@ -142,27 +140,20 @@ pub fn left_hand_sides_resume_governed(
 pub fn fd_output(lhs: &[Vec<AttrSet>]) -> Vec<Fd> {
     let mut fds = Vec::with_capacity(lhs.iter().map(Vec::len).sum());
     for (a, sides) in lhs.iter().enumerate() {
-        fd_output_rhs(&mut fds, a, sides);
+        let trivial = AttrSet::singleton(a);
+        for &x in sides {
+            if x != trivial {
+                debug_assert!(!x.contains(a), "non-trivial lhs must not contain rhs");
+                fds.push(Fd::new(x, a));
+            }
+        }
     }
     fds
 }
 
-/// [`fd_output`] for one rhs `a`: appends `X → a` for every `X` in
-/// `lhs(dep(r), a)` but the trivial `{a}`. FDEP calls it as it inverts
-/// rhs by rhs.
-pub fn fd_output_rhs(fds: &mut Vec<Fd>, a: usize, sides: &[AttrSet]) {
-    let trivial = AttrSet::singleton(a);
-    for &x in sides {
-        if x != trivial {
-            debug_assert!(!x.contains(a), "non-trivial lhs must not contain rhs");
-            fds.push(Fd::new(x, a));
-        }
-    }
-}
-
 /// `true` when `fds` is strictly ascending by (rhs, lhs): the order
 /// [`fd_output`] emits, with no FD twice.
-pub fn in_output_order(fds: &[Fd]) -> bool {
+pub(crate) fn in_output_order(fds: &[Fd]) -> bool {
     fds.windows(2)
         .all(|w| (w[0].rhs, w[0].lhs) < (w[1].rhs, w[1].lhs))
 }

@@ -40,7 +40,7 @@ pub mod maxset;
 
 pub use agree::{
     agree_sets, agree_sets_couples_no_mc, agree_sets_governed, agree_sets_naive, agree_sets_with,
-    mc_agree_sets_governed, AgreeSetStrategy, AgreeSets,
+    AgreeSetStrategy, AgreeSets,
 };
 pub use armstrong::{
     armstrong_for_fds, armstrong_for_fds_with_schema, real_world_armstrong,
@@ -59,10 +59,10 @@ pub use depminer_govern::{
 pub use depminer_parallel::Parallelism;
 pub use keys::candidate_keys_from_agree_sets;
 pub use lhs::{
-    fd_output, fd_output_rhs, in_output_order, left_hand_sides, left_hand_sides_governed,
-    left_hand_sides_resume_governed, lhs_families_from_fds, TransversalEngine,
+    fd_output, left_hand_sides, left_hand_sides_governed, left_hand_sides_resume_governed,
+    lhs_families_from_fds, TransversalEngine,
 };
-pub use maxset::{cmax_sets, cmax_sets_governed, cmax_sets_with, max_sets_governed, MaxSets};
+pub use maxset::{cmax_sets, cmax_sets_governed, cmax_sets_with, MaxSets};
 
 use depminer_fdtheory::Fd;
 use depminer_relation::invariants::{audits_enabled, enforce};
@@ -469,7 +469,7 @@ impl MiningResult {
     /// The candidate keys (minimal unique column combinations) of the
     /// mined relation, derived from the agree sets via transversals.
     pub fn candidate_keys(&self) -> Vec<AttrSet> {
-        keys::candidate_keys_from_agree_sets(&self.agree_sets, TransversalEngine::Levelwise)
+        keys::candidate_keys_from_agree_sets(&self.agree_sets)
     }
 
     /// Pretty-prints the discovered FDs with schema names, one per line.

@@ -63,10 +63,11 @@ pub fn cmax_sets_with(ag: &AgreeSets, par: Parallelism) -> MaxSets {
     cmax_sets_governed(ag, par, &CancelToken::unlimited()).expect("an unlimited token never trips")
 }
 
-/// [`cmax_sets_with`] under a live [`CancelToken`]: [`max_sets_governed`]
-/// at [`Stage::MaxSets`], plus the complements. This stage is
-/// all-or-nothing — a partial per-attribute table would be useless
-/// downstream, so a trip discards it entirely.
+/// [`cmax_sets_with`] under a live [`CancelToken`], charged to
+/// [`Stage::MaxSets`]: one checkpoint per attribute, since each
+/// attribute's maximality filter (Lemma 3) is the unit of work. The
+/// stage is all-or-nothing — a partial per-attribute table would be
+/// useless downstream, so a trip discards it entirely.
 pub fn cmax_sets_governed(
     ag: &AgreeSets,
     par: Parallelism,
@@ -75,36 +76,7 @@ pub fn cmax_sets_governed(
     let n = ag.arity;
     let full = AttrSet::full(n);
     let _span = token.observer().span("max-sets");
-    let max = max_sets_governed(ag, par, token, Stage::MaxSets)?;
-    let cmax = max
-        .iter()
-        .map(|sets| {
-            let mut c: Vec<AttrSet> = sets.iter().map(|&x| full.difference(x)).collect();
-            c.sort_unstable();
-            c
-        })
-        .collect();
-    Ok(MaxSets {
-        max,
-        cmax,
-        arity: n,
-    })
-}
-
-/// Algorithm 4's per-attribute step: `max(dep(r), A)` for every
-/// attribute `A`, each sorted, by Lemma 3 with the empty-agree-set
-/// corner of the module docs. Dep-Miner's max-set stage and FDEP's
-/// negative cover both run it, each charging its own `stage`: one
-/// checkpoint per attribute, since each attribute's maximality filter is
-/// the unit of work. The attributes are independent, so they fan out at
-/// `par`; the result is identical at every thread count.
-pub fn max_sets_governed(
-    ag: &AgreeSets,
-    par: Parallelism,
-    token: &CancelToken,
-    stage: Stage,
-) -> Result<Vec<Vec<AttrSet>>, BudgetExceeded> {
-    par_map_indexed_governed(par, token, stage, ag.arity, |a| {
+    let max = par_map_indexed_governed(par, token, Stage::MaxSets, n, |a| {
         let _filter = token.observer().span("max-sets/filter");
         token
             .observer()
@@ -119,6 +91,19 @@ pub fn max_sets_governed(
             cands.push(AttrSet::empty());
         }
         Ok(cands)
+    })?;
+    let cmax = max
+        .iter()
+        .map(|sets| {
+            let mut c: Vec<AttrSet> = sets.iter().map(|&x| full.difference(x)).collect();
+            c.sort_unstable();
+            c
+        })
+        .collect();
+    Ok(MaxSets {
+        max,
+        cmax,
+        arity: n,
     })
 }
 

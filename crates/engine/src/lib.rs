@@ -9,10 +9,12 @@
 //! database `r̂`, budget, cancel token, observer, snapshot policy), and a
 //! [`MinerRegistry`] + [`Session`] driver runs
 //! load → preprocess → mine → invariant audit → report as one pipeline.
+//! FDEP is no separate core: its registry row is a Dep-Miner
+//! configuration (`depminer_fdep::Fdep::miner`).
 //!
-//! Adding a fifth miner costs one `Miner` impl plus one
-//! [`MinerEntry`] row — no edits to the CLI, the
-//! governance layer, or the observability plumbing.
+//! Adding a miner costs one `Miner` impl plus one [`MinerEntry`] row,
+//! and adding a configuration of an existing one only the row — no edits
+//! to the CLI, the governance layer, or the observability plumbing.
 //!
 //! ```
 //! use depminer_engine::{MinerRegistry, Session, SessionCtx};
@@ -37,7 +39,6 @@ pub use registry::{MinerEntry, MinerRegistry};
 pub use session::{EngineError, Session};
 
 use depminer_core::{DepMiner, DepMinerCheckpoint};
-use depminer_fdep::{Fdep, FdepCheckpoint};
 use depminer_fdtheory::Fd;
 use depminer_govern::{
     Budget, CancelToken, MiningOutcome, Obs, SnapshotError, SnapshotPolicy, SnapshotState,
@@ -257,35 +258,6 @@ impl Miner for Tane {
         payload: &[u8],
     ) -> Result<MiningOutcome<Emitted>, SnapshotError> {
         let cp = TaneCheckpoint::decode_payload(payload)?;
-        cp.check_fits(ctx.db().arity())?;
-        let token = ctx.resume_token(cp.spend());
-        Ok(self
-            .run_db_governed(ctx.db(), &token, Some(cp))
-            .map(|res| Emitted::Fds(res.fds)))
-    }
-}
-
-impl Miner for Fdep {
-    fn algo_id(&self) -> &'static str {
-        depminer_fdep::FDEP_ALGO
-    }
-
-    fn config_bytes(&self) -> Vec<u8> {
-        Fdep::config_bytes(self)
-    }
-
-    fn run(&self, ctx: &SessionCtx) -> MiningOutcome<Emitted> {
-        let token = ctx.token();
-        self.run_db_governed(ctx.db(), token, None)
-            .map(|res| Emitted::Fds(res.fds))
-    }
-
-    fn resume(
-        &self,
-        ctx: &SessionCtx,
-        payload: &[u8],
-    ) -> Result<MiningOutcome<Emitted>, SnapshotError> {
-        let cp = FdepCheckpoint::decode_payload(payload)?;
         cp.check_fits(ctx.db().arity())?;
         let token = ctx.resume_token(cp.spend());
         Ok(self

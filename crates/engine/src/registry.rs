@@ -18,8 +18,8 @@ pub struct MinerEntry {
     /// The `--algo` spelling on the command line.
     pub cli_name: &'static str,
     /// The stable id stamped into snapshot frames (`<algo_id>.snap`).
-    /// Several CLI spellings may share one id (e.g. `depminer` and
-    /// `depminer2` are two configurations of the same frame format).
+    /// Several CLI spellings may share one id (`depminer`, `depminer2`
+    /// and `fdep` are three configurations of the same frame format).
     pub algo_id: &'static str,
     /// `true` when the miner has a token-governed entry point: it
     /// supports budgets, observers and checkpoints, and writes resumable
@@ -56,9 +56,16 @@ impl Default for MinerRegistry {
     }
 }
 
+/// The `from_config` of every Dep-Miner configuration's row: the frame's
+/// config bytes pick the configuration.
+fn depminer_from_config(config: &[u8]) -> Result<Box<dyn Miner>, SnapshotError> {
+    DepMiner::from_config_bytes(config).map(|m| Box::new(m) as Box<dyn Miner>)
+}
+
 impl MinerRegistry {
     /// The standard registry: Dep-Miner (both evaluation variants), TANE,
-    /// FDEP, approximate TANE, and the brute-force oracle.
+    /// FDEP (a Dep-Miner configuration), approximate TANE, and the
+    /// brute-force oracle.
     pub fn standard() -> Self {
         let entries = vec![
             MinerEntry {
@@ -68,9 +75,7 @@ impl MinerRegistry {
                 in_all: true,
                 fds_algo: true,
                 make: || Box::new(DepMiner::algorithm_2(None)),
-                from_config: |config| {
-                    DepMiner::from_config_bytes(config).map(|m| Box::new(m) as Box<dyn Miner>)
-                },
+                from_config: depminer_from_config,
             },
             MinerEntry {
                 cli_name: "depminer2",
@@ -79,9 +84,7 @@ impl MinerRegistry {
                 in_all: false,
                 fds_algo: true,
                 make: || Box::new(DepMiner::algorithm_3()),
-                from_config: |config| {
-                    DepMiner::from_config_bytes(config).map(|m| Box::new(m) as Box<dyn Miner>)
-                },
+                from_config: depminer_from_config,
             },
             MinerEntry {
                 cli_name: "tane",
@@ -96,14 +99,12 @@ impl MinerRegistry {
             },
             MinerEntry {
                 cli_name: "fdep",
-                algo_id: depminer_fdep::FDEP_ALGO,
+                algo_id: depminer_core::DEPMINER_ALGO,
                 governed: true,
                 in_all: true,
                 fds_algo: true,
-                make: || Box::new(Fdep::new()),
-                from_config: |config| {
-                    Fdep::from_config_bytes(config).map(|m| Box::new(m) as Box<dyn Miner>)
-                },
+                make: || Box::new(Fdep::miner()),
+                from_config: depminer_from_config,
             },
             MinerEntry {
                 cli_name: "approx",
@@ -234,11 +235,18 @@ mod tests {
         let reg = MinerRegistry::standard();
         let a = reg.by_cli_name("depminer").unwrap();
         let b = reg.by_cli_name("depminer2").unwrap();
+        let c = reg.by_cli_name("fdep").unwrap();
         assert_eq!(a.algo_id, b.algo_id);
+        assert_eq!(a.algo_id, c.algo_id);
         // The config bytes disambiguate the variants on resume.
-        assert_ne!(
+        let (a, b, c) = (
             a.instantiate().config_bytes(),
-            b.instantiate().config_bytes()
+            b.instantiate().config_bytes(),
+            c.instantiate().config_bytes(),
         );
+        assert_ne!(a, b);
+        assert_eq!(c, [2, 1]);
+        assert_ne!(c, a);
+        assert_ne!(c, b);
     }
 }

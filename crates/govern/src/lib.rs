@@ -4,7 +4,7 @@
 //! cancellation, and the partial-result contract.
 //!
 //! Every worst-case-exponential stage (agree sets, minimal transversals,
-//! TANE's lattice walk, fdep's negative cover, Armstrong generation)
+//! TANE's lattice walk, Armstrong generation)
 //! polls a shared [`CancelToken`] at coarse checkpoints — once per level,
 //! per equivalence class, per chunk — so a pathological relation can be
 //! stopped at a [`Budget`] instead of hanging a worker or exhausting
@@ -61,10 +61,6 @@ pub enum Stage {
     TaneLevels,
     /// The approximate-FD (g₃) lattice level loop.
     ApproxLevels,
-    /// fdep's negative-cover pair scan.
-    NegativeCover,
-    /// fdep's negative-cover inversion into positive FDs.
-    FdepInversion,
     /// Armstrong relation row construction.
     Armstrong,
 }
@@ -78,8 +74,6 @@ impl Stage {
             Stage::Transversals => "transversals",
             Stage::TaneLevels => "tane-levels",
             Stage::ApproxLevels => "approx-levels",
-            Stage::NegativeCover => "negative-cover",
-            Stage::FdepInversion => "fdep-inversion",
             Stage::Armstrong => "armstrong",
         }
     }

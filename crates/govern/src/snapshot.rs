@@ -390,7 +390,7 @@ impl<'a> Dec<'a> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// Algorithm id the state belongs to (`"depminer"`, `"tane"`,
-    /// `"tane-approx"`, `"fdep"`).
+    /// `"tane-approx"`).
     pub algo: String,
     /// Fingerprint of the relation the state was mined from
     /// (`relation::state::db_fingerprint`).

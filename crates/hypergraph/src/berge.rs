@@ -9,8 +9,9 @@
 //!
 //! This is also FDEP's inversion of its negative cover (\[SF93\]): for
 //! rhs `A`, FDEP's specialization of `∅ → A` against each maximal
-//! violated lhs `Y` is this step on the edge `R \ Y`. Dep-Miner's tests
-//! and ablation A2 compare the levelwise engine against it.
+//! violated lhs `Y` is this step on the edge `R \ Y`, which is why FDEP
+//! is Dep-Miner's pipeline on this engine. Dep-Miner's tests and
+//! ablation A2 compare the levelwise engine against it.
 
 use crate::settrie::SetTrie;
 use crate::Hypergraph;
@@ -18,12 +19,12 @@ use depminer_govern::{BudgetExceeded, CancelToken, Stage};
 use depminer_relation::{AttrSet, MAX_ATTRS};
 
 /// Computes `Tr(H)` with Berge's algorithm, sorted like the levelwise
-/// engine's output, under a live [`CancelToken`] charged to the caller's
-/// `stage`: checkpoints once per edge (the prefix transversal set can
-/// grow exponentially per step) and counts the kept transversals plus
-/// the generated extensions against the candidate budget. On a trip the
-/// prefix result is discarded — transversals of a prefix hypergraph say
-/// nothing about the full one.
+/// engine's output, under a live [`CancelToken`] charged to
+/// [`Stage::Transversals`]: checkpoints once per edge (the prefix
+/// transversal set can grow exponentially per step) and counts the kept
+/// transversals plus the generated extensions against the candidate
+/// budget. On a trip the prefix result is discarded — transversals of a
+/// prefix hypergraph say nothing about the full one.
 ///
 /// The trie stays an antichain without a minimization pass. Let `x`,
 /// `x'` be members that miss `E`, and `v, v' ∈ E`. Two extensions never
@@ -34,8 +35,8 @@ use depminer_relation::{AttrSet, MAX_ATTRS};
 pub fn min_transversals_governed(
     h: &Hypergraph,
     token: &CancelToken,
-    stage: Stage,
 ) -> Result<Vec<AttrSet>, BudgetExceeded> {
+    let stage = Stage::Transversals;
     let _span = token.observer().span("transversals/berge");
     let mut edges = h.edges().to_vec();
     edges.sort_by_key(|e| e.len());

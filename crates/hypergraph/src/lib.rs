@@ -23,7 +23,7 @@ pub mod berge;
 pub mod levelwise;
 mod settrie;
 
-use depminer_govern::{BudgetExceeded, CancelToken, Stage};
+use depminer_govern::{BudgetExceeded, CancelToken};
 use depminer_relation::invariants::{audits_enabled, enforce, InvariantError};
 use depminer_relation::{retain_minimal, AttrSet};
 use std::fmt;
@@ -130,7 +130,6 @@ impl Hypergraph {
         self.audited(berge::min_transversals_governed(
             self,
             &CancelToken::unlimited(),
-            Stage::Transversals,
         ))
     }
 
@@ -148,8 +147,8 @@ impl Hypergraph {
     /// (checked with the private-edge criterion, independent of how the
     /// engine found it). The empty hypergraph's unique answer is `{∅}`.
     ///
-    /// Both convenience methods, Dep-Miner's lhs step, FDEP's inversion
-    /// and `depminer_core::audit_lhs` run this when audits are enabled
+    /// Both convenience methods, Dep-Miner's lhs step and
+    /// `depminer_core::audit_lhs` run this when audits are enabled
     /// (debug/test builds, or the `invariants` feature).
     pub fn audit_transversals(&self, tr: &[AttrSet]) -> Result<(), InvariantError> {
         let err = |d: String| Err(InvariantError::new("Transversals", d));

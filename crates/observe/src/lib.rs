@@ -29,7 +29,7 @@
 //! spawned them.
 //!
 //! Span naming scheme (see DESIGN.md §10): top-level spans carry the
-//! algorithm name (`depminer`, `tane`, `fdep`), stage spans reuse the
+//! algorithm name (`depminer`, `tane`, `approx`), stage spans reuse the
 //! stable `govern::Stage` names (`agree-sets`, `max-sets`,
 //! `transversals`, …), and sub-phases append a `/detail` segment
 //! (`agree-sets/couples`, `tane-levels/products`).
@@ -138,8 +138,8 @@ pub fn current_thread_key() -> u32 {
 /// The pipeline quantities worth counting, one atomic slot each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
-    /// Agree-set couples scanned (Dep-Miner algorithms 2/3, fdep's
-    /// negative-cover pair scan). Fed by `CancelToken::add_couples`.
+    /// Agree-set couples scanned (Dep-Miner algorithms 2/3). Fed by
+    /// `CancelToken::add_couples`.
     CouplesScanned,
     /// Stripped-partition products computed (TANE's lattice walk, the
     /// approximate-FD search).

@@ -33,7 +33,6 @@ pub mod invariants;
 pub mod partition;
 pub mod prng;
 pub mod relation;
-pub mod sample;
 pub mod schema;
 pub mod spdb;
 pub mod state;
@@ -50,7 +49,6 @@ pub use invariants::InvariantError;
 pub use partition::{FlatPartition, PartitionArena};
 pub use prng::Prng;
 pub use relation::{Column, Relation};
-pub use sample::sample;
 pub use schema::Schema;
 pub use spdb::{ClassIds, StrippedPartitionDb};
 pub use stats::{column_stats, render_stats, ColumnStats};

@@ -39,7 +39,7 @@
 
 use depminer_core::{
     agree_sets, armstrong_for_fds_with_schema, candidate_keys_from_agree_sets, AgreeSetStrategy,
-    DepMiner, TransversalEngine,
+    DepMiner,
 };
 use depminer_engine::{ApproxMiner, Emitted, MinerRegistry, Session, SessionCtx};
 use depminer_fdtheory::{candidate_keys, canonical_cover, fdfile, is_bcnf, synthesize_3nf, Fd};
@@ -349,6 +349,8 @@ USAGE:
     depminer generate --attrs <n> --rows <n> [--correlation <c>] [--seed <s>] <out.csv>
     depminer help
 
+    A flag the command does not read is a usage error (exit code 2).
+
 BUDGETS:
     fds, approx and armstrong accept --timeout <secs>, --max-couples <n>
     and --max-memory <size> (bytes, or with a k/m/g suffix, e.g. 64m; caps
@@ -369,7 +371,9 @@ CHECKPOINTS:
     truncated, version-skewed or mismatched snapshot is refused with a
     positioned diagnostic and exit code 4. Completed runs delete their
     snapshot. With several .snap files in the directory, pick one with
-    --algo depminer|tane|approx|fdep.
+    --algo depminer|tane|approx. depminer2 and fdep are Dep-Miner
+    configurations: they write depminer.snap, and the configuration
+    recorded in the frame is the one that resumes.
 
 OBSERVABILITY:
     fds accepts --profile <out.json> (write a span-tree profile with phase
@@ -382,6 +386,31 @@ FD FILE FORMAT (design / prove):
     city street -> zip
     zip -> city
 ";
+
+/// The budget flags `budget_from_args` reads.
+const BUDGET: [&str; 3] = ["timeout", "max-couples", "max-memory"];
+/// The checkpoint flags `snapshot_policy_from_args` reads.
+const CHECKPOINT: [&str; 3] = ["checkpoint-dir", "checkpoint-every", "checkpoint-interval"];
+/// The observability flags `observe_from_args` reads.
+const OBSERVE: [&str; 2] = ["profile", "trace"];
+/// The flags `fds` and `resume` both read.
+const MINE: &[&[&str]] = &[&["algo", "save"], &BUDGET, &CHECKPOINT, &OBSERVE];
+
+/// The flags each command reads; any other flag is a usage error.
+const COMMAND_FLAGS: &[(&str, &[&[&str]])] = &[
+    ("fds", MINE),
+    ("resume", MINE),
+    ("armstrong", &[&["synthetic", "output"], &BUDGET]),
+    ("keys", &[]),
+    ("approx", &[&["epsilon"], &BUDGET, &CHECKPOINT]),
+    ("normalize", &[]),
+    ("inds", &[]),
+    ("describe", &[]),
+    ("report", &[]),
+    ("design", &[&["output"]]),
+    ("prove", &[&["goal"]]),
+    ("generate", &[&["attrs", "rows", "correlation", "seed"]]),
+];
 
 /// Parsed option list: `--key value` flags, `--flag` booleans, positionals.
 struct Args {
@@ -426,6 +455,22 @@ impl Args {
         self.flags.iter().any(|(k, _)| k == name)
     }
 
+    /// Refuses the first flag that `cmd`'s row of [`COMMAND_FLAGS`] does
+    /// not list; a command without a row takes any flags.
+    fn check_flags(&self, cmd: &str) -> Result<(), CliError> {
+        let Some((_, groups)) = COMMAND_FLAGS.iter().find(|(c, _)| *c == cmd) else {
+            return Ok(());
+        };
+        match self
+            .flags
+            .iter()
+            .find(|(k, _)| !groups.iter().any(|g| g.contains(&k.as_str())))
+        {
+            Some((k, _)) => Err(usage_err(format!("{cmd} does not accept --{k}"))),
+            None => Ok(()),
+        }
+    }
+
     fn get_parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
         match self.get(name) {
             None => Ok(None),
@@ -460,6 +505,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         Some((c, rest)) => (c.as_str(), rest),
     };
     let parsed = Args::parse(rest)?;
+    parsed.check_flags(cmd)?;
     match cmd {
         "help" | "--help" | "-h" => {
             write!(out, "{USAGE}").map_err(io)?;
@@ -717,7 +763,7 @@ fn cmd_keys(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         &StrippedPartitionDb::from_relation(&r),
         AgreeSetStrategy::EquivalenceClasses,
     );
-    let keys = candidate_keys_from_agree_sets(&ag, TransversalEngine::Levelwise);
+    let keys = candidate_keys_from_agree_sets(&ag);
     writeln!(out, "# {} candidate key(s)", keys.len()).map_err(io)?;
     for k in keys {
         writeln!(out, "{}", r.schema().format_set(k)).map_err(io)?;
@@ -1533,6 +1579,8 @@ zip -> city
         assert!(out.contains("profile written to"), "{out}");
         let text = std::fs::read_to_string(&profile_out).unwrap();
         // Every stage of all three miners shows up and the tree validates.
+        // Only FDEP's configuration, Algorithm 3 on the Berge engine,
+        // opens the last two.
         let required = [
             "depminer",
             "agree-sets",
@@ -1540,9 +1588,8 @@ zip -> city
             "transversals",
             "tane",
             "tane-levels",
-            "fdep",
-            "negative-cover",
-            "fdep-inversion",
+            "agree-sets/ec",
+            "transversals/berge",
         ];
         let names =
             depminer_govern::observe::profile::validate_profile_json(&text, &required).unwrap();
@@ -1585,5 +1632,18 @@ zip -> city
         assert_eq!(run_cli(&["fds", "--algo"]).unwrap_err().code, 2);
         assert_eq!(run_cli(&["fds"]).unwrap_err().code, 2);
         assert_eq!(run_cli(&["fds", "a.csv", "b.csv"]).unwrap_err().code, 2);
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        let path = tmp_csv("unknown_flags.csv", ZIP_CSV);
+        // A misspelt --timeout must not mine with no budget at all.
+        let err = run_cli(&["fds", "--timout", "0", &path]).unwrap_err();
+        assert_eq!(err.code, 2, "{}", err.message);
+        assert!(err.message.contains("--timout"), "{}", err.message);
+        // keys reads no budget, so a cap there would be silently ignored.
+        let err = run_cli(&["keys", "--max-couples", "1", &path]).unwrap_err();
+        assert_eq!(err.code, 2, "{}", err.message);
+        assert!(err.message.contains("--max-couples"), "{}", err.message);
     }
 }

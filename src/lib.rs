@@ -15,7 +15,7 @@
 //! | [`fdtheory`] | `depminer-fdtheory` | closures, covers, keys, closed sets, Armstrong criterion, normalization |
 //! | [`depminer`] | `depminer-core` | agree sets (Algorithms 2/3), maximal sets, lhs, FD output, Armstrong relations, keys |
 //! | [`tane`] | `depminer-tane` | exact TANE, approximate FDs (g₃), Armstrong extension |
-//! | [`fdep`] | `depminer-fdep` | the FDEP baseline: Dep-Miner's max sets as negative cover, Berge inversion |
+//! | [`fdep`] | `depminer-fdep` | the FDEP baseline as a Dep-Miner configuration (`Fdep::miner()`): Algorithm 3's max sets as negative cover, Berge inversion |
 //! | [`engine`] | `depminer-engine` | the `Miner` trait, `MinerRegistry`, and `Session` driver every CLI mining command dispatches through |
 //! | [`ind`] | `depminer-ind` | unary inclusion dependencies (foreign-key hunting) |
 //!

@@ -15,13 +15,13 @@
 
 #![cfg(feature = "faults")]
 
-use depminer::depminer::{DepMiner, TransversalEngine};
+use depminer::depminer::DepMiner;
 use depminer::engine::{ApproxMiner, Emitted, Miner, Session, SessionCtx};
 use depminer::fdep::Fdep;
 use depminer::govern::faults::{FaultKind, FaultPlan};
 use depminer::govern::snapshot::read_snapshot;
 use depminer::govern::{
-    Budget, MiningOutcome, Obs, Resource, Snapshot, SnapshotError, SnapshotPolicy, Stage,
+    Budget, MiningOutcome, Obs, Resource, Snapshot, SnapshotError, SnapshotPolicy,
 };
 use depminer::relation::{Prng, Relation, StrippedPartitionDb, SyntheticConfig};
 use depminer::tane::{approximate_fds, approximate_fds_governed, Tane};
@@ -56,12 +56,12 @@ fn exact(out: &MiningOutcome<Emitted>) -> &[depminer::fdtheory::Fd] {
 }
 
 /// The miner configurations under chaos (both agree-set algorithms and
-/// both transversal engines).
+/// both transversal engines; the last is FDEP's).
 fn miners() -> Vec<DepMiner> {
     vec![
         DepMiner::algorithm_2(None),
         DepMiner::algorithm_3(),
-        DepMiner::algorithm_3().with_engine(TransversalEngine::Berge),
+        Fdep::miner(),
     ]
 }
 
@@ -98,37 +98,6 @@ fn injected_cancellation_yields_complete_or_audited_partial() {
             }
         }
     }
-}
-
-#[test]
-fn fdep_injected_cancellation_stops_in_its_own_stages_with_a_sound_prefix() {
-    // FDEP's inversion runs on Berge's engine, which must charge FDEP's
-    // stage, not Dep-Miner's `transversals`.
-    let r = workload();
-    let db = StrippedPartitionDb::from_relation(&r);
-    let fdep = Fdep::new();
-    let baseline = fdep.run(&r).fds;
-    let mut rng = Prng::seed_from_u64(0xFA06);
-    let mut in_inversion = 0;
-    for _ in 0..24 {
-        let at = rng.gen_range(ORDINAL_RANGE);
-        let token = Budget::unlimited().start_with_fault(FaultPlan::new(FaultKind::Cancel, at));
-        let outcome = fdep.run_db_governed(&db, &token, None);
-        let Some(why) = &outcome.interrupted else {
-            assert_eq!(outcome.result.fds, baseline, "ordinal {at}");
-            continue;
-        };
-        assert_eq!(why.resource, Resource::InjectedFault, "ordinal {at}");
-        match why.stage {
-            Some(Stage::NegativeCover) => {}
-            Some(Stage::FdepInversion) => in_inversion += 1,
-            other => panic!("ordinal {at}: FDEP tripped in stage {other:?}"),
-        }
-        for fd in &outcome.result.fds {
-            assert!(baseline.contains(fd), "ordinal {at}: invented {fd}");
-        }
-    }
-    assert!(in_inversion > 0, "no ordinal landed in the inversion");
 }
 
 #[test]
@@ -293,8 +262,8 @@ where
         }
         if !path.exists() {
             // Tripped before the first boundary (or inside a stage whose
-            // state is deliberately unresumable, like FDEP's negative
-            // cover): nothing to resume is a legal outcome.
+            // state is deliberately unresumable, like Dep-Miner's agree
+            // sets): nothing to resume is a legal outcome.
             continue;
         }
         let snap = read_snapshot(&path)
@@ -383,15 +352,15 @@ fn approx_resume_after_injected_trip_matches_fault_free_baseline() {
 fn fdep_resume_after_injected_trip_matches_fault_free_baseline() {
     let r = workload();
     let db = StrippedPartitionDb::from_relation(&r);
-    let fdep = Fdep::new();
-    let baseline = fdep.run(&r).fds;
+    let fdep = Fdep::miner();
+    let baseline = fdep.mine(&r).fds;
     let dir = tmp_dir("resume_fdep");
     let resumed = chaos_resume_sweep(
         &dir,
-        "fdep",
+        "depminer",
         0xFA13,
         15,
-        |token| fdep.run_db_governed(&db, token, None).is_complete(),
+        |token| fdep.mine_db_governed(&db, token, None).is_complete(),
         |snap| resume(&r, &fdep, snap),
         |at, out| {
             assert!(out.is_complete(), "ordinal {at}: resume tripped");

@@ -83,7 +83,7 @@ fn check_exact_miners(r: &Relation, budget: Budget) {
         &direct.result.fds,
     );
 
-    let direct = Fdep::new().run_db_governed(&db, &budget.start(), None);
+    let direct = Fdep::miner().mine_db_governed(&db, &budget.start(), None);
     assert_equivalent(
         "fdep",
         &session_run(r, "fdep", budget),

@@ -165,12 +165,17 @@ fn memory_caps_release_everything_and_keep_partials_sound_for_depminer2_and_fdep
         }
         assert!(trips > 1, "{par:?}: caps trip at one point only");
     }
-    // FDEP charges the same matrix for its negative cover.
+    // FDEP's configuration charges the same matrix for its negative
+    // cover, and its Berge inversion charges no memory.
     let mut trips = 0;
     for cap in (1..).map(|k| 64 * k) {
         let token = Budget::unlimited().with_max_memory_bytes(cap).start();
-        let outcome = Fdep::new().run_db_governed(&db, &token, None);
+        let outcome = Fdep::miner().mine_db_governed(&db, &token, None);
         assert_eq!(token.memory_bytes(), 0, "fdep cap {cap}");
+        outcome
+            .result
+            .audit_claimed_fds(&r)
+            .expect("partial FDs hold");
         match &outcome.interrupted {
             Some(why) => {
                 assert_eq!(why.resource, Resource::Memory);

@@ -20,7 +20,7 @@
 
 use std::sync::{Arc, Barrier};
 
-use depminer::depminer::{DepMiner, TransversalEngine};
+use depminer::depminer::DepMiner;
 use depminer::fdep::Fdep;
 use depminer::govern::observe::jsonl::{validate_events, JsonlSink};
 use depminer::govern::observe::profile::{
@@ -51,12 +51,13 @@ fn workloads() -> Vec<Relation> {
 }
 
 /// The structurally distinct miner configurations (both agree-set
-/// algorithms and both transversal engines appear at least once).
+/// algorithms and both transversal engines appear at least once; the
+/// last is FDEP's).
 fn miners() -> Vec<DepMiner> {
     vec![
         DepMiner::algorithm_2(None),
         DepMiner::algorithm_3(),
-        DepMiner::algorithm_3().with_engine(TransversalEngine::Berge),
+        Fdep::miner(),
     ]
 }
 
@@ -95,20 +96,12 @@ fn depminer_profiles_are_well_formed_for_every_strategy_and_engine() {
 }
 
 #[test]
-fn tane_and_fdep_profiles_are_well_formed() {
+fn tane_profiles_are_well_formed() {
     for r in workloads() {
         let db = StrippedPartitionDb::from_relation(&r);
         let (outcome, profile) = profiled(|t| Tane::new().run_db_governed(&db, t, None));
         assert!(outcome.is_complete());
         assert_well_formed(&profile, &["tane", "tane-levels"], "tane");
-
-        let (outcome, profile) = profiled(|t| Fdep::new().run_db_governed(&db, t, None));
-        assert!(outcome.is_complete());
-        assert_well_formed(
-            &profile,
-            &["fdep", "negative-cover", "fdep-inversion"],
-            "fdep",
-        );
     }
 }
 
@@ -251,16 +244,6 @@ fn counters_agree_with_stage_reports() {
             outcome.result.fds.len() as u64
         );
         assert!(profile.counter("apriori_candidates") > 0);
-        let (outcome, profile) = profiled(|t| Fdep::new().run_db_governed(&db, t, None));
-        assert_eq!(
-            profile.counter("fd_emissions"),
-            outcome.result.fds.len() as u64
-        );
-        assert_eq!(
-            profile.counter("maxset_filter_passes"),
-            r.arity() as u64,
-            "FDEP's negative cover runs Algorithm 4's filter once per attribute"
-        );
     }
 }
 
@@ -281,7 +264,6 @@ fn jsonl_traces_are_balanced_and_monotone() {
         let text = traced(|t| {
             DepMiner::new().mine_db_governed(&db, t, None);
             Tane::new().run_db_governed(&db, t, None);
-            Fdep::new().run_db_governed(&db, t, None);
         });
         let events =
             validate_events(&text).unwrap_or_else(|e| panic!("sequential trace invalid: {e}"));

@@ -22,7 +22,7 @@ use depminer::depminer::{
     left_hand_sides, DepMiner, DepMinerCheckpoint, TransversalEngine, DEPMINER_ALGO,
 };
 use depminer::engine::{ApproxMiner, Emitted, Miner, MinerRegistry, Session, SessionCtx};
-use depminer::fdep::{Fdep, FdepCheckpoint, FDEP_ALGO};
+use depminer::fdep::Fdep;
 use depminer::fdtheory::{mine_minimal_fds, Fd};
 use depminer::govern::snapshot::{crc32, read_snapshot, Snapshot};
 use depminer::govern::{
@@ -270,16 +270,6 @@ fn tane_and_approx_checkpoints_round_trip_for_seeded_states() {
         let back =
             ApproxCheckpoint::decode_payload(&cp.encode_payload()).expect("approx round trip");
         assert_eq!(back, cp, "approx iteration {i}");
-
-        let cp = FdepCheckpoint {
-            negative: (0..arity).map(|_| fam(&mut rng)).collect(),
-            completed_attrs: rng.gen_range(0..arity as u64) as usize,
-            fds: fds(&mut rng),
-            couples: rng.next_u64(),
-            candidates: rng.next_u64(),
-        };
-        let back = FdepCheckpoint::decode_payload(&cp.encode_payload()).expect("fdep round trip");
-        assert_eq!(back, cp, "fdep iteration {i}");
     }
 }
 
@@ -401,26 +391,26 @@ fn tane_chained_resumes_reach_the_exact_baseline() {
 fn fdep_resume_under_the_same_candidate_cap_trips_again() {
     let r = workload();
     let db = StrippedPartitionDb::from_relation(&r);
-    let fdep = Fdep::new();
+    let fdep = Fdep::miner();
     let dir = tmp_dir("fdep_cap");
-    let path = dir.join(format!("{FDEP_ALGO}.snap"));
+    let path = dir.join(format!("{DEPMINER_ALGO}.snap"));
     // Three quarters of what an uninterrupted run charges trips late in
-    // the inversion, after several rhs attributes are inverted.
+    // the inversion, Berge's transversal search.
     let token = Budget::unlimited().start();
-    assert!(fdep.run_db_governed(&db, &token, None).is_complete());
+    assert!(fdep.mine_db_governed(&db, &token, None).is_complete());
     let cap = token.candidates() * 3 / 4;
 
     let policy = SnapshotPolicy::new(&dir).every_boundaries(1);
     let token = Budget::unlimited()
         .with_max_candidates(cap)
         .start_with_snapshots(policy);
-    let first = fdep.run_db_governed(&db, &token, None);
+    let first = fdep.mine_db_governed(&db, &token, None);
     let why = first.interrupted.expect("the cap must trip");
     assert_eq!(why.resource, Resource::Candidates);
-    assert_eq!(why.stage, Some(Stage::FdepInversion));
+    assert_eq!(why.stage, Some(Stage::Transversals));
 
-    // The frame carries the candidates charged before the interrupted rhs,
-    // so the resume re-inverts that rhs against the same cap and trips
+    // The frame carries the candidates charged up to the trip, so the
+    // resume re-inverts the unfinished rhs against the same cap and trips
     // again; a frame that forgot its spend would let it finish.
     let snap = read_snapshot(&path).unwrap();
     let budget = Budget::unlimited().with_max_candidates(cap);
@@ -429,6 +419,26 @@ fn fdep_resume_under_the_same_candidate_cap_trips_again() {
         .interrupted
         .expect("carried spend counts against the cap");
     assert_eq!(why.resource, Resource::Candidates);
+}
+
+#[test]
+fn a_trip_under_run_all_keeps_dep_miners_frame() {
+    // `depminer` and `fdep` share `depminer.snap`. Once Dep-Miner trips,
+    // FDEP's configuration runs on the tripped token and must leave
+    // Dep-Miner's frame as it stands.
+    let r = workload();
+    let dir = tmp_dir("run_all_frame");
+    let policy = SnapshotPolicy::new(&dir).every_boundaries(1);
+    let budget = Budget::unlimited().with_max_candidates(5);
+    let session = Session::new(SessionCtx::new(&r, budget, Obs::none(), Some(policy)));
+    let registry = MinerRegistry::standard();
+    assert!(!session.run_all(&registry).unwrap().is_complete());
+    let snap = read_snapshot(&dir.join(format!("{DEPMINER_ALGO}.snap"))).unwrap();
+    assert_eq!(snap.config, DepMiner::algorithm_2(None).config_bytes());
+    let miner = registry.from_frame(&snap).unwrap();
+    let out = resume(&r, miner.as_ref(), &snap, Budget::unlimited(), None)
+        .expect("pristine snapshot resumes");
+    assert_eq!(exact(&out), mine_minimal_fds(&r));
 }
 
 #[test]
@@ -527,34 +537,6 @@ fn mismatched_frames_are_refused_before_any_mining() {
     };
     let arity = r.arity();
     let set = |attrs: &[usize]| AttrSet::from_indices(attrs.iter().copied());
-    // FDEP: a negative cover one attribute short.
-    let cp = FdepCheckpoint {
-        negative: vec![Vec::new(); arity - 1],
-        completed_attrs: 0,
-        fds: Vec::new(),
-        couples: 0,
-        candidates: 0,
-    };
-    misfit(&Fdep::new(), cp.encode_payload());
-    // FDEP: an FD prefix out of (rhs, lhs) order, which the resumed run
-    // would append to unsorted.
-    let mut fds = Fdep::new().run(&r).fds;
-    fds.reverse();
-    let cp = FdepCheckpoint {
-        negative: vec![Vec::new(); arity],
-        completed_attrs: arity,
-        fds,
-        ..cp
-    };
-    misfit(&Fdep::new(), cp.encode_payload());
-    // FDEP: an ordered FD prefix naming an rhs it has not inverted yet.
-    let cp = FdepCheckpoint {
-        completed_attrs: 1,
-        fds: Fdep::new().run(&r).fds,
-        ..cp
-    };
-    assert!(cp.fds.iter().any(|fd| fd.rhs >= 1));
-    misfit(&Fdep::new(), cp.encode_payload());
     // Dep-Miner: max sets of a 3-attribute relation.
     let cp = DepMinerCheckpoint {
         agree: Some(agree_sets_naive(&r)),

@@ -4,7 +4,7 @@
 //! TANE→Armstrong extension relies on (§5.1).
 
 use depminer::depminer::{agree_sets, cmax_sets, AgreeSetStrategy};
-use depminer::govern::{CancelToken, Stage};
+use depminer::govern::CancelToken;
 use depminer::hypergraph::{berge, levelwise, Hypergraph};
 use depminer::relation::{AttrSet, Prng, StrippedPartitionDb, SyntheticConfig};
 
@@ -112,7 +112,7 @@ fn wide_levels_agree_with_berge() {
         let token = CancelToken::unlimited();
         assert_eq!(
             levelwise::min_transversals_governed(&h, &token).expect("unlimited"),
-            berge::min_transversals_governed(&h, &token, Stage::Transversals).expect("unlimited"),
+            berge::min_transversals_governed(&h, &token).expect("unlimited"),
             "case {case}: {h:?}"
         );
     }
