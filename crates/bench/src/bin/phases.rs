@@ -1,8 +1,9 @@
 //! Per-phase timing breakdown of the Dep-Miner pipeline vs TANE (§5.3).
 //!
-//! Shows *where* the two Dep-Miner variants spend their time (agree
-//! sets dominate; the transversal step grows with `|R|`), complementing
-//! the end-to-end numbers of the `experiments` binary.
+//! Shows *where* the two Dep-Miner variants and FDEP (`Fdep::miner()`,
+//! Algorithm 3 on the Berge engine) spend their time (agree sets
+//! dominate; the transversal step grows with `|R|`), complementing the
+//! end-to-end numbers of the `experiments` binary.
 //!
 //! Phase times come from the observability layer: each run goes through
 //! a `Session` observed by a `ProfileSink`, the path every CLI mining
@@ -13,17 +14,20 @@
 //! candidates for TANE).
 //!
 //! ```text
-//! cargo run --release -p depminer-bench --bin phases -- [--attrs a,b,..] [--rows n,..] [--correlation c] [--quiet]
+//! cargo run --release -p depminer-bench --bin phases -- [--attrs a,b,..] [--rows n,..] [--correlation c] [--csv a.csv,..] [--quiet]
 //! ```
+//!
+//! `--csv` times the listed CSV files instead of the generated grid.
 
 use std::sync::Arc;
 
 use depminer_bench::report::{span_ms, Reporter, RunStamp};
 use depminer_core::{Budget, DepMiner, MiningOutcome};
 use depminer_engine::{Emitted, Miner, Session, SessionCtx};
+use depminer_fdep::Fdep;
 use depminer_observe::profile::{Profile, ProfileSink};
 use depminer_observe::Obs;
-use depminer_relation::{Relation, SyntheticConfig};
+use depminer_relation::{csv, Relation, SyntheticConfig};
 use depminer_tane::Tane;
 
 fn parse_list(s: &str) -> Vec<usize> {
@@ -47,6 +51,7 @@ fn main() {
     let mut attrs = vec![20usize, 40];
     let mut rows = vec![5_000usize, 20_000];
     let mut correlation = 0.5f64;
+    let mut csvs: Vec<String> = Vec::new();
     let mut quiet = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -55,6 +60,14 @@ fn main() {
             "--rows" => rows = parse_list(&args.next().unwrap_or_default()),
             "--correlation" => {
                 correlation = args.next().and_then(|v| v.parse().ok()).unwrap_or(0.5)
+            }
+            "--csv" => {
+                csvs = args
+                    .next()
+                    .unwrap_or_default()
+                    .split(',')
+                    .map(str::to_owned)
+                    .collect()
             }
             "--quiet" => quiet = true,
             other => {
@@ -82,53 +95,70 @@ fn main() {
         "total",
         "counters"
     );
-    for &n_attrs in &attrs {
-        for &n_rows in &rows {
-            let r: Relation = SyntheticConfig {
-                n_attrs,
-                n_rows,
-                correlation,
-                seed: 9,
-            }
-            .generate()
-            .expect("valid parameters");
-            for (name, miner) in [
-                ("dep-miner", DepMiner::algorithm_2(None)),
-                ("dep-miner2", DepMiner::algorithm_3()),
-            ] {
-                reporter.progress(&format!("|R|={n_attrs} |r|={n_rows} {name}"));
-                let (outcome, profile) = profiled(&r, &miner);
-                assert!(outcome.is_complete(), "unlimited budget must not trip");
-                println!(
-                    "{n_attrs:<6} {n_rows:<8} {name:<12} {:>10} {:>10} {:>10} {:>12} {:>10}  products={}",
-                    ms(span_ms(&profile, "preprocess")),
-                    ms(span_ms(&profile, "agree-sets")),
-                    ms(span_ms(&profile, "max-sets")),
-                    ms(span_ms(&profile, "transversals")),
-                    ms(span_ms(&profile, "depminer")),
-                    profile.counter("partition_products"),
-                );
-                reporter.profile(&profile);
-            }
-            reporter.progress(&format!("|R|={n_attrs} |r|={n_rows} tane"));
-            let (outcome, profile) = profiled(&r, &Tane::new());
+    let relations: Vec<Relation> = if csvs.is_empty() {
+        attrs
+            .iter()
+            .flat_map(|&n_attrs| rows.iter().map(move |&n_rows| (n_attrs, n_rows)))
+            .map(|(n_attrs, n_rows)| {
+                SyntheticConfig {
+                    n_attrs,
+                    n_rows,
+                    correlation,
+                    seed: 9,
+                }
+                .generate()
+                .expect("valid parameters")
+            })
+            .collect()
+    } else {
+        csvs.iter()
+            .map(|path| {
+                csv::read_csv_file(path).unwrap_or_else(|e| {
+                    eprintln!("cannot read {path}: {e}");
+                    std::process::exit(2);
+                })
+            })
+            .collect()
+    };
+    for r in &relations {
+        let (n_attrs, n_rows) = (r.arity(), r.len());
+        for (name, miner) in [
+            ("dep-miner", DepMiner::algorithm_2(None)),
+            ("dep-miner2", DepMiner::algorithm_3()),
+            ("fdep", Fdep::miner()),
+        ] {
+            reporter.progress(&format!("|R|={n_attrs} |r|={n_rows} {name}"));
+            let (outcome, profile) = profiled(r, &miner);
             assert!(outcome.is_complete(), "unlimited budget must not trip");
-            // TANE's one stage report counts the levels it completed.
-            let levels = outcome.stages[0].processed;
             println!(
-                "{n_attrs:<6} {n_rows:<8} {:<12} {:>10} {:>10} {:>10} {:>12} {:>10}  \
-                 levels={} candidates={} products={}",
-                "tane",
+                "{n_attrs:<6} {n_rows:<8} {name:<12} {:>10} {:>10} {:>10} {:>12} {:>10}  products={}",
                 ms(span_ms(&profile, "preprocess")),
-                "-",
-                "-",
-                ms(span_ms(&profile, "tane-levels")),
-                ms(span_ms(&profile, "tane")),
-                levels,
-                profile.counter("apriori_candidates"),
+                ms(span_ms(&profile, "agree-sets")),
+                ms(span_ms(&profile, "max-sets")),
+                ms(span_ms(&profile, "transversals")),
+                ms(span_ms(&profile, "depminer")),
                 profile.counter("partition_products"),
             );
             reporter.profile(&profile);
         }
+        reporter.progress(&format!("|R|={n_attrs} |r|={n_rows} tane"));
+        let (outcome, profile) = profiled(r, &Tane::new());
+        assert!(outcome.is_complete(), "unlimited budget must not trip");
+        // TANE's one stage report counts the levels it completed.
+        let levels = outcome.stages[0].processed;
+        println!(
+            "{n_attrs:<6} {n_rows:<8} {:<12} {:>10} {:>10} {:>10} {:>12} {:>10}  \
+             levels={} candidates={} products={}",
+            "tane",
+            ms(span_ms(&profile, "preprocess")),
+            "-",
+            "-",
+            ms(span_ms(&profile, "tane-levels")),
+            ms(span_ms(&profile, "tane")),
+            levels,
+            profile.counter("apriori_candidates"),
+            profile.counter("partition_products"),
+        );
+        reporter.profile(&profile);
     }
 }

@@ -90,9 +90,11 @@ pub fn left_hand_sides_governed(
 /// Each attribute's transversal problem `Tr(cmax(dep(r), A))` is
 /// independent, so the hypergraphs fan out across attributes at `par`,
 /// each search on the thread it lands on. Every engine is deterministic, so
-/// the result is identical at any thread count. When audits are enabled,
-/// every completed family, restored ones included, passes
-/// [`Hypergraph::audit_transversals`].
+/// the result is identical at any thread count. `cmax(dep(r), A)` is the
+/// complement family of an antichain, hence one itself, so each
+/// hypergraph is built once with [`Hypergraph::from_antichain`]. When
+/// audits are enabled, every completed family, restored ones included,
+/// passes [`Hypergraph::audit_transversals`] against that hypergraph.
 pub fn left_hand_sides_resume_governed(
     ms: &MaxSets,
     engine: TransversalEngine,
@@ -101,21 +103,22 @@ pub fn left_hand_sides_resume_governed(
     prior: &[Option<Vec<AttrSet>>],
 ) -> (Vec<Option<Vec<AttrSet>>>, Option<BudgetExceeded>) {
     let _span = token.observer().span("transversals");
-    let hypergraph = |a: usize| Hypergraph::new(ms.arity, ms.cmax[a].clone());
     let families: Vec<Option<Vec<AttrSet>>> = par_map_indexed(par, ms.arity, |a| {
-        if let Some(Some(done)) = prior.get(a) {
-            token.observer().add(Counter::ResumeLevelsSkipped, 1);
-            return Some(done.clone());
-        }
-        engine.run_governed(&hypergraph(a), token).ok()
-    });
-    if audits_enabled() {
-        for (a, family) in families.iter().enumerate() {
-            if let Some(family) = family {
-                enforce(hypergraph(a).audit_transversals(family));
+        let h = Hypergraph::from_antichain(ms.arity, ms.cmax[a].clone());
+        let family = match prior.get(a) {
+            Some(Some(done)) => {
+                token.observer().add(Counter::ResumeLevelsSkipped, 1);
+                Some(done.clone())
+            }
+            _ => engine.run_governed(&h, token).ok(),
+        };
+        if audits_enabled() {
+            if let Some(family) = &family {
+                enforce(h.audit_transversals(family));
             }
         }
-    }
+        family
+    });
     let stopped = if families.iter().any(Option::is_none) {
         // Every engine error originates from the token, so the trip reason
         // is recorded there; synthesize one only as a defensive fallback.

@@ -27,9 +27,9 @@
 
 use crate::agree::AgreeSets;
 use depminer_fdtheory::max_union;
-use depminer_govern::{BudgetExceeded, CancelToken, Stage};
-use depminer_parallel::{par_map_indexed_governed, Parallelism};
-use depminer_relation::{retain_maximal, AttrSet};
+use depminer_govern::{BudgetExceeded, CancelToken, Counter, Stage};
+use depminer_parallel::{par_chunks_governed, Parallelism};
+use depminer_relation::AttrSet;
 
 /// Per-attribute maximal sets and complements.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,16 +56,22 @@ pub fn cmax_sets(ag: &AgreeSets) -> MaxSets {
 }
 
 /// Algorithm 4 (`CMAX_SET`), with the empty-agree-set corner handled as
-/// described in the module docs. The per-attribute `max(dep(r), A)`
-/// computations are independent, so they fan out across attributes; the
+/// described in the module docs, in one pass over `ag(r)` instead of
+/// one maximality filter per attribute.
+///
+/// By Lemma 3, `X ∈ max(dep(r), A)` iff `A ∉ X` and every agree set
+/// `Y ⊋ X` contains `A`. So with `M(X) = (⋂_{Y ∈ ag(r), Y ⊋ X} Y) \ X`
+/// (where `⋂∅ = R`), `X` is filed under exactly the attributes of
+/// `M(X)`. The sets are visited largest first, so a set's strict
+/// supersets are among those before it, and the intersection stops as
+/// soon as it falls inside `X`. The pass fans out in chunks of sets; the
 /// result is identical at every thread count.
 pub fn cmax_sets_with(ag: &AgreeSets, par: Parallelism) -> MaxSets {
     cmax_sets_governed(ag, par, &CancelToken::unlimited()).expect("an unlimited token never trips")
 }
 
 /// [`cmax_sets_with`] under a live [`CancelToken`], charged to
-/// [`Stage::MaxSets`]: one checkpoint per attribute, since each
-/// attribute's maximality filter (Lemma 3) is the unit of work. The
+/// [`Stage::MaxSets`]: one checkpoint per chunk of agree sets. The
 /// stage is all-or-nothing — a partial per-attribute table would be
 /// useless downstream, so a trip discards it entirely.
 pub fn cmax_sets_governed(
@@ -76,22 +82,48 @@ pub fn cmax_sets_governed(
     let n = ag.arity;
     let full = AttrSet::full(n);
     let _span = token.observer().span("max-sets");
-    let max = par_map_indexed_governed(par, token, Stage::MaxSets, n, |a| {
-        let _filter = token.observer().span("max-sets/filter");
-        token
-            .observer()
-            .add(depminer_govern::Counter::MaxsetFilterPasses, 1);
-        // Lemma 3: maximal non-empty agree sets avoiding A.
-        let mut cands: Vec<AttrSet> = ag.sets.iter().copied().filter(|x| !x.contains(a)).collect();
-        retain_maximal(&mut cands);
-        cands.sort_unstable();
-        if cands.is_empty() && !ag.constant_attrs.contains(a) && ag.n_rows > 1 {
+    // Largest first; the stable sort keeps ties in `ag.sets` order.
+    let mut by_size = ag.sets.clone();
+    by_size.sort_by_key(|x| std::cmp::Reverse(x.len()));
+    let chunk = by_size.len().div_ceil(par.effective_threads() * 4).max(1);
+    let filed = par_chunks_governed(par, token, Stage::MaxSets, &by_size, chunk, |xs| {
+        let mut filed: Vec<(AttrSet, AttrSet)> = Vec::new();
+        for &x in xs {
+            let larger = &by_size[..by_size.partition_point(|y| y.len() > x.len())];
+            let mut above = full;
+            for &y in larger {
+                if x.is_subset_of(y) {
+                    above = above.intersection(y);
+                    if above.is_subset_of(x) {
+                        break;
+                    }
+                }
+            }
+            let m = above.difference(x);
+            if !m.is_empty() {
+                filed.push((x, m));
+            }
+        }
+        Ok(filed)
+    })?;
+    let mut max: Vec<Vec<AttrSet>> = vec![Vec::new(); n];
+    for (x, m) in filed.into_iter().flatten() {
+        for a in m.iter() {
+            max[a].push(x);
+        }
+    }
+    for (a, sets) in max.iter_mut().enumerate() {
+        sets.sort_unstable();
+        if sets.is_empty() && !ag.constant_attrs.contains(a) && ag.n_rows > 1 {
             // Second corner case: ∅ is the unique maximal non-determining
             // set (A is not constant, yet no non-empty agree set avoids it).
-            cands.push(AttrSet::empty());
+            sets.push(AttrSet::empty());
         }
-        Ok(cands)
-    })?;
+    }
+    token.observer().add(
+        Counter::MaxSetsFiled,
+        max.iter().map(Vec::len).sum::<usize>() as u64,
+    );
     let cmax = max
         .iter()
         .map(|sets| {
@@ -161,6 +193,73 @@ mod tests {
                 assert_eq!(ms.max[a], theory, "max sets differ for attribute {a}");
             }
         }
+    }
+
+    /// Lemma 3 read attribute by attribute, as Algorithm 4 states it:
+    /// the maximal agree sets avoiding `a`, or `{∅}` in the second corner.
+    fn per_attribute_max(ag: &AgreeSets, a: usize) -> Vec<AttrSet> {
+        let mut cands: Vec<AttrSet> = ag.sets.iter().copied().filter(|x| !x.contains(a)).collect();
+        depminer_relation::retain_maximal(&mut cands);
+        cands.sort_unstable();
+        if cands.is_empty() && !ag.constant_attrs.contains(a) && ag.n_rows > 1 {
+            cands.push(AttrSet::empty());
+        }
+        cands
+    }
+
+    #[test]
+    fn one_pass_matches_the_per_attribute_definition() {
+        use depminer_relation::{Prng, Relation, Schema, SyntheticConfig};
+        let mut rng = Prng::seed_from_u64(0xA4_0001);
+        let mut relations: Vec<Relation> = Vec::new();
+        for seed in 0..6u64 {
+            // A §5.2 relation plus a constant column and two tuples that
+            // agree with every other tuple on that column alone.
+            let (n, rows) = (rng.gen_range(3..=9usize), rng.gen_range(20..=120usize));
+            let r = SyntheticConfig {
+                n_attrs: n,
+                n_rows: rows,
+                correlation: 0.5,
+                seed,
+            }
+            .generate()
+            .unwrap();
+            let mut columns: Vec<Vec<u32>> = (0..n)
+                .map(|a| (0..rows).map(|t| r.column(a).code(t)).collect())
+                .collect();
+            for column in &mut columns {
+                let fresh = rows as u32 + 1;
+                column.extend([fresh, fresh + 1]);
+            }
+            columns.push(vec![0; rows + 2]);
+            relations
+                .push(Relation::from_columns(Schema::synthetic(n + 1).unwrap(), columns).unwrap());
+        }
+        for _ in 0..40 {
+            // Tiny relations over tiny domains: constant columns, and the
+            // ∅ corner, come up often.
+            let (n, rows) = (rng.gen_range(2..=5usize), rng.gen_range(2..=6usize));
+            let columns: Vec<Vec<u32>> = (0..n)
+                .map(|_| {
+                    let domain = rng.gen_range(1..=4u32);
+                    (0..rows).map(|_| rng.gen_range(0..domain)).collect()
+                })
+                .collect();
+            relations.push(Relation::from_columns(Schema::synthetic(n).unwrap(), columns).unwrap());
+        }
+        let mut corners = 0;
+        for r in &relations {
+            let ag = agree_sets_naive(r);
+            let oracle: Vec<Vec<AttrSet>> =
+                (0..r.arity()).map(|a| per_attribute_max(&ag, a)).collect();
+            corners += oracle.iter().filter(|m| m == &&[AttrSet::empty()]).count();
+            for par in [Parallelism::Sequential, Parallelism::Threads(3)] {
+                let ms = cmax_sets_with(&ag, par);
+                assert_eq!(ms.max, oracle, "{par:?}");
+                ms.audit(&ag).unwrap();
+            }
+        }
+        assert!(corners > 0, "no relation hit the ∅ corner");
     }
 
     #[test]

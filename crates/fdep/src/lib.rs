@@ -13,14 +13,16 @@
 //!    maximal sets `max(dep(r), A)` of the Dep-Miner paper, reached from
 //!    the opposite direction. The pairs worth scanning are Dep-Miner's
 //!    couples of maximal classes, so the cover is Dep-Miner's Algorithm 3
-//!    agree-set scan followed by its Algorithm 4 maximal filter.
+//!    agree-set scan followed by its one-pass Algorithm 4.
 //! 2. **Negative-to-positive inversion** — start from the most general
 //!    hypothesis `∅ → A`; for each violated `Y → A`, remove every current
 //!    lhs `X ⊆ Y` and specialize it minimally (`X ∪ {B}` for
-//!    `B ∉ Y ∪ {A}`), keeping the hypothesis space an antichain via
-//!    FD-tree subset queries. That is Berge's transversal algorithm on
-//!    the edges `R \ Y`, i.e. on `cmax(dep(r), A)`, on the FD-tree as its
-//!    set-trie, and FD_OUTPUT's `X ≠ {A}` guard drops the trivial lhs.
+//!    `B ∉ Y ∪ {A}`), keeping only the minimal hypotheses, so the
+//!    hypothesis space stays an antichain. That is Berge's transversal
+//!    algorithm on the edges `R \ Y`, i.e. on `cmax(dep(r), A)`, with the
+//!    FD-tree as its set-trie (a specialization is kept iff dropping any
+//!    one of its attributes leaves an lhs the negative cover violates),
+//!    and FD_OUTPUT's `X ≠ {A}` guard drops the trivial lhs.
 //!
 //! So FDEP is [`Fdep::miner`]: `DepMiner::algorithm_3()` on the Berge
 //! engine. It runs, governs, checkpoints and resumes through Dep-Miner's
@@ -55,7 +57,7 @@ impl Fdep {
     }
 
     /// FDEP as a Dep-Miner configuration: Algorithm 3's maximal-class
-    /// scan and Algorithm 4's filter build the negative cover, and Berge's
+    /// scan and Algorithm 4's one pass build the negative cover, and Berge's
     /// engine inverts it. Parallelism is the default.
     pub fn miner() -> DepMiner {
         DepMiner::algorithm_3().with_engine(TransversalEngine::Berge)

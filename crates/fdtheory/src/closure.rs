@@ -5,50 +5,117 @@ use depminer_relation::AttrSet;
 
 /// Computes the closure `X⁺_F = {A | F ⊨ X → A}`.
 ///
-/// Uses the linear-time algorithm of Beeri & Bernstein: each FD keeps a
-/// counter of unsatisfied lhs attributes; when it hits zero the rhs fires.
-/// Runs in O(Σ|lhs| + |F|) after an O(|F|) index build.
+/// Uses the linear-time algorithm of Beeri & Bernstein on a
+/// `ClosureIndex` built for this one query: O(Σ|lhs| + |F|).
 pub fn closure(x: AttrSet, fds: &[Fd]) -> AttrSet {
-    // Index: for each attribute, the FDs whose lhs contains it.
-    let mut max_attr = 0usize;
-    for f in fds {
-        max_attr = max_attr.max(f.rhs);
-        if let Some(m) = f.lhs.max_attr() {
-            max_attr = max_attr.max(m);
+    ClosureIndex::new(fds).closure(x)
+}
+
+/// The index of Beeri & Bernstein's linear-time closure, built once per
+/// FD list and reused across queries: for each attribute, the FDs whose
+/// lhs holds it. A query keeps one counter of unsatisfied lhs attributes
+/// per FD; when it hits zero the rhs fires. Only the counters a query
+/// touched are reset, so a query costs the FDs it reaches, not `|F|`.
+/// FDs can be switched off, which is how redundancy elimination tests an
+/// FD against the rest without copying the list.
+pub(crate) struct ClosureIndex<'a> {
+    fds: &'a [Fd],
+    /// FD indices by lhs attribute.
+    uses: Vec<Vec<u32>>,
+    /// FDs with an empty lhs: they fire at the start of every query.
+    unconditional: Vec<u32>,
+    on: Vec<bool>,
+    /// Unsatisfied lhs attributes per FD, `|lhs|` between queries.
+    missing: Vec<u32>,
+    touched: Vec<u32>,
+    queue: Vec<usize>,
+}
+
+impl<'a> ClosureIndex<'a> {
+    /// Indexes `fds`, every FD switched on.
+    pub(crate) fn new(fds: &'a [Fd]) -> Self {
+        let width = fds
+            .iter()
+            .filter_map(|f| f.lhs.max_attr())
+            .max()
+            .map_or(0, |m| m + 1);
+        let mut uses: Vec<Vec<u32>> = vec![Vec::new(); width];
+        let mut unconditional = Vec::new();
+        for (i, f) in fds.iter().enumerate() {
+            for a in f.lhs.iter() {
+                uses[a].push(i as u32);
+            }
+            if f.lhs.is_empty() {
+                unconditional.push(i as u32);
+            }
+        }
+        ClosureIndex {
+            fds,
+            uses,
+            unconditional,
+            on: vec![true; fds.len()],
+            missing: fds.iter().map(|f| f.lhs.len() as u32).collect(),
+            touched: Vec::new(),
+            queue: Vec::new(),
         }
     }
-    let mut uses: Vec<Vec<u32>> = vec![Vec::new(); max_attr + 1];
-    let mut missing: Vec<u32> = Vec::with_capacity(fds.len());
-    for (i, f) in fds.iter().enumerate() {
-        missing.push(f.lhs.difference(x).len() as u32);
-        for a in f.lhs.difference(x) {
-            uses[a].push(i as u32);
-        }
+
+    /// Switches FD `i` (an index into the indexed list) on or off.
+    pub(crate) fn set(&mut self, i: usize, on: bool) {
+        self.on[i] = on;
     }
-    let mut result = x;
-    // Worklist of newly-derived attributes; FDs with empty (remaining) lhs
-    // fire immediately.
-    let mut queue: Vec<usize> = Vec::new();
-    for (i, f) in fds.iter().enumerate() {
-        if missing[i] == 0 && !result.contains(f.rhs) {
-            result.insert(f.rhs);
-            queue.push(f.rhs);
-        }
+
+    /// `X⁺` under the FDs switched on.
+    pub(crate) fn closure(&mut self, x: AttrSet) -> AttrSet {
+        self.run(x, None)
     }
-    while let Some(a) = queue.pop() {
-        for &fi in &uses[a] {
-            let fi = fi as usize;
-            missing[fi] -= 1;
-            if missing[fi] == 0 {
-                let b = fds[fi].rhs;
-                if !result.contains(b) {
-                    result.insert(b);
-                    queue.push(b);
+
+    /// `true` iff the FDs switched on imply `X → a`: the closure, stopped
+    /// as soon as it holds `a`.
+    pub(crate) fn derives(&mut self, x: AttrSet, a: usize) -> bool {
+        self.run(x, Some(a)).contains(a)
+    }
+
+    fn run(&mut self, x: AttrSet, stop_at: Option<usize>) -> AttrSet {
+        let mut result = x;
+        let done = |result: AttrSet| stop_at.is_some_and(|s| result.contains(s));
+        self.queue.clear();
+        self.queue.extend(x.iter());
+        for &fi in &self.unconditional {
+            let b = self.fds[fi as usize].rhs;
+            if self.on[fi as usize] && !result.contains(b) {
+                result.insert(b);
+                self.queue.push(b);
+            }
+        }
+        'walk: while let Some(a) = self.queue.pop() {
+            if done(result) {
+                break;
+            }
+            for &fi in self.uses.get(a).map_or(&[][..], Vec::as_slice) {
+                let i = fi as usize;
+                if !self.on[i] {
+                    continue;
+                }
+                self.touched.push(fi);
+                self.missing[i] -= 1;
+                if self.missing[i] == 0 {
+                    let b = self.fds[i].rhs;
+                    if !result.contains(b) {
+                        result.insert(b);
+                        if done(result) {
+                            break 'walk;
+                        }
+                        self.queue.push(b);
+                    }
                 }
             }
         }
+        for fi in self.touched.drain(..) {
+            self.missing[fi as usize] = self.fds[fi as usize].lhs.len() as u32;
+        }
+        result
     }
-    result
 }
 
 /// Reference fixpoint implementation of the closure; quadratic but obviously
@@ -134,6 +201,34 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_reused_index_matches_naive_with_fds_switched_off() {
+        use depminer_relation::Prng;
+        let mut rng = Prng::seed_from_u64(0xBB01);
+        let f: Vec<Fd> = (0..30)
+            .map(|_| {
+                let lhs = match rng.gen_range(0..8u32) {
+                    0 => AttrSet::empty(),
+                    _ => AttrSet::from_bits(rng.gen_range(0..64u32) as u128),
+                };
+                Fd::new(lhs, rng.gen_range(0..7usize))
+            })
+            .collect();
+        let mut index = ClosureIndex::new(&f);
+        let mut on = vec![true; f.len()];
+        for _ in 0..400 {
+            let i = rng.gen_range(0..f.len());
+            on[i] = !on[i];
+            index.set(i, on[i]);
+            let live: Vec<Fd> = f.iter().zip(&on).filter(|p| *p.1).map(|p| *p.0).collect();
+            let x = AttrSet::from_bits(rng.gen_range(0..128u32) as u128);
+            let want = closure_naive(x, &live);
+            assert_eq!(index.closure(x), want, "{x} under {live:?}");
+            let a = rng.gen_range(0..7usize);
+            assert_eq!(index.derives(x, a), want.contains(a), "{x} -> {a}");
         }
     }
 

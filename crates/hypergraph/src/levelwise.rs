@@ -21,7 +21,7 @@
 //! full: one OR and one compare per candidate, where the paper's test
 //! scans every edge.
 
-use crate::Hypergraph;
+use crate::{edge_covers, Hypergraph};
 use depminer_govern::{BudgetExceeded, CancelToken, Stage};
 use depminer_relation::{apriori_gen, AttrSet};
 
@@ -60,17 +60,10 @@ pub fn min_transversals_governed(
         cover[..words - 1].iter().all(|&w| w == u64::MAX) && cover[words - 1] == last_word
     };
     // L1: the vertices appearing in some edge, ascending, each covering
-    // the edges that contain it, 64 edges to a word.
+    // the edges that contain it.
     let support = h.vertex_support();
     let mut level: Vec<AttrSet> = support.singletons().collect();
-    let mut covers: Vec<u64> = Vec::with_capacity(level.len() * words);
-    for v in support.iter() {
-        covers.extend(edges.chunks(64).map(|chunk| {
-            chunk.iter().enumerate().fold(0, |word, (bit, e)| {
-                word | ((e.bits() >> v) as u64 & 1) << bit
-            })
-        }));
-    }
+    let mut covers = edge_covers(edges, support);
     let mut next_covers: Vec<u64> = Vec::new();
     let candidate_bytes = std::mem::size_of::<AttrSet>() + words * std::mem::size_of::<u64>();
     let mut result: Vec<AttrSet> = Vec::new();

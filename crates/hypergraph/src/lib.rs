@@ -15,7 +15,12 @@
 //! against and the inversion step of FDEP. Each engine is one governed
 //! function, [`levelwise::min_transversals_governed`] or
 //! [`berge::min_transversals_governed`], behind one audited, ungoverned
-//! convenience method here.
+//! convenience method here. Both test transversals on per-vertex edge
+//! covers, vertical bitsets built in one place: levelwise ORs a
+//! candidate's covers, Berge reads each extension's private edges off
+//! them. [`Hypergraph::new`] minimizes arbitrary edges;
+//! [`Hypergraph::from_antichain`] takes edges known to be simple, as
+//! Dep-Miner's `cmax` families are, and audits the claim instead.
 
 #![warn(missing_docs)]
 
@@ -63,6 +68,21 @@ impl Hypergraph {
         retain_minimal(&mut edges);
         edges.sort();
         Hypergraph { n_vertices, edges }
+    }
+
+    /// Builds a simple hypergraph from edges that already are one:
+    /// non-empty and pairwise incomparable, such as the complements
+    /// `cmax(dep(r), A)` of the antichain `max(dep(r), A)`. Only sorts,
+    /// skipping [`Hypergraph::new`]'s quadratic minimization; when audits
+    /// are enabled, it checks that the edges are non-empty and pairwise
+    /// incomparable.
+    pub fn from_antichain(n_vertices: usize, mut edges: Vec<AttrSet>) -> Self {
+        edges.sort_unstable();
+        let h = Hypergraph { n_vertices, edges };
+        if audits_enabled() {
+            enforce(h.audit_antichain());
+        }
+        h
     }
 
     /// Number of vertices in the universe.
@@ -177,11 +197,51 @@ impl Hypergraph {
         Ok(())
     }
 
+    /// Audits that the edges form a simple hypergraph: sorted, none
+    /// empty, and no edge a subset of another. [`Hypergraph::new`]
+    /// establishes this; [`Hypergraph::from_antichain`] relies on its
+    /// caller and runs this check when audits are enabled.
+    pub(crate) fn audit_antichain(&self) -> Result<(), InvariantError> {
+        let err = |d: String| Err(InvariantError::new("Hypergraph", d));
+        if !self.edges.windows(2).all(|w| w[0] < w[1]) {
+            return err(format!("edges are not sorted/deduplicated: {self:?}"));
+        }
+        if self.edges.first() == Some(&AttrSet::empty()) {
+            return err("an edge is empty".into());
+        }
+        for (i, &e) in self.edges.iter().enumerate() {
+            if let Some(&f) = self.edges[i + 1..]
+                .iter()
+                .find(|&&f| e.is_subset_of(f) || f.is_subset_of(e))
+            {
+                return err(format!("edges {e} and {f} are nested"));
+            }
+        }
+        Ok(())
+    }
+
     /// The transversal hypergraph `Tr(H)` as a new [`Hypergraph`]
     /// (levelwise engine).
     pub fn transversal_hypergraph(&self) -> Hypergraph {
         Hypergraph::new(self.n_vertices, self.min_transversals_levelwise())
     }
+}
+
+/// Per-vertex edge covers of `edges`, the vertical bitsets both engines
+/// test transversals with: for each vertex of `vertices`, ascending,
+/// `⌈|edges|/64⌉` words in which bit `i` (word `i / 64`, bit `i % 64`)
+/// is set iff `edges[i]` holds the vertex.
+pub(crate) fn edge_covers(edges: &[AttrSet], vertices: AttrSet) -> Vec<u64> {
+    let words = edges.len().div_ceil(64);
+    let mut covers = Vec::with_capacity(vertices.len() * words);
+    for v in vertices.iter() {
+        covers.extend(edges.chunks(64).map(|chunk| {
+            chunk.iter().enumerate().fold(0, |word, (bit, e)| {
+                word | ((e.bits() >> v) as u64 & 1) << bit
+            })
+        }));
+    }
+    covers
 }
 
 impl fmt::Debug for Hypergraph {
@@ -212,6 +272,50 @@ mod tests {
             vec![s(&[0, 1, 2]), s(&[0, 1]), AttrSet::empty(), s(&[0, 1])],
         );
         assert_eq!(h.edges(), &[s(&[0, 1])]);
+    }
+
+    #[test]
+    fn from_antichain_only_sorts() {
+        let edges = vec![s(&[1, 2]), s(&[0, 1]), s(&[0, 2])];
+        let h = Hypergraph::from_antichain(3, edges.clone());
+        assert_eq!(h, Hypergraph::new(3, edges));
+        h.audit_antichain().unwrap();
+    }
+
+    #[test]
+    fn antichain_audit_rejects_a_nested_pair_and_an_empty_edge() {
+        // Built past `from_antichain`, which would enforce the audit.
+        let nested = Hypergraph {
+            n_vertices: 3,
+            edges: vec![s(&[0]), s(&[0, 1]), s(&[2])],
+        };
+        let e = nested.audit_antichain().unwrap_err();
+        assert!(e.detail.contains("nested"), "{e}");
+        let empty = Hypergraph {
+            n_vertices: 3,
+            edges: vec![AttrSet::empty(), s(&[1])],
+        };
+        let e = empty.audit_antichain().unwrap_err();
+        assert!(e.detail.contains("empty"), "{e}");
+        let unsorted = Hypergraph {
+            n_vertices: 3,
+            edges: vec![s(&[1]), s(&[0])],
+        };
+        assert!(unsorted.audit_antichain().is_err());
+    }
+
+    #[test]
+    fn edge_covers_set_bit_i_for_edge_i() {
+        // 70 edges, so vertex 64's cover spans two words.
+        let edges: Vec<AttrSet> = (0..70).map(|i| s(&[i % 3, 64 + i % 2])).collect();
+        let covers = edge_covers(&edges, s(&[1, 64]));
+        assert_eq!(covers.len(), 4);
+        for (slot, v) in [1, 64].into_iter().enumerate() {
+            for (i, e) in edges.iter().enumerate() {
+                let bit = covers[slot * 2 + i / 64] >> (i % 64) & 1;
+                assert_eq!(bit == 1, e.contains(v), "vertex {v}, edge {i}");
+            }
+        }
     }
 
     #[test]

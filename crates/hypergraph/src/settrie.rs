@@ -1,18 +1,14 @@
-//! A set-trie over attribute sets with subset queries: the store behind
+//! A set-trie over attribute sets with a subset query: the store behind
 //! Berge's transversal algorithm.
 //!
 //! This is FDEP's FD-tree (\[SF93\]; the same structure later powers
-//! FastFDs and HyFD). Sets are stored as ascending attribute paths; the
-//! two queries Berge's step needs are sub-linear in the number of stored
-//! sets:
+//! FastFDs and HyFD). Sets are stored as ascending attribute paths, so
+//! [`SetTrie::remove_subsets_of`] — extract every stored set ⊆ `x`, the
+//! transversals that miss the edge `R \ x` — prunes every subtree that
+//! leaves `x` and is sub-linear in the number of stored sets.
 //!
-//! * [`SetTrie::contains_subset_with`] — is some stored set that holds
-//!   `v` a subset of `x ∪ {v}`? (the minimality test for an extension);
-//! * [`SetTrie::remove_subsets_of`] — extract every stored set ⊆ `x`
-//!   (the transversals that miss the edge `R \ x`).
-//!
-//! [`SetTrie::insert`] does no dedup of supersets: the caller keeps the
-//! trie an antichain through the two queries above.
+//! [`SetTrie::insert`] does no dedup of supersets: Berge's step keeps
+//! the trie an antichain by inserting only minimal transversals.
 
 use depminer_relation::AttrSet;
 
@@ -62,28 +58,6 @@ impl SetTrie {
             self.len += 1;
             true
         }
-    }
-
-    /// `true` iff some stored set that holds `v` is a subset of `x ∪ {v}`.
-    /// Paths ascend, so a search that has not taken `v` stops at the
-    /// first child past it.
-    pub(crate) fn contains_subset_with(&self, x: AttrSet, v: usize) -> bool {
-        fn rec(node: &Node, x: AttrSet, v: usize, took_v: bool) -> bool {
-            if node.terminal && took_v {
-                return true;
-            }
-            for (a, child) in &node.children {
-                let a = *a as usize;
-                if a > v && !took_v {
-                    return false;
-                }
-                if (a == v || x.contains(a)) && rec(child, x, v, took_v || a == v) {
-                    return true;
-                }
-            }
-            false
-        }
-        rec(&self.root, x, v, false)
     }
 
     /// Removes every stored set that is a subset of `x`, returning them.
@@ -154,20 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn subset_query() {
-        let mut t = SetTrie::default();
-        t.insert(s(&[0, 2]));
-        t.insert(s(&[1, 3]));
-        assert!(t.contains_subset_with(s(&[0, 1]), 2));
-        assert!(t.contains_subset_with(s(&[1, 2]), 0));
-        assert!(t.contains_subset_with(s(&[1, 4]), 3));
-        // {0, 2} ⊆ {0, 1, 2} but does not hold 1.
-        assert!(!t.contains_subset_with(s(&[0, 2]), 1));
-        assert!(!t.contains_subset_with(s(&[0, 2]), 3));
-        assert!(!t.contains_subset_with(AttrSet::empty(), 2));
-    }
-
-    #[test]
     fn remove_subsets() {
         let mut t = SetTrie::default();
         for x in [s(&[0]), s(&[0, 1]), s(&[2]), s(&[1, 3]), s(&[0, 1, 2])] {
@@ -180,7 +140,7 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!(t.iter_sets(), vec![s(&[1, 3])]);
         // Interior nodes left behind by removal do not resurrect sets.
-        assert!(!t.contains_subset_with(s(&[0, 1]), 2));
+        assert!(t.remove_subsets_of(s(&[0, 1, 2])).is_empty());
     }
 
     #[test]
@@ -205,23 +165,13 @@ mod tests {
         let mut naive: Vec<AttrSet> = Vec::new();
         for _ in 0..500 {
             let x = AttrSet::from_bits(rng.gen_range(0u32..256) as u128);
-            match rng.gen_range(0..3u32) {
+            match rng.gen_range(0..2u32) {
                 0 => {
                     let inserted = trie.insert(x);
                     assert_eq!(inserted, !naive.contains(&x));
                     if inserted {
                         naive.push(x);
                     }
-                }
-                1 => {
-                    let v = rng.gen_range(0..8usize);
-                    assert_eq!(
-                        trie.contains_subset_with(x, v),
-                        naive
-                            .iter()
-                            .any(|n| n.contains(v) && n.is_subset_of(x.with(v))),
-                        "subset query mismatch for {x} with {v}"
-                    );
                 }
                 _ => {
                     let mut removed = trie.remove_subsets_of(x);

@@ -148,8 +148,9 @@ pub enum Counter {
     /// transversals, Berge extensions). Fed by
     /// `CancelToken::add_candidates`.
     AprioriCandidates,
-    /// Per-attribute maximality filter passes in the maxset stage.
-    MaxsetFilterPasses,
+    /// Maximal sets filed by the maxset stage: `Σ_A |max(dep(r), A)|`,
+    /// the size of FDEP's negative cover.
+    MaxSetsFiled,
     /// Minimal FDs emitted across all miners.
     FdEmissions,
     /// High-water bytes held by `PartitionArena` scratch + recycling
@@ -173,7 +174,7 @@ impl Counter {
         Counter::CouplesScanned,
         Counter::PartitionProducts,
         Counter::AprioriCandidates,
-        Counter::MaxsetFilterPasses,
+        Counter::MaxSetsFiled,
         Counter::FdEmissions,
         Counter::ArenaHighWaterBytes,
         Counter::PartitionCacheEvictions,
@@ -190,7 +191,7 @@ impl Counter {
             Counter::CouplesScanned => "couples_scanned",
             Counter::PartitionProducts => "partition_products",
             Counter::AprioriCandidates => "apriori_candidates",
-            Counter::MaxsetFilterPasses => "maxset_filter_passes",
+            Counter::MaxSetsFiled => "max_sets_filed",
             Counter::FdEmissions => "fd_emissions",
             Counter::ArenaHighWaterBytes => "arena_high_water_bytes",
             Counter::PartitionCacheEvictions => "partition_cache_evictions",
@@ -205,7 +206,7 @@ impl Counter {
             Counter::CouplesScanned => 0,
             Counter::PartitionProducts => 1,
             Counter::AprioriCandidates => 2,
-            Counter::MaxsetFilterPasses => 3,
+            Counter::MaxSetsFiled => 3,
             Counter::FdEmissions => 4,
             Counter::ArenaHighWaterBytes => 5,
             Counter::PartitionCacheEvictions => 6,

@@ -233,9 +233,15 @@ fn counters_agree_with_stage_reports() {
                 "fd_emissions must match the emitted FD count"
             );
             assert_eq!(
-                profile.counter("maxset_filter_passes"),
-                r.arity() as u64,
-                "one max-set filter pass per attribute"
+                profile.counter("max_sets_filed"),
+                outcome
+                    .result
+                    .max_sets
+                    .max
+                    .iter()
+                    .map(Vec::len)
+                    .sum::<usize>() as u64,
+                "max_sets_filed must match the filed maximal sets"
             );
         }
         let (outcome, profile) = profiled(|t| Tane::new().run_db_governed(&db, t, None));

@@ -118,11 +118,10 @@ fn wide_levels_agree_with_berge() {
     }
 }
 
-#[test]
-fn engines_agree_on_every_cmax_family_of_a_generated_relation() {
-    // The §5.2 generator at 20 × 1,000, c = 0.5: 20 families of 133 to
-    // 142 edges, where Berge's intermediate transversal sets are far
-    // larger than on the random graphs above.
+/// The `cmax` families of the §5.2 generator at 20 × 1,000, c = 0.5:
+/// 20 families of 133 to 142 edges, where Berge's intermediate
+/// transversal sets are far larger than on the random graphs above.
+fn generated_cmax_hypergraphs() -> Vec<Hypergraph> {
     let r = SyntheticConfig::new(20, 1_000, 0.5)
         .generate()
         .expect("valid synthetic config");
@@ -130,12 +129,67 @@ fn engines_agree_on_every_cmax_family_of_a_generated_relation() {
         &StrippedPartitionDb::from_relation(&r),
         AgreeSetStrategy::EquivalenceClasses,
     );
-    for (a, cmax) in cmax_sets(&ag).cmax.into_iter().enumerate() {
-        let h = Hypergraph::new(r.arity(), cmax);
+    cmax_sets(&ag)
+        .cmax
+        .into_iter()
+        .map(|cmax| Hypergraph::new(r.arity(), cmax))
+        .collect()
+}
+
+#[test]
+fn engines_agree_on_every_cmax_family_of_a_generated_relation() {
+    for (a, h) in generated_cmax_hypergraphs().iter().enumerate() {
         assert_eq!(
             h.min_transversals_levelwise(),
             h.min_transversals_berge(),
             "attribute {a}"
+        );
+    }
+}
+
+#[test]
+fn berge_candidate_charge_is_pinned_on_the_generated_relation() {
+    // Berge charges kept + missed × |E| per edge, so the total depends
+    // only on the transversal set after each edge. Any minimality test
+    // that keeps those sets keeps this figure, and with it every budget
+    // trip point.
+    let token = CancelToken::unlimited();
+    for h in generated_cmax_hypergraphs() {
+        berge::min_transversals_governed(&h, &token).expect("unlimited");
+    }
+    assert_eq!(token.candidates(), 771_315);
+}
+
+#[test]
+fn engines_agree_on_hypergraphs_past_one_cover_word() {
+    // 65 to 200 edges over 66 to 70 vertices: Berge's covers span two to
+    // four words, its prefix mask crosses bit 64, and vertices 64 and up
+    // carry covers. Each edge is the complement of a random 2- to
+    // 8-subset, as a cmax edge is the complement of a maximal set, so
+    // the minimal transversals stay few and small.
+    let mut rng = Prng::seed_from_u64(0x7A06);
+    let mut done = 0;
+    while done < 12 {
+        let n = rng.gen_range(66..=70usize);
+        let m = rng.gen_range(65..=200usize);
+        let universe = AttrSet::full(n);
+        let edges: Vec<AttrSet> = (0..m)
+            .map(|_| {
+                let k = rng.gen_range(2..=8usize);
+                let missing = AttrSet::from_indices((0..k).map(|_| rng.gen_range(0..n)));
+                universe.difference(missing)
+            })
+            .collect();
+        let h = Hypergraph::new(n, edges);
+        if h.edges().len() < 65 {
+            continue;
+        }
+        done += 1;
+        assert_eq!(
+            h.min_transversals_berge(),
+            h.min_transversals_levelwise(),
+            "{} edges over {n} vertices",
+            h.edges().len()
         );
     }
 }
