@@ -152,6 +152,7 @@ impl fmt::Display for BenchmarkId {
 #[macro_export]
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
+        /// Runs this group's benchmarks.
         pub fn $name() {
             let mut criterion = $crate::harness::Criterion::default();
             $($target(&mut criterion);)+

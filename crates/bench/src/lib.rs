@@ -10,8 +10,6 @@
 //! mirroring the paper's handling of >2h / out-of-memory runs, and that
 //! algorithm is skipped for larger `|r|` in the same column.
 
-#![warn(missing_docs)]
-
 pub mod harness;
 pub mod report;
 

@@ -430,7 +430,6 @@ fn agree_sets_ec_governed(
     token.release_memory(bytes);
     let mut seen: FxHashSet<AttrSet> = FxHashSet::default();
     let mut stopped: Option<BudgetExceeded> = None;
-    // set-union merge is order-insensitive; lint: allow(unordered-iter)
     for (local, why) in locals {
         seen.extend(local);
         stopped = stopped.or(why);

@@ -28,8 +28,6 @@
 //! assert_eq!(armstrong.len(), 4);
 //! ```
 
-#![warn(missing_docs)]
-
 pub mod agree;
 pub mod armstrong;
 pub mod audit;

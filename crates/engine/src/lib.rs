@@ -30,8 +30,6 @@
 //! assert!(!outcome.result.exact_fds().unwrap().is_empty());
 //! ```
 
-#![warn(missing_docs)]
-
 pub mod registry;
 pub mod session;
 

@@ -30,8 +30,6 @@
 //! Dep-Miner and TANE produce — asserted by cross-validation tests here
 //! and in the workspace root.
 
-#![warn(missing_docs)]
-
 use depminer_core::{DepMiner, TransversalEngine};
 use depminer_fdtheory::Fd;
 use depminer_relation::Relation;

@@ -113,27 +113,44 @@ mod tests {
         g
     }
 
+    /// Up to 24 random FDs over 2 to 9 attributes, with `∅ → A` and
+    /// trivial FDs (rhs inside the lhs) among them.
+    fn random_fd_set(rng: &mut depminer_relation::Prng) -> Vec<Fd> {
+        let n = rng.gen_range(2..=9usize);
+        (0..rng.gen_range(0..=24usize))
+            .map(|_| {
+                let rhs = rng.gen_range(0..n);
+                let lhs = match rng.gen_range(0..10u32) {
+                    0 => AttrSet::empty(),
+                    1 => AttrSet::from_bits(rng.gen_range(0..1u32 << n) as u128).with(rhs),
+                    _ => AttrSet::from_bits(rng.gen_range(0..1u32 << n) as u128),
+                };
+                Fd::new(lhs, rhs)
+            })
+            .collect()
+    }
+
     #[test]
     fn canonical_cover_matches_its_definition_on_random_fd_sets() {
-        use depminer_relation::Prng;
-        let mut rng = Prng::seed_from_u64(0xCC01);
+        let mut rng = depminer_relation::Prng::seed_from_u64(0xCC01);
         for case in 0..300 {
-            let n = rng.gen_range(2..=9usize);
-            let f: Vec<Fd> = (0..rng.gen_range(0..=24usize))
-                .map(|_| {
-                    let rhs = rng.gen_range(0..n);
-                    let lhs = match rng.gen_range(0..10u32) {
-                        // ∅ → A, and trivial FDs (rhs inside the lhs).
-                        0 => AttrSet::empty(),
-                        1 => AttrSet::from_bits(rng.gen_range(0..1u32 << n) as u128).with(rhs),
-                        _ => AttrSet::from_bits(rng.gen_range(0..1u32 << n) as u128),
-                    };
-                    Fd::new(lhs, rhs)
-                })
-                .collect();
+            let f = random_fd_set(&mut rng);
             let cc = canonical_cover(&f);
             assert_eq!(cc, canonical_cover_by_definition(&f), "case {case}: {f:?}");
             assert!(equivalent(&cc, &f), "case {case}");
+        }
+    }
+
+    /// `synthesize_3nf` takes a cover its caller already made canonical
+    /// and does not reduce it again, which is sound because a canonical
+    /// cover is its own canonical cover.
+    #[test]
+    fn canonical_cover_is_idempotent_on_random_fd_sets() {
+        let mut rng = depminer_relation::Prng::seed_from_u64(0xCC02);
+        for case in 0..300 {
+            let f = random_fd_set(&mut rng);
+            let cc = canonical_cover(&f);
+            assert_eq!(canonical_cover(&cc), cc, "case {case}: {f:?}");
         }
     }
 

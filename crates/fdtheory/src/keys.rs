@@ -1,6 +1,6 @@
 //! Candidate keys of an FD set (Lucchesi–Osborn enumeration).
 
-use crate::closure::closure;
+use crate::closure::{closure, ClosureIndex};
 use crate::fd::Fd;
 use depminer_relation::{retain_minimal, AttrSet};
 
@@ -11,11 +11,18 @@ pub fn is_superkey(x: AttrSet, fds: &[Fd], n_attrs: usize) -> bool {
 
 /// Reduces a superkey to a (candidate) key by greedily dropping attributes.
 pub fn minimize_key(x: AttrSet, fds: &[Fd], n_attrs: usize) -> AttrSet {
-    debug_assert!(is_superkey(x, fds, n_attrs));
+    minimize_key_with(&mut ClosureIndex::new(fds), x, n_attrs)
+}
+
+/// [`minimize_key`] on a closure index of the FDs, which every superkey
+/// test reuses.
+fn minimize_key_with(index: &mut ClosureIndex<'_>, x: AttrSet, n_attrs: usize) -> AttrSet {
+    let full = AttrSet::full(n_attrs);
+    debug_assert!(index.closure(x) == full);
     let mut key = x;
     for a in x.iter() {
         let cand = key.without(a);
-        if is_superkey(cand, fds, n_attrs) {
+        if index.closure(cand) == full {
             key = cand;
         }
     }
@@ -26,9 +33,11 @@ pub fn minimize_key(x: AttrSet, fds: &[Fd], n_attrs: usize) -> AttrSet {
 /// Lucchesi–Osborn algorithm: start with one minimized key; for each known
 /// key `K` and FD `X → A`, the set `X ∪ (K \ A)` is a superkey, whose
 /// minimization may be a new key. Terminates with the complete antichain of
-/// keys; output is sorted.
+/// keys; output is sorted. One closure index of `fds` serves every
+/// superkey test.
 pub fn candidate_keys(fds: &[Fd], n_attrs: usize) -> Vec<AttrSet> {
-    let first = minimize_key(AttrSet::full(n_attrs), fds, n_attrs);
+    let mut index = ClosureIndex::new(fds);
+    let first = minimize_key_with(&mut index, AttrSet::full(n_attrs), n_attrs);
     let mut keys = vec![first];
     let mut i = 0;
     while i < keys.len() {
@@ -36,7 +45,7 @@ pub fn candidate_keys(fds: &[Fd], n_attrs: usize) -> Vec<AttrSet> {
         for f in fds {
             let candidate = f.lhs.union(k.without(f.rhs));
             if !keys.iter().any(|&kk| kk.is_subset_of(candidate)) {
-                let new_key = minimize_key(candidate, fds, n_attrs);
+                let new_key = minimize_key_with(&mut index, candidate, n_attrs);
                 if !keys.contains(&new_key) {
                     keys.push(new_key);
                 }

@@ -20,8 +20,6 @@
 //!   reorganization step the paper's introduction motivates;
 //! * [`proofs`] — derivations under Armstrong's axioms.
 
-#![warn(missing_docs)]
-
 pub mod closedsets;
 pub mod closure;
 pub mod cover;

@@ -4,12 +4,11 @@
 //! Armstrong relation as a sample), the schema can be reorganized:
 //! [`bcnf_decompose`] removes all update anomalies (lossless join, BCNF),
 //! [`synthesize_3nf`] produces a dependency-preserving 3NF design from a
-//! canonical cover.
+//! canonical cover and its candidate keys.
 
 use crate::closure::closure;
-use crate::cover::canonical_cover;
 use crate::fd::Fd;
-use crate::keys::{candidate_keys, is_superkey, prime_attributes};
+use crate::keys::{is_superkey, prime_attributes};
 use depminer_relation::fxhash::FxHashMap;
 use depminer_relation::AttrSet;
 
@@ -104,17 +103,22 @@ fn project_fds(attrs: AttrSet, fds: &[Fd]) -> Vec<Fd> {
 /// 3NF synthesis (Bernstein): one fragment per lhs-group of the canonical
 /// cover, plus a key fragment if no fragment contains a candidate key.
 /// Dependency-preserving and lossless.
-pub fn synthesize_3nf(n_attrs: usize, fds: &[Fd]) -> Vec<Decomposed> {
-    let cc = canonical_cover(fds);
-    // Group by lhs: fragment = X ∪ {all A with X → A in cc}.
+///
+/// Precondition: `cover` is a canonical cover, as
+/// [`canonical_cover`](crate::canonical_cover) returns it, and `keys` are
+/// its candidate keys, as [`candidate_keys`](crate::candidate_keys)
+/// returns them (sorted, never empty). Callers that print the cover and
+/// the keys already hold both, so neither is recomputed here. On any
+/// other input the fragments need not be in 3NF, nor join losslessly.
+pub fn synthesize_3nf(cover: &[Fd], keys: &[AttrSet]) -> Vec<Decomposed> {
+    // Group by lhs: fragment = X ∪ {all A with X → A in the cover}.
     let mut groups: std::collections::BTreeMap<AttrSet, AttrSet> =
         std::collections::BTreeMap::new();
-    for f in &cc {
+    for f in cover {
         groups.entry(f.lhs).or_insert(f.lhs).insert(f.rhs);
     }
     let mut frags: Vec<AttrSet> = groups.into_values().collect();
     // Ensure a fragment contains a candidate key (lossless join).
-    let keys = candidate_keys(&cc, n_attrs);
     if !frags
         .iter()
         .any(|&f| keys.iter().any(|&k| k.is_subset_of(f)))
@@ -128,7 +132,7 @@ pub fn synthesize_3nf(n_attrs: usize, fds: &[Fd]) -> Vec<Decomposed> {
         .into_iter()
         .map(|attrs| Decomposed {
             attrs,
-            local_fds: project_fds(attrs, &cc),
+            local_fds: project_fds(attrs, cover),
         })
         .collect()
 }
@@ -181,6 +185,7 @@ pub fn is_3nf(attrs: AttrSet, fds: &[Fd]) -> bool {
 mod tests {
     use super::*;
     use crate::cover::covers;
+    use crate::keys::candidate_keys;
 
     fn s(v: &[usize]) -> AttrSet {
         AttrSet::from_indices(v.iter().copied())
@@ -235,7 +240,7 @@ mod tests {
     #[test]
     fn synthesize_3nf_preserves_dependencies() {
         let f = vec![fd(&[0, 1], 2), fd(&[2], 0)];
-        let frags = synthesize_3nf(3, &f);
+        let frags = synthesize_3nf(&f, &candidate_keys(&f, 3));
         // Union of local FDs must cover F.
         let local: Vec<Fd> = frags.iter().flat_map(|d| d.local_fds.clone()).collect();
         assert!(covers(&local, &f), "3NF synthesis lost dependencies");
@@ -254,7 +259,7 @@ mod tests {
     fn synthesize_3nf_adds_key_fragment_when_needed() {
         // F = {A→B} over ABC: groups give {A,B}; key {A,C} must be added.
         let f = vec![fd(&[0], 1)];
-        let frags = synthesize_3nf(3, &f);
+        let frags = synthesize_3nf(&f, &candidate_keys(&f, 3));
         let all = frags
             .iter()
             .fold(AttrSet::empty(), |acc, d| acc.union(d.attrs));

@@ -24,8 +24,6 @@
 //! tests drive every injection point and assert the pipeline always
 //! yields a complete result or a well-formed partial one.
 
-#![warn(missing_docs)]
-
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -683,6 +681,10 @@ impl CancelToken {
     }
 
     #[cfg(feature = "faults")]
+    #[expect(
+        clippy::panic,
+        reason = "the chaos tests inject a worker panic mid-checkpoint"
+    )]
     fn fault_hook(&self, stage: Stage) -> Result<(), BudgetExceeded> {
         let Some(plan) = &self.state.fault else {
             return Ok(());
@@ -702,7 +704,6 @@ impl CancelToken {
             Some(faults::FaultKind::Panic) => {
                 // Deliberate: the chaos tests assert the pool and the
                 // pipelines survive a worker panicking mid-checkpoint.
-                // lint: allow(no-panic)
                 panic!(
                     "injected fault: worker panic at checkpoint {} (stage {stage})",
                     plan.at()

@@ -22,8 +22,6 @@
 //! [`Hypergraph::from_antichain`] takes edges known to be simple, as
 //! Dep-Miner's `cmax` families are, and audits the claim instead.
 
-#![warn(missing_docs)]
-
 pub mod berge;
 pub mod levelwise;
 mod settrie;

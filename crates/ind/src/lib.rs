@@ -17,8 +17,6 @@
 //! columns collapsed), which is what a dba reads when hunting foreign-key
 //! candidates.
 
-#![warn(missing_docs)]
-
 use depminer_relation::{FxHashMap, FxHashSet, Relation, Value};
 use std::fmt;
 

@@ -34,8 +34,6 @@
 //! `transversals`, …), and sub-phases append a `/detail` segment
 //! (`agree-sets/couples`, `tane-levels/products`).
 
-#![warn(missing_docs)]
-
 pub mod json;
 pub mod jsonl;
 pub mod profile;

@@ -36,8 +36,6 @@
 //! own checkpoint errors, which cancel the token for every sibling chunk
 //! automatically (all budget errors originate from the shared token).
 
-#![warn(missing_docs)]
-
 use depminer_govern::{BudgetExceeded, CancelToken, Stage};
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -242,6 +240,10 @@ where
 /// panic is re-raised with its own payload, not std's generic "a scoped
 /// thread panicked". `work` is a trait object so that the thread
 /// machinery is compiled once, not once per `par_*` instantiation.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this crate is the one place that starts threads"
+)]
 fn fan_out(workers: usize, work: &(dyn Fn() + Sync)) {
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)

@@ -7,17 +7,17 @@
 //! adequate for data that is not attacker-controlled. Hand-rolled here to
 //! keep the dependency set to the approved list.
 
-// This module IS the sanctioned wrapper: the aliases below override the
-// default hasher explicitly, so the default-hasher lint does not apply.
-// lint: allow(default-hasher)
+#![expect(
+    clippy::disallowed_types,
+    reason = "this module is the sanctioned wrapper: its aliases replace the default hasher"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` keyed with [`FxHasher`].
-// lint: allow(default-hasher)
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed with [`FxHasher`].
-// lint: allow(default-hasher)
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 /// An empty [`FxHashMap`] with room for `n` entries.

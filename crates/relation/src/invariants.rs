@@ -64,9 +64,10 @@ pub const fn audits_enabled() -> bool {
 /// call this behind [`audits_enabled`]; tests call the validators directly
 /// and assert on the `Result`.
 #[inline]
+#[expect(clippy::panic, reason = "audit failures are fatal by design")]
 pub fn enforce(check: Result<(), InvariantError>) {
     if let Err(e) = check {
-        panic!("{e}"); // lint: allow(no-panic) — audit failures are fatal by design
+        panic!("{e}");
     }
 }
 

@@ -20,8 +20,6 @@
 //!   (parameters `|R|`, `|r|`, `c`);
 //! * CSV import/export and the paper's worked [`datasets`].
 
-#![warn(missing_docs)]
-
 pub mod algebra;
 pub mod attrset;
 pub mod csv;

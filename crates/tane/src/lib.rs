@@ -27,8 +27,6 @@
 //! assert_eq!(armstrong.len(), 4);
 //! ```
 
-#![warn(missing_docs)]
-
 pub mod approx;
 pub mod armstrong_ext;
 pub mod exact;

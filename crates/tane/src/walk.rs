@@ -243,6 +243,10 @@ fn evict(cache: &mut LevelCache<'_>, x: AttrSet, arena: &mut PartitionArena, tok
 
 /// Releases and recycles every owned partition (the level swap, the end
 /// of the walk, and a failed next level's rollback).
+#[expect(
+    clippy::iter_over_hash_type,
+    reason = "releasing and recycling every partition is order-insensitive"
+)]
 fn reclaim_all(cache: &mut LevelCache<'_>, arena: &mut PartitionArena, token: &CancelToken) {
     for (_, part) in cache.drain() {
         if let Cow::Owned(p) = part {

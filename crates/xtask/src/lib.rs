@@ -11,11 +11,9 @@
 //! * [`flow`] — a block/flow analyzer on the token stream: group tree,
 //!   closure and `fn` boundaries, all-paths checkpoint coverage.
 //! * [`modmap`] — the declarative module map assigning paths to lint
-//!   zones (test code, parallel runtime, lattice modules).
+//!   zones (test code, lattice modules, snapshot codec).
 //! * [`lint`] — diagnostics, the scrubber, suppression handling, and
 //!   the per-file driver over the rule set in `rules`.
-
-#![warn(missing_docs)]
 
 pub mod flow;
 pub mod lexer;

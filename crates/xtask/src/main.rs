@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p xtask -- check [--json] [--diff BASE] [PATH...]
+//! cargo run -p xtask -- check [PATH...]
 //! cargo run -p xtask -- validate-profile FILE [--require a,b,c]
 //! ```
 //!
@@ -13,15 +13,9 @@
 //! spans all appear — used by `ci.sh` after the profiled smoke mine.
 //!
 //! `check` runs the in-tree static-analysis pass (see `xtask::lint`)
-//! over the workspace sources and exits non-zero on any diagnostic; a
-//! `// lint: allow(<rule>)` comment is the one way to suppress one.
-//! Modes:
-//!
-//! * `--json` — machine-readable JSON array (shape is stable:
-//!   `{"path":…,"line":…,"rule":…,"message":…}` per finding).
-//! * `--diff BASE` — lint only the `.rs` files changed since the git
-//!   revision `BASE` (`git diff --name-only BASE`), for fast local runs.
-//! * `PATH...` — restrict the scan to the given files/directories.
+//! over the workspace sources, or only the given files/directories, and
+//! exits non-zero on any diagnostic; a `// lint: allow(<rule>)` comment
+//! is the one way to suppress one.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -33,7 +27,7 @@ fn main() -> ExitCode {
         Some("check") => {}
         Some("validate-profile") => return validate_profile(args),
         Some("--help") | Some("-h") | None => {
-            eprintln!("usage: cargo run -p xtask -- check [--json] [--diff BASE] [PATH...]");
+            eprintln!("usage: cargo run -p xtask -- check [PATH...]");
             eprintln!("       cargo run -p xtask -- validate-profile FILE [--require a,b,c]");
             eprintln!("rules: {}", lint::RULES.join(", "));
             return if args.next().is_none() && std::env::args().len() == 1 {
@@ -47,50 +41,17 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    let mut json = false;
-    let mut diff_base: Option<String> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--diff" => match args.next() {
-                Some(base) => diff_base = Some(base),
-                None => {
-                    eprintln!("xtask: --diff requires a git revision argument");
-                    return ExitCode::from(2);
-                }
-            },
-            other if other.starts_with('-') => {
-                eprintln!("xtask: unknown flag `{other}`");
-                return ExitCode::from(2);
-            }
-            other => paths.push(PathBuf::from(other)),
+    for arg in args {
+        if arg.starts_with('-') {
+            eprintln!("xtask: unknown flag `{arg}`");
+            return ExitCode::from(2);
         }
+        paths.push(PathBuf::from(arg));
     }
 
     let root = workspace_root();
-
-    // `--diff BASE`: changed files override the path arguments.
-    if let Some(base) = &diff_base {
-        match changed_files(&root, base) {
-            Ok(changed) => {
-                paths = changed;
-                if paths.is_empty() {
-                    if json {
-                        println!("[]");
-                    } else {
-                        println!("xtask check: no .rs files changed since {base}");
-                    }
-                    return ExitCode::SUCCESS;
-                }
-            }
-            Err(msg) => {
-                eprintln!("xtask: {msg}");
-                return ExitCode::from(2);
-            }
-        }
-    } else if paths.is_empty() {
+    if paths.is_empty() {
         paths.push(root.clone());
     }
 
@@ -118,22 +79,17 @@ fn main() -> ExitCode {
         }
     }
 
-    if json {
-        let body: Vec<String> = diags.iter().map(|d| d.to_json()).collect();
-        println!("[{}]", body.join(","));
+    for d in &diags {
+        println!("{d}");
+    }
+    if diags.is_empty() {
+        println!("xtask check: {} files, clean", files.len());
     } else {
-        for d in &diags {
-            println!("{d}");
-        }
-        if diags.is_empty() {
-            println!("xtask check: {} files, clean", files.len());
-        } else {
-            println!(
-                "xtask check: {} files, {} diagnostic(s)",
-                files.len(),
-                diags.len()
-            );
-        }
+        println!(
+            "xtask check: {} files, {} diagnostic(s)",
+            files.len(),
+            diags.len()
+        );
     }
     if diags.is_empty() && read_errors == 0 {
         ExitCode::SUCCESS
@@ -200,32 +156,6 @@ fn validate_profile(mut args: impl Iterator<Item = String>) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// The `.rs` files changed since `base`, per `git diff --name-only`
-/// (repo-relative names joined back onto the workspace root; deleted
-/// files are skipped).
-fn changed_files(root: &Path, base: &str) -> Result<Vec<PathBuf>, String> {
-    let output = std::process::Command::new("git")
-        .arg("-C")
-        .arg(root)
-        .args(["diff", "--name-only", base])
-        .output()
-        .map_err(|e| format!("cannot run git: {e}"))?;
-    if !output.status.success() {
-        let err = String::from_utf8_lossy(&output.stderr);
-        return Err(format!(
-            "git diff --name-only {base} failed: {}",
-            err.trim()
-        ));
-    }
-    let names = String::from_utf8_lossy(&output.stdout);
-    Ok(names
-        .lines()
-        .filter(|n| n.ends_with(".rs"))
-        .map(|n| root.join(n))
-        .filter(|p| p.is_file())
-        .collect())
 }
 
 /// The workspace root: walk up from the manifest dir (or cwd) to the

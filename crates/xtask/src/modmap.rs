@@ -2,10 +2,9 @@
 //! lint *zones*, replacing the ad-hoc `path_in_*` predicates that used
 //! to be scattered through the rules.
 //!
-//! A zone is a scope a rule keys off: test code is exempt from the code
-//! rules, only the parallel runtime may create OS threads, only the
-//! lattice-walk modules are held to `budget-coverage`, and only the
-//! snapshot codec to `raw-snapshot-write`. The
+//! A zone is a scope a rule keys off: test code is exempt from every
+//! rule, only the lattice-walk modules are held to `budget-coverage`,
+//! and only the snapshot codec to `raw-snapshot-write`. The
 //! table is data, not code, so adding a module to a zone is a one-line
 //! diff reviewed next to the map — see DESIGN.md §7.1 for the rendered
 //! version.
@@ -13,10 +12,8 @@
 /// A lint scope some rules restrict themselves to (or exempt).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Zone {
-    /// Test-only code: exempt from every code-level rule.
+    /// Test-only code: exempt from every rule.
     TestCode,
-    /// The parallel runtime — the one place allowed to start threads.
-    ParallelRuntime,
     /// Lattice-walk modules whose loops must poll the governance token.
     LatticeModule,
     /// Snapshot-persistence code: every file mutation must go through
@@ -31,10 +28,6 @@ pub enum Zone {
 pub enum Matcher {
     /// Any path segment equals one of these names (`tests`, `benches`…).
     Segment(&'static [&'static str]),
-    /// The path starts with, or contains `/` followed by, this prefix —
-    /// so both `crates/parallel/src/pool.rs` and an absolute path ending
-    /// in the same suffix match.
-    Subpath(&'static str),
     /// The path ends with this suffix.
     Suffix(&'static str),
 }
@@ -46,7 +39,6 @@ pub const MODULE_MAP: &[(Matcher, Zone)] = &[
         Matcher::Segment(&["tests", "benches", "examples", "fixtures"]),
         Zone::TestCode,
     ),
-    (Matcher::Subpath("crates/parallel/"), Zone::ParallelRuntime),
     (
         Matcher::Suffix("crates/hypergraph/src/levelwise.rs"),
         Zone::LatticeModule,
@@ -81,9 +73,6 @@ pub fn in_zone(path: &str, zone: Zone) -> bool {
 fn matches(matcher: &Matcher, norm: &str) -> bool {
     match matcher {
         Matcher::Segment(names) => norm.split('/').any(|seg| names.contains(&seg)),
-        Matcher::Subpath(prefix) => {
-            norm.starts_with(prefix) || norm.contains(&format!("/{prefix}"))
-        }
         Matcher::Suffix(suffix) => norm.ends_with(suffix),
     }
 }
@@ -103,19 +92,6 @@ mod tests {
         assert!(!in_zone("crates/core/src/agree.rs", Zone::TestCode));
         // A file merely *named* tests.rs is not a test segment.
         assert!(!in_zone("crates/core/src/tests.rs", Zone::TestCode));
-    }
-
-    #[test]
-    fn parallel_runtime_by_subpath() {
-        assert!(in_zone(
-            "crates/parallel/src/pool.rs",
-            Zone::ParallelRuntime
-        ));
-        assert!(in_zone(
-            "/abs/checkout/crates/parallel/src/scope.rs",
-            Zone::ParallelRuntime
-        ));
-        assert!(!in_zone("crates/core/src/lhs.rs", Zone::ParallelRuntime));
     }
 
     #[test]

@@ -148,8 +148,8 @@ fn satisfies_span(text: &str) -> bool {
 /// span is invisible to `depminer --profile` and the §5.3 phase tables,
 /// which silently misattribute its time to the parent.
 ///
-/// The parallel runtime is exempt: its `par_*_governed` helpers are
-/// fan-out plumbing, not stages.
+/// The parallel runtime's `par_*_governed` helpers are exempt by name:
+/// they are fan-out plumbing, not stages.
 pub fn check_span_coverage(
     path: &str,
     sig: &[SigTok<'_>],
@@ -158,9 +158,6 @@ pub fn check_span_coverage(
     in_test: &[bool],
     out: &mut Vec<Diagnostic>,
 ) {
-    if in_zone(path, Zone::ParallelRuntime) {
-        return;
-    }
     let mut fns: Vec<(u32, String)> = Vec::new();
     scan_governed_fns(tree, sig, &mut fns);
     for (line, name) in fns {

@@ -57,7 +57,7 @@ fn main() {
 
     // Step 4: normalize.
     println!("\n3NF synthesis (dependency preserving):");
-    for frag in synthesize_3nf(r.arity(), &cover) {
+    for frag in synthesize_3nf(&cover, &keys) {
         println!(
             "  {}  with {} local FDs",
             schema.format_set(frag.attrs),

@@ -822,7 +822,7 @@ fn cmd_normalize(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         writeln!(out, "# schema is in BCNF; no decomposition needed").map_err(io)?;
     } else {
         writeln!(out, "# schema is NOT in BCNF; 3NF synthesis:").map_err(io)?;
-        for frag in synthesize_3nf(r.arity(), &cover) {
+        for frag in synthesize_3nf(&cover, &keys) {
             writeln!(
                 out,
                 "  {} ({} local FDs)",
@@ -925,7 +925,8 @@ fn cmd_report(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         writeln!(out, "  schema is in BCNF").map_err(io)?;
     } else {
         writeln!(out, "  schema is NOT in BCNF; 3NF synthesis:").map_err(io)?;
-        for frag in synthesize_3nf(r.arity(), &cover) {
+        let cover_keys = candidate_keys(&cover, r.arity());
+        for frag in synthesize_3nf(&cover, &cover_keys) {
             writeln!(out, "    {}", schema.format_set(frag.attrs)).map_err(io)?;
         }
     }

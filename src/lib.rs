@@ -40,8 +40,6 @@
 //! assert_eq!(tane.fds, result.fds);
 //! ```
 
-#![warn(missing_docs)]
-
 pub mod cli;
 
 pub use depminer_core as depminer;

@@ -5,7 +5,9 @@
 //! This closes the loop of the paper's "logical tuning" motivation: the FDs
 //! Dep-Miner discovers are exactly what makes the decomposition safe.
 
-use depminer::fdtheory::{bcnf_decompose, canonical_cover, is_bcnf, synthesize_3nf};
+use depminer::fdtheory::{
+    bcnf_decompose, candidate_keys, canonical_cover, is_bcnf, synthesize_3nf,
+};
 use depminer::prelude::*;
 use depminer::relation::{datasets, natural_join, project, same_instance, Prng, Relation};
 
@@ -59,7 +61,9 @@ fn three_nf_synthesis_is_lossless_on_datasets() {
         datasets::flights(),
     ] {
         let fds = DepMiner::new().mine(&r).fds;
-        let frags: Vec<AttrSet> = synthesize_3nf(r.arity(), &fds)
+        let cover = canonical_cover(&fds);
+        let keys = candidate_keys(&cover, r.arity());
+        let frags: Vec<AttrSet> = synthesize_3nf(&cover, &keys)
             .into_iter()
             .map(|d| d.attrs)
             .collect();
@@ -99,7 +103,8 @@ fn decompositions_are_lossless_on_random_relations() {
         }
         assert!(same_instance(&acc, &r), "BCNF decomposition lossy");
 
-        let tnf: Vec<AttrSet> = synthesize_3nf(r.arity(), &fds)
+        let keys = candidate_keys(&cover, r.arity());
+        let tnf: Vec<AttrSet> = synthesize_3nf(&cover, &keys)
             .into_iter()
             .map(|d| d.attrs)
             .collect();

@@ -158,7 +158,8 @@ fn three_nf_synthesis_invariants() {
     let mut rng = Prng::seed_from_u64(0x7E09);
     for _ in 0..CASES {
         let f = arb_fds(&mut rng);
-        let frags = synthesize_3nf(N, &f);
+        let cover = canonical_cover(&f);
+        let frags = synthesize_3nf(&cover, &candidate_keys(&cover, N));
         assert!(!frags.is_empty());
         let union = frags
             .iter()
