@@ -67,7 +67,26 @@ if ! grep -q "algo = all" target/fds_all.txt; then
     exit 1
 fi
 cargo run -p xtask -q -- validate-profile target/PROFILE_smoke.json \
-    --require depminer,agree-sets,max-sets,transversals,tane,tane-levels,agree-sets/ec,transversals/berge
+    --require load,depminer,agree-sets,max-sets,transversals,tane,tane-levels,agree-sets/ec,transversals/berge,emit
+
+echo "==> CSV dialect smoke: a CRLF copy with every field quoted mines like the plain file"
+# The reader's quoted-field and CRLF paths see no benchmark CSV, which
+# `generate` writes unquoted with LF line ends: python3 writes the smoke
+# relation again in that dialect, and TANE must print the same FD lines.
+python3 - target/smoke.csv target/smoke_crlf.csv <<'PY'
+import csv, sys
+with open(sys.argv[1], newline="") as src, open(sys.argv[2], "w", newline="") as dst:
+    csv.writer(dst, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(csv.reader(src))
+PY
+for csv in target/smoke.csv target/smoke_crlf.csv; do
+    cargo run --release -q -p depminer -- fds --algo tane "$csv" \
+        | grep -- '->' > "${csv%.csv}_tane.txt"
+done
+if ! grep -q '^"A","B"' target/smoke_crlf.csv || ! cmp -s target/smoke_tane.txt target/smoke_crlf_tane.txt; then
+    echo "ci.sh: fds --algo tane on the CRLF, quoted copy differs from the plain file" >&2
+    diff target/smoke_tane.txt target/smoke_crlf_tane.txt >&2 || true
+    exit 1
+fi
 
 echo "==> Algorithm 3 and FDEP smoke: fds --algo depminer2 and --algo fdep match fds --algo tane"
 # depminer2 is not `in_all`, so the run above never exercises Algorithm 3

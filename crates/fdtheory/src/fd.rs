@@ -2,6 +2,7 @@
 
 use depminer_relation::{AttrSet, Schema};
 use std::fmt;
+use std::io::{self, Write};
 
 /// A functional dependency `X → A` with a single right-hand attribute (§2).
 ///
@@ -97,6 +98,43 @@ impl fmt::Display for Fd {
     }
 }
 
+/// How many bytes of lines [`write_fd_lines`] gathers before it writes
+/// them out.
+const BLOCK: usize = 1 << 16;
+
+/// Writes one line per FD, `x y -> z`, with schema names and straight into
+/// bytes: each line is appended to one reused buffer, which goes to `out`
+/// in blocks that end at a line end. The lines are [`Fd::named`]'s text
+/// when `empty_lhs` is `"∅ "`, which stands in for an empty lhs's names
+/// and the space after them; the FD-file format passes `""`, so its line
+/// reads `-> z`.
+pub fn write_fd_lines(
+    out: &mut (impl Write + ?Sized),
+    schema: &Schema,
+    fds: &[Fd],
+    empty_lhs: &str,
+) -> io::Result<()> {
+    let names: Vec<&[u8]> = schema.names().iter().map(|n| n.as_bytes()).collect();
+    let mut buf = Vec::with_capacity(BLOCK + 256);
+    for fd in fds {
+        if fd.lhs.is_empty() {
+            buf.extend_from_slice(empty_lhs.as_bytes());
+        }
+        for a in fd.lhs.iter() {
+            buf.extend_from_slice(names[a]);
+            buf.push(b' ');
+        }
+        buf.extend_from_slice(b"-> ");
+        buf.extend_from_slice(names[fd.rhs]);
+        buf.push(b'\n');
+        if buf.len() >= BLOCK {
+            out.write_all(&buf)?;
+            buf.clear();
+        }
+    }
+    out.write_all(&buf)
+}
+
 /// Sorts and deduplicates a set of FDs in place (canonical listing order:
 /// by rhs, then lhs).
 pub fn normalize_fds(fds: &mut Vec<Fd>) {
@@ -169,6 +207,27 @@ mod tests {
             format!("{:<10}|", Fd::new(AttrSet::empty(), 1).named(&schema)),
             "∅ -> ü    |"
         );
+    }
+
+    #[test]
+    fn fd_lines_are_named_text() {
+        let schema = Schema::new(["x", "städte", "ü", "zip", "日本"]).unwrap();
+        let mut rng = depminer_relation::Prng::seed_from_u64(0xFD);
+        let mut fds = vec![Fd::new(AttrSet::empty(), 2)];
+        // Enough lines to fill several blocks.
+        while fds.len() < 20_000 {
+            let lhs = AttrSet::from_indices((0..5).filter(|_| rng.gen_bool(0.4)));
+            fds.push(Fd::new(lhs, rng.gen_range(0..5usize)));
+        }
+        let mut out = Vec::new();
+        write_fd_lines(&mut out, &schema, &fds, "∅ ").unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.len() > 2 * BLOCK);
+        assert_eq!(text.lines().count(), fds.len());
+        for (line, fd) in text.lines().zip(&fds) {
+            assert_eq!(line, fd.named(&schema).to_string());
+        }
+        assert!(text.starts_with("∅ -> ü\n"));
     }
 
     #[test]

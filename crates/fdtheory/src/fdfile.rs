@@ -14,9 +14,8 @@
 //! `fds --save` writes it, so mined covers round-trip into the
 //! design-by-example workflow.
 
-use crate::fd::Fd;
+use crate::fd::{write_fd_lines, Fd};
 use depminer_relation::Schema;
-use std::fmt::Write as _;
 
 /// Parses the FD-file format. Returns the schema and the FDs.
 ///
@@ -58,22 +57,15 @@ pub fn parse(text: &str) -> Result<(Schema, Vec<Fd>), String> {
 
 /// Renders a schema and FD set in the FD-file format; [`parse`] inverts it.
 pub fn render(schema: &Schema, fds: &[Fd]) -> String {
-    let mut out = String::new();
-    out.push_str("attributes:");
+    let mut out = String::from("attributes:");
     for name in schema.names() {
-        let _ = write!(out, " {name}");
+        out.push(' ');
+        out.push_str(name);
     }
     out.push('\n');
-    for fd in fds {
-        let mut line = String::new();
-        for a in fd.lhs.iter() {
-            let _ = write!(line, "{} ", schema.name(a));
-        }
-        let _ = write!(line, "-> {}", schema.name(fd.rhs));
-        out.push_str(line.trim_start());
-        out.push('\n');
-    }
-    out
+    let mut out = out.into_bytes();
+    write_fd_lines(&mut out, schema, fds, "").expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("names and separators are UTF-8")
 }
 
 #[cfg(test)]
@@ -118,6 +110,7 @@ mod tests {
             Fd::new(AttrSet::singleton(1), 2),
         ];
         let text = render(&schema, &fds);
+        assert_eq!(text, "attributes: x y z\n-> y\nx z -> y\ny -> z\n");
         let (schema2, fds2) = parse(&text).unwrap();
         assert_eq!(schema2.names(), schema.names());
         assert_eq!(fds2, fds);

@@ -37,7 +37,7 @@ pub use closedsets::{
 pub use closure::{closure, closure_naive, implies, is_closed};
 pub use cover::{canonical_cover, covers, equivalent};
 pub use design::{max_sets_from_lhs, max_sets_via_transversals, max_union, minimal_lhs_for};
-pub use fd::{normalize_fds, Fd};
+pub use fd::{normalize_fds, write_fd_lines, Fd};
 pub use keys::{candidate_keys, is_superkey, minimize_key, prime_attributes};
 pub use mine::mine_minimal_fds;
 pub use normalize::{bcnf_decompose, bcnf_violation, is_3nf, is_bcnf, synthesize_3nf, Decomposed};

@@ -1,106 +1,114 @@
 //! Minimal CSV import/export for relations.
 //!
 //! Supports the RFC-4180 subset needed to load benchmark datasets: comma
-//! separation, double-quoted fields with `""` escapes, and an optional
-//! trailing newline. The first record is the header (attribute names).
+//! separation, double-quoted fields with `""` escapes, LF or CRLF line
+//! ends, blank lines (skipped) and an optional trailing newline. The first
+//! record is the header (attribute names); one leading UTF-8 byte-order
+//! mark, as spreadsheet exports write, is not part of the first name.
 //! Hand-rolled to keep the dependency set to the approved list.
+//!
+//! [`read_csv`] streams: it reads one line at a time into one reused
+//! buffer, cuts it into fields in place with the one splitter the header
+//! and the rows share, and interns each field straight into its column.
+//! No row matrix and no `String` per line or per field is built. A field
+//! is interned as [`Value::parse`] classifies it, so `7`, `07` and `+7`
+//! are one value, and codes follow each value's first occurrence in its
+//! column.
 
 use crate::error::RelationError;
-use crate::relation::Relation;
+use crate::relation::{ColumnBuilder, Relation};
 use crate::schema::Schema;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-/// Parses one CSV line into fields, handling quoted fields and `""` escapes.
+/// The UTF-8 byte-order mark.
+const BOM: &[u8] = b"\xEF\xBB\xBF";
+
+/// Cuts one record into its fields and hands each to `field`, in order;
+/// returns how many there were. A quoted field's `""` escapes are undone
+/// in `unescaped`, a buffer kept across calls; every other field is a
+/// slice of `line`.
 ///
 /// `line` must not contain the record terminator. Embedded newlines inside
 /// quotes are not supported (none of the supported datasets need them).
-fn parse_line(line: &str, line_no: usize) -> Result<Vec<String>, RelationError> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
+fn split_fields(
+    line: &str,
+    line_no: usize,
+    unescaped: &mut String,
+    mut field: impl FnMut(&str),
+) -> Result<usize, RelationError> {
+    let mut n = 0;
+    let mut rest = line;
     loop {
-        match chars.peek() {
-            None => {
-                fields.push(std::mem::take(&mut cur));
+        n += 1;
+        let Some(quoted) = rest.strip_prefix('"') else {
+            match rest.find(',') {
+                Some(comma) => {
+                    field(&rest[..comma]);
+                    rest = &rest[comma + 1..];
+                    continue;
+                }
+                None => {
+                    field(rest);
+                    return Ok(n);
+                }
+            }
+        };
+        // The closing quote is the first quote not doubled.
+        let mut close = 0;
+        let mut escaped = false;
+        loop {
+            let Some(q) = quoted[close..].find('"') else {
+                return Err(RelationError::Csv {
+                    line: line_no,
+                    message: "unterminated quoted field".into(),
+                });
+            };
+            close += q;
+            if quoted[close + 1..].starts_with('"') {
+                escaped = true;
+                close += 2;
+            } else {
                 break;
             }
-            Some('"') => {
-                chars.next();
-                loop {
-                    match chars.next() {
-                        Some('"') => {
-                            if chars.peek() == Some(&'"') {
-                                chars.next();
-                                cur.push('"');
-                            } else {
-                                break;
-                            }
-                        }
-                        Some(c) => cur.push(c),
-                        None => {
-                            return Err(RelationError::Csv {
-                                line: line_no,
-                                message: "unterminated quoted field".into(),
-                            })
-                        }
-                    }
-                }
-                match chars.next() {
-                    Some(',') => fields.push(std::mem::take(&mut cur)),
-                    None => {
-                        fields.push(std::mem::take(&mut cur));
-                        break;
-                    }
-                    Some(c) => {
-                        return Err(RelationError::Csv {
-                            line: line_no,
-                            message: format!("unexpected {c:?} after closing quote"),
-                        })
-                    }
-                }
+        }
+        if escaped {
+            unescaped.clear();
+            let mut text = &quoted[..close];
+            while let Some(q) = text.find('"') {
+                unescaped.push_str(&text[..=q]);
+                text = &text[q + 2..];
             }
-            _ => {
-                // Unquoted field: read until comma or end of line.
-                loop {
-                    match chars.next() {
-                        Some(',') => {
-                            fields.push(std::mem::take(&mut cur));
-                            break;
-                        }
-                        None => {
-                            fields.push(std::mem::take(&mut cur));
-                            break;
-                        }
-                        Some(c) => cur.push(c),
-                    }
-                }
-                if chars.peek().is_none() && line.ends_with(',') {
-                    // trailing comma ⇒ final empty field
-                    fields.push(String::new());
-                    break;
-                }
-                if chars.peek().is_none() {
-                    break;
-                }
+            unescaped.push_str(text);
+            field(unescaped);
+        } else {
+            field(&quoted[..close]);
+        }
+        rest = &quoted[close + 1..];
+        match rest.chars().next() {
+            None => return Ok(n),
+            Some(',') => rest = &rest[1..],
+            Some(c) => {
+                return Err(RelationError::Csv {
+                    line: line_no,
+                    message: format!("unexpected {c:?} after closing quote"),
+                })
             }
         }
     }
-    Ok(fields)
 }
 
-/// Converts a line-read failure into a positioned error: invalid UTF-8 is
-/// a malformed-input problem the user can fix at a specific line, while
-/// genuine I/O failures (disk, pipe) stay [`RelationError::Io`].
-fn read_line_err(line_no: usize, e: std::io::Error) -> RelationError {
-    if e.kind() == std::io::ErrorKind::InvalidData {
-        RelationError::Csv {
+/// The record a line holds: the line without its `\n` and any `\r`s
+/// before it, checked to be UTF-8.
+fn record(line: &[u8], line_no: usize) -> Result<&str, RelationError> {
+    let line = line.strip_suffix(b"\n").unwrap_or(line);
+    match std::str::from_utf8(line) {
+        Ok(text) => Ok(text.trim_end_matches('\r')),
+        Err(_) => Err(RelationError::Csv {
             line: line_no,
-            message: format!("invalid UTF-8: {e}"),
-        }
-    } else {
-        RelationError::Io(e.to_string())
+            message: "invalid UTF-8: stream did not contain valid UTF-8".into(),
+        }),
     }
 }
 
@@ -111,14 +119,21 @@ fn read_line_err(line_no: usize, e: std::io::Error) -> RelationError {
 /// reported as an `Err` carrying the 1-based line (and where relevant,
 /// column) it was found at, never a panic.
 pub fn read_csv<R: Read>(reader: R) -> Result<Relation, RelationError> {
-    let buf = BufReader::new(reader);
-    let mut lines = buf.lines().enumerate();
-    let (_, header) = lines.next().ok_or(RelationError::Csv {
-        line: 1,
-        message: "empty input".into(),
+    let mut input = BufReader::new(reader);
+    let mut line = Vec::new();
+    let mut unescaped = String::new();
+    // An input that is only a byte-order mark holds no text either.
+    if input.read_until(b'\n', &mut line)? == 0 || line == BOM {
+        return Err(RelationError::Csv {
+            line: 1,
+            message: "empty input".into(),
+        });
+    }
+    let header = record(line.strip_prefix(BOM).unwrap_or(&line), 1)?;
+    let mut names = Vec::new();
+    split_fields(header, 1, &mut unescaped, |name| {
+        names.push(name.to_string())
     })?;
-    let header = header.map_err(|e| read_line_err(1, e))?;
-    let names = parse_line(header.trim_end_matches('\r'), 1)?;
     for (col, name) in names.iter().enumerate() {
         if name.trim().is_empty() {
             return Err(RelationError::Csv {
@@ -131,28 +146,37 @@ pub fn read_csv<R: Read>(reader: R) -> Result<Relation, RelationError> {
         line: 1,
         message: format!("invalid header: {e}"),
     })?;
-    let mut rows = Vec::new();
-    for (i, line) in lines {
-        let line = line.map_err(|e| read_line_err(i + 1, e))?;
-        let line = line.trim_end_matches('\r');
-        if line.is_empty() {
+    let arity = schema.arity();
+    let mut columns: Vec<ColumnBuilder> = (0..arity).map(|_| ColumnBuilder::default()).collect();
+    let mut rows = 0;
+    let mut line_no = 1;
+    loop {
+        line_no += 1;
+        line.clear();
+        if input.read_until(b'\n', &mut line)? == 0 {
+            break;
+        }
+        let text = record(&line, line_no)?;
+        if text.is_empty() {
             continue;
         }
-        let fields = parse_line(line, i + 1)?;
-        if fields.len() != schema.arity() {
+        // A ragged row is an error, so the codes a row interns before its
+        // field count is known never reach a relation.
+        let mut columns_left = columns.iter_mut();
+        let fields = split_fields(text, line_no, &mut unescaped, |field| {
+            if let Some(column) = columns_left.next() {
+                column.push(ValueRef::parse(field));
+            }
+        })?;
+        rows += 1;
+        if fields != arity {
             return Err(RelationError::Csv {
-                line: i + 1,
-                message: format!(
-                    "row {} has {} fields, the header declares {}",
-                    rows.len() + 1,
-                    fields.len(),
-                    schema.arity()
-                ),
+                line: line_no,
+                message: format!("row {rows} has {fields} fields, the header declares {arity}"),
             });
         }
-        rows.push(fields.iter().map(|f| Value::parse(f)).collect());
     }
-    Relation::from_rows(schema, rows)
+    Ok(Relation::from_builders(schema, columns))
 }
 
 /// Reads a relation from a CSV file.
@@ -160,13 +184,20 @@ pub fn read_csv_file<P: AsRef<Path>>(path: P) -> Result<Relation, RelationError>
     read_csv(std::fs::File::open(path)?)
 }
 
-/// Quotes a field if it contains a comma, quote, or newline.
-fn escape(field: &str) -> String {
-    if field.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
+/// Writes `field`, quoted if it contains a comma, quote, or line break.
+fn write_field(w: &mut impl Write, field: &str) -> std::io::Result<()> {
+    if !field.contains([',', '"', '\n', '\r']) {
+        return w.write_all(field.as_bytes());
     }
+    w.write_all(b"\"")?;
+    let mut rest = field;
+    while let Some(q) = rest.find('"') {
+        w.write_all(rest[..=q].as_bytes())?;
+        w.write_all(b"\"")?;
+        rest = &rest[q + 1..];
+    }
+    w.write_all(rest.as_bytes())?;
+    w.write_all(b"\"")
 }
 
 /// Writes a relation as CSV (header + one record per tuple).
@@ -175,18 +206,34 @@ fn escape(field: &str) -> String {
 /// reader (like most CSV readers) skips as blank; such records are written
 /// as `""` instead, which reads back as the empty field.
 pub fn write_csv<W: Write>(r: &Relation, mut w: W) -> Result<(), RelationError> {
-    let header: Vec<String> = r.schema().names().iter().map(|n| escape(n)).collect();
-    writeln!(w, "{}", header.join(","))?;
-    for t in 0..r.len() {
-        let rec: Vec<String> = (0..r.arity())
-            .map(|a| escape(&r.value(t, a).to_string()))
-            .collect();
-        let line = rec.join(",");
-        if line.is_empty() {
-            writeln!(w, "\"\"")?;
-        } else {
-            writeln!(w, "{line}")?;
+    for (a, name) in r.schema().names().iter().enumerate() {
+        if a > 0 {
+            w.write_all(b",")?;
         }
+        write_field(&mut w, name)?;
+    }
+    w.write_all(b"\n")?;
+    for t in 0..r.len() {
+        for a in 0..r.arity() {
+            if a > 0 {
+                w.write_all(b",")?;
+            }
+            match r.value(t, a) {
+                Value::Null => {}
+                Value::Int(i) => write!(w, "{i}")?,
+                Value::Text(s) => write_field(&mut w, s)?,
+            }
+        }
+        let lone_empty_field = r.arity() == 1
+            && match r.value(t, 0) {
+                Value::Null => true,
+                Value::Text(s) => s.is_empty(),
+                Value::Int(_) => false,
+            };
+        if lone_empty_field {
+            w.write_all(b"\"\"")?;
+        }
+        w.write_all(b"\n")?;
     }
     Ok(())
 }
@@ -206,6 +253,273 @@ pub fn write_csv_file<P: AsRef<Path>>(r: &Relation, path: P) -> Result<(), Relat
 mod tests {
     use super::*;
     use crate::attrset::AttrSet;
+    use crate::prng::Prng;
+
+    /// The reader as it was before it streamed, kept as the oracle of
+    /// `streaming_reader_matches_the_line_reader`: whole lines through
+    /// `BufRead::lines`, a `String` per field from `parse_line`, and
+    /// `Value::parse` per cell. Returns the header and the cells.
+    fn oracle_read(input: &[u8]) -> Result<(Vec<String>, Vec<Vec<Value>>), RelationError> {
+        fn read_line_err(line_no: usize, e: std::io::Error) -> RelationError {
+            if e.kind() == std::io::ErrorKind::InvalidData {
+                RelationError::Csv {
+                    line: line_no,
+                    message: format!("invalid UTF-8: {e}"),
+                }
+            } else {
+                RelationError::Io(e.to_string())
+            }
+        }
+        let mut lines = BufReader::new(input).lines().enumerate();
+        let (_, header) = lines.next().ok_or(RelationError::Csv {
+            line: 1,
+            message: "empty input".into(),
+        })?;
+        let header = header.map_err(|e| read_line_err(1, e))?;
+        let names = oracle_parse_line(header.trim_end_matches('\r'), 1)?;
+        for (col, name) in names.iter().enumerate() {
+            if name.trim().is_empty() {
+                return Err(RelationError::Csv {
+                    line: 1,
+                    message: format!("empty attribute name in header (column {})", col + 1),
+                });
+            }
+        }
+        let schema = Schema::new(names.clone()).map_err(|e| RelationError::Csv {
+            line: 1,
+            message: format!("invalid header: {e}"),
+        })?;
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        for (i, line) in lines {
+            let line = line.map_err(|e| read_line_err(i + 1, e))?;
+            let line = line.trim_end_matches('\r');
+            if line.is_empty() {
+                continue;
+            }
+            let fields = oracle_parse_line(line, i + 1)?;
+            if fields.len() != schema.arity() {
+                return Err(RelationError::Csv {
+                    line: i + 1,
+                    message: format!(
+                        "row {} has {} fields, the header declares {}",
+                        rows.len() + 1,
+                        fields.len(),
+                        schema.arity()
+                    ),
+                });
+            }
+            rows.push(fields.iter().map(|f| Value::parse(f)).collect());
+        }
+        Ok((names, rows))
+    }
+
+    /// The oracle's field splitter, char by char.
+    fn oracle_parse_line(line: &str, line_no: usize) -> Result<Vec<String>, RelationError> {
+        let mut fields = Vec::new();
+        let mut cur = String::new();
+        let mut chars = line.chars().peekable();
+        loop {
+            match chars.peek() {
+                None => {
+                    fields.push(std::mem::take(&mut cur));
+                    break;
+                }
+                Some('"') => {
+                    chars.next();
+                    loop {
+                        match chars.next() {
+                            Some('"') => {
+                                if chars.peek() == Some(&'"') {
+                                    chars.next();
+                                    cur.push('"');
+                                } else {
+                                    break;
+                                }
+                            }
+                            Some(c) => cur.push(c),
+                            None => {
+                                return Err(RelationError::Csv {
+                                    line: line_no,
+                                    message: "unterminated quoted field".into(),
+                                })
+                            }
+                        }
+                    }
+                    match chars.next() {
+                        Some(',') => fields.push(std::mem::take(&mut cur)),
+                        None => {
+                            fields.push(std::mem::take(&mut cur));
+                            break;
+                        }
+                        Some(c) => {
+                            return Err(RelationError::Csv {
+                                line: line_no,
+                                message: format!("unexpected {c:?} after closing quote"),
+                            })
+                        }
+                    }
+                }
+                _ => {
+                    loop {
+                        match chars.next() {
+                            Some(',') | None => {
+                                fields.push(std::mem::take(&mut cur));
+                                break;
+                            }
+                            Some(c) => cur.push(c),
+                        }
+                    }
+                    if chars.peek().is_none() && line.ends_with(',') {
+                        fields.push(String::new());
+                        break;
+                    }
+                    if chars.peek().is_none() {
+                        break;
+                    }
+                }
+            }
+        }
+        Ok(fields)
+    }
+
+    /// A random CSV text built to reach every branch of both readers:
+    /// quoted fields with `""` escapes and stray text after the closing
+    /// quote, unterminated quotes, CRLF and stray `\r`, blank lines, the
+    /// integer spellings `i64` parsing folds together, overflow, empty
+    /// fields, ragged rows and, now and then, a byte that is not UTF-8.
+    fn random_csv(rng: &mut Prng) -> Vec<u8> {
+        const NAMES: &[&str] = &["a", "b", "städte", "\"q\"", "\"x,y\"", "", " ", "a"];
+        const FIELDS: &[&str] = &[
+            "7",
+            "07",
+            "+7",
+            "-7",
+            "-0",
+            "0",
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775809",
+            "x",
+            "x y",
+            "é",
+            "",
+            " ",
+            "a\"b",
+            "a\rb",
+            "\"\"",
+            "\"7\"",
+            "\"x,y\"",
+            "\"say \"\"hi\"\"\"",
+            "\"\"\"\"",
+            "\"ok\"x",
+            "\"open",
+            "\"é\"\r",
+        ];
+        const ENDS: &[&str] = &["\n", "\r\n", "\r\r\n", "\r"];
+        let mut text = Vec::new();
+        let arity = rng.gen_range(1..=4usize);
+        for a in 0..arity {
+            if a > 0 {
+                text.push(b',');
+            }
+            let name = if rng.gen_range(0..8u32) == 0 {
+                NAMES[rng.gen_range(0..NAMES.len())]
+            } else {
+                ["a", "b", "c", "d"][a]
+            };
+            text.extend_from_slice(name.as_bytes());
+        }
+        for _ in 0..rng.gen_range(0..=8usize) {
+            text.extend_from_slice(ENDS[rng.gen_range(0..ENDS.len())].as_bytes());
+            if rng.gen_range(0..8u32) == 0 {
+                continue; // a blank line
+            }
+            let width = match rng.gen_range(0..16u32) {
+                0 => arity + 1,
+                1 => arity.saturating_sub(1),
+                _ => arity,
+            };
+            for f in 0..width {
+                if f > 0 {
+                    text.push(b',');
+                }
+                let field = if rng.gen_range(0..6u32) == 0 {
+                    FIELDS[rng.gen_range(0..FIELDS.len())]
+                } else {
+                    FIELDS[rng.gen_range(0..6usize)]
+                };
+                text.extend_from_slice(field.as_bytes());
+            }
+        }
+        if rng.gen_bool(0.5) {
+            text.extend_from_slice(ENDS[rng.gen_range(0..ENDS.len())].as_bytes());
+        }
+        if rng.gen_range(0..32u32) == 0 {
+            let at = rng.gen_range(0..=text.len());
+            text.insert(at, 0xFF);
+        }
+        text
+    }
+
+    #[test]
+    fn streaming_reader_matches_the_line_reader() {
+        let mut rng = Prng::seed_from_u64(0xC5F0);
+        let (mut loaded, mut refused) = (0, 0);
+        for case in 0..20_000 {
+            let text = random_csv(&mut rng);
+            // A leading byte-order mark is dropped, so it changes nothing.
+            let input = if case % 8 == 0 {
+                [BOM, &text].concat()
+            } else {
+                text.clone()
+            };
+            let shown = String::from_utf8_lossy(&input);
+            match (read_csv(input.as_slice()), oracle_read(&text)) {
+                (Ok(r), Ok((names, rows))) => {
+                    loaded += 1;
+                    assert_eq!(r.schema().names(), names.as_slice(), "{shown:?}");
+                    assert_eq!(r.len(), rows.len(), "{shown:?}");
+                    for a in 0..r.arity() {
+                        let mut first_seen: Vec<Value> = Vec::new();
+                        for (t, row) in rows.iter().enumerate() {
+                            assert_eq!(r.value(t, a), &row[a], "{shown:?}");
+                            if !first_seen.contains(&row[a]) {
+                                first_seen.push(row[a].clone());
+                            }
+                        }
+                        assert_eq!(r.column(a).distinct_values(), first_seen, "{shown:?}");
+                    }
+                }
+                (Err(got), Err(want)) => {
+                    refused += 1;
+                    assert_eq!(got, want, "{shown:?}");
+                }
+                (got, want) => panic!("{shown:?}: read {got:?}, the oracle {want:?}"),
+            }
+        }
+        // Both outcomes are common, so both comparisons ran often.
+        assert!(
+            loaded > 5_000 && refused > 5_000,
+            "{loaded} loaded, {refused} refused"
+        );
+    }
+
+    #[test]
+    fn a_leading_byte_order_mark_is_not_part_of_the_first_name() {
+        let r = read_csv("\u{feff}city,zip\nLyon,69001\n".as_bytes()).unwrap();
+        assert_eq!(r.schema().names(), ["city", "zip"]);
+        // One mark, at the start of the input, is dropped; no other is.
+        let r = read_csv("\u{feff}\u{feff}a\n\u{feff}\n".as_bytes()).unwrap();
+        assert_eq!(r.schema().name(0), "\u{feff}a");
+        assert_eq!(r.value(0, 0), &Value::from("\u{feff}"));
+        // A mark alone is an empty input, as no input at all is.
+        match read_csv(BOM) {
+            Err(RelationError::Csv { line, message }) => {
+                assert_eq!((line, message.as_str()), (1, "empty input"));
+            }
+            other => panic!("expected Csv error, got {other:?}"),
+        }
+    }
 
     #[test]
     fn roundtrip_simple() {
@@ -228,6 +542,7 @@ mod tests {
         assert_eq!(r.value(1, 1), &Value::from("she said \"hi\""));
         let mut out = Vec::new();
         write_csv(&r, &mut out).unwrap();
+        assert_eq!(String::from_utf8(out.clone()).unwrap(), csv);
         let r2 = read_csv(out.as_slice()).unwrap();
         assert_eq!(r2.value(0, 1), r.value(0, 1));
         assert_eq!(r2.value(1, 1), r.value(1, 1));

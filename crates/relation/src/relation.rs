@@ -11,7 +11,7 @@ use crate::attrset::AttrSet;
 use crate::error::RelationError;
 use crate::fxhash::{fx_map_with_capacity, fx_set_with_capacity, FxHashMap};
 use crate::schema::Schema;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use std::fmt;
 
 /// One dictionary-encoded column.
@@ -54,6 +54,74 @@ impl Column {
     #[inline]
     pub fn value(&self, t: usize) -> &Value {
         &self.dict[self.codes[t] as usize]
+    }
+}
+
+/// Interns one column, value by value, into a [`Column`]: codes follow
+/// the first occurrence of each value. CSV loading, [`Relation::from_rows`]
+/// and [`Relation::from_columns`] all intern through it.
+///
+/// Integers and texts have a map each, so `Int(7)` and `Text("7")` stay
+/// apart; every `Null` shares one code. A text is looked up by `&str` and
+/// copied once, when it first occurs: it is the key of `texts` until
+/// [`finish`](Self::finish) moves it into its dictionary slot.
+#[derive(Default)]
+pub(crate) struct ColumnBuilder {
+    codes: Vec<u32>,
+    /// `dict[code]`, except that a text's slot holds `Null` until `finish`.
+    dict: Vec<Value>,
+    null: Option<u32>,
+    ints: FxHashMap<i64, u32>,
+    texts: FxHashMap<String, u32>,
+}
+
+impl ColumnBuilder {
+    /// A builder with room for `n` codes.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        ColumnBuilder {
+            codes: Vec::with_capacity(n),
+            ..ColumnBuilder::default()
+        }
+    }
+
+    /// Appends the code of `v`, giving `v` the next code if it is new.
+    #[inline]
+    pub(crate) fn push(&mut self, v: ValueRef<'_>) {
+        let next = self.dict.len() as u32;
+        let code = match v {
+            ValueRef::Null => *self.null.get_or_insert(next),
+            ValueRef::Int(i) => *self.ints.entry(i).or_insert(next),
+            ValueRef::Text(s) => match self.texts.get(s) {
+                Some(&code) => code,
+                None => {
+                    self.texts.insert(s.to_string(), next);
+                    next
+                }
+            },
+        };
+        if code == next {
+            self.dict.push(match v {
+                ValueRef::Int(i) => Value::Int(i),
+                ValueRef::Null | ValueRef::Text(_) => Value::Null,
+            });
+        }
+        self.codes.push(code);
+    }
+
+    /// The finished column.
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "each text moves to its own code's slot, so the visiting order cannot show"
+    )]
+    pub(crate) fn finish(self) -> Column {
+        let mut dict = self.dict;
+        for (text, code) in self.texts {
+            dict[code as usize] = Value::Text(text);
+        }
+        Column {
+            codes: self.codes,
+            dict,
+        }
     }
 }
 
@@ -106,34 +174,15 @@ impl Relation {
                 });
             }
         }
-        let n_rows = rows.len();
-        let mut columns = Vec::with_capacity(arity);
-        for a in 0..arity {
-            let mut interner: FxHashMap<&Value, u32> = FxHashMap::default();
-            let mut codes = Vec::with_capacity(n_rows);
-            let mut dict: Vec<Value> = Vec::new();
-            for row in &rows {
-                let v = &row[a];
-                let code = match interner.get(v) {
-                    Some(&c) => c,
-                    None => {
-                        let c = dict.len() as u32;
-                        dict.push(v.clone());
-                        // Safety of the borrow: we only read `dict` via the
-                        // interner keys, which point into `rows`, not `dict`.
-                        interner.insert(v, c);
-                        c
-                    }
-                };
-                codes.push(code);
+        let mut columns: Vec<ColumnBuilder> = (0..arity)
+            .map(|_| ColumnBuilder::with_capacity(rows.len()))
+            .collect();
+        for row in &rows {
+            for (column, v) in columns.iter_mut().zip(row) {
+                column.push(v.borrowed());
             }
-            columns.push(Column { codes, dict });
         }
-        Ok(Relation {
-            schema,
-            columns,
-            n_rows,
-        })
+        Ok(Relation::from_builders(schema, columns))
     }
 
     /// Builds a relation directly from per-column raw codes (synthetic data
@@ -165,26 +214,26 @@ impl Relation {
         let columns = raw
             .into_iter()
             .map(|col| {
-                let mut remap: FxHashMap<u32, u32> = FxHashMap::default();
-                let mut dict = Vec::new();
-                let codes = col
-                    .into_iter()
-                    .map(|v| {
-                        *remap.entry(v).or_insert_with(|| {
-                            let c = dict.len() as u32;
-                            dict.push(Value::Int(v as i64));
-                            c
-                        })
-                    })
-                    .collect();
-                Column { codes, dict }
+                let mut column = ColumnBuilder::with_capacity(n_rows);
+                for v in col {
+                    column.push(ValueRef::Int(i64::from(v)));
+                }
+                column
             })
             .collect();
-        Ok(Relation {
+        Ok(Relation::from_builders(schema, columns))
+    }
+
+    /// The relation of finished column builders, one per attribute of
+    /// `schema`, each holding the same number of codes.
+    pub(crate) fn from_builders(schema: Schema, columns: Vec<ColumnBuilder>) -> Self {
+        let columns: Vec<Column> = columns.into_iter().map(ColumnBuilder::finish).collect();
+        let n_rows = columns.first().map_or(0, |c| c.codes.len());
+        Relation {
             schema,
             columns,
             n_rows,
-        })
+        }
     }
 
     /// The schema `R`.

@@ -29,18 +29,49 @@ pub enum Value {
 impl Value {
     /// Parses a CSV field: empty ⇒ `Null`, integral ⇒ `Int`, else `Text`.
     pub fn parse(field: &str) -> Value {
-        if field.is_empty() {
-            Value::Null
-        } else if let Ok(i) = field.parse::<i64>() {
-            Value::Int(i)
-        } else {
-            Value::Text(field.to_string())
+        match ValueRef::parse(field) {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Text(s) => Value::Text(s.to_string()),
         }
     }
 
     /// `true` for [`Value::Null`].
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
+    }
+
+    /// The value as a [`ValueRef`], borrowing its text.
+    pub(crate) fn borrowed(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Text(s) => ValueRef::Text(s),
+        }
+    }
+}
+
+/// A [`Value`] whose text is borrowed: what the column builder interns,
+/// from a CSV field or from a [`Value`], without a `String` per cell.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ValueRef<'a> {
+    Null,
+    Int(i64),
+    Text(&'a str),
+}
+
+impl<'a> ValueRef<'a> {
+    /// Classifies a CSV field: empty ⇒ `Null`, anything `i64`'s `FromStr`
+    /// accepts (`7`, `07`, `+7`, `-0`) ⇒ `Int`, else `Text`, overflowing
+    /// digits included.
+    pub(crate) fn parse(field: &'a str) -> Self {
+        if field.is_empty() {
+            ValueRef::Null
+        } else if let Ok(i) = field.parse::<i64>() {
+            ValueRef::Int(i)
+        } else {
+            ValueRef::Text(field)
+        }
     }
 }
 
@@ -87,6 +118,14 @@ mod tests {
         assert_eq!(Value::parse(""), Value::Null);
         assert_eq!(Value::parse("42"), Value::Int(42));
         assert_eq!(Value::parse("-7"), Value::Int(-7));
+        assert_eq!(Value::parse("+7"), Value::Int(7));
+        assert_eq!(Value::parse("07"), Value::Int(7));
+        assert_eq!(Value::parse("-0"), Value::Int(0));
+        assert_eq!(
+            Value::parse("9223372036854775808"),
+            Value::Text("9223372036854775808".into())
+        );
+        assert_eq!(Value::parse("-"), Value::Text("-".into()));
         assert_eq!(Value::parse("4.2"), Value::Text("4.2".into()));
         assert_eq!(
             Value::parse("Biochemistry"),

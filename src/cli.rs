@@ -42,7 +42,9 @@ use depminer_core::{
     DepMiner,
 };
 use depminer_engine::{ApproxMiner, Emitted, MinerRegistry, Session, SessionCtx};
-use depminer_fdtheory::{candidate_keys, canonical_cover, fdfile, is_bcnf, synthesize_3nf, Fd};
+use depminer_fdtheory::{
+    candidate_keys, canonical_cover, fdfile, is_bcnf, synthesize_3nf, write_fd_lines, Fd,
+};
 use depminer_govern::observe::jsonl::JsonlSink;
 use depminer_govern::observe::profile::ProfileSink;
 use depminer_govern::observe::{Fanout, Obs, Observer};
@@ -226,6 +228,14 @@ fn observe_from_args(args: &Args) -> ObserveSetup {
     ObserveSetup { obs, profile }
 }
 
+impl ObserveSetup {
+    /// Loads the relation at `path` under a `load` span.
+    fn load(&self, path: &str) -> Result<Relation, CliError> {
+        let _span = self.obs.span("load");
+        load(path)
+    }
+}
+
 /// Writes the collected profile (if `--profile` was given) and prints the
 /// rendered phase summary as `#`-prefixed comment lines.
 fn finish_observe(setup: &ObserveSetup, out: &mut dyn Write) -> Result<(), CliError> {
@@ -286,12 +296,12 @@ fn write_line(
 
 /// The shared tail of every mining command, emitted once for the whole
 /// `Session` driver layer instead of per command: prints the header and
-/// the emitted dependency lines, surfaces per-stage diagnostics plus the
-/// exit-code-3 error when the run was interrupted, saves a *complete*
-/// exact cover when `save` is given, and finishes the observability
-/// sinks (even an interrupted run exports its partial profile — the span
-/// tree up to the trip is exactly what a user diagnosing a budget
-/// blowout wants to see).
+/// the emitted dependency lines under an `emit` span, surfaces per-stage
+/// diagnostics plus the exit-code-3 error when the run was interrupted,
+/// saves a *complete* exact cover when `save` is given, and finishes the
+/// observability sinks (even an interrupted run exports its partial
+/// profile — the span tree up to the trip is exactly what a user
+/// diagnosing a budget blowout wants to see).
 fn emit_outcome(
     outcome: &MiningOutcome<Emitted>,
     header: &str,
@@ -301,15 +311,12 @@ fn emit_outcome(
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
     let io = |e: std::io::Error| run_err(format!("write failed: {e}"));
+    let emit = observe.obs.span("emit");
     writeln!(out, "{header}").map_err(io)?;
-    let mut line = String::new();
     match &outcome.result {
-        Emitted::Fds(fds) => {
-            for fd in fds {
-                write_line(out, &mut line, format_args!("{}", fd.named(r.schema())))?;
-            }
-        }
+        Emitted::Fds(fds) => write_fd_lines(out, r.schema(), fds, "∅ ").map_err(io)?,
         Emitted::ApproxFds { fds, .. } => {
+            let mut line = String::new();
             for afd in fds {
                 let named = afd.fd.named(r.schema());
                 let text = format_args!("{named:<40} g3 = {:.4}", afd.error);
@@ -317,6 +324,7 @@ fn emit_outcome(
             }
         }
     }
+    drop(emit);
     if let Some(why) = outcome.interrupted.clone() {
         let err = report_interrupted(outcome, &why, out);
         finish_observe(observe, out)?;
@@ -529,9 +537,9 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
 fn cmd_fds(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let file = args.single_file()?;
-    let r = load(file)?;
-    let algo = args.get("algo").unwrap_or("depminer");
     let observe = observe_from_args(args);
+    let r = observe.load(file)?;
+    let algo = args.get("algo").unwrap_or("depminer");
     let budget = budget_from_args(args)?;
     let policy = snapshot_policy_from_args(args)?;
     let registry = MinerRegistry::standard();
@@ -662,8 +670,8 @@ fn cmd_resume(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .get("checkpoint-dir")
         .ok_or_else(|| usage_err("resume requires --checkpoint-dir <dir>"))?
         .to_string();
-    let r = load(args.single_file()?)?;
     let observe = observe_from_args(args);
+    let r = observe.load(args.single_file()?)?;
     let budget = budget_from_args(args)?.unwrap_or_else(Budget::unlimited);
     // Re-arm the same directory so the resumed run keeps checkpointing
     // (and can itself be resumed if it trips again).
@@ -1579,10 +1587,12 @@ zip -> city
         let out = run_cli(&["fds", "--algo", "all", "--profile", &profile_out, &path]).unwrap();
         assert!(out.contains("profile written to"), "{out}");
         let text = std::fs::read_to_string(&profile_out).unwrap();
-        // Every stage of all three miners shows up and the tree validates.
-        // Only FDEP's configuration, Algorithm 3 on the Berge engine,
-        // opens the last two.
+        // The CLI's load and emit, and every stage of all three miners,
+        // show up and the tree validates. Only FDEP's configuration,
+        // Algorithm 3 on the Berge engine, opens the last two.
         let required = [
+            "load",
+            "emit",
             "depminer",
             "agree-sets",
             "max-sets",
