@@ -67,7 +67,7 @@ if ! grep -q "algo = all" target/fds_all.txt; then
     exit 1
 fi
 cargo run -p xtask -q -- validate-profile target/PROFILE_smoke.json \
-    --require load,depminer,agree-sets,max-sets,transversals,tane,tane-levels,agree-sets/ec,transversals/berge,emit
+    --require load,depminer,agree-sets,max-sets,transversals,tane,tane-levels,agree-sets/couples,agree-sets/scan,agree-sets/ec,transversals/berge,emit
 
 echo "==> CSV dialect smoke: a CRLF copy with every field quoted mines like the plain file"
 # The reader's quoted-field and CRLF paths see no benchmark CSV, which
@@ -88,20 +88,20 @@ if ! grep -q '^"A","B"' target/smoke_crlf.csv || ! cmp -s target/smoke_tane.txt 
     exit 1
 fi
 
-echo "==> Algorithm 3 and FDEP smoke: fds --algo depminer2 and --algo fdep match fds --algo tane"
+echo "==> Algorithms 2 and 3 and FDEP smoke: fds --algo depminer, depminer2 and fdep match fds --algo tane"
 # depminer2 is not `in_all`, so the run above never exercises Algorithm 3
-# on the levelwise engine, and it compares FDEP only on the 8-attribute
-# relation. That relation's transversal hypergraphs fit in one 64-bit
-# edge-cover word; the 20-attribute one's have 135–143 edges, so their
-# covers span three words for both engines: levelwise's candidates and
-# Berge's per-vertex covers, whose prefix mask crosses bits 64 and 128
-# as FDEP's inversion works through the edges.
+# on the levelwise engine, and it compares Algorithm 2 and FDEP only on
+# the 8-attribute relation. That relation's transversal hypergraphs fit
+# in one 64-bit edge-cover word; the 20-attribute one's have 135–143
+# edges, so their covers span three words for both engines: levelwise's
+# candidates and Berge's per-vertex covers, whose prefix mask crosses
+# bits 64 and 128 as FDEP's inversion works through the edges.
 cargo run --release -q -p depminer -- generate \
     --attrs 20 --rows 400 --correlation 0.5 --seed 9 target/smoke20.csv > /dev/null
 for csv in target/smoke.csv target/smoke20.csv; do
     cargo run --release -q -p depminer -- fds --algo tane "$csv" \
         | grep -- '->' > target/fds_tane_only.txt
-    for algo in depminer2 fdep; do
+    for algo in depminer depminer2 fdep; do
         cargo run --release -q -p depminer -- fds --algo "$algo" "$csv" \
             | grep -- '->' > "target/fds_${algo}_only.txt"
         if ! cmp -s "target/fds_${algo}_only.txt" target/fds_tane_only.txt; then

@@ -34,8 +34,10 @@ fn relation(correlation: f64, n_rows: usize) -> Relation {
     .expect("valid config")
 }
 
-/// A1: agree-set strategies. Low correlation favours Algorithm 2 (few
-/// couples); high correlation grows the classes and favours Algorithm 3.
+/// A1: agree-set strategies across correlations. Algorithm 3 is the
+/// faster at every correlation measured, by about 1.7× at one thread
+/// (EXPERIMENTS.md, A1); higher correlation grows the classes and slows
+/// both.
 fn agree_strategy(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_agree");
     group.sample_size(10);

@@ -9,9 +9,10 @@
 //!   scan is skipped for it;
 //! * [`AgreeSetStrategy::Couples`] — **Algorithm 2**: couples are drawn
 //!   only from maximal equivalence classes (Lemma 1) and agree sets are
-//!   accumulated by scanning the stripped partitions; includes the
-//!   memory-bounded chunking the paper describes ("computing agree sets as
-//!   soon as a fixed number of couples was generated");
+//!   accumulated by scanning the stripped partitions, each batch of
+//!   couples looked up through a per-tuple index of its first tuples;
+//!   includes the memory-bounded chunking the paper describes ("computing
+//!   agree sets as soon as a fixed number of couples was generated");
 //!   [`agree_sets_couples_no_mc`] is its ablation without the `MC`
 //!   reduction;
 //! * [`AgreeSetStrategy::EquivalenceClasses`] — **Algorithm 3**: each
@@ -24,10 +25,10 @@
 //! [`agree_sets_with`] takes a [`Parallelism`] knob; [`agree_sets`] runs
 //! with [`Parallelism::Auto`]. Parallel decomposition never changes the
 //! result: Algorithm 2 fans the partition scan across *attributes* (each
-//! worker owns a slice of columns and a dense per-couple accumulator,
-//! merged by union), Algorithm 3 fans the row compares across *maximal
-//! classes* (thread-local hash-set accumulators merged at the end). Both
-//! merges are order-insensitive unions, and the final sort in
+//! worker owns a slice of columns and one accumulator per couple of the
+//! batch, merged by union), Algorithm 3 fans the row compares across
+//! *maximal classes* (thread-local hash-set accumulators merged at the
+//! end). Both merges are order-insensitive unions, and the final sort in
 //! `AgreeSets::from_raw` makes the output canonical.
 //!
 //! All three return [`AgreeSets`]: the *non-empty* agree sets of `r`,
@@ -39,18 +40,25 @@
 //! never materialize it, so it is uniformly excluded here.
 //!
 //! [`agree_sets_governed`] threads a [`CancelToken`]: couples are counted
-//! against the budget one equivalence class (or one row) at a time,
-//! Algorithm 2's couple buffer and the class-id matrix are charged to the
-//! memory cap, and scans poll the token. A tripped run returns the agree
-//! sets accumulated from fully-flushed batches — a valid *subset* of
-//! `ag(r)` usable for diagnostics, never for downstream derivation.
+//! against the budget one equivalence class (or one row) at a time, and
+//! scans poll the token. The class-id matrix is charged to the memory cap
+//! while it lives: for Algorithm 2 only while `MC` is computed, before
+//! any couple is counted. Algorithm 2 also charges its couple buffer, its
+//! per-tuple index rows and, while a flush runs, the flush's index
+//! entries and accumulators. A tripped run returns the agree sets
+//! accumulated from fully-flushed batches — a valid *subset* of `ag(r)`
+//! usable for diagnostics, never for downstream derivation.
 
 use depminer_govern::{BudgetExceeded, CancelToken, Stage};
 use depminer_parallel::{par_chunks, par_chunks_governed, Parallelism, GOVERN_POLL_STRIDE};
-use depminer_relation::{AttrSet, ClassIds, FxHashMap, FxHashSet, Relation, StrippedPartitionDb};
+use depminer_relation::{AttrSet, ClassIds, FxHashSet, Relation, StrippedPartitionDb};
 
 /// Bytes one buffered couple occupies, for the approximate memory cap.
 const COUPLE_BYTES: u64 = std::mem::size_of::<(u32, u32)>() as u64;
+/// Bytes one couple occupies in a flush's [`CoupleIndex`].
+const ENTRY_BYTES: u64 = std::mem::size_of::<u64>() as u64;
+/// Bytes of one couple's agree-set accumulator in a flush.
+const SLOT_BYTES: u64 = std::mem::size_of::<AttrSet>() as u64;
 
 /// Which of the paper's agree-set algorithms to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,6 +138,14 @@ fn chunk_len(total: usize, par: Parallelism, oversub: usize) -> usize {
     } else {
         total.div_ceil(threads * oversub).max(1)
     }
+}
+
+/// Couples per Algorithm 2 flush for a `chunk_size` bound (`None` means
+/// one flush). A batch stays within `u32` slots.
+fn flush_threshold(chunk_size: Option<usize>) -> usize {
+    chunk_size
+        .map_or(usize::MAX, |n| n.max(1))
+        .min(u32::MAX as usize)
 }
 
 /// Computes agree sets by running `strategy` against the stripped partition
@@ -222,11 +238,12 @@ pub fn agree_sets_naive(r: &Relation) -> AgreeSets {
     AgreeSets::from_raw(seen.into_iter().collect(), r.arity(), r.len(), db_constants)
 }
 
-/// **Algorithm 2.** Couples are generated per maximal equivalence class;
-/// when `chunk_size` couples have accumulated, the stripped partitions are
-/// scanned once to fill in their agree sets and the buffer is flushed —
-/// the flush is the hot part and is where the parallelism lives (see
-/// [`flush_couples`]).
+/// **Algorithm 2.** `MC` comes from the class-id matrix, charged to the
+/// memory cap while it lives. Couples are then generated per maximal
+/// class; when `chunk_size` couples have accumulated, the stripped
+/// partitions are scanned once to fill in their agree sets and the buffer
+/// is flushed — the flush is the hot part and is where the parallelism
+/// lives (see [`flush_couples`]).
 ///
 /// Governance: one checkpoint per maximal class (its couple count is
 /// charged before any couple is generated, the buffer growth against the
@@ -240,9 +257,21 @@ fn agree_sets_couples_governed(
 ) -> (AgreeSets, Option<BudgetExceeded>) {
     let stage = Stage::AgreeSets;
     let _span = token.observer().span("agree-sets/couples");
-    let mc = db.maximal_classes();
-    let threshold = chunk_size.unwrap_or(usize::MAX).max(1);
     let mut ag: FxHashSet<AttrSet> = FxHashSet::default();
+    let ids = db.class_ids();
+    let matrix = ids.heap_bytes() as u64;
+    if let Err(why) = token.reserve_memory(matrix, stage) {
+        return (AgreeSets::of_db(db, ag), Some(why));
+    }
+    let mc = ids.maximal_classes();
+    drop(ids);
+    token.release_memory(matrix);
+    let mut index = CoupleIndex::new(db.n_rows());
+    let rows = index.row_bytes();
+    if let Err(why) = token.reserve_memory(rows, stage) {
+        return (AgreeSets::of_db(db, ag), Some(why));
+    }
+    let threshold = flush_threshold(chunk_size);
     // couples: (t, t') with t < t', buffered until the flush threshold
     // (lines 4–9 of Algorithm 2).
     let mut couples: Vec<(u32, u32)> = Vec::new();
@@ -263,7 +292,9 @@ fn agree_sets_couples_governed(
                 couples.push(if t < u { (t, u) } else { (u, t) });
                 if couples.len() >= threshold {
                     let freed = couples.len() as u64 * COUPLE_BYTES;
-                    if let Err(why) = flush_couples(db, &mut couples, &mut ag, par, token) {
+                    if let Err(why) =
+                        flush_couples(db, &mut index, &mut couples, &mut ag, par, token)
+                    {
                         stopped = Some(why);
                         break 'classes;
                     }
@@ -274,28 +305,176 @@ fn agree_sets_couples_governed(
         }
     }
     if stopped.is_none() {
-        stopped = flush_couples(db, &mut couples, &mut ag, par, token).err();
+        stopped = flush_couples(db, &mut index, &mut couples, &mut ag, par, token).err();
     }
-    token.release_memory(reserved);
+    token.release_memory(reserved + rows);
     (AgreeSets::of_db(db, ag), stopped)
+}
+
+/// Row `t` of a [`CoupleIndex`]: the entries of `t`'s partners are
+/// `entries[start..start + len]`, and `sig` has bit `u & 63` set for each
+/// partner `u`, so a clear bit proves `(t, u)` absent from the batch.
+#[derive(Debug, Clone, Copy, Default)]
+struct Row {
+    start: u32,
+    len: u32,
+    sig: u64,
+}
+
+/// A batch of couples indexed by first tuple: row `t` lists the partners
+/// `u > t` of `t`, ascending and duplicate-free. Each entry is
+/// `u << 32 | slot`, where `slot` is the couple's first position in the
+/// batch and the index of its agree-set accumulator. The per-tuple rows
+/// are allocated once per run; a flush fills, and then resets, only the
+/// rows its batch touches, so it costs O(batch), not O(|r|).
+#[derive(Debug)]
+struct CoupleIndex {
+    rows: Vec<Row>,
+    /// Tuples with at least one couple in the batch.
+    touched: Vec<u32>,
+    entries: Vec<u64>,
+}
+
+/// Marks a later repeat of a couple in a filled batch; no class pair
+/// equals it.
+const REPEAT: (u32, u32) = (u32::MAX, u32::MAX);
+
+impl CoupleIndex {
+    fn new(n_rows: usize) -> Self {
+        CoupleIndex {
+            rows: vec![Row::default(); n_rows],
+            touched: Vec::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    /// Tracked bytes of the per-tuple rows, for the memory cap.
+    fn row_bytes(&self) -> u64 {
+        (self.rows.len() * std::mem::size_of::<Row>()) as u64
+    }
+
+    /// Buckets `batch` by first tuple, with a counting sort over the
+    /// touched rows, then sorts and deduplicates each row in place. A
+    /// couple's later positions in `batch` become [`REPEAT`], so each
+    /// couple is left at its slot only.
+    fn fill(&mut self, batch: &mut [(u32, u32)]) {
+        for &(t, _) in batch.iter() {
+            let row = &mut self.rows[t as usize];
+            if row.len == 0 {
+                self.touched.push(t);
+            }
+            row.len += 1;
+        }
+        let mut start = 0;
+        for &t in &self.touched {
+            let row = &mut self.rows[t as usize];
+            row.start = start;
+            start += row.len;
+            row.len = 0;
+        }
+        self.entries.resize(batch.len(), 0);
+        for (slot, &(t, u)) in batch.iter().enumerate() {
+            let row = &mut self.rows[t as usize];
+            self.entries[(row.start + row.len) as usize] = u64::from(u) << 32 | slot as u64;
+            row.len += 1;
+            row.sig |= 1 << (u & 63);
+        }
+        for &t in &self.touched {
+            let row = &mut self.rows[t as usize];
+            let entries = &mut self.entries[row.start as usize..][..row.len as usize];
+            entries.sort_unstable();
+            let mut kept = 1;
+            for i in 1..entries.len() {
+                if entries[i] >> 32 == entries[kept - 1] >> 32 {
+                    batch[entries[i] as u32 as usize] = REPEAT;
+                } else {
+                    entries[kept] = entries[i];
+                    kept += 1;
+                }
+            }
+            row.len = kept as u32;
+        }
+    }
+
+    /// Adds `a` to the slot of every couple of the filled `batch` that
+    /// lies inside `class`. Members of a stripped class are ascending, so
+    /// each pair `(t, u)` has `t < u`. A clear signature bit skips the
+    /// pair. Otherwise the slot after the last one written, `next`, is
+    /// tried first: the scan meets a maximal class's couples in the order
+    /// they were generated. Failing that, `u` is binary-searched in the
+    /// part of row `t` not yet passed.
+    fn scan_class(
+        &self,
+        class: &[u32],
+        a: usize,
+        batch: &[(u32, u32)],
+        next: &mut usize,
+        slots: &mut [AttrSet],
+    ) {
+        let Some((_, firsts)) = class.split_last() else {
+            return;
+        };
+        for (k, &t) in firsts.iter().enumerate() {
+            let row = self.rows[t as usize];
+            let mut rest = &self.entries[row.start as usize..][..row.len as usize];
+            for &u in &class[k + 1..] {
+                if row.sig & (1 << (u & 63)) == 0 {
+                    continue;
+                }
+                if batch.get(*next) == Some(&(t, u)) {
+                    slots[*next].insert(a);
+                    *next += 1;
+                    continue;
+                }
+                let key = u64::from(u) << 32;
+                let mut passed = rest.partition_point(|&e| e < key);
+                if let Some(&e) = rest.get(passed).filter(|&&e| e >> 32 == key >> 32) {
+                    let slot = e as u32 as usize;
+                    slots[slot].insert(a);
+                    *next = slot + 1;
+                    passed += 1;
+                }
+                rest = &rest[passed..];
+                if rest.is_empty() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Resets the touched rows, ready for the next batch.
+    fn clear(&mut self) {
+        for &t in &self.touched {
+            self.rows[t as usize] = Row::default();
+        }
+        self.touched.clear();
+        self.entries.clear();
+    }
 }
 
 /// Lines 10–21 of Algorithm 2: scan every stripped class; each couple found
 /// inside a class of `π̂_A` gains attribute `A`; finally the buffered agree
 /// sets join `ag(r)` and the buffer empties.
 ///
+/// The batch is first bucketed into `index` by first tuple (see
+/// [`CoupleIndex`]). A couple's accumulator slot is its first position in
+/// the batch, so the scan, which meets most couples in the order they
+/// were generated, writes the accumulators almost in order. The index,
+/// at 8 bytes a couple, and the accumulators, at 16 bytes a couple per
+/// worker, are charged to the memory cap while the flush runs.
+///
 /// Parallel decomposition: the scan fans out across *attributes* (not
 /// couples — chunking couples would make every worker re-scan all
 /// partitions, duplicating the dominant cost). Each worker scans its slice
-/// of columns into a dense per-couple accumulator indexed by the couple's
-/// position in the sorted buffer; the per-worker accumulators are merged by
-/// attribute-set union, which is order-insensitive.
+/// of columns into its own accumulators; they are merged by attribute-set
+/// union, which is order-insensitive.
 ///
 /// The token is polled once per attribute inside each worker (a column
 /// scan is the unit of work). A tripped flush adds nothing to `ag` — the
 /// batch is all-or-nothing, keeping partial results at clean boundaries.
 fn flush_couples(
     db: &StrippedPartitionDb,
+    index: &mut CoupleIndex,
     couples: &mut Vec<(u32, u32)>,
     ag: &mut FxHashSet<AttrSet>,
     par: Parallelism,
@@ -304,47 +483,46 @@ fn flush_couples(
     if couples.is_empty() {
         return Ok(());
     }
-    couples.sort_unstable();
-    couples.dedup();
     let n = couples.len();
-    let slot_of: FxHashMap<(u32, u32), u32> = couples
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| (c, i as u32))
-        .collect();
     let attrs: Vec<usize> = (0..db.arity()).collect();
-    let partials: Vec<Vec<AttrSet>> = par_chunks_governed(
-        par,
-        token,
-        Stage::AgreeSets,
-        &attrs,
-        chunk_len(attrs.len(), par, 2),
-        |attr_chunk| {
-            let _scan = token.observer().span("agree-sets/scan");
-            let mut local = vec![AttrSet::empty(); n];
-            for &a in attr_chunk {
-                token.check(Stage::AgreeSets)?;
-                for class in db.partition(a).classes() {
-                    for (k, &t) in class.iter().enumerate() {
-                        for &u in &class[k + 1..] {
-                            let key = if t < u { (t, u) } else { (u, t) };
-                            if let Some(&slot) = slot_of.get(&key) {
-                                local[slot as usize].insert(a);
-                            }
-                        }
-                    }
-                }
+    let chunk = chunk_len(attrs.len(), par, 2);
+    let workers = attrs.len().div_ceil(chunk).max(1) as u64;
+    let bytes = n as u64 * (ENTRY_BYTES + workers * SLOT_BYTES);
+    token.reserve_memory(bytes, Stage::AgreeSets)?;
+    index.fill(couples);
+    let scanned = par_chunks_governed(par, token, Stage::AgreeSets, &attrs, chunk, |attr_chunk| {
+        let _scan = token.observer().span("agree-sets/scan");
+        let mut slots = vec![AttrSet::empty(); n];
+        let mut next = 0;
+        for &a in attr_chunk {
+            token.check(Stage::AgreeSets)?;
+            for class in db.partition(a).classes() {
+                index.scan_class(class, a, couples, &mut next, &mut slots);
             }
-            Ok(local)
-        },
-    )?;
-    let mut merged = vec![AttrSet::empty(); n];
-    for partial in partials {
-        for (m, p) in merged.iter_mut().zip(partial) {
-            *m = *m | p;
         }
-    }
-    ag.extend(merged);
+        Ok(slots)
+    });
+    let added = scanned.map(|partials| {
+        let mut partials = partials.into_iter();
+        let mut slots = partials.next().unwrap_or_default();
+        for partial in partials {
+            for (m, p) in slots.iter_mut().zip(partial) {
+                *m = *m | p;
+            }
+        }
+        // Only a repeat's position keeps an empty slot. Equal neighbours
+        // are common within a class, so they skip the hash.
+        let mut last = AttrSet::empty();
+        for s in slots {
+            if s != last && !s.is_empty() {
+                ag.insert(s);
+                last = s;
+            }
+        }
+    });
+    token.release_memory(bytes);
+    index.clear();
+    added?;
     couples.clear();
     Ok(())
 }
@@ -359,23 +537,27 @@ fn flush_couples(
 pub fn agree_sets_couples_no_mc(db: &StrippedPartitionDb, chunk_size: Option<usize>) -> AgreeSets {
     let par = Parallelism::Auto;
     let token = CancelToken::unlimited();
-    let threshold = chunk_size.unwrap_or(usize::MAX).max(1);
+    let threshold = flush_threshold(chunk_size);
     let mut ag: FxHashSet<AttrSet> = FxHashSet::default();
+    let mut index = CoupleIndex::new(db.n_rows());
     let mut couples: Vec<(u32, u32)> = Vec::new();
+    let mut flush = |couples: &mut Vec<(u32, u32)>| {
+        flush_couples(db, &mut index, couples, &mut ag, par, &token)
+            .expect("an unlimited token never trips");
+    };
     for partition in db.partitions() {
         for class in partition.classes() {
             for (k, &t) in class.iter().enumerate() {
                 for &u in &class[k + 1..] {
                     couples.push(if t < u { (t, u) } else { (u, t) });
                     if couples.len() >= threshold {
-                        flush_couples(db, &mut couples, &mut ag, par, &token)
-                            .expect("an unlimited token never trips");
+                        flush(&mut couples);
                     }
                 }
             }
         }
     }
-    flush_couples(db, &mut couples, &mut ag, par, &token).expect("an unlimited token never trips");
+    flush(&mut couples);
     AgreeSets::of_db(db, ag)
 }
 

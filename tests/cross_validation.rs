@@ -74,23 +74,56 @@ fn all_miners_agree_with_oracle() {
     }
 }
 
+/// Relations whose couple index has long rows: over 64 attributes, so
+/// agree sets take the wide path, and one class of 210 tuples, so a row
+/// holds up to 209 partners and small batches split the class.
+fn long_row_relations(rng: &mut Prng) -> Vec<Relation> {
+    let mut relations: Vec<Relation> = (0..2)
+        .map(|_| random_relation(rng, 65..=80, 16..=28, 1..=3))
+        .collect();
+    let n_rows = 210;
+    let cols: Vec<Vec<u32>> = [1u32, 3, 40, 90]
+        .iter()
+        .map(|&domain| (0..n_rows).map(|_| rng.gen_range(0..domain)).collect())
+        .collect();
+    relations.push(
+        Relation::from_columns(Schema::synthetic(4).expect("valid"), cols).expect("rectangular"),
+    );
+    relations
+}
+
 #[test]
 fn agree_set_strategies_coincide() {
+    use depminer::depminer::{
+        agree_sets, agree_sets_couples_no_mc, agree_sets_naive, agree_sets_with,
+    };
     let mut rng = Prng::seed_from_u64(0xC502);
-    for _ in 0..CASES {
-        let r = arb_relation(&mut rng);
-        let db = StrippedPartitionDb::from_relation(&r);
-        let naive = depminer::depminer::agree_sets_naive(&r);
-        let couples = |chunk_size| AgreeSetStrategy::Couples { chunk_size };
-        let alg2 = depminer::depminer::agree_sets(&db, couples(None));
-        let alg2_chunked = depminer::depminer::agree_sets(&db, couples(Some(2)));
-        let alg2_nomc = depminer::depminer::agree_sets_couples_no_mc(&db, None);
-        let alg3 = depminer::depminer::agree_sets(&db, AgreeSetStrategy::EquivalenceClasses);
-        assert_eq!(alg2.sets, naive.sets);
-        assert_eq!(alg2_chunked.sets, naive.sets);
-        assert_eq!(alg2_nomc.sets, naive.sets);
-        assert_eq!(alg3.sets, naive.sets);
-        assert_eq!(alg3.constant_attrs, naive.constant_attrs);
+    let small: Vec<Relation> = (0..CASES).map(|_| arb_relation(&mut rng)).collect();
+    let long = long_row_relations(&mut rng);
+    for (i, r) in small.iter().chain(&long).enumerate() {
+        let db = StrippedPartitionDb::from_relation(r);
+        let naive = agree_sets_naive(r);
+        // Every flush scans all of r̂, so the larger relations get fewer
+        // and larger batches; each still splits a class.
+        let chunks: &[Option<usize>] = match i.checked_sub(CASES) {
+            None => &[None, Some(1), Some(2), Some(7)],
+            Some(0 | 1) => &[None, Some(7)],
+            Some(_) => &[None, Some(150), Some(1000)],
+        };
+        for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            for &chunk_size in chunks {
+                let alg2 = agree_sets_with(&db, AgreeSetStrategy::Couples { chunk_size }, par);
+                assert_eq!(
+                    alg2.sets, naive.sets,
+                    "relation {i}, {chunk_size:?} at {par:?}"
+                );
+            }
+        }
+        let alg2_nomc = agree_sets_couples_no_mc(&db, None);
+        let alg3 = agree_sets(&db, AgreeSetStrategy::EquivalenceClasses);
+        assert_eq!(alg2_nomc.sets, naive.sets, "relation {i}");
+        assert_eq!(alg3.sets, naive.sets, "relation {i}");
+        assert_eq!(alg3.constant_attrs, naive.constant_attrs, "relation {i}");
     }
 }
 

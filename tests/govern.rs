@@ -2,7 +2,8 @@
 //! and `=4` by `ci.sh`): an adversarial generated relation must terminate
 //! promptly under a 1-second wall-clock budget with a valid — possibly
 //! partial — result, exhausted budgets must leave the runtime
-//! immediately reusable, and memory caps must release every charged byte
+//! immediately reusable, and memory caps must release every charged byte,
+//! trip Algorithm 2 on its class-id matrix before any couple is counted
 //! and, on TANE's sequential product path, evict before they trip.
 
 use depminer::depminer::DepMiner;
@@ -189,6 +190,61 @@ fn memory_caps_release_everything_and_keep_partials_sound_for_depminer2_and_fdep
         }
     }
     assert!(trips > 0);
+}
+
+#[test]
+fn memory_caps_charge_algorithm_2_before_any_couple_and_release_everything() {
+    let r = SyntheticConfig {
+        n_attrs: 8,
+        n_rows: 120,
+        correlation: 0.5,
+        seed: 7,
+    }
+    .generate()
+    .expect("valid config");
+    let full = DepMiner::new().mine(&r);
+    let db = StrippedPartitionDb::from_relation(&r);
+    // The class-id matrix that finds MC is charged before any couple is
+    // counted, so every cap below it trips with no couple counted. Larger
+    // caps trip on the couple buffer, a flush's index and accumulators,
+    // or transversal levels, until one fits.
+    let matrix = db.class_ids().heap_bytes() as u64;
+    for miner in [DepMiner::new(), DepMiner::algorithm_2(Some(16))] {
+        for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            let miner = miner.with_parallelism(par);
+            let mut trips_past_matrix = 0;
+            for cap in (1..).map(|k| 128 * k) {
+                let token = Budget::unlimited().with_max_memory_bytes(cap).start();
+                let outcome = miner.mine_db_governed(&db, &token, None);
+                let at = format!("{:?} at {par:?}, cap {cap}", miner.strategy);
+                assert_eq!(token.memory_bytes(), 0, "{at}");
+                let ag = &outcome.result.agree_sets.sets;
+                assert!(ag.iter().all(|s| full.agree_sets.sets.contains(s)), "{at}");
+                outcome
+                    .result
+                    .audit_claimed_fds(&r)
+                    .expect("partial FDs hold");
+                if cap < matrix {
+                    assert!(outcome.interrupted.is_some(), "{at}");
+                    assert_eq!(token.couples(), 0, "{at}");
+                }
+                match &outcome.interrupted {
+                    Some(why) => {
+                        assert_eq!(why.resource, Resource::Memory, "{at}");
+                        trips_past_matrix += u32::from(cap >= matrix);
+                    }
+                    None => {
+                        assert_eq!(outcome.result.fds, full.fds, "{at}");
+                        break;
+                    }
+                }
+            }
+            // The unbounded couple buffer outgrows the matrix.
+            if miner.strategy == DepMiner::new().strategy {
+                assert!(trips_past_matrix > 0, "{miner:?}: no trip past the matrix");
+            }
+        }
+    }
 }
 
 /// Sweeps memory caps of `step`·k bytes over `mine` until one fits. Every
