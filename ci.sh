@@ -112,12 +112,13 @@ for csv in target/smoke.csv target/smoke20.csv; do
     done
 done
 
-echo "==> normalize and report smoke: identical output at 1 and 4 threads"
-# Both commands mine, take a canonical cover of the FDs and print keys
-# and a 3NF design. On the 20-attribute relation's 13,684 FDs the cover
-# step took about 12 s when it copied the FD list for every redundancy
-# test; with one reused closure index each command takes about 1 s.
-for cmd in normalize report; do
+echo "==> keys, normalize and report smoke: identical output at 1 and 4 threads"
+# `keys` runs Algorithms 3 and 4 and reads the keys off the maximal sets.
+# The other two mine, take a canonical cover of the FDs and print those
+# keys and a 3NF design. On the 20-attribute relation's 13,684 FDs the
+# cover step took about 12 s when it copied the FD list for every
+# redundancy test; with one reused closure index each takes about 1 s.
+for cmd in keys normalize report; do
     for threads in 1 4; do
         DEPMINER_THREADS=$threads cargo run --release -q -p depminer -- "$cmd" \
             target/smoke20.csv > "target/${cmd}_t$threads.txt"
@@ -128,6 +129,43 @@ for cmd in normalize report; do
         exit 1
     fi
 done
+
+echo "==> key smoke: keys, normalize and report list the same candidate keys"
+# All three print the minimal sets that determine every attribute. The
+# copy repeats the first data row, where such a set need not make rows
+# unique: keys that count rows apart would list none there. Repeating a
+# row leaves dep(r), and so its keys, unchanged.
+python3 - target/smoke20.csv target/smoke20_dup.csv <<'PY'
+import sys
+with open(sys.argv[1], newline="") as src:
+    lines = [line if line.endswith("\n") else line + "\n" for line in src]
+with open(sys.argv[2], "w", newline="") as dst:
+    dst.writelines(lines + [lines[1]])
+PY
+for csv in target/smoke20.csv target/smoke20_dup.csv; do
+    base="${csv%.csv}"
+    cargo run --release -q -p depminer -- keys "$csv" | sed '1d' > "${base}_keys.txt"
+    cargo run --release -q -p depminer -- normalize "$csv" \
+        | sed -n '/^# candidate keys:$/,/^#/s/^  //p' > "${base}_keys_normalize.txt"
+    cargo run --release -q -p depminer -- report "$csv" \
+        | sed -n '/^## Candidate keys/,/^$/s/^  //p' > "${base}_keys_report.txt"
+    if [ ! -s "${base}_keys.txt" ]; then
+        echo "ci.sh: keys listed no candidate key on $csv" >&2
+        exit 1
+    fi
+    for cmd in normalize report; do
+        if ! cmp -s "${base}_keys.txt" "${base}_keys_$cmd.txt"; then
+            echo "ci.sh: keys and $cmd list different candidate keys on $csv" >&2
+            diff "${base}_keys.txt" "${base}_keys_$cmd.txt" >&2 || true
+            exit 1
+        fi
+    done
+done
+if ! cmp -s target/smoke20_keys.txt target/smoke20_dup_keys.txt; then
+    echo "ci.sh: a repeated row changed the candidate keys of smoke20.csv" >&2
+    diff target/smoke20_keys.txt target/smoke20_dup_keys.txt >&2 || true
+    exit 1
+fi
 
 echo "==> checkpoint/resume smoke: trip at first boundary, resume, compare"
 # Interrupt a governed TANE mine at its first checkpoint (--timeout 0

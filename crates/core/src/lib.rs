@@ -32,7 +32,6 @@ pub mod agree;
 pub mod armstrong;
 pub mod audit;
 pub mod checkpoint;
-pub mod keys;
 pub mod lhs;
 pub mod maxset;
 
@@ -55,7 +54,6 @@ pub use depminer_govern::{
     SnapshotPolicy, Stage, StageReport,
 };
 pub use depminer_parallel::Parallelism;
-pub use keys::candidate_keys_from_agree_sets;
 pub use lhs::{
     fd_output, left_hand_sides, left_hand_sides_governed, left_hand_sides_resume_governed,
     lhs_families_from_fds, TransversalEngine,
@@ -464,10 +462,10 @@ impl MiningResult {
         real_world_armstrong(r, &self.max_union())
     }
 
-    /// The candidate keys (minimal unique column combinations) of the
-    /// mined relation, derived from the agree sets via transversals.
+    /// The candidate keys of `dep(r)`, read from the maximal sets by
+    /// [`MaxSets::candidate_keys`].
     pub fn candidate_keys(&self) -> Vec<AttrSet> {
-        keys::candidate_keys_from_agree_sets(&self.agree_sets)
+        self.max_sets.candidate_keys()
     }
 
     /// Pretty-prints the discovered FDs with schema names, one per line.

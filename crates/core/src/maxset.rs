@@ -28,6 +28,7 @@
 use crate::agree::AgreeSets;
 use depminer_fdtheory::max_union;
 use depminer_govern::{BudgetExceeded, CancelToken, Counter, Stage};
+use depminer_hypergraph::Hypergraph;
 use depminer_parallel::{par_chunks_governed, Parallelism};
 use depminer_relation::AttrSet;
 
@@ -47,6 +48,28 @@ impl MaxSets {
     /// deduplicated — the input of Armstrong-relation generation (§4).
     pub fn max_union(&self) -> Vec<AttrSet> {
         max_union(&self.max)
+    }
+
+    /// The candidate keys of `dep(r)`, sorted: the minimal `X` with
+    /// `X → A` for every attribute `A`.
+    ///
+    /// `X` fails to determine some `A` iff `X` lies inside a set of
+    /// `MAX(dep(r))`, so the keys are the minimal transversals of
+    /// `{R \ M | M ∈ MAX(dep(r))}`, found by Algorithm 5's levelwise
+    /// engine (audited when audits are enabled). Algorithm 4's corners
+    /// cover the degenerate relations: with no maximal set (every
+    /// attribute constant, or fewer than two tuples) `∅` is the only key,
+    /// and `MAX = {∅}` gives the one edge `R`, whose minimal transversals
+    /// are the single attributes. When tuples repeat, a key determines
+    /// every attribute without making the rows unique.
+    pub fn candidate_keys(&self) -> Vec<AttrSet> {
+        let full = AttrSet::full(self.arity);
+        let edges = self
+            .max_union()
+            .into_iter()
+            .map(|m| full.difference(m))
+            .collect();
+        Hypergraph::new(self.arity, edges).min_transversals_levelwise()
     }
 }
 
@@ -143,7 +166,7 @@ pub fn cmax_sets_governed(
 mod tests {
     use super::*;
     use crate::agree::{agree_sets_naive, AgreeSets};
-    use depminer_relation::datasets;
+    use depminer_relation::{datasets, Prng, Relation, Schema};
 
     fn s(v: &[usize]) -> AttrSet {
         AttrSet::from_indices(v.iter().copied())
@@ -209,7 +232,7 @@ mod tests {
 
     #[test]
     fn one_pass_matches_the_per_attribute_definition() {
-        use depminer_relation::{Prng, Relation, Schema, SyntheticConfig};
+        use depminer_relation::SyntheticConfig;
         let mut rng = Prng::seed_from_u64(0xA4_0001);
         let mut relations: Vec<Relation> = Vec::new();
         for seed in 0..6u64 {
@@ -302,6 +325,101 @@ mod tests {
         for par in [Parallelism::Threads(2), Parallelism::Threads(4)] {
             assert_eq!(cmax_sets_with(&ag, par), seq, "{par:?}");
         }
+    }
+
+    fn keys_of(r: &Relation) -> Vec<AttrSet> {
+        cmax_sets(&agree_sets_naive(r)).candidate_keys()
+    }
+
+    /// Brute-force oracle: the minimal `X` with `X → A` in `r` for every
+    /// `A`. Unlike a unique column combination, such an `X` need not
+    /// tell repeated tuples apart.
+    fn keys_brute(r: &Relation) -> Vec<AttrSet> {
+        let n = r.arity();
+        let mut out: Vec<AttrSet> = (0..1u128 << n)
+            .map(AttrSet::from_bits)
+            .filter(|&x| (0..n).all(|a| r.satisfies(x, a)))
+            .collect();
+        depminer_relation::retain_minimal(&mut out);
+        out.sort();
+        out
+    }
+
+    fn relation(columns: Vec<Vec<u32>>) -> Relation {
+        Relation::from_columns(Schema::synthetic(columns.len()).unwrap(), columns).unwrap()
+    }
+
+    #[test]
+    fn datasets_keys_match_brute_force() {
+        for r in [
+            datasets::employee(),
+            datasets::enrollment(),
+            datasets::constant_columns(),
+            datasets::no_fds(),
+        ] {
+            assert_eq!(keys_of(&r), keys_brute(&r), "keys mismatch on {r:?}");
+        }
+    }
+
+    #[test]
+    fn degenerate_relations_keys() {
+        // One tuple: every attribute is constant, so ∅ is the key.
+        assert_eq!(
+            keys_of(&relation(vec![vec![1], vec![2]])),
+            vec![AttrSet::empty()]
+        );
+        // Two all-distinct tuples: every single attribute is a key.
+        assert_eq!(
+            keys_of(&relation(vec![vec![0, 1], vec![0, 1]])),
+            vec![s(&[0]), s(&[1])]
+        );
+        // A repeated tuple: dep(r)'s keys, although no set makes the rows
+        // unique. Column 0 determines column 1 and back.
+        let dup = relation(vec![vec![0, 0, 1], vec![1, 1, 2]]);
+        assert_eq!(keys_of(&dup), vec![s(&[0]), s(&[1])]);
+        assert_eq!(keys_of(&dup), keys_brute(&dup));
+    }
+
+    #[test]
+    fn random_relations_keys_match_brute_force() {
+        let mut rng = Prng::seed_from_u64(31);
+        for _ in 0..30 {
+            let n_attrs = rng.gen_range(2..=5usize);
+            let n_rows = rng.gen_range(2..=12usize);
+            let r = relation(
+                (0..n_attrs)
+                    .map(|_| (0..n_rows).map(|_| rng.gen_range(0..4u32)).collect())
+                    .collect(),
+            );
+            assert_eq!(keys_of(&r), keys_brute(&r), "mismatch on {r:?}");
+        }
+    }
+
+    #[test]
+    fn keys_match_lucchesi_osborn_on_the_mined_fds() {
+        // 1–6 attributes and 0–14 rows over small domains: repeated
+        // tuples, constant columns and both corners of Algorithm 4.
+        let mut rng = Prng::seed_from_u64(0x4B45_5953);
+        let mut repeated = 0;
+        for _ in 0..1_000 {
+            let (n, rows) = (rng.gen_range(1..=6usize), rng.gen_range(0..=14usize));
+            let r = relation(
+                (0..n)
+                    .map(|_| {
+                        let domain = rng.gen_range(1..=4u32);
+                        (0..rows).map(|_| rng.gen_range(0..domain)).collect()
+                    })
+                    .collect(),
+            );
+            let result = crate::DepMiner::new().mine(&r);
+            assert_eq!(
+                result.max_sets.candidate_keys(),
+                depminer_fdtheory::candidate_keys(&result.fds, n),
+                "mismatch on {r:?}"
+            );
+            repeated += usize::from(!r.is_superkey(AttrSet::full(n)));
+        }
+        assert!(repeated >= 100, "only {repeated} relations repeat a tuple");
     }
 
     #[test]

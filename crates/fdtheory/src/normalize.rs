@@ -106,10 +106,13 @@ fn project_fds(attrs: AttrSet, fds: &[Fd]) -> Vec<Fd> {
 ///
 /// Precondition: `cover` is a canonical cover, as
 /// [`canonical_cover`](crate::canonical_cover) returns it, and `keys` are
-/// its candidate keys, as [`candidate_keys`](crate::candidate_keys)
-/// returns them (sorted, never empty). Callers that print the cover and
-/// the keys already hold both, so neither is recomputed here. On any
-/// other input the fragments need not be in 3NF, nor join losslessly.
+/// the candidate keys of the FDs it implies, sorted and never empty. For
+/// a mined relation those are `depminer-core`'s
+/// `MiningResult::candidate_keys`, read from the maximal sets; for an FD
+/// set alone, [`candidate_keys`](crate::candidate_keys) enumerates them.
+/// Callers that print the cover and the keys already hold both, so
+/// neither is recomputed here. On any other input the fragments need not
+/// be in 3NF, nor join losslessly.
 pub fn synthesize_3nf(cover: &[Fd], keys: &[AttrSet]) -> Vec<Decomposed> {
     // Group by lhs: fragment = X ∪ {all A with X → A in the cover}.
     let mut groups: std::collections::BTreeMap<AttrSet, AttrSet> =

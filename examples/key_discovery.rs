@@ -1,5 +1,5 @@
-//! Candidate-key discovery (minimal unique column combinations) from the
-//! same agree-set machinery Dep-Miner uses for FDs.
+//! Candidate-key discovery from the maximal sets Dep-Miner computes for
+//! its FDs: the minimal attribute sets that determine every attribute.
 //!
 //! Run with: `cargo run --release --example key_discovery`
 
@@ -12,10 +12,10 @@ fn main() {
     println!("Relation ({} tuples):\n{r}", r.len());
 
     // Keys straight from the mining result: a key is a minimal transversal
-    // of the complements of the maximal agree sets.
+    // of the complements of the maximal sets MAX(dep(r)).
     let result = DepMiner::new().mine(&r);
     let keys = result.candidate_keys();
-    println!("Candidate keys via agree-set transversals:");
+    println!("Candidate keys via maximal-set transversals:");
     for k in &keys {
         println!("  {}", schema.format_set(*k));
     }

@@ -8,9 +8,7 @@
 //!
 //! Run with: `cargo run --release --example logical_tuning`
 
-use depminer::fdtheory::{
-    bcnf_decompose, candidate_keys, canonical_cover, is_bcnf, synthesize_3nf,
-};
+use depminer::fdtheory::{bcnf_decompose, canonical_cover, is_bcnf, synthesize_3nf};
 use depminer::prelude::*;
 
 fn main() {
@@ -39,13 +37,14 @@ fn main() {
     }
 
     // Step 3: suppose the dba keeps every discovered FD. Canonical cover
-    // and candidate keys drive normalization.
+    // and candidate keys drive normalization; the keys come from the
+    // miner's maximal sets, with no enumeration over the cover.
     let cover = canonical_cover(&result.fds);
     println!("Canonical cover ({} FDs):", cover.len());
     for fd in &cover {
         println!("  {}", fd.display_with(&schema));
     }
-    let keys = candidate_keys(&cover, r.arity());
+    let keys = result.candidate_keys();
     println!("Candidate keys:");
     for k in &keys {
         println!("  {}", schema.format_set(*k));

@@ -27,24 +27,24 @@
 //! `--algo all` which runs Dep-Miner, TANE and FDEP back to back on one
 //! token so a single profile covers every stage of all three miners.
 //!
-//! All mining commands dispatch through the `depminer-engine` layer: the
-//! [`MinerRegistry`] maps `--algo` names and snapshot frame ids onto
-//! [`depminer_engine::Miner`] implementations, and the [`Session`] driver
-//! owns the budget/observer/checkpoint bundle — the CLI holds no
-//! per-algorithm entry-point arms.
+//! `fds`, `resume` and `approx` dispatch through the `depminer-engine`
+//! layer: the [`MinerRegistry`] maps `--algo` names and snapshot frame ids
+//! onto [`depminer_engine::Miner`] implementations, and the [`Session`]
+//! driver owns the budget/observer/checkpoint bundle — the CLI holds no
+//! per-algorithm entry-point arms. `armstrong`, `keys`, `normalize` and
+//! `report` read Dep-Miner's agree or maximal sets, which the engine's
+//! [`Emitted`] does not carry, so they call `depminer-core` directly;
+//! `armstrong` still takes its budget token and `r̂` from a [`Session`].
 //!
 //! All logic lives here (unit-testable against in-memory writers); the
 //! binary in `src/bin/` forwards `std::env::args` and hands [`run`] one
 //! block-buffered stdout, which it flushes before every exit.
 
 use depminer_core::{
-    agree_sets, armstrong_for_fds_with_schema, candidate_keys_from_agree_sets, AgreeSetStrategy,
-    DepMiner,
+    agree_sets, armstrong_for_fds_with_schema, cmax_sets, AgreeSetStrategy, DepMiner,
 };
 use depminer_engine::{ApproxMiner, Emitted, MinerRegistry, Session, SessionCtx};
-use depminer_fdtheory::{
-    candidate_keys, canonical_cover, fdfile, is_bcnf, synthesize_3nf, write_fd_lines, Fd,
-};
+use depminer_fdtheory::{canonical_cover, fdfile, is_bcnf, synthesize_3nf, write_fd_lines, Fd};
 use depminer_govern::observe::jsonl::JsonlSink;
 use depminer_govern::observe::profile::ProfileSink;
 use depminer_govern::observe::{Fanout, Obs, Observer};
@@ -358,6 +358,12 @@ USAGE:
     depminer help
 
     A flag the command does not read is a usage error (exit code 2).
+
+KEYS:
+    keys, normalize and report print the same candidate keys: the minimal
+    attribute sets X with X -> A for every attribute A. When rows repeat,
+    such an X need not make the rows unique: on two equal rows every
+    attribute is constant, and the one key is the empty set.
 
 BUDGETS:
     fds, approx and armstrong accept --timeout <secs>, --max-couples <n>
@@ -765,13 +771,13 @@ fn cmd_armstrong(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 fn cmd_keys(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let io = |e: std::io::Error| run_err(format!("write failed: {e}"));
     let r = load(args.single_file()?)?;
-    // Keys are the transversals of the maximal agree sets' complements,
-    // so they need ag(r) from r̂ and none of the per-attribute FD work.
+    // Keys are the transversals of the complements of MAX(dep(r)), so
+    // they need Algorithms 3 and 4 and none of the per-attribute lhs work.
     let ag = agree_sets(
         &StrippedPartitionDb::from_relation(&r),
         AgreeSetStrategy::EquivalenceClasses,
     );
-    let keys = candidate_keys_from_agree_sets(&ag);
+    let keys = cmax_sets(&ag).candidate_keys();
     writeln!(out, "# {} candidate key(s)", keys.len()).map_err(io)?;
     for k in keys {
         writeln!(out, "{}", r.schema().format_set(k)).map_err(io)?;
@@ -821,7 +827,7 @@ fn cmd_normalize(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     for fd in &cover {
         writeln!(out, "  {}", fd.named(&schema)).map_err(io)?;
     }
-    let keys = candidate_keys(&cover, r.arity());
+    let keys = result.candidate_keys();
     writeln!(out, "# candidate keys:").map_err(io)?;
     for k in &keys {
         writeln!(out, "  {}", schema.format_set(*k)).map_err(io)?;
@@ -933,8 +939,7 @@ fn cmd_report(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         writeln!(out, "  schema is in BCNF").map_err(io)?;
     } else {
         writeln!(out, "  schema is NOT in BCNF; 3NF synthesis:").map_err(io)?;
-        let cover_keys = candidate_keys(&cover, r.arity());
-        for frag in synthesize_3nf(&cover, &cover_keys) {
+        for frag in synthesize_3nf(&cover, &keys) {
             writeln!(out, "    {}", schema.format_set(frag.attrs)).map_err(io)?;
         }
     }
@@ -1117,6 +1122,45 @@ mod tests {
             !out.contains("{city, zip}"),
             "non-minimal key listed:\n{out}"
         );
+    }
+
+    /// The key lists of `keys`, of report's `## Candidate keys` section and
+    /// of normalize's `# candidate keys:` block, in that order.
+    fn key_lists(path: &str) -> [Vec<String>; 3] {
+        let block = |cmd: &str, header: &str, last: fn(&str) -> bool| -> Vec<String> {
+            run_cli(&[cmd, path])
+                .unwrap()
+                .lines()
+                .skip_while(|l| !l.starts_with(header))
+                .skip(1)
+                .take_while(|l| !last(l))
+                .map(|l| l.trim().to_string())
+                .collect()
+        };
+        [
+            block("keys", "# ", |_| false),
+            block("report", "## Candidate keys", str::is_empty),
+            block("normalize", "# candidate keys:", |l| l.starts_with('#')),
+        ]
+    }
+
+    #[test]
+    fn keys_report_and_normalize_list_dep_r_keys_when_rows_repeat() {
+        let cases: [(&str, &str, &[&str]); 3] = [
+            (
+                "repeat_4rows.csv",
+                "a,b,c\n1,1,1\n1,1,1\n2,1,2\n3,2,1\n",
+                &["{a}", "{b, c}"],
+            ),
+            ("repeat_column.csv", "a\n1\n1\n2\n", &["{a}"]),
+            ("repeat_rows.csv", "a,b\n1,2\n1,2\n", &["∅"]),
+        ];
+        for (name, text, want) in cases {
+            let path = tmp_csv(name, text);
+            for (cmd, got) in ["keys", "report", "normalize"].iter().zip(key_lists(&path)) {
+                assert_eq!(got, want, "{cmd} on {name}");
+            }
+        }
     }
 
     #[test]

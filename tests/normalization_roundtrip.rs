@@ -5,9 +5,7 @@
 //! This closes the loop of the paper's "logical tuning" motivation: the FDs
 //! Dep-Miner discovers are exactly what makes the decomposition safe.
 
-use depminer::fdtheory::{
-    bcnf_decompose, candidate_keys, canonical_cover, is_bcnf, synthesize_3nf,
-};
+use depminer::fdtheory::{bcnf_decompose, canonical_cover, is_bcnf, synthesize_3nf};
 use depminer::prelude::*;
 use depminer::relation::{datasets, natural_join, project, same_instance, Prng, Relation};
 
@@ -60,10 +58,9 @@ fn three_nf_synthesis_is_lossless_on_datasets() {
         datasets::payroll(),
         datasets::flights(),
     ] {
-        let fds = DepMiner::new().mine(&r).fds;
-        let cover = canonical_cover(&fds);
-        let keys = candidate_keys(&cover, r.arity());
-        let frags: Vec<AttrSet> = synthesize_3nf(&cover, &keys)
+        let result = DepMiner::new().mine(&r);
+        let cover = canonical_cover(&result.fds);
+        let frags: Vec<AttrSet> = synthesize_3nf(&cover, &result.candidate_keys())
             .into_iter()
             .map(|d| d.attrs)
             .collect();
@@ -88,10 +85,12 @@ fn payroll_decomposes_along_the_transitive_chain() {
 #[test]
 fn decompositions_are_lossless_on_random_relations() {
     let mut rng = Prng::seed_from_u64(0x3FF1);
+    let mut repeated = 0;
     for _ in 0..32 {
         let r = random_relation(&mut rng, 2..=5, 2..=10, 1..=3);
-        let fds = DepMiner::new().mine(&r).fds;
-        let cover = canonical_cover(&fds);
+        repeated += usize::from(!r.is_superkey(AttrSet::full(r.arity())));
+        let result = DepMiner::new().mine(&r);
+        let cover = canonical_cover(&result.fds);
         let bcnf: Vec<AttrSet> = bcnf_decompose(r.arity(), &cover)
             .into_iter()
             .map(|d| d.attrs)
@@ -103,8 +102,9 @@ fn decompositions_are_lossless_on_random_relations() {
         }
         assert!(same_instance(&acc, &r), "BCNF decomposition lossy");
 
-        let keys = candidate_keys(&cover, r.arity());
-        let tnf: Vec<AttrSet> = synthesize_3nf(&cover, &keys)
+        // The production keys, which are dep(r)'s also where the random
+        // relation repeats a tuple.
+        let tnf: Vec<AttrSet> = synthesize_3nf(&cover, &result.candidate_keys())
             .into_iter()
             .map(|d| d.attrs)
             .collect();
@@ -115,4 +115,5 @@ fn decompositions_are_lossless_on_random_relations() {
         }
         assert!(same_instance(&acc, &r), "3NF synthesis lossy");
     }
+    assert!(repeated > 0, "no random relation repeats a tuple");
 }
