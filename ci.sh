@@ -67,7 +67,7 @@ if ! grep -q "algo = all" target/fds_all.txt; then
     exit 1
 fi
 cargo run -p xtask -q -- validate-profile target/PROFILE_smoke.json \
-    --require load,depminer,agree-sets,max-sets,transversals,tane,tane-levels,agree-sets/couples,agree-sets/scan,agree-sets/ec,transversals/berge,emit
+    --require load,depminer,agree-sets,max-sets,transversals,tane,tane-levels,tane-levels/products,tane-levels/keys,agree-sets/couples,agree-sets/scan,agree-sets/ec,transversals/berge,emit
 
 echo "==> CSV dialect smoke: a CRLF copy with every field quoted mines like the plain file"
 # The reader's quoted-field and CRLF paths see no benchmark CSV, which
@@ -110,6 +110,24 @@ for csv in target/smoke.csv target/smoke20.csv; do
             exit 1
         fi
     done
+done
+
+echo "==> TANE and approx smoke: identical output at 1 and 4 threads"
+# smoke20's level 2 joins 190 pairs, so at 4 threads TANE's partition
+# products fan out across threads, one arena per chunk, and at 1 thread
+# they run in one loop. Exact and approximate TANE share that walk.
+for threads in 1 4; do
+    DEPMINER_THREADS=$threads cargo run --release -q -p depminer -- fds --algo tane \
+        target/smoke20.csv > "target/tane_t$threads.txt"
+    DEPMINER_THREADS=$threads cargo run --release -q -p depminer -- approx --epsilon 0.01 \
+        target/smoke20.csv > "target/approx_t$threads.txt"
+done
+for cmd in tane approx; do
+    if ! cmp -s "target/${cmd}_t1.txt" "target/${cmd}_t4.txt"; then
+        echo "ci.sh: $cmd output on smoke20.csv differs between 1 and 4 threads" >&2
+        diff "target/${cmd}_t1.txt" "target/${cmd}_t4.txt" >&2 || true
+        exit 1
+    fi
 done
 
 echo "==> keys, normalize and report smoke: identical output at 1 and 4 threads"

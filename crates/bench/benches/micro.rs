@@ -6,7 +6,7 @@ use depminer_bench::harness::{BenchmarkId, Criterion};
 use depminer_bench::{criterion_group, criterion_main};
 use depminer_fdtheory::{closure, Fd};
 use depminer_relation::{
-    AttrSet, FlatPartition, PartitionArena, StrippedPartitionDb, SyntheticConfig,
+    AttrSet, FlatPartition, LabelColumn, PartitionArena, StrippedPartitionDb, SyntheticConfig,
 };
 use depminer_tane::g3_error;
 
@@ -25,15 +25,16 @@ fn partitions(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("spdb_extract", n_rows), &r, |b, r| {
             b.iter(|| StrippedPartitionDb::from_relation(r))
         });
+        // TANE's level-2 product: π̂_{a0} split by a1's label column.
         let f0 = FlatPartition::for_attribute(&r, 0);
-        let f1 = FlatPartition::for_attribute(&r, 1);
+        let l1 = FlatPartition::for_attribute(&r, 1).label_column();
         group.bench_with_input(
             BenchmarkId::new("flat_partition_product", n_rows),
-            &(&f0, &f1),
-            |b, (f0, f1)| {
-                let mut arena = PartitionArena::new(n_rows);
+            &(&f0, &l1),
+            |b, &(f0, l1): &(&FlatPartition, &LabelColumn)| {
+                let mut arena = PartitionArena::default();
                 b.iter(|| {
-                    let p = f0.product_with(f1, &mut arena);
+                    let p = f0.product_with(l1, &mut arena);
                     let nc = p.num_classes();
                     arena.recycle(p);
                     nc

@@ -7,11 +7,15 @@
 //!
 //! Phase times come from the observability layer: each run goes through
 //! a `Session` observed by a `ProfileSink`, the path every CLI mining
-//! command takes, and the table is read back out of the exported span
+//! command takes, and the tables are read back out of the exported span
 //! tree — the same data `depminer --profile` writes — rather than from
-//! hand-carried stopwatches. The counters column surfaces the matching
-//! span-tree counters (partition products for Dep-Miner, apriori
-//! candidates for TANE).
+//! hand-carried stopwatches. TANE's phases are not Dep-Miner's, so its
+//! rows follow in a table of their own: its lattice walk split into the
+//! partition products (`tane-levels/products`), the key step of PRUNE
+//! (`tane-levels/keys`) and the rest of the levels (the dependency
+//! tests). The counters column surfaces the matching span-tree counters
+//! (partition products for Dep-Miner, levels, apriori candidates and
+//! products for TANE).
 //!
 //! ```text
 //! cargo run --release -p depminer-bench --bin phases -- [--attrs a,b,..] [--rows n,..] [--correlation c] [--csv a.csv,..] [--quiet]
@@ -120,6 +124,7 @@ fn main() {
             })
             .collect()
     };
+    let mut tane_rows = Vec::new();
     for r in &relations {
         let (n_attrs, n_rows) = (r.arity(), r.len());
         for (name, miner) in [
@@ -146,19 +151,30 @@ fn main() {
         assert!(outcome.is_complete(), "unlimited budget must not trip");
         // TANE's one stage report counts the levels it completed.
         let levels = outcome.stages[0].processed;
-        println!(
-            "{n_attrs:<6} {n_rows:<8} {:<12} {:>10} {:>10} {:>10} {:>12} {:>10}  \
+        let products = span_ms(&profile, "tane-levels/products");
+        let keys = span_ms(&profile, "tane-levels/keys");
+        let rest = span_ms(&profile, "tane-levels") - products - keys;
+        tane_rows.push(format!(
+            "{n_attrs:<6} {n_rows:<8} {:<12} {:>10} {:>10} {:>10} {:>10} {:>10}  \
              levels={} candidates={} products={}",
             "tane",
             ms(span_ms(&profile, "preprocess")),
-            "-",
-            "-",
-            ms(span_ms(&profile, "tane-levels")),
+            ms(products),
+            ms(keys),
+            ms(rest),
             ms(span_ms(&profile, "tane")),
             levels,
             profile.counter("apriori_candidates"),
             profile.counter("partition_products"),
-        );
+        ));
         reporter.profile(&profile);
+    }
+    println!();
+    println!(
+        "{:<6} {:<8} {:<12} {:>10} {:>10} {:>10} {:>10} {:>10}  {}",
+        "|R|", "|r|", "variant", "preproc", "products", "keys", "rest", "total", "counters"
+    );
+    for row in tane_rows {
+        println!("{row}");
     }
 }

@@ -10,9 +10,10 @@
 //!   algebra, as §5 of the paper prescribes);
 //! * [`Schema`], [`Value`], [`Relation`] — dictionary-encoded relations with
 //!   O(1) value equality;
-//! * [`FlatPartition`], [`PartitionArena`] — stripped partitions `π̂_X` in
-//!   flat CSR form, the linear partition product used by TANE, and the
-//!   reusable arena that makes that product allocation-free;
+//! * [`FlatPartition`], [`LabelColumn`], [`PartitionArena`] — stripped
+//!   partitions `π̂_X` in flat CSR form, the one-pass partition product
+//!   used by TANE (`π̂_X` split by another partition's label column), and
+//!   the reusable arena that makes that product allocation-free;
 //! * [`StrippedPartitionDb`] — the stripped partition database `r̂` (§3.1)
 //!   together with the maximal-class set `MC` and the identifier sets
 //!   `ec(t)` that power the paper's two agree-set algorithms;
@@ -44,7 +45,7 @@ pub use error::RelationError;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use generator::{benchmark_cell, SyntheticConfig};
 pub use invariants::InvariantError;
-pub use partition::{FlatPartition, PartitionArena};
+pub use partition::{FlatPartition, LabelColumn, PartitionArena};
 pub use prng::Prng;
 pub use relation::{Column, Relation};
 pub use schema::Schema;

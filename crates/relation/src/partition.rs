@@ -9,8 +9,11 @@
 //! [`FlatPartition`] is the one representation, with three constructions:
 //!
 //! * per attribute from a dictionary-encoded column (O(n) counting sort);
-//! * the *product* `π̂_X · π̂_Y = π̂_{X∪Y}` (linear-time probe-table
-//!   algorithm from the TANE paper), which lets TANE walk up the lattice;
+//! * the *product* `π̂_X · π̂_Y = π̂_{X∪Y}`, which lets TANE walk up the
+//!   lattice: one pass over `π̂_X`'s classes that splits each class by
+//!   `π̂_Y`'s [`LabelColumn`] (tuple → class index). TANE multiplies by
+//!   one attribute at a time, `π̂_X · b`, so it labels each attribute once
+//!   per walk instead of labelling `π̂_X` for every product;
 //! * per attribute set by grouping rows on their `X`-projection — the
 //!   independent oracle the other two are tested against.
 
@@ -216,48 +219,80 @@ impl FlatPartition {
         (self.rows.len() + self.offsets.len()) * std::mem::size_of::<u32>()
     }
 
-    /// The product `π̂_X · π̂_Y = π̂_{X∪Y}` via the linear probe-table
-    /// algorithm, allocation-free in steady state: all grouping scratch
-    /// lives in `arena`, and the output buffers are drawn from the arena's
-    /// recycling pool when available.
+    /// This partition's [`LabelColumn`]: each tuple's class index, or
+    /// `u32::MAX` when the tuple is in no stripped class.
+    pub fn label_column(&self) -> LabelColumn {
+        let mut labels = vec![u32::MAX; self.n_rows];
+        for (cid, class) in self.classes().enumerate() {
+            for &t in class {
+                labels[t as usize] = cid as u32;
+            }
+        }
+        LabelColumn {
+            labels,
+            num_classes: self.num_classes(),
+        }
+    }
+
+    /// The product `π̂_X · π̂_Y = π̂_{X∪Y}` of `self = π̂_X` and `π̂_Y`,
+    /// given as its label column `y`: one pass over `self`'s classes that
+    /// splits each class by its members' labels, keeping the groups of
+    /// ≥ 2 (a member stripped in `Y` is alone in `X ∪ Y` too). The pass
+    /// only stamps each label it meets; a class in which no label repeats
+    /// falls apart into singletons and is done, and only the others are
+    /// read again and grouped. When `Y ⊆ X` every class stays whole and
+    /// the result is `π̂_X`. All grouping scratch lives in `arena`, and the
+    /// output buffers come from its recycling pool when available.
     ///
     /// The result is canonical (classes ordered by first tuple id, members
     /// ascending), so it equals [`FlatPartition::for_set`] of `X ∪ Y`
     /// however the product is associated.
-    pub fn product_with(&self, other: &FlatPartition, arena: &mut PartitionArena) -> FlatPartition {
+    pub fn product_with(&self, y: &LabelColumn, arena: &mut PartitionArena) -> FlatPartition {
         assert_eq!(
-            self.n_rows, other.n_rows,
+            self.n_rows,
+            y.labels.len(),
             "partitions over different relations"
         );
-        arena.ensure(self.n_rows, self.num_classes());
+        arena.ensure(y.num_classes);
         {
             let PartitionArena {
-                probe,
                 count,
                 cursor,
                 touched,
+                seen,
+                stamp,
                 emit,
                 index,
                 ..
             } = &mut *arena;
-            // Step 1: label every tuple of `self` with its class id.
-            for (cid, class) in self.classes().enumerate() {
-                for &t in class {
-                    probe[t as usize] = cid as u32;
-                }
-            }
-            // Step 2: within each class of `other`, group tuples by their
-            // `self`-class label. Counting pass sizes each group's extent
-            // in `emit`; placement pass fills it in ascending order (the
-            // source class is ascending). Groups of size ≥ 2 become
-            // product classes, recorded in `index` as
-            // (first member, extent start, len).
             emit.clear();
             index.clear();
-            for class in other.classes() {
+            // Stripped members all stamp the one slot past the labels,
+            // where a repeat is never counted.
+            let spare = y.num_classes as u32;
+            for class in self.classes() {
+                // A slot left by an earlier class matches only once the
+                // stamps wrap; a false repeat merely sends the class on
+                // to the exact passes below.
+                *stamp = stamp.wrapping_add(1);
+                let mut repeats = false;
+                for &t in class {
+                    let label = y.labels[t as usize];
+                    let slot = label.min(spare) as usize;
+                    repeats |= (seen[slot] == *stamp) & (label != u32::MAX);
+                    seen[slot] = *stamp;
+                }
+                if !repeats {
+                    continue;
+                }
+                // Group the class's tuples by label. The counting pass
+                // sizes each group's extent in `emit`; the placement pass
+                // fills it in ascending order (the class is ascending).
+                // Groups of size ≥ 2 become product classes, recorded in
+                // `index` as (first member, extent start, len).
                 touched.clear();
                 for &t in class {
-                    let label = probe[t as usize];
+                    let label = y.labels[t as usize];
                     if label != u32::MAX {
                         if count[label as usize] == 0 {
                             touched.push(label);
@@ -277,7 +312,7 @@ impl FlatPartition {
                 }
                 emit.resize(base as usize, 0);
                 for &t in class {
-                    let label = probe[t as usize];
+                    let label = y.labels[t as usize];
                     if label == u32::MAX {
                         continue;
                     }
@@ -296,17 +331,11 @@ impl FlatPartition {
                     }
                 }
             }
-            // Step 3: restore the probe buffer for the next product.
-            for class in self.classes() {
-                for &t in class {
-                    probe[t as usize] = u32::MAX;
-                }
-            }
-            // Step 4: deterministic ordering — classes are disjoint, so
-            // first members are distinct and the order is total.
+            // Deterministic ordering — classes are disjoint, so first
+            // members are distinct and the order is total.
             index.sort_unstable_by_key(|&(first, _, _)| first);
         }
-        // Step 5: gather into (pooled) output buffers.
+        // Gather into (pooled) output buffers.
         let (mut rows, mut offsets) = arena.take_buffers();
         rows.clear();
         offsets.clear();
@@ -326,35 +355,50 @@ impl FlatPartition {
         }
         product
     }
+}
 
-    /// Convenience wrapper allocating a fresh arena.
-    pub fn product(&self, other: &FlatPartition) -> FlatPartition {
-        let mut arena = PartitionArena::new(self.n_rows);
-        self.product_with(other, &mut arena)
+/// A stripped partition `π̂_Y` as a column over the relation's tuples:
+/// each tuple's class index in `π̂_Y`, or `u32::MAX` when the tuple is in
+/// no stripped class. [`FlatPartition::product_with`] reads it to split
+/// another partition's classes by `Y`; TANE's walk holds one per
+/// attribute, `|R| · |r| · 4` bytes in all.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LabelColumn {
+    labels: Vec<u32>,
+    num_classes: usize,
+}
+
+impl LabelColumn {
+    /// Heap bytes of the column, the quantity charged against `govern`
+    /// memory budgets.
+    #[inline]
+    pub fn heap_bytes(&self) -> usize {
+        self.labels.len() * std::mem::size_of::<u32>()
     }
 }
 
-/// Reusable per-level workspace for [`FlatPartition::product_with`]: the
-/// probe table plus grouping scratch and a recycling pool of retired
-/// partition buffers, so steady-state products allocate nothing. The
-/// probe table stays all-`u32::MAX` between products: each product
-/// restores it with a second pass over `self`'s classes.
+/// Reusable workspace for [`FlatPartition::product_with`]: grouping
+/// scratch plus a recycling pool of retired partition buffers, so
+/// steady-state products allocate nothing.
 ///
 /// Callers hand partitions they no longer need to
 /// [`PartitionArena::recycle`]; the next product reuses those buffers.
 /// [`PartitionArena::high_water_bytes`] reports the peak bytes ever held
 /// by the scratch + pool, feeding the `arena_high_water_bytes` counter.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PartitionArena {
-    /// Tuple → `self`-class label; `u32::MAX` outside stripped classes.
-    probe: Vec<u32>,
-    /// Per-label group size within the current `other` class (zeroed
-    /// after each class).
+    /// Per-label group size within the current class (zeroed after each
+    /// class).
     count: Vec<u32>,
     /// Per-label emit cursor / extent start.
     cursor: Vec<u32>,
-    /// Labels seen in the current `other` class.
+    /// Labels seen in the current class.
     touched: Vec<u32>,
+    /// Per-label stamp of the last class that met the label, one slot
+    /// past the labels for stripped members.
+    seen: Vec<u32>,
+    /// The current class's stamp, one more per class of every product.
+    stamp: u32,
     /// Staging buffer for group members, one extent per kept group.
     emit: Vec<u32>,
     /// (first member, extent start, len) per kept group.
@@ -366,30 +410,15 @@ pub struct PartitionArena {
 }
 
 impl PartitionArena {
-    /// Creates an arena for relations of up to `n_rows` tuples.
-    pub fn new(n_rows: usize) -> Self {
-        PartitionArena {
-            probe: vec![u32::MAX; n_rows],
-            count: Vec::new(),
-            cursor: Vec::new(),
-            touched: Vec::new(),
-            emit: Vec::new(),
-            index: Vec::new(),
-            pool: Vec::new(),
-            pool_bytes: 0,
-            high_water: 0,
-        }
-    }
-
-    fn ensure(&mut self, n_rows: usize, labels: usize) {
-        if self.probe.len() < n_rows {
-            self.probe.resize(n_rows, u32::MAX);
-        }
+    fn ensure(&mut self, labels: usize) {
         if self.count.len() < labels {
             // `count` stays all-zero between products, so growing with
             // zero fill preserves the invariant.
             self.count.resize(labels, 0);
             self.cursor.resize(labels, 0);
+        }
+        if self.seen.len() <= labels {
+            self.seen.resize(labels + 1, 0);
         }
     }
 
@@ -416,10 +445,10 @@ impl PartitionArena {
 
     /// Bytes currently held by the arena's scratch buffers and pool.
     pub fn current_bytes(&self) -> usize {
-        let scratch = self.probe.capacity()
-            + self.count.capacity()
+        let scratch = self.count.capacity()
             + self.cursor.capacity()
             + self.touched.capacity()
+            + self.seen.capacity()
             + self.emit.capacity();
         scratch * std::mem::size_of::<u32>()
             + self.index.capacity() * std::mem::size_of::<(u32, u32, u32)>()
@@ -468,13 +497,40 @@ mod tests {
     }
 
     #[test]
+    fn label_column_marks_members_and_only_stripped_rows() {
+        // π̂_B = {{0,5},{1,6},{2,3}}: row 4 is B's one singleton.
+        let r = datasets::employee();
+        let labels = FlatPartition::for_attribute(&r, 1).label_column();
+        assert_eq!(labels.labels, [0, 1, 2, 2, u32::MAX, 0, 1]);
+        assert_eq!(labels.num_classes, 3);
+        assert_eq!(labels.heap_bytes(), 7 * 4);
+        // On every partition, members carry their class index and exactly
+        // the stripped rows carry the sentinel.
+        for x in [AttrSet::empty(), AttrSet::from_indices([0, 2])]
+            .into_iter()
+            .chain((0..r.arity()).map(AttrSet::singleton))
+        {
+            let p = FlatPartition::for_set(&r, x);
+            let labels = p.label_column();
+            let mut expected = vec![u32::MAX; r.len()];
+            for (i, class) in p.classes().enumerate() {
+                for &t in class {
+                    expected[t as usize] = i as u32;
+                }
+            }
+            assert_eq!(labels.labels, expected, "{x}");
+            assert_eq!(labels.num_classes, p.num_classes(), "{x}");
+        }
+    }
+
+    #[test]
     fn product_equals_direct_set_partition() {
         let r = datasets::employee();
-        let mut arena = PartitionArena::new(r.len());
+        let mut arena = PartitionArena::default();
         for x in 0..r.arity() {
             for y in 0..r.arity() {
                 let px = FlatPartition::for_attribute(&r, x);
-                let py = FlatPartition::for_attribute(&r, y);
+                let py = FlatPartition::for_attribute(&r, y).label_column();
                 let prod = px.product_with(&py, &mut arena);
                 let direct = FlatPartition::for_set(&r, AttrSet::from_indices([x, y]));
                 assert_eq!(prod, direct, "product mismatch for attrs {x},{y}");
@@ -485,23 +541,27 @@ mod tests {
     #[test]
     fn arena_reuse_and_recycling_preserve_results() {
         let r = datasets::employee();
-        let mut arena = PartitionArena::new(r.len());
+        let mut arena = PartitionArena::default();
         let pb = FlatPartition::for_attribute(&r, 1);
-        let pe = FlatPartition::for_attribute(&r, 4);
+        let le = FlatPartition::for_attribute(&r, 4).label_column();
         let expected = FlatPartition::for_set(&r, AttrSet::from_indices([1, 4]));
-        let first = pb.product_with(&pe, &mut arena);
+        let first = pb.product_with(&le, &mut arena);
         assert_eq!(first, expected);
         // The recycled buffers back the next product, which is unchanged.
         arena.recycle(first);
-        let again = pb.product_with(&pe, &mut arena);
+        let again = pb.product_with(&le, &mut arena);
         assert_eq!(again, expected);
         assert!(arena.high_water_bytes() > 0);
-        // The probe table was restored: a chained product is still right.
-        let pc = FlatPartition::for_attribute(&r, 2);
-        assert_eq!(
-            again.product_with(&pc, &mut arena),
-            FlatPartition::for_set(&r, AttrSet::from_indices([1, 2, 4]))
-        );
+        // The scratch counts were cleared: a chained product is still right.
+        let lc = FlatPartition::for_attribute(&r, 2).label_column();
+        let expected = FlatPartition::for_set(&r, AttrSet::from_indices([1, 2, 4]));
+        assert_eq!(again.product_with(&lc, &mut arena), expected);
+        // Wrapping stamps meet slots left before the wrap; a false
+        // repeat only costs the exact grouping.
+        arena.stamp = u32::MAX - 1;
+        assert_eq!(again.product_with(&lc, &mut arena), expected);
+        assert_eq!(pb.product_with(&le, &mut arena), again);
+        assert!(arena.stamp < 8);
     }
 
     #[test]
@@ -523,8 +583,9 @@ mod tests {
         let fb = FlatPartition::for_attribute(&r, 1);
         let with_b = FlatPartition::for_set(&r, AttrSet::from_indices([0, 1, 2]));
         assert!(with_b.is_superkey());
-        assert_eq!(key.product(&fb), with_b);
-        assert_eq!(fb.product(&key), with_b);
+        let mut arena = PartitionArena::default();
+        assert_eq!(key.product_with(&fb.label_column(), &mut arena), with_b);
+        assert_eq!(fb.product_with(&key.label_column(), &mut arena), with_b);
         let empty = FlatPartition::for_set(&r, AttrSet::empty());
         assert_eq!(empty.num_classes(), 1);
         assert_eq!(empty.total_tuples(), r.len());

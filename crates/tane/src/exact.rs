@@ -452,6 +452,7 @@ impl LevelRule for ExactRule {
             .copied()
             .filter(|&x| !(tane.rhs_pruning && cplus[&x].is_empty()))
             .partition(|&x| tane.key_pruning && cache[&x].is_superkey());
+        let _keys = token.observer().span("tane-levels/keys");
         for x in keys {
             for a in self.cplus[&x].difference(x).iter() {
                 // X → A is minimal iff A survives in every

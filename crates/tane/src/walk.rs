@@ -1,20 +1,24 @@
 //! TANE's level walk \[HKPT98\], shared by exact and approximate mining.
 //!
 //! Each lattice node `X` carries its stripped partition `π̂_X`; a level's
-//! survivors are joined by prefix into the next level, whose partitions
-//! are products of their generating pairs. A [`LevelRule`] supplies what
-//! differs between the miners — the per-level test, its stage and span
-//! names, and its snapshot frame. The walk owns the rest: the level list,
-//! the [`LevelCache`] and its arena, the resume rebuild, the boundary
-//! snapshot offer, the level's budget charges, the products, the level
-//! swap, and the final reclaim and snapshot flush or discard.
+//! survivors are joined by prefix into the next level. A node `Z = X ∪ Y`
+//! joined from `X` and `Y` differs from `X` in one attribute `b`, so its
+//! partition is the product `π̂_X · b`: one pass over `π̂_X` that splits
+//! each class by `b`'s [`LabelColumn`], and `π̂_Y` is never read. A
+//! [`LevelRule`] supplies what differs between the miners — the per-level
+//! test, its stage and span names, and its snapshot frame. The walk owns
+//! the rest: the level list, the [`LevelCache`] and its arena, the label
+//! columns, the resume rebuild, the boundary snapshot offer, the level's
+//! budget charges, the products, the level swap, and the final reclaim
+//! and snapshot flush or discard.
 
 use depminer_govern::snapshot::Snapshot;
 use depminer_govern::{BudgetExceeded, CancelToken, Counter, Stage};
 use depminer_parallel::{par_chunks_governed, Parallelism};
 use depminer_relation::state::db_fingerprint;
 use depminer_relation::{
-    apriori_gen, AttrSet, FlatPartition, FxHashMap, PartitionArena, StrippedPartitionDb,
+    apriori_gen, AttrSet, FlatPartition, FxHashMap, LabelColumn, PartitionArena,
+    StrippedPartitionDb,
 };
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -86,10 +90,12 @@ pub(crate) type LevelCache<'db> = FxHashMap<AttrSet, Cow<'db, FlatPartition>>;
 ///
 /// `par` sets the threads of the per-level test (levels narrower than
 /// [`PAR_LEVEL_THRESHOLD`] stay on the calling thread) and of the
-/// products; `config` is stamped into the rule's frames. A trip flushes
-/// the newest clean boundary's snapshot, a completed walk discards the
-/// rule's snapshot, and either way the token's memory account returns to
-/// its pre-walk baseline.
+/// products; `config` is stamped into the rule's frames. The first
+/// product builds every attribute's label column from `db`'s singleton
+/// partitions and charges them to the token until the walk ends. A trip
+/// flushes the newest clean boundary's snapshot, a completed walk discards
+/// the rule's snapshot, and either way the token's memory account returns
+/// to its pre-walk baseline.
 pub(crate) fn walk<R: LevelRule>(
     rule: &mut R,
     db: &StrippedPartitionDb,
@@ -98,13 +104,14 @@ pub(crate) fn walk<R: LevelRule>(
     config: Vec<u8>,
     resume: Option<Boundary>,
 ) -> (TaneStats, usize, Option<BudgetExceeded>) {
-    let n_rows = db.n_rows();
     let mut stats = TaneStats::default();
     let mut level: Vec<AttrSet> = (0..db.arity()).map(AttrSet::singleton).collect();
     let mut cache: LevelCache<'_> = (0..db.arity())
         .map(|a| (AttrSet::singleton(a), Cow::Borrowed(db.partition(a))))
         .collect();
-    let mut arena = PartitionArena::new(n_rows);
+    let mut arena = PartitionArena::default();
+    // Empty until the first product needs them.
+    let mut labels: Vec<LabelColumn> = Vec::new();
     let mut stopped: Option<BudgetExceeded> = None;
     let mut completed_levels = 0usize;
     // Frame identity, computed once when snapshots can happen.
@@ -127,33 +134,12 @@ pub(crate) fn walk<R: LevelRule>(
             .add(Counter::ResumeLevelsSkipped, completed_levels as u64);
         if completed_levels > 0 {
             cache.clear();
-            for &x in &level {
-                if let Err(why) = token.check(R::STAGE) {
-                    stopped = Some(why);
-                    break;
-                }
-                // A left-deep chain of singleton products; each
-                // intermediate goes back to the arena.
-                let mut attrs = x.iter();
-                let first = attrs.next().expect("lattice sets are non-empty");
-                let mut p = Cow::Borrowed(db.partition(first));
-                for a in attrs {
-                    let next = Cow::Owned(p.product_with(db.partition(a), &mut arena));
-                    if let Cow::Owned(prev) = std::mem::replace(&mut p, next) {
-                        arena.recycle(prev);
-                    }
-                }
-                let p = p.into_owned();
-                if let Err(why) = token.reserve_memory(p.heap_bytes() as u64, R::STAGE) {
-                    arena.recycle(p);
-                    stopped = Some(why);
-                    break;
-                }
-                cache.insert(x, Cow::Owned(p));
-            }
-            if stopped.is_some() {
+            let rebuilt = charge_labels::<R>(&mut labels, db, token)
+                .and_then(|()| rebuild::<R>(&level, &mut cache, &labels, db, &mut arena, token));
+            if let Err(why) = rebuilt {
                 // The rebuild itself went over budget: surface the
                 // checkpoint's FDs (all validated) as the partial.
+                stopped = Some(why);
                 level.clear();
             }
         }
@@ -200,7 +186,14 @@ pub(crate) fn walk<R: LevelRule>(
         // All of level l's FDs are in: this is the new clean boundary.
         completed_levels = l;
         let next = generate_next::<R>(
-            &survivors, &mut cache, &mut arena, &mut stats, par, n_rows, token,
+            &survivors,
+            &mut cache,
+            &mut labels,
+            db,
+            &mut arena,
+            &mut stats,
+            par,
+            token,
         );
         let (next_level, next_cache) = match next {
             Ok(next) => next,
@@ -216,6 +209,7 @@ pub(crate) fn walk<R: LevelRule>(
     }
     drop(levels_span);
     reclaim_all(&mut cache, &mut arena, token);
+    token.release_memory(label_bytes(&labels));
     let hw = arena.high_water_bytes() as u64;
     if hw > 0 {
         token.observer().add(Counter::ArenaHighWaterBytes, hw);
@@ -228,6 +222,64 @@ pub(crate) fn walk<R: LevelRule>(
         token.discard_snapshot(R::ALGO);
     }
     (stats, completed_levels, stopped)
+}
+
+/// Rebuilds a resumed frontier's partitions into `cache`, each a left-deep
+/// chain of singleton products, and charges each to the token as it is
+/// kept. On a trip the partitions already kept stay charged in `cache`.
+fn rebuild<'db, R: LevelRule>(
+    frontier: &[AttrSet],
+    cache: &mut LevelCache<'db>,
+    labels: &[LabelColumn],
+    db: &StrippedPartitionDb,
+    arena: &mut PartitionArena,
+    token: &CancelToken,
+) -> Result<(), BudgetExceeded> {
+    for &x in frontier {
+        token.check(R::STAGE)?;
+        // Every intermediate of the chain goes back to the arena.
+        let mut attrs = x.iter();
+        let first = attrs.next().expect("lattice sets are non-empty");
+        let mut p = Cow::Borrowed(db.partition(first));
+        for a in attrs {
+            let next = Cow::Owned(p.product_with(&labels[a], arena));
+            if let Cow::Owned(prev) = std::mem::replace(&mut p, next) {
+                arena.recycle(prev);
+            }
+        }
+        let p = p.into_owned();
+        if let Err(why) = token.reserve_memory(p.heap_bytes() as u64, R::STAGE) {
+            arena.recycle(p);
+            return Err(why);
+        }
+        cache.insert(x, Cow::Owned(p));
+    }
+    Ok(())
+}
+
+/// Builds every attribute's label column from `db`'s singleton partitions
+/// into `labels` and charges their bytes to the token, unless an earlier
+/// product already did. On a trip nothing stays built or charged.
+fn charge_labels<R: LevelRule>(
+    labels: &mut Vec<LabelColumn>,
+    db: &StrippedPartitionDb,
+    token: &CancelToken,
+) -> Result<(), BudgetExceeded> {
+    if labels.is_empty() {
+        let built: Vec<LabelColumn> = db
+            .partitions()
+            .iter()
+            .map(FlatPartition::label_column)
+            .collect();
+        token.reserve_memory(label_bytes(&built), R::STAGE)?;
+        *labels = built;
+    }
+    Ok(())
+}
+
+/// The bytes [`charge_labels`] charged for `labels`.
+fn label_bytes(labels: &[LabelColumn]) -> u64 {
+    labels.iter().map(|l| l.heap_bytes() as u64).sum()
 }
 
 /// Drops one entry early (memory pressure). An owned partition releases
@@ -256,9 +308,10 @@ fn reclaim_all(cache: &mut LevelCache<'_>, arena: &mut PartitionArena, token: &C
     }
 }
 
-/// The next level, joined from the survivors by [`apriori_gen`];
-/// partitions of new nodes are products of their generating pair,
-/// computed in place against the level [`PartitionArena`].
+/// The next level, joined from the survivors by [`apriori_gen`]; the
+/// partition of each new node `z` is `π̂_X · b`, where `X` is `z` minus its
+/// largest attribute `b` (the pair's first member), computed in place
+/// against the level [`PartitionArena`] and `b`'s label column.
 ///
 /// The join (cheap set algebra, sequential) yields one generating pair
 /// per lattice node `Z`, ascending by `Z`, and the products, the
@@ -267,23 +320,26 @@ fn reclaim_all(cache: &mut LevelCache<'_>, arena: &mut PartitionArena, token: &C
 /// Chunk boundaries are deterministic and the returned level strictly
 /// ascends.
 ///
-/// Memory: each produced partition's `heap_bytes` are reserved on the
-/// token before it is kept. On the sequential path, when a reservation
-/// *would* trip the budget, current-level partitions no later pair
-/// references ("retired") are evicted earliest-retired-first — trading
+/// Memory: the label columns are charged before the walk's first
+/// product, and each produced partition's `heap_bytes` are reserved on
+/// the token before it is kept. On the sequential path, when a
+/// reservation *would* trip the budget, current-level partitions no later
+/// product reads ("retired") are evicted earliest-retired-first — trading
 /// footprint for nothing (they are dead weight) instead of aborting — and
 /// only when no retired entry is left does a genuine reservation trip
 /// surface as a partial result.
 fn generate_next<'db, R: LevelRule>(
     survivors: &[AttrSet],
     cache: &mut LevelCache<'db>,
+    labels: &mut Vec<LabelColumn>,
+    db: &StrippedPartitionDb,
     arena: &mut PartitionArena,
     stats: &mut TaneStats,
     par: Parallelism,
-    n_rows: usize,
     token: &CancelToken,
 ) -> Result<(Vec<AttrSet>, LevelCache<'db>), BudgetExceeded> {
-    // One product per lattice node `z`, of its generating pair.
+    // One product per lattice node `z`: `π̂_X · b` for the pair's first
+    // member `X = z ∖ {b}`, `b` the largest attribute of `z`.
     let pairs = apriori_gen(survivors);
     stats.partition_products += pairs.len();
     token
@@ -292,6 +348,15 @@ fn generate_next<'db, R: LevelRule>(
     let _span = token.observer().span(R::PRODUCTS_SPAN);
     let next: Vec<AttrSet> = pairs.iter().map(|p| p.0).collect();
     let mut next_cache = LevelCache::default();
+    if pairs.is_empty() {
+        return Ok((next, next_cache));
+    }
+    charge_labels::<R>(labels, db, token)?;
+    let labels: &[LabelColumn] = labels;
+    let b_of = |z: AttrSet| {
+        z.max_attr()
+            .expect("joined sets have two or more attributes")
+    };
     if pairs.len() >= PAR_LEVEL_THRESHOLD && !par.is_sequential() {
         // Parallel path: the current level is read shared across threads,
         // so eviction (which mutates it) is off; products are charged as
@@ -301,13 +366,13 @@ fn generate_next<'db, R: LevelRule>(
         let produced: Vec<FlatPartition> =
             par_chunks_governed(par, token, R::STAGE, &pairs, chunk, |chunk_pairs| {
                 let _products = token.observer().span(R::PRODUCTS_SPAN);
-                let mut local_arena = PartitionArena::new(n_rows);
+                let mut local_arena = PartitionArena::default();
                 chunk_pairs
                     .iter()
-                    .map(|&(_, i, j)| {
+                    .map(|&(z, i, _)| {
                         token.check(R::STAGE)?;
-                        let (x, y) = (&cache_ref[&survivors[i]], &cache_ref[&survivors[j]]);
-                        Ok(x.product_with(y, &mut local_arena))
+                        let x = &cache_ref[&survivors[i]];
+                        Ok(x.product_with(&labels[b_of(z)], &mut local_arena))
                     })
                     .collect::<Result<Vec<_>, BudgetExceeded>>()
             })?
@@ -322,23 +387,22 @@ fn generate_next<'db, R: LevelRule>(
             next_cache.insert(z, Cow::Owned(p));
         }
     } else {
-        // After its last generating pair, a survivor's partition is dead
-        // weight until the caller's level swap — it joins the eviction
-        // queue in retirement order.
+        // After the last product that reads it as `X`, a survivor's
+        // partition is dead weight until the caller's level swap — it
+        // joins the eviction queue in retirement order.
         let mut last_use = vec![usize::MAX; survivors.len()];
-        for (k, &(_, i, j)) in pairs.iter().enumerate() {
+        for (k, &(_, i, _)) in pairs.iter().enumerate() {
             last_use[i] = k;
-            last_use[j] = k;
         }
         let mut retired: VecDeque<AttrSet> = VecDeque::new();
         let mut failed: Option<BudgetExceeded> = None;
-        for (k, &(z, i, j)) in pairs.iter().enumerate() {
+        for (k, &(z, i, _)) in pairs.iter().enumerate() {
             if let Err(why) = token.check(R::STAGE) {
                 failed = Some(why);
                 break;
             }
-            let (x, y) = (survivors[i], survivors[j]);
-            let p = cache[&x].product_with(&cache[&y], arena);
+            let x = survivors[i];
+            let p = cache[&x].product_with(&labels[b_of(z)], arena);
             let bytes = p.heap_bytes() as u64;
             // Evict dead partitions before letting the reservation trip:
             // an advisory query first, so eviction has no side effects
@@ -359,9 +423,6 @@ fn generate_next<'db, R: LevelRule>(
             next_cache.insert(z, Cow::Owned(p));
             if last_use[i] == k {
                 retired.push_back(x);
-            }
-            if last_use[j] == k {
-                retired.push_back(y);
             }
         }
         if let Some(why) = failed {

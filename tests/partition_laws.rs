@@ -5,7 +5,7 @@
 //! partitions are equal byte for byte.
 
 use depminer::prelude::*;
-use depminer::relation::{FlatPartition, PartitionArena, Prng};
+use depminer::relation::{FlatPartition, LabelColumn, PartitionArena, Prng};
 
 mod common;
 use common::{random_relation, random_set};
@@ -23,11 +23,11 @@ fn product_computes_union_partition() {
         let r = arb_relation(&mut rng);
         // π̂_X · π̂_Y = π̂_{X∪Y}, for all singleton X, Y.
         let n = r.arity();
-        let mut arena = PartitionArena::new(r.len());
+        let mut arena = PartitionArena::default();
         for x in 0..n {
             for y in 0..n {
                 let px = FlatPartition::for_attribute(&r, x);
-                let py = FlatPartition::for_attribute(&r, y);
+                let py = FlatPartition::for_attribute(&r, y).label_column();
                 let prod = px.product_with(&py, &mut arena);
                 let direct = FlatPartition::for_set(&r, AttrSet::from_indices([x, y]));
                 assert_eq!(prod, direct, "product {x}·{y}");
@@ -45,13 +45,16 @@ fn product_is_commutative() {
     for _ in 0..CASES {
         let r = arb_relation(&mut rng);
         let n = r.arity();
+        let mut arena = PartitionArena::default();
         for x in 0..n {
             for y in (x + 1)..n {
                 let px = FlatPartition::for_attribute(&r, x);
                 let py = FlatPartition::for_attribute(&r, y);
                 let direct = FlatPartition::for_set(&r, AttrSet::from_indices([x, y]));
-                assert_eq!(px.product(&py), direct, "{x}·{y}");
-                assert_eq!(py.product(&px), direct, "{y}·{x}");
+                let xy = px.product_with(&py.label_column(), &mut arena);
+                assert_eq!(xy, direct, "{x}·{y}");
+                let yx = py.product_with(&px.label_column(), &mut arena);
+                assert_eq!(yx, direct, "{y}·{x}");
             }
         }
     }
@@ -68,12 +71,17 @@ fn random_attrs(rng: &mut Prng, n: usize, k: usize) -> Vec<usize> {
     attrs
 }
 
+/// Attribute `a`'s label column, the right-hand side of TANE's products.
+fn labels(r: &Relation, a: usize) -> LabelColumn {
+    FlatPartition::for_attribute(r, a).label_column()
+}
+
 /// `π̂_X` as a left-deep chain of singleton products, the way a resume
 /// rebuilds a TANE frontier.
 fn left_deep(r: &Relation, attrs: &[usize], arena: &mut PartitionArena) -> FlatPartition {
     let mut p = FlatPartition::for_attribute(r, attrs[0]);
     for &a in &attrs[1..] {
-        p = p.product_with(&FlatPartition::for_attribute(r, a), arena);
+        p = p.product_with(&labels(r, a), arena);
     }
     p
 }
@@ -84,10 +92,11 @@ fn products_are_canonical_whatever_their_association() {
     let check = |r: &Relation, rng: &mut Prng| {
         let k = rng.gen_range(2..=4usize).min(r.arity());
         let x = random_attrs(rng, r.arity(), k);
-        let mut arena = PartitionArena::new(r.len());
+        let mut arena = PartitionArena::default();
         let chain = left_deep(r, &x, &mut arena);
-        // The join TANE computes: π̂_{X∖a} · π̂_{X∖b} for two distinct
-        // members a, b of X, each side itself a chain.
+        // The join of two `(k−1)`-subsets, π̂_{X∖a} · π̂_{X∖b} for two
+        // distinct members a, b of X, each side itself a chain, and the
+        // product TANE computes for that join, π̂_{X∖a} · a.
         let (i, j) = (rng.gen_range(0..k), rng.gen_range(1..k));
         let j = (i + j) % k;
         let without = |skip: usize| -> Vec<usize> {
@@ -99,10 +108,12 @@ fn products_are_canonical_whatever_their_association() {
         };
         let left = left_deep(r, &without(i), &mut arena);
         let right = left_deep(r, &without(j), &mut arena);
-        let join = left.product_with(&right, &mut arena);
+        let join = left.product_with(&right.label_column(), &mut arena);
+        let tane = left.product_with(&labels(r, x[i]), &mut arena);
         let direct = FlatPartition::for_set(r, AttrSet::from_indices(x.iter().copied()));
         assert_eq!(chain, direct, "left-deep chain of {x:?}");
         assert_eq!(join, direct, "join of {x:?} without {} and {}", x[i], x[j]);
+        assert_eq!(tane, direct, "{x:?} without {} times {0}", x[i]);
     };
     for _ in 0..CASES {
         check(&arb_relation(&mut rng), &mut rng);
@@ -114,6 +125,54 @@ fn products_are_canonical_whatever_their_association() {
     // Past 64 attributes, sets leave the u64 half of `AttrSet`.
     for _ in 0..16 {
         check(&random_relation(&mut rng, 65..=70, 0..=24, 1..=3), &mut rng);
+    }
+}
+
+/// `r` with a constant column and an all-distinct column appended.
+fn with_constant_and_distinct(r: &Relation) -> Relation {
+    let n = r.len();
+    let mut cols: Vec<Vec<u32>> = (0..r.arity())
+        .map(|a| r.column(a).codes().to_vec())
+        .collect();
+    cols.push(vec![0; n]);
+    cols.push((0..n as u32).collect());
+    Relation::from_columns(Schema::synthetic(r.arity() + 2).expect("valid"), cols)
+        .expect("columns are rectangular")
+}
+
+#[test]
+fn products_by_one_attribute_take_every_shape_the_walk_builds() {
+    let mut rng = Prng::seed_from_u64(0x9A08);
+    for _ in 0..CASES {
+        // Relations of 0–16 rows; the last two columns are constant and
+        // all-distinct.
+        let r = with_constant_and_distinct(&arb_relation(&mut rng));
+        let n = r.arity();
+        let (constant, distinct) = (n - 2, n - 1);
+        let mut arena = PartitionArena::default();
+        let columns: Vec<LabelColumn> = (0..n).map(|b| labels(&r, b)).collect();
+        let k = rng.gen_range(1..=4usize);
+        let random = AttrSet::from_indices(random_attrs(&mut rng, n, k));
+        let xs = [
+            random,
+            AttrSet::singleton(constant),
+            AttrSet::singleton(distinct),
+        ];
+        // π̂_X · b for every b: π̂_{X∪{b}} when b ∉ X, and π̂_X itself when
+        // b ∈ X.
+        for x in xs {
+            let px = FlatPartition::for_set(&r, x);
+            for (b, column) in columns.iter().enumerate() {
+                let expected = if x.contains(b) {
+                    px.clone()
+                } else {
+                    FlatPartition::for_set(&r, x.with(b))
+                };
+                let product = px.product_with(column, &mut arena);
+                assert_eq!(product, expected, "{x} · {b}");
+                arena.recycle(product);
+            }
+        }
     }
 }
 
